@@ -30,7 +30,8 @@ import random
 
 from .actions import Diffeo
 from .expr import Expr, GaussRat, as_expr, is_zero
-from .linalg import SparseMatrix, nullspace, rank, solve
+from .linalg import (SparseMatrix, left_inverse, nullspace, rank,
+                     residual_vector, solve)
 from .opcalc import FormalFunction, apply, star, to_operator
 from .report import Report
 from .symbols import FormalSymbol, PolyXi, multi_indices
@@ -429,6 +430,7 @@ class CoefficientBasis:
                 self._matrix.set(self._index[mono], j, c)
         if rank(self._matrix) != len(self.exprs):
             raise ValueError("basis expressions are linearly dependent")
+        self._left_inverse = left_inverse(self._matrix)
 
     def __len__(self):
         return len(self.exprs)
@@ -455,8 +457,8 @@ class CoefficientBasis:
             if idx is None:
                 raise BasisEscapeError("coefficient %s escapes the basis span" % e)
             vec[idx] = c
-        x, residual = solve(self._matrix, vec)
-        if residual is not None:
+        x = self._left_inverse.mul_vector(vec)
+        if residual_vector(self._matrix, x, vec) is not None:
             raise BasisEscapeError("coefficient %s escapes the basis span" % e)
         return x
 
@@ -510,15 +512,6 @@ def _coords_c1(action, n, basis, include_identity=False):
     gs = [g for g in elems if include_identity or g != ident]
     alphas = multi_indices(action.dim, n)
     return [(g, alpha, j) for g in gs for alpha in alphas for j in range(len(basis))]
-
-
-def _coords_ck(action, k, n, basis):
-    elems = action.group.elements()
-    tuples = [()]
-    for _ in range(k):
-        tuples = [t + (g,) for t in tuples for g in elems]
-    alphas = multi_indices(action.dim, n)
-    return [(t, alpha, j) for t in tuples for alpha in alphas for j in range(len(basis))]
 
 
 def _pure_symbol(dim, order, n, alpha, expr):

@@ -318,14 +318,17 @@ class Poly:
     def pow(self, n):
         if n < 0:
             raise ExprError("negative power at polynomial level")
-        result = Poly.const(GR_ONE)
+        if n == 0:
+            return Poly.const(GR_ONE)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result.mul(base)
-            base = base.mul(base)
+                result = base if result is None else result.mul(base)
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base.mul(base)
 
     def invert_monomial(self):
         """Inverse, defined when the polynomial is c*exp(A) with c != 0."""
@@ -360,13 +363,17 @@ class Poly:
     def subs(self, mapping):
         """Substitute variables by Polys; mapping: name -> Poly."""
         out = Poly.zero()
+        powers = {}
         for mono, c in self.terms.items():
             term = Poly.const(c)
             for gen, p in mono:
                 if gen[0] == "v":
-                    rep = mapping.get(gen[1])
-                    factor = rep if rep is not None else Poly.var(gen[1])
-                    term = term.mul(factor.pow(p))
+                    factor = powers.get((gen[1], p))
+                    if factor is None:
+                        rep = mapping.get(gen[1])
+                        factor = (rep if rep is not None else Poly.var(gen[1])).pow(p)
+                        powers[(gen[1], p)] = factor
+                    term = term.mul(factor)
                 else:
                     arg = Poly._from_key(gen[1]).subs(mapping)
                     term = term.mul(Poly.exp_atom(arg))
@@ -697,7 +704,7 @@ class Expr:
     def __hash__(self):
         if self.poly is not None:
             return hash(self.poly)
-        return hash(("tree", id(self)))
+        return hash(("tree", self.node))
 
     def __str__(self):
         if self.poly is not None:
@@ -762,7 +769,9 @@ def is_zero(e, rng=None, points=20, tol=1e-9):
     Canonical expressions are decided exactly.  Expressions outside the
     canonical class (quotient trees) are sampled at ``points`` random rational
     points; a nonzero function passes all samples only with negligible
-    probability, and the certificate is marked probabilistic.
+    probability, and the certificate is marked probabilistic.  Draws that hit
+    a pole are redrawn, up to 10 * ``points`` draws in all; if too few points
+    could be evaluated the test is undecided and reports not-zero.
     """
     e = as_expr(e)
     if e.poly is not None:
@@ -770,8 +779,14 @@ def is_zero(e, rng=None, points=20, tol=1e-9):
     rng = rng if rng is not None else random.Random(20260814)
     names = sorted(e.free_names())
     tried = 0
+    draws = 0
     worst = 0.0
     while tried < points:
+        if draws == 10 * points:
+            return ZeroCheck(False, "probabilistic",
+                             "undecided: %d of %d draws hit a pole"
+                             % (draws - tried, draws))
+        draws += 1
         values = {n: Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for n in names}
         try:
             v = e.eval(values)

@@ -114,10 +114,34 @@ def solve(matrix, b):
     x = [GaussRat(0)] * matrix.ncols
     for col, i in pivots.items():
         x[col] = rhs[i]
+    return x, residual_vector(matrix, x, b)
+
+
+def residual_vector(matrix, x, b):
+    """b - A x, or None when A x = b holds exactly."""
     residual = [bv - av for bv, av in zip(b, matrix.mul_vector(x))]
     if all(v.is_zero() for v in residual):
-        return x, None
-    return x, residual
+        return None
+    return residual
+
+
+def left_inverse(matrix):
+    """L with L A = I for A of full column rank, by Gauss-Jordan on [A | I].
+
+    For b in the column span, x = L b is the unique solution of A x = b;
+    whether b lies in the span is left to ``residual_vector``.
+    """
+    n = matrix.ncols
+    rows = [dict(r) for r in matrix.rows]
+    for i, row in enumerate(rows):
+        row[n + i] = GR_ONE
+    pivots = _eliminate(rows, n)
+    if len(pivots) != n:
+        raise ValueError("matrix does not have full column rank")
+    out = SparseMatrix(n, matrix.nrows)
+    for col, i in pivots.items():
+        out.rows[col] = {j - n: c for j, c in rows[i].items() if j >= n}
+    return out
 
 
 def nullspace(matrix):

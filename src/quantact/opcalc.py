@@ -133,19 +133,17 @@ def apply(op, fn):
     return FormalFunction(op.order, out)
 
 
-def compose(op1, op2):
-    """Composite operator op1 o op2 in normal form over phi1 o phi2."""
-    if op1.coords != op2.coords:
-        raise ValueError("coordinate mismatch")
-    if op1.order != op2.order:
-        raise ValueError("order mismatch")
-    coords = op1.coords
+def _compose_terms(coords, order, terms1, inv1, terms2, inv2):
+    """Coefficient tables of (terms1 over phi1) o (terms2 over phi2).
+
+    Only the inverses of the two diffeomorphisms enter: inv1 for the outer
+    substitution and inv2 for the chain rule through the inner pullback.
+    Exact zeros are dropped from the result.
+    """
     dim = len(coords)
-    order = op1.order
-    inv1_map = dict(zip(coords, op1.phi.inverse))
+    inv1_map = dict(zip(coords, inv1))
     # jacobian of the inner inverse map: jac[k][j] = d_j (phi2^{-1})_k
-    jac = [[op2.phi.inverse[k].diff(coords[j]) for j in range(dim)]
-           for k in range(dim)]
+    jac = [[inv2[k].diff(coords[j]) for j in range(dim)] for k in range(dim)]
     out = [dict() for _ in range(order + 1)]
 
     def add_term(n, gamma, coeff):
@@ -155,9 +153,9 @@ def compose(op1, op2):
         else:
             table[gamma] = coeff
 
-    for n1, table1 in enumerate(op1.terms):
+    for n1, table1 in enumerate(terms1):
         for alpha, f in table1.items():
-            for n2, table2 in enumerate(op2.terms):
+            for n2, table2 in enumerate(terms2):
                 if n1 + n2 > order:
                     break
                 for beta, g in table2.items():
@@ -182,20 +180,43 @@ def compose(op1, op2):
                         coeff = f * c.substitute(inv1_map)
                         add_term(n1 + n2, gamma, coeff)
 
-    phi = compose_diffeo(op1.phi, op2.phi)
-    # drop exact zeros
-    cleaned = []
-    for table in out:
-        cleaned.append({g: c for g, c in table.items()
-                        if not (c.is_canonical and c.poly.is_zero())})
-    return FormalOperator(coords, order, cleaned, phi)
+    return [{g: c for g, c in table.items()
+             if not (c.is_canonical and c.poly.is_zero())}
+            for table in out]
+
+
+def compose(op1, op2):
+    """Composite operator op1 o op2 in normal form over phi1 o phi2."""
+    if op1.coords != op2.coords:
+        raise ValueError("coordinate mismatch")
+    if op1.order != op2.order:
+        raise ValueError("order mismatch")
+    terms = _compose_terms(op1.coords, op1.order, op1.terms, op1.phi.inverse,
+                           op2.terms, op2.phi.inverse)
+    return FormalOperator(op1.coords, op1.order, terms,
+                          compose_diffeo(op1.phi, op2.phi))
 
 
 def star(p, phi1, k, phi2, coords=None):
-    """Product of symbols induced by operator composition over phi1, phi2."""
+    """Product of symbols induced by operator composition over phi1, phi2.
+
+    This is to_symbol(compose(to_operator(p, phi1), to_operator(k, phi2)))
+    without building the composite diffeomorphism, which the symbol drops.
+    """
     coords = list(coords if coords is not None else phi1.coords)
-    op = compose(to_operator(p, phi1, coords), to_operator(k, phi2, coords))
-    return to_symbol(op)
+    if len(coords) != p.dim or len(coords) != k.dim:
+        raise ValueError("coordinate count must match symbol dimension")
+    if p.order != k.order:
+        raise ValueError("order mismatch")
+    dim, order = p.dim, p.order
+    terms1 = [comp.coeffs for comp in p.comps]
+    terms2 = [comp.coeffs for comp in k.comps]
+    # structural test only: sampling tree coefficients here would draw from rng
+    if not any(terms1) or not any(terms2):
+        return FormalSymbol.zero(dim, order)
+    terms = _compose_terms(coords, order, terms1, phi1.inverse, terms2,
+                           phi2.inverse)
+    return FormalSymbol(dim, order, [PolyXi(dim, table) for table in terms])
 
 
 def standard_star(p, k, coords):

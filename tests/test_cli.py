@@ -1,9 +1,12 @@
 """Config parsing and end-to-end runs of the command line tasks."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import quantact
 from quantact.cli import ConfigError, SessionConfig, main, parse_config
 
 
@@ -319,3 +322,26 @@ elements = 1/5
 """)
     assert status == 2
     assert "does not match" in io.err
+
+
+def test_check_cocycle_on_a_pole_terminates(tmp_path):
+    cfg = write(tmp_path, """
+[session]
+task = check-cocycle
+seed = 1
+
+[action]
+builtin = galilean
+
+[phase]
+expr = 1/(1/x - 1/x)
+""")
+    src = os.path.dirname(os.path.dirname(quantact.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quantact.cli", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
+    # the check fails as undecided; it must neither hang nor crash
+    assert proc.returncode == 1
+    assert "result: FAIL" in proc.stdout

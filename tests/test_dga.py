@@ -14,7 +14,9 @@ from quantact.dga import (BasisEscapeError, Cochain, CoefficientBasis,
                           gauge_report, is_normalized, mc_residual,
                           phase_zero_report, representation_report,
                           solve_order, star_graded, trivial_system, twisted_d)
-from quantact.expr import Expr, is_zero, parse
+from quantact.expr import Expr, GaussRat, is_zero, parse
+from quantact.linalg import SparseMatrix, solve
+from quantact.opcalc import compose, to_operator, to_symbol
 from quantact.symbols import FormalSymbol, PolyXi, multi_indices
 
 
@@ -464,3 +466,68 @@ def test_cohomology_with_sign_flip_action():
     # order 1: invariant span of (f0, f1 xi) under simultaneous flip:
     # f0 even (2) + f1 odd (1) = 3
     assert dims[1] == {"H0": 3, "H1": 0, "H2": 0}
+
+
+def test_star_graded_never_composes_diffeos(monkeypatch):
+    rng = random.Random(3)
+    action = cyclic_rotations(4)
+    a = random_cochain(rng, action, 1, order=1)
+    b = random_cochain(rng, action, 1, order=1)
+
+    def refuse(phi1, phi2):
+        raise AssertionError("star must not compose diffeomorphisms")
+
+    monkeypatch.setattr("quantact.opcalc.compose_diffeo", refuse)
+    prod = star_graded(a, b)
+    elems = action.group.elements()
+    values = {(g1, g2): prod.value((g1, g2)) for g1 in elems for g2 in elems}
+    monkeypatch.undo()
+    for (g1, g2), v in values.items():
+        assert any(comp.coeffs for comp in v.comps)
+        ref = to_symbol(compose(
+            to_operator(a.value((g1,)), action.diffeo(g1), action.coords),
+            to_operator(b.value((g2,)), action.diffeo(g2), action.coords)))
+        assert v == ref
+
+
+def _decompose_by_solve(basis, e):
+    monos = sorted({m for b in basis.exprs for m in b.poly.terms})
+    index = {m: i for i, m in enumerate(monos)}
+    m = SparseMatrix(len(monos), len(basis))
+    for j, b in enumerate(basis.exprs):
+        for mono, c in b.poly.terms.items():
+            m.set(index[mono], j, c)
+    vec = [GaussRat(0)] * len(monos)
+    for mono, c in e.poly.terms.items():
+        vec[index[mono]] = c
+    x, residual = solve(m, vec)
+    assert residual is None
+    return x
+
+
+def test_basis_decompose_matches_solve():
+    rng = random.Random(11)
+    monomial = CoefficientBasis.monomials(["x", "y"], 2)
+    mixed = CoefficientBasis(["x", "y"], [parse("1 + x"), parse("x - y"),
+                                          parse("x^2 + i*y")])
+    for basis in (monomial, mixed):
+        for _ in range(8):
+            coeffs = [GaussRat(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                               rng.randint(-2, 2)) for _ in basis.exprs]
+            e = basis.combine(coeffs)
+            got = basis.decompose(e)
+            assert got == coeffs
+            assert got == _decompose_by_solve(basis, e)
+
+
+def test_basis_decompose_escapes():
+    mixed = CoefficientBasis(["x", "y"], [parse("1 + x"), parse("x - y"),
+                                          parse("x^2 + i*y")])
+    # a monomial the basis never uses
+    with pytest.raises(BasisEscapeError):
+        mixed.decompose(parse("x*y"))
+    # only basis monomials, but outside the span
+    with pytest.raises(BasisEscapeError):
+        mixed.decompose(parse("1"))
+    with pytest.raises(BasisEscapeError):
+        mixed.decompose(parse("x^2"))

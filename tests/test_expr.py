@@ -265,3 +265,41 @@ def test_gauss_rational_arithmetic():
     assert (a * b) * b.inv() == a
     assert (a + b) - b == a
     assert a.conj().conj() == a
+
+
+def test_zero_test_on_a_pole_is_undecided():
+    # every draw hits the pole of 1/(1/x - 1/x); the test must stop and never
+    # certify zero
+    e = parse("1/(1/x - 1/x)", B)
+    assert not e.is_canonical
+    chk = is_zero(e)
+    assert not chk.ok and chk.kind == "probabilistic"
+    assert "undecided" in chk.detail
+
+
+def test_zero_test_draws_unchanged_without_poles():
+    e = parse("x / (y + 1)", B) * parse("y + 1", B) - Expr.var("x")
+    rng = random.Random(5)
+    assert is_zero(e, rng=rng, points=20).ok
+    ref = random.Random(5)
+    for _ in range(20):
+        for _name in ("x", "y"):
+            ref.randint(-999, 999)
+            ref.randint(1, 99)
+    assert rng.random() == ref.random()
+
+
+def test_equal_trees_hash_equal():
+    a = parse("1/(1+x^2)", B)
+    b = parse("1/(1+x^2)", B)
+    assert a is not b and not a.is_canonical
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_poly_power_matches_repeated_product():
+    base = parse("x + 2*y - i", B).poly
+    expected = parse("1", B).poly
+    for n in range(7):
+        assert base.pow(n) == expected
+        expected = expected.mul(base)

@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from quantact.expr import GaussRat
-from quantact.linalg import SparseMatrix, nullspace, rank, solve
+from quantact.linalg import (SparseMatrix, left_inverse, nullspace, rank,
+                             residual_vector, solve)
 
 
 def _dense_rank_oracle(rows, ncols):
@@ -70,3 +73,25 @@ def test_nullspace_vectors_annihilate():
         for vec in basis:
             out = m.mul_vector(vec)
             assert all(v.is_zero() for v in out)
+
+
+def test_left_inverse_of_full_column_rank():
+    rng = random.Random(23)
+    checked = 0
+    while checked < 10:
+        nrows = rng.randint(1, 7)
+        m = _random_matrix(rng, nrows, rng.randint(1, nrows))
+        if rank(m) < m.ncols:
+            with pytest.raises(ValueError):
+                left_inverse(m)
+            continue
+        checked += 1
+        inv = left_inverse(m)
+        for j in range(m.ncols):
+            col = [m.rows[i].get(j, GaussRat(0)) for i in range(m.nrows)]
+            unit = [GaussRat(1 if i == j else 0) for i in range(m.ncols)]
+            assert inv.mul_vector(col) == unit
+        x = [GaussRat(rng.randint(-3, 3)) for _ in range(m.ncols)]
+        b = m.mul_vector(x)
+        assert residual_vector(m, x, b) is None
+        assert inv.mul_vector(b) == x

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from quantact.actions import Diffeo, cyclic_rotations, galilean_boosts, sign_flip
 from quantact.expr import Expr, is_zero, parse
 from quantact.opcalc import (
@@ -242,3 +244,51 @@ def test_identity_operator_is_neutral():
     right = compose(t, ident)
     assert to_symbol(left) == s
     assert to_symbol(right) == s
+
+
+def _via_compose(p, phi1, k, phi2, coords):
+    return to_symbol(compose(to_operator(p, phi1, coords),
+                             to_operator(k, phi2, coords)))
+
+
+def _structurally_zero(sym):
+    return not any(comp.coeffs for comp in sym.comps)
+
+
+def test_star_with_zero_operand_matches_compose():
+    # the nonzero side holds a quotient tree, which a zero test would sample
+    x, y, t = Expr.var("x"), Expr.var("y"), Expr.var("t")
+    c4 = cyclic_rotations(4)
+    quotient = x / (y + 1)
+    assert not quotient.is_canonical
+    c4_other = FormalSymbol(2, 2, [PolyXi.constant(2, quotient),
+                                   PolyXi(2, {(1, 0): quotient * y}),
+                                   PolyXi(2, {(1, 1): x, (0, 0): quotient})])
+    cases = [(c4.coords, c4.diffeo(g1), c4.diffeo(g2), c4_other)
+             for g1 in c4.group.elements() for g2 in c4.group.elements()]
+    gal = galilean_boosts()
+    gal_other = FormalSymbol(2, 1, [PolyXi.constant(2, x / (t + 1)),
+                                    PolyXi(2, {(0, 1): t})])
+    cases.append((gal.coords, gal.diffeo((Expr.var("v__1"),)),
+                  gal.diffeo((Expr.var("v__2"),)), gal_other))
+    for coords, phi1, phi2, other in cases:
+        zero = FormalSymbol.zero(other.dim, other.order)
+        for p, k in ((zero, other), (other, zero)):
+            got = star(p, phi1, k, phi2, coords)
+            ref = _via_compose(p, phi1, k, phi2, coords)
+            assert _structurally_zero(got) and _structurally_zero(ref)
+            assert (got.dim, got.order) == (ref.dim, ref.order)
+
+
+def test_star_checks_order_and_dim_before_zero_short_cut():
+    act = cyclic_rotations(4)
+    phi = act.diffeos[1]
+    zero = FormalSymbol.zero(2, 1)
+    k = FormalSymbol(2, 2, [PolyXi.constant(2, Expr.var("x")),
+                            PolyXi.zero(2), PolyXi.zero(2)])
+    with pytest.raises(ValueError, match="order"):
+        star(zero, phi, k, phi, act.coords)
+    with pytest.raises(ValueError, match="order"):
+        star(k, phi, zero, phi, act.coords)
+    with pytest.raises(ValueError, match="dimension"):
+        star(FormalSymbol.zero(1, 2), phi, k, phi, act.coords)
