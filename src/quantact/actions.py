@@ -51,11 +51,6 @@ class Diffeo:
                       [f.substitute(mapping) for f in self.forward],
                       [g.substitute(mapping) for g in self.inverse])
 
-    def apply_forward(self, exprs):
-        """Substitute the forward map into a coordinate tuple of Exprs."""
-        mapping = dict(zip(self.coords, self.forward))
-        return [as_expr(e).substitute(mapping) for e in exprs]
-
     def pullback(self, e):
         """Compose a scalar expression with the inverse map: e o phi^{-1}."""
         mapping = dict(zip(self.coords, self.inverse))
@@ -272,7 +267,7 @@ class ActionSpec:
         return isinstance(self.group, FiniteGroup)
 
     def identity_element(self):
-        return self.group.identity if self.is_finite else self.group.identity
+        return self.group.identity
 
     def diffeo(self, g):
         if self.is_finite:
@@ -351,7 +346,7 @@ def check_action(action, rng=None, samples=8):
             rep.add("inverse law sample %d" % idx, ok, kind)
 
     # identity acts trivially
-    e_id = action.identity_element() if action.is_finite else action.group.identity
+    e_id = action.identity_element()
     rep.add("identity acts trivially", action.diffeo(e_id).is_identity())
 
     # declared inverses

@@ -30,8 +30,8 @@ import random
 
 from .actions import Diffeo
 from .expr import Expr, GaussRat, as_expr, is_zero
-from .linalg import (SparseMatrix, left_inverse, nullspace, rank,
-                     residual_vector, solve)
+from .linalg import (SparseMatrix, left_inverse, rank, residual_vector,
+                     solve_with_kernel)
 from .opcalc import FormalFunction, apply, star, to_operator
 from .report import Report
 from .symbols import FormalSymbol, PolyXi, multi_indices
@@ -70,10 +70,6 @@ class Cochain:
         """Degree-0 cochain with value 1 (the trivial quantization seed)."""
         return Cochain(action, 0, order,
                        table={(): FormalSymbol.one(action.dim, order)})
-
-    @staticmethod
-    def from_function(action, degree, order, fn):
-        return Cochain(action, degree, order, fn=fn)
 
     def value(self, gs=()):
         gs = tuple(gs)
@@ -617,8 +613,7 @@ def solve_order(action, p0, below, n, basis, order=None, rhs_cochain=None, rng=N
         for (alpha, j), c in _decompose_symbol_slot(v, n, basis).items():
             b[target_index[(t, alpha, j)]] = c
 
-    x, residual = solve(m, b)
-    kernel = nullspace(m)
+    x, residual, kernel = solve_with_kernel(m, b)
 
     def vector_to_cochain(vec):
         dimtab = {g: {} for g in action.group.elements()}

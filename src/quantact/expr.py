@@ -66,22 +66,31 @@ class ParseError(ExprError):
 # Gaussian rationals
 
 
-def _as_fraction(v):
-    if isinstance(v, Fraction):
+def _int_or_fraction(v):
+    """v as an int when it is integral, else as a Fraction (denominator > 1)."""
+    if type(v) is int:
         return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
     if isinstance(v, int):
-        return Fraction(v)
+        return int(v)
     raise TypeError("expected int or Fraction, got %r" % (v,))
 
 
 class GaussRat:
-    """Exact complex number a + b*i with rational a, b."""
+    """Exact complex number a + b*i with rational a, b.
+
+    Each part is stored as an ``int`` when it is integral and as a
+    ``Fraction`` only when its denominator exceeds 1, so the common integer
+    case costs integer arithmetic.  Equality, hashing and rendering do not
+    see the difference: ``3 == Fraction(3)`` and both hash alike.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        object.__setattr__(self, "re", _int_or_fraction(re))
+        object.__setattr__(self, "im", _int_or_fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -116,7 +125,8 @@ class GaussRat:
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return GaussRat(self.re / n, -self.im / n)
+        # through Fraction: int / int would be a float
+        return GaussRat(Fraction(self.re) / n, Fraction(-self.im) / n)
 
     def conj(self):
         return GaussRat(self.re, -self.im)
@@ -201,6 +211,24 @@ def _mono_normalize(pairs):
     if exp_arg is not None and exp_arg.terms:
         items.append((("e", exp_arg.key()), 1))
     return tuple(sorted(items))
+
+
+def _mono_mul(m1, m2):
+    """Product of two normalized monomials, as ``_mono_normalize(m1 + m2)``.
+
+    Exp-free monomials multiply by adding variable powers; an exp generator
+    sorts first, so only index 0 needs a look.
+    """
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    if m1[0][0][0] == "e" or m2[0][0][0] == "e":
+        return _mono_normalize(m1 + m2)
+    powers = dict(m1)
+    for gen, p in m2:
+        powers[gen] = powers.get(gen, 0) + p
+    return tuple(sorted(powers.items()))
 
 
 class Poly:
@@ -306,7 +334,7 @@ class Poly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_normalize(m1 + m2)
+                m = _mono_mul(m1, m2)
                 c = c1 * c2
                 s = out.get(m, GR_ZERO) + c
                 if s.is_zero():
@@ -550,7 +578,6 @@ class Expr:
     def free_names(self):
         if self.poly is not None:
             return self.poly.free_names()
-        kind = self.node[0]
         out = set()
         for child in self.node[1:]:
             if isinstance(child, Expr):
@@ -911,7 +938,6 @@ class _Parser:
         return e
 
     def _expr(self):
-        kind, _, _ = self.toks.peek()
         e = self._term()
         while True:
             kind, _, _ = self.toks.peek()

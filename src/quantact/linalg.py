@@ -100,6 +100,21 @@ def rank(matrix):
     return len(pivots)
 
 
+def _reduce(matrix, b):
+    """Copy A and b and row reduce them; returns (rows, rhs, pivots)."""
+    rows = [dict(r) for r in matrix.rows]
+    rhs = [GaussRat.of(v) for v in b]
+    pivots = _eliminate(rows, matrix.ncols, rhs)
+    return rows, rhs, pivots
+
+
+def _solution(matrix, b, rhs, pivots):
+    x = [GaussRat(0)] * matrix.ncols
+    for col, i in pivots.items():
+        x[col] = rhs[i]
+    return x, residual_vector(matrix, x, b)
+
+
 def solve(matrix, b):
     """Solve A x = b exactly.
 
@@ -108,13 +123,19 @@ def solve(matrix, b):
     least-structured certificate pair (particular attempt, nonzero residual
     vector b - A x) exposing the failure.
     """
-    rows = [dict(r) for r in matrix.rows]
-    rhs = [GaussRat.of(v) for v in b]
-    pivots = _eliminate(rows, matrix.ncols, rhs)
-    x = [GaussRat(0)] * matrix.ncols
-    for col, i in pivots.items():
-        x[col] = rhs[i]
-    return x, residual_vector(matrix, x, b)
+    _, rhs, pivots = _reduce(matrix, b)
+    return _solution(matrix, b, rhs, pivots)
+
+
+def solve_with_kernel(matrix, b):
+    """(x, residual, kernel): ``solve`` and ``nullspace`` from one elimination.
+
+    The reduced rows do not depend on the right-hand side, so the kernel is
+    read off the same elimination that solves A x = b.
+    """
+    rows, rhs, pivots = _reduce(matrix, b)
+    x, residual = _solution(matrix, b, rhs, pivots)
+    return x, residual, _kernel(rows, pivots, matrix.ncols)
 
 
 def residual_vector(matrix, x, b):
@@ -148,10 +169,15 @@ def nullspace(matrix):
     """Basis of the exact kernel, one vector per free column."""
     rows = [dict(r) for r in matrix.rows]
     pivots = _eliminate(rows, matrix.ncols)
-    free_cols = [j for j in range(matrix.ncols) if j not in pivots]
+    return _kernel(rows, pivots, matrix.ncols)
+
+
+def _kernel(rows, pivots, ncols):
+    """Kernel basis read off reduced rows, one vector per free column."""
+    free_cols = [j for j in range(ncols) if j not in pivots]
     basis = []
     for fc in free_cols:
-        vec = [GaussRat(0)] * matrix.ncols
+        vec = [GaussRat(0)] * ncols
         vec[fc] = GR_ONE
         for col, i in pivots.items():
             c = rows[i].get(fc)

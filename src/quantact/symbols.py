@@ -185,11 +185,6 @@ class FormalSymbol:
                 comps[n + k] = c
         return FormalSymbol(self.dim, self.order, comps)
 
-    def truncate(self, order):
-        comps = [self.comps[n] if n < len(self.comps) else PolyXi.zero(self.dim)
-                 for n in range(order + 1)]
-        return FormalSymbol(self.dim, order, comps)
-
     def is_zero(self):
         return all(c.is_zero() for c in self.comps)
 

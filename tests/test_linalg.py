@@ -7,7 +7,7 @@ import pytest
 
 from quantact.expr import GaussRat
 from quantact.linalg import (SparseMatrix, left_inverse, nullspace, rank,
-                             residual_vector, solve)
+                             residual_vector, solve, solve_with_kernel)
 
 
 def _dense_rank_oracle(rows, ncols):
@@ -95,3 +95,22 @@ def test_left_inverse_of_full_column_rank():
         b = m.mul_vector(x)
         assert residual_vector(m, x, b) is None
         assert inv.mul_vector(b) == x
+
+
+def test_solve_with_kernel_matches_solve_and_nullspace():
+    rng = random.Random(41)
+    consistent = set()
+    kernel_sizes = set()
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        m = _random_matrix(rng, nrows, ncols)
+        image = m.mul_vector([GaussRat(rng.randint(-3, 3)) for _ in range(ncols)])
+        other = [GaussRat(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(nrows)]
+        for b in (image, other):
+            x, residual, kernel = solve_with_kernel(m, b)
+            assert (x, residual) == solve(m, b)
+            assert kernel == nullspace(m)
+            consistent.add(residual is None)
+            kernel_sizes.add(len(kernel))
+    assert consistent == {True, False}
+    assert len(kernel_sizes) > 1
