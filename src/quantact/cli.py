@@ -37,7 +37,7 @@ from .dga import (Cochain, CoefficientBasis, PhaseCochain, _tuple_label,
                   cochain_zero_report, delta_phase, exp_system, mc_residual,
                   phase_zero_report, solve_order, trivial_system,
                   cohomology_dims)
-from .expr import Expr, ExprError, VarBinding, parse
+from .expr import ExprError, VarBinding, parse
 from .numfio import (WaveGrid, gaussian, phase_system_apply,
                      representation_residual, spectral_tail_fraction,
                      unitarity_residual)
@@ -225,11 +225,16 @@ def _basis(cfg, action):
     section = cfg.section("basis")
     if "monomials" in section:
         deg = _get_int(section, "monomials", None, "basis")
+        if deg < 0:
+            raise ConfigError("[basis] monomials must be >= 0, got %d" % deg)
         return CoefficientBasis.monomials(action.coords, deg)
     if "exprs" not in section:
         raise ConfigError("[basis] needs 'exprs' or 'monomials'")
-    binding = VarBinding(coordinates=action.coords)
-    return CoefficientBasis(action.coords, _split_exprs(section["exprs"], binding))
+    exprs = _split_exprs(section["exprs"], VarBinding(coordinates=action.coords))
+    try:
+        return CoefficientBasis(action.coords, exprs)
+    except ValueError as exc:
+        raise ConfigError("[basis] exprs: %s" % exc)
 
 
 def _elements(cfg, action, section, where):
@@ -287,9 +292,9 @@ def task_mc_solve(cfg, rng):
     p0 = trivial_system(action, n)
     report = Report("order-%d correction" % n,
                     params={"action": action.name, "basis": len(basis)})
-    closure = basis.closure_report(action, rng=rng)
-    report.add("coefficient basis closed under the action", closure.all_ok,
-               "exact")
+    if not _closure_checked(report, basis, action, rng):
+        return report, ["correction not computed: the basis is not closed "
+                        "under the action"]
     res = solve_order(action, p0, {}, n, basis, rng=rng)
     report.add("right-hand side is twisted-closed", bool(res.rhs_closed),
                "exact")
@@ -310,6 +315,17 @@ def task_mc_solve(cfg, rng):
                 lines.append("at %s:" % _tuple_label(action, gs))
                 lines.extend("  " + ln for ln in dump_symbol(v).splitlines())
     return report, lines
+
+
+def _closure_checked(report, basis, action, rng):
+    """Add the basis closure check to ``report``; True when it holds.
+
+    The solvers decompose pulled-back coefficients in the basis, so they
+    only run on a closed basis.
+    """
+    closed = basis.closure_report(action, rng=rng).all_ok
+    report.add("coefficient basis closed under the action", closed, "exact")
+    return closed
 
 
 def _dump_degree1(action, cochain):
@@ -333,10 +349,10 @@ def task_cohomology(cfg, rng):
     report = Report("twisted cohomology dimensions",
                     params={"action": action.name, "basis": len(basis),
                             "orders": "0..%d" % cfg.order})
-    closure = basis.closure_report(action, rng=rng)
-    report.add("coefficient basis closed under the action", closure.all_ok,
-               "exact")
-    dims = cohomology_dims(action, basis, n_max=cfg.order, rng=rng)
+    if not _closure_checked(report, basis, action, rng):
+        return report, ["cohomology not computed: the basis is not closed "
+                        "under the action"]
+    dims = cohomology_dims(action, basis, n_max=cfg.order)
     lines = []
     for n in sorted(dims):
         row = dims[n]

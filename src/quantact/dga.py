@@ -22,10 +22,20 @@ order-by-order correction problem: with P^1..P^{n-1} known, the order-n
 correction solves d_{P0} P^n = -sum_{i+j=n} P^i * P^j, a finite exact linear
 system over a declared coefficient basis.  ``solve_order`` assembles and
 solves it, reporting either the canonical solution or the obstruction class.
+
+Both ``solve_order`` and ``cohomology_dims`` assemble d_{P0} as a matrix one
+unit cochain at a time: the column for (t, alpha, j) is the cochain that is
+zero everywhere except at the k-tuple t.  Its image is evaluated only on the
+support of t, the tuples (h,)+t, t+(h,) and t[:i] + (h, h^-1 t_i) + t[i+1:]
+for all h.  The rule is exact, not a heuristic: P0*a reads a on the last k
+entries, a*P0 on the first k, and the i-th interior face of d a on the
+tuple with entries i and i+1 merged, so on any other tuple every term
+evaluates a off t, where it is the zero symbol.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .actions import Diffeo
@@ -111,11 +121,12 @@ class Cochain:
         """All argument tuples (finite groups only)."""
         if not self.action.is_finite:
             raise ValueError("enumeration needs a finite group")
-        elems = self.action.group.elements()
-        out = [()]
-        for _ in range(self.degree):
-            out = [t + (g,) for t in out for g in elems]
-        return out
+        return _tuples(self.action.group.elements(), self.degree)
+
+
+def _tuples(elems, k):
+    """All k-tuples of ``elems`` in lexicographic order."""
+    return list(itertools.product(elems, repeat=k))
 
 
 def test_tuples(action, degree, rng=None, samples=4, symbolic=True):
@@ -126,11 +137,7 @@ def test_tuples(action, degree, rng=None, samples=4, symbolic=True):
     rational tuples.
     """
     if action.is_finite:
-        elems = action.group.elements()
-        out = [()]
-        for _ in range(degree):
-            out = [t + (g,) for t in out for g in elems]
-        return out
+        return _tuples(action.group.elements(), degree)
     rng = rng if rng is not None else random.Random(0)
     out = []
     if symbolic and action.supports_symbolic_elements():
@@ -502,28 +509,6 @@ class SolveResult:
         return self.solution is not None
 
 
-def _coords_c1(action, n, basis, include_identity=False):
-    elems = action.group.elements()
-    ident = action.group.identity
-    gs = [g for g in elems if include_identity or g != ident]
-    alphas = multi_indices(action.dim, n)
-    return [(g, alpha, j) for g in gs for alpha in alphas for j in range(len(basis))]
-
-
-def _pure_symbol(dim, order, n, alpha, expr):
-    comps = [PolyXi.zero(dim) for _ in range(order + 1)]
-    comps[n] = PolyXi(dim, {alpha: expr})
-    return FormalSymbol(dim, order, comps)
-
-
-def _basis_cochain_c1(action, order, n, g, alpha, expr):
-    dim = action.dim
-    zero = FormalSymbol.zero(dim, order)
-    table = {(h,): (_pure_symbol(dim, order, n, alpha, expr) if h == g else zero)
-             for h in action.group.elements()}
-    return Cochain(action, 1, order, table=table)
-
-
 def _decompose_symbol_slot(v, n, basis):
     """Coordinates of the order-n slot of a symbol in (alpha, basis) blocks."""
     out = {}
@@ -539,32 +524,57 @@ def _decompose_symbol_slot(v, n, basis):
     return out
 
 
-def _assemble_degree1_matrix(action, p0, order, n, basis, unknown_coords, target_index):
-    m = SparseMatrix(len(target_index), len(unknown_coords))
-    for col, (g, alpha, j) in enumerate(unknown_coords):
-        x = _basis_cochain_c1(action, order, n, g, alpha, basis.exprs[j])
+def _slot_coords(action, n, basis, tuples):
+    """Coordinates (t, alpha, j) of order-n slot values on ``tuples``."""
+    slots = [(alpha, j) for alpha in multi_indices(action.dim, n)
+             for j in range(len(basis))]
+    return [(t, alpha, j) for t in tuples for alpha, j in slots]
+
+
+def _support(action, t):
+    """Tuples where d_{P0} of a cochain supported at t alone can be nonzero."""
+    out = set()
+    for h in action.group.elements():
+        out.add((h,) + t)
+        out.add(t + (h,))
+        h_inv = action.inverse(h)
+        for i, g in enumerate(t):
+            out.add(t[:i] + (h, action.mult(h_inv, g)) + t[i + 1:])
+    return sorted(out)
+
+
+def _matrix_of_twisted_d(action, p0, n, basis, cols, row_index):
+    """Matrix of d_{P0} on order-n slots, from columns (t, alpha, j) to rows."""
+    dim, order = action.dim, p0.order
+    zero = FormalSymbol.zero(dim, order)
+    m = SparseMatrix(len(row_index), len(cols))
+    for col, (t, alpha, j) in enumerate(cols):
+        comps = [PolyXi.zero(dim) for _ in range(order + 1)]
+        comps[n] = PolyXi(dim, {alpha: basis.exprs[j]})
+        x = Cochain(action, len(t), order, table={t: FormalSymbol(dim, order, comps)},
+                    fn=lambda gs: zero)
         y = twisted_d(p0, x, check=False)
-        for pair in _support_pairs_degree1(action, g):
-            v = y.value(pair)
-            for (alpha2, j2), c in _decompose_symbol_slot(v, n, basis).items():
-                row = target_index[(pair, alpha2, j2)]
-                m.add(row, col, c)
+        for tt in _support(action, t):
+            for (alpha2, j2), c in _decompose_symbol_slot(y.value(tt), n, basis).items():
+                m.add(row_index[(tt, alpha2, j2)], col, c)
     return m
 
 
-def _support_pairs_degree1(action, g):
-    """Pairs where d_{P0} of a cochain supported at g can be nonzero."""
-    pairs = set()
-    for h in action.group.elements():
-        pairs.add((g, h))
-        pairs.add((h, g))
-        # dX term: g1 g2 = g
-        pairs.add((h, action.mult(action.inverse(h), g)))
-    fixed = set()
-    for (g1, g2) in pairs:
-        if action.mult(g1, g2) == g or g1 == g or g2 == g:
-            fixed.add((g1, g2))
-    return sorted(fixed)
+def _slot_cochain(action, order, n, basis, coords, vec, degree):
+    """Cochain of ``degree`` whose order-n slot has coordinates ``vec`` on ``coords``."""
+    dim = action.dim
+    slots = {t: {} for t in _tuples(action.group.elements(), degree)}
+    for (t, alpha, j), c in zip(coords, vec):
+        if not c.is_zero():
+            coeffs = slots[t]
+            e = as_expr(c) * basis.exprs[j]
+            coeffs[alpha] = coeffs.get(alpha, Expr.zero()) + e
+    table = {}
+    for t, coeffs in slots.items():
+        comps = [PolyXi.zero(dim) for _ in range(order + 1)]
+        comps[n] = PolyXi(dim, coeffs)
+        table[t] = FormalSymbol(dim, order, comps)
+    return Cochain(action, degree, order, table=table)
 
 
 def solve_order(action, p0, below, n, basis, order=None, rhs_cochain=None, rng=None):
@@ -582,7 +592,6 @@ def solve_order(action, p0, below, n, basis, order=None, rhs_cochain=None, rng=N
     if not action.is_finite:
         raise ValueError("order-by-order solving is implemented for finite groups")
     order = order if order is not None else n
-    dim = action.dim
 
     # right-hand side
     if rhs_cochain is None:
@@ -596,70 +605,35 @@ def solve_order(action, p0, below, n, basis, order=None, rhs_cochain=None, rng=N
 
     closed = cochain_zero_report(twisted_d(p0, rhs, check=False), rng=rng).all_ok
 
-    unknown_coords = _coords_c1(action, n, basis, include_identity=False)
-    alphas = multi_indices(dim, n)
-    pair_tuples = [(g1, g2) for g1 in action.group.elements()
-                   for g2 in action.group.elements()]
-    target_coords = [(t, alpha, j) for t in pair_tuples for alpha in alphas
-                     for j in range(len(basis))]
-    target_index = {c: i for i, c in enumerate(target_coords)}
+    elems = action.group.elements()
+    ident = action.group.identity
+    cols = _slot_coords(action, n, basis, [(g,) for g in elems if g != ident])
+    pair_tuples = _tuples(elems, 2)
+    rows = _slot_coords(action, n, basis, pair_tuples)
+    row_index = {c: i for i, c in enumerate(rows)}
 
-    m = _assemble_degree1_matrix(action, p0, order, n, basis, unknown_coords,
-                                 target_index)
+    m = _matrix_of_twisted_d(action, p0, n, basis, cols, row_index)
 
-    b = [GaussRat(0)] * len(target_coords)
+    b = [GaussRat(0)] * len(rows)
     for t in pair_tuples:
         v = rhs.value(t)
         for (alpha, j), c in _decompose_symbol_slot(v, n, basis).items():
-            b[target_index[(t, alpha, j)]] = c
+            b[row_index[(t, alpha, j)]] = c
 
     x, residual, kernel = solve_with_kernel(m, b)
 
-    def vector_to_cochain(vec):
-        dimtab = {g: {} for g in action.group.elements()}
-        for col, (g, alpha, j) in enumerate(unknown_coords):
-            c = vec[col]
-            if not c.is_zero():
-                tab = dimtab[g]
-                tab[(alpha, j)] = c
-        table = {}
-        for g in action.group.elements():
-            coeffs = {}
-            for (alpha, j), c in dimtab[g].items():
-                e = as_expr(c) * basis.exprs[j]
-                coeffs[alpha] = coeffs.get(alpha, Expr.zero()) + e
-            comps = [PolyXi.zero(dim) for _ in range(order + 1)]
-            comps[n] = PolyXi(dim, coeffs)
-            table[(g,)] = FormalSymbol(dim, order, comps)
-        return Cochain(action, 1, order, table=table)
-
     rhs_is_zero = all(v.is_zero() for v in b)
-    cocycle_basis = [vector_to_cochain(v) for v in kernel] if rhs_is_zero else None
+    cocycle_basis = ([_slot_cochain(action, order, n, basis, cols, v, 1) for v in kernel]
+                     if rhs_is_zero else None)
 
     if residual is None:
-        return SolveResult(n, solution=vector_to_cochain(x),
+        return SolveResult(n, solution=_slot_cochain(action, order, n, basis, cols, x, 1),
                            cocycle_basis=cocycle_basis, kernel_dim=len(kernel),
                            rhs_closed=closed, rhs=rhs)
 
     # obstruction: canonical remainder (b - A x) repackaged as a 2-cochain
-    def residual_to_cochain(vec):
-        table = {}
-        for t in pair_tuples:
-            coeffs = {}
-            for alpha in alphas:
-                e = Expr.zero()
-                for j in range(len(basis)):
-                    c = vec[target_index[(t, alpha, j)]]
-                    if not c.is_zero():
-                        e = e + as_expr(c) * basis.exprs[j]
-                if not (e.is_canonical and e.poly.is_zero()):
-                    coeffs[alpha] = e
-            comps = [PolyXi.zero(dim) for _ in range(order + 1)]
-            comps[n] = PolyXi(dim, coeffs)
-            table[t] = FormalSymbol(dim, order, comps)
-        return Cochain(action, 2, order, table=table)
-
-    return SolveResult(n, obstruction=residual_to_cochain(residual),
+    obstruction = _slot_cochain(action, order, n, basis, rows, residual, 2)
+    return SolveResult(n, obstruction=obstruction,
                        kernel_dim=len(kernel), rhs_closed=closed, rhs=rhs)
 
 
@@ -667,7 +641,7 @@ def solve_order(action, p0, below, n, basis, order=None, rhs_cochain=None, rng=N
 # cohomology dimensions
 
 
-def cohomology_dims(action, basis, p0=None, n_max=2, rng=None):
+def cohomology_dims(action, basis, p0=None, n_max=2):
     """Dimensions of H^0, H^1, H^2 of the twisted complex per symbol order.
 
     Cochain spaces are the full (non-normalized) ones: maps G^k -> order-n
@@ -683,9 +657,9 @@ def cohomology_dims(action, basis, p0=None, n_max=2, rng=None):
         if p0 is None:
             p0n = trivial_system(action, n)
         else:
-            p0n = p0.map_values(
-                lambda v, k=n: _lift_leading(v, k))
-        out[n] = _cohomology_at_order(action, basis, p0n, n, rng=rng)
+            p0n = Cochain(action, 1, n,
+                          fn=lambda gs, k=n: _lift_leading(p0.value(gs), k))
+        out[n] = _cohomology_at_order(action, basis, p0n, n)
     return out
 
 
@@ -700,58 +674,17 @@ def trivial_system(action, order):
     return Cochain(action, 1, order, fn=lambda gs: one)
 
 
-def _cohomology_at_order(action, basis, p0, n, rng=None):
-    dim = action.dim
-    order = p0.order
-    alphas = multi_indices(dim, n)
+def _cohomology_at_order(action, basis, p0, n):
     elems = action.group.elements()
-    nb = len(basis)
-
-    def coords_k(k):
-        tuples = [()]
-        for _ in range(k):
-            tuples = [t + (g,) for t in tuples for g in elems]
-        return [(t, alpha, j) for t in tuples for alpha in alphas for j in range(nb)]
-
-    def basis_cochain(k, t, alpha, j):
-        zero = FormalSymbol.zero(dim, order)
-        sym = _pure_symbol(dim, order, n, alpha, basis.exprs[j])
-        if k == 0:
-            return Cochain(action, 0, order, table={(): sym})
-        table = {}
-        tuples = [()]
-        for _ in range(k):
-            tuples = [tt + (g,) for tt in tuples for g in elems]
-        for tt in tuples:
-            table[tt] = sym if tt == t else zero
-        return Cochain(action, k, order, table=table)
-
-    def matrix_of_d(k):
-        cols = coords_k(k)
-        rows = coords_k(k + 1)
-        row_index = {c: i for i, c in enumerate(rows)}
-        m = SparseMatrix(len(rows), len(cols))
-        for col, (t, alpha, j) in enumerate(cols):
-            x = basis_cochain(k, t, alpha, j)
-            y = twisted_d(p0, x, check=False)
-            tuples = [()]
-            for _ in range(k + 1):
-                tuples = [tt + (g,) for tt in tuples for g in elems]
-            for tt in tuples:
-                v = y.value(tt)
-                for (alpha2, j2), c in _decompose_symbol_slot(v, n, basis).items():
-                    m.add(row_index[(tt, alpha2, j2)], col, c)
-        return m
-
-    d0 = matrix_of_d(0)
-    d1 = matrix_of_d(1)
-    d2 = matrix_of_d(2)
-    r0, r1, r2 = rank(d0), rank(d1), rank(d2)
-    c0 = len(coords_k(0))
-    c1 = len(coords_k(1))
-    c2 = len(coords_k(2))
+    coords = [_slot_coords(action, n, basis, _tuples(elems, k)) for k in range(4)]
+    ranks = []
+    for k in range(3):
+        row_index = {c: i for i, c in enumerate(coords[k + 1])}
+        ranks.append(rank(_matrix_of_twisted_d(action, p0, n, basis, coords[k],
+                                               row_index)))
+    r0, r1, r2 = ranks
     return {
-        "H0": c0 - r0,
-        "H1": (c1 - r1) - r0,
-        "H2": (c2 - r2) - r1,
+        "H0": len(coords[0]) - r0,
+        "H1": (len(coords[1]) - r1) - r0,
+        "H2": (len(coords[2]) - r2) - r1,
     }

@@ -231,6 +231,19 @@ def _mono_mul(m1, m2):
     return tuple(sorted(powers.items()))
 
 
+def _accumulate(terms, m, c):
+    """Add the nonzero term c*m into ``terms`` in place, dropping a zero sum."""
+    old = terms.get(m)
+    if old is None:
+        terms[m] = c
+        return
+    s = old + c
+    if s.is_zero():
+        del terms[m]
+    else:
+        terms[m] = s
+
+
 class Poly:
     """Canonical polynomial over variables and exponential atoms."""
 
@@ -311,11 +324,7 @@ class Poly:
     def add(self, other):
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, GR_ZERO) + c
-            if s.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = s
+            _accumulate(terms, m, c)
         return Poly(terms)
 
     def neg(self):
@@ -334,13 +343,7 @@ class Poly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                s = out.get(m, GR_ZERO) + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                _accumulate(out, _mono_mul(m1, m2), c1 * c2)
         return Poly(out)
 
     def pow(self, n):
@@ -376,21 +379,21 @@ class Poly:
 
     def diff(self, name):
         gen = ("v", name)
-        out = Poly.zero()
+        out = {}
         for mono, c in self.terms.items():
             for idx, (g, p) in enumerate(mono):
                 if g == gen:
                     rest = mono[:idx] + ((g, p - 1),) + mono[idx + 1:]
-                    out = out.add(Poly({_mono_normalize(rest): c * GaussRat(p)}))
+                    _accumulate(out, _mono_normalize(rest), c * GaussRat(p))
                 elif g[0] == "e":
                     darg = Poly._from_key(g[1]).diff(name)
-                    if not darg.is_zero():
-                        out = out.add(darg.mul(Poly({mono: c})))
-        return out
+                    for m, dc in darg.mul(Poly({mono: c})).terms.items():
+                        _accumulate(out, m, dc)
+        return Poly(out)
 
     def subs(self, mapping):
         """Substitute variables by Polys; mapping: name -> Poly."""
-        out = Poly.zero()
+        out = {}
         powers = {}
         for mono, c in self.terms.items():
             term = Poly.const(c)
@@ -405,8 +408,9 @@ class Poly:
                 else:
                     arg = Poly._from_key(gen[1]).subs(mapping)
                     term = term.mul(Poly.exp_atom(arg))
-            out = out.add(term)
-        return out
+            for m, tc in term.terms.items():
+                _accumulate(out, m, tc)
+        return Poly(out)
 
     def eval(self, values):
         """Evaluate at a point; values: name -> complex/int/Fraction/GaussRat.

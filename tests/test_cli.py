@@ -345,3 +345,50 @@ expr = 1/(1/x - 1/x)
     # the check fails as undecided; it must neither hang nor crash
     assert proc.returncode == 1
     assert "result: FAIL" in proc.stdout
+
+
+@pytest.mark.parametrize("task,line", [
+    ("cohomology", "cohomology not computed"),
+    ("mc-solve", "correction not computed"),
+])
+def test_non_closed_basis_stops_after_the_closure_check(tmp_path, capsys,
+                                                        task, line):
+    # x alone is not closed under quarter turns: its pullbacks are +-y
+    status, io, out = run_cli(tmp_path, capsys, """
+[session]
+task = %s
+order = 1
+seed = 5
+
+[action]
+builtin = rotations_c4
+
+[basis]
+exprs = x
+""" % task)
+    assert status == 1
+    assert "FAIL     coefficient basis closed under the action" in io.out
+    assert "result: FAIL" in io.out
+    assert line in io.out
+    assert open(os.path.join(out, task + ".txt")).read() == io.out
+
+
+@pytest.mark.parametrize("basis,message", [
+    ("monomials = -1", "monomials must be >= 0"),
+    ("exprs = x, 2*x", "linearly dependent"),
+])
+def test_bad_basis_is_a_config_error(tmp_path, capsys, basis, message):
+    for task in ("cohomology", "mc-solve"):
+        status, io, _ = run_cli(tmp_path, capsys, """
+[session]
+task = %s
+order = 1
+
+[action]
+builtin = sign_flip_c2
+
+[basis]
+%s
+""" % (task, basis))
+        assert status == 2
+        assert message in io.err

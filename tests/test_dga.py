@@ -1,5 +1,6 @@
 """Cochain complex, Maurer-Cartan machinery, and the order-by-order solver."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from quantact.actions import (FiniteGroup, cyclic_rotations, galilean_boosts,
                               heisenberg, sign_flip, translations,
                               trivial_action)
 from quantact.dga import (BasisEscapeError, Cochain, CoefficientBasis,
-                          PhaseCochain, character_phase, cochain_zero_report,
+                          PhaseCochain, _lift_leading, _matrix_of_twisted_d,
+                          _support, character_phase, cochain_zero_report,
                           cohomology_dims, d, delta_phase, exp_system,
                           gauge_report, is_normalized, mc_residual,
                           phase_zero_report, representation_report,
@@ -468,6 +470,15 @@ def test_cohomology_with_sign_flip_action():
     assert dims[1] == {"H0": 3, "H1": 0, "H2": 0}
 
 
+def test_cohomology_with_an_explicit_twist():
+    # the order-0 twist is lifted to every symbol order; the trivial twist
+    # given explicitly must reproduce the default
+    action = sign_flip()
+    basis = CoefficientBasis.monomials(["x"], 2)
+    dims = cohomology_dims(action, basis, p0=trivial_system(action, 0), n_max=1)
+    assert dims == cohomology_dims(action, basis, n_max=1)
+
+
 def test_star_graded_never_composes_diffeos(monkeypatch):
     rng = random.Random(3)
     action = cyclic_rotations(4)
@@ -531,3 +542,61 @@ def test_basis_decompose_escapes():
         mixed.decompose(parse("1"))
     with pytest.raises(BasisEscapeError):
         mixed.decompose(parse("x^2"))
+
+
+# ---------------------------------------------------------------------------
+# the assembled matrix of d_{P0}
+
+
+def _unit_cochain(action, t, sym):
+    """Cochain equal to ``sym`` at t and to the zero symbol on every other tuple."""
+    zero = FormalSymbol.zero(action.dim, sym.order)
+    tuples = itertools.product(action.group.elements(), repeat=len(t))
+    return Cochain(action, len(t), sym.order,
+                   table={tt: sym if tt == t else zero for tt in tuples})
+
+
+@pytest.mark.parametrize("action", [cyclic_rotations(2), cyclic_rotations(4),
+                                    sign_flip()],
+                         ids=["rotations_c2", "rotations_c4", "sign_flip_c2"])
+def test_twisted_d_of_a_unit_cochain_vanishes_off_its_support(action):
+    rng = random.Random(29)
+    elems = action.group.elements()
+    p0 = trivial_system(action, 1)
+    for k in range(3):
+        for t in itertools.product(elems, repeat=k):
+            sym = random_symbol(rng, action.dim, 1, action.coords)
+            y = twisted_d(p0, _unit_cochain(action, t, sym), check=False)
+            support = set(_support(action, t))
+            for tt in itertools.product(elems, repeat=k + 1):
+                if tt not in support:
+                    assert y.value(tt).is_zero(), (t, tt)
+
+
+def _column(m, col):
+    return [row.get(col, GaussRat(0)) for row in m.rows]
+
+
+@pytest.mark.parametrize("twist", ["trivial", "character"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_twisted_d_matrices_square_to_zero(twist, n):
+    i = Expr.imag_unit()
+    action, chi = quarter_turn_character([Expr.one(), i, -Expr.one(), -i])
+    if twist == "trivial":
+        p0 = trivial_system(action, n)
+    else:
+        p0 = Cochain(action, 1, n, fn=lambda gs: _lift_leading(chi.value(gs), n))
+    assert_cochain_zero(mc_residual(p0))
+    basis = CoefficientBasis.monomials(action.coords, 1)
+    elems = action.group.elements()
+    coords = [[(t, alpha, j) for t in itertools.product(elems, repeat=k)
+               for alpha in multi_indices(action.dim, n)
+               for j in range(len(basis))] for k in range(4)]
+    mats = [_matrix_of_twisted_d(action, p0, n, basis, coords[k],
+                                 {c: r for r, c in enumerate(coords[k + 1])})
+            for k in range(3)]
+    assert all(m.nnz() for m in mats[1:])
+    for k in range(2):
+        for col in range(len(coords[k])):
+            image = mats[k + 1].mul_vector(_column(mats[k], col))
+            assert all(v.is_zero() for v in image), (k, coords[k][col])

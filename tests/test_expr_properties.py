@@ -109,3 +109,32 @@ def monomials(draw):
 @hypothesis.given(monomials(), monomials())
 def test_monomial_product_matches_normalize(m1, m2):
     assert _mono_mul(m1, m2) == _mono_normalize(m1 + m2)
+
+
+nonzero_gauss = gauss.filter(lambda c: not c.is_zero())
+
+
+@st.composite
+def polys(draw, with_exp=True):
+    monos = monomials() if with_exp else monomials().filter(
+        lambda m: all(gen[0] == "v" for gen, _ in m))
+    return Poly(draw(st.dictionaries(monos, nonzero_gauss, max_size=4)))
+
+
+def snapshot(*ps):
+    return [list(p.terms.items()) for p in ps]
+
+
+@hypothesis.settings(SETTINGS, max_examples=100)
+@hypothesis.given(polys(), polys(), polys(with_exp=False), polys(with_exp=False))
+def test_poly_operations_leave_operands_and_term_order(p, q, rx, ry):
+    mapping = {"x": rx, "y": ry}
+    before = snapshot(p, q, rx, ry)
+    p.add(q), p.mul(q), p.subs(mapping), p.diff("x")
+    assert snapshot(p, q, rx, ry) == before
+    # summing single-monomial results one after another fixes the term order
+    for op in (lambda r: r.subs(mapping), lambda r: r.diff("x")):
+        expected = Poly.zero()
+        for m, c in p.terms.items():
+            expected = expected.add(op(Poly({m: c})))
+        assert list(op(p).terms.items()) == list(expected.terms.items())
