@@ -12,6 +12,7 @@ expressions canonicalize and by sampled evaluation otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
+import functools
 import random
 
 from .expr import Expr, ExprError, VarBinding, as_expr, is_zero, parse
@@ -283,14 +284,15 @@ class ActionSpec:
     def inverse(self, g):
         return self.group.inverse(g)
 
+    def product(self, gs):
+        """Group product g1 g2 ... gk of a tuple (the identity for the empty tuple)."""
+        return functools.reduce(self.mult, gs) if gs else self.group.identity
+
     def product_diffeo(self, gs):
         """Diffeo of a product g1 g2 ... gk (identity for the empty tuple)."""
         if not gs:
             return Diffeo.identity(self.coords)
-        g = gs[0]
-        for h in gs[1:]:
-            g = self.mult(g, h)
-        return self.diffeo(g)
+        return self.diffeo(self.product(gs))
 
     def sample_elements(self, rng, count=8):
         if self.is_finite:

@@ -23,14 +23,22 @@ correction solves d_{P0} P^n = -sum_{i+j=n} P^i * P^j, a finite exact linear
 system over a declared coefficient basis.  ``solve_order`` assembles and
 solves it, reporting either the canonical solution or the obstruction class.
 
-Both ``solve_order`` and ``cohomology_dims`` assemble d_{P0} as a matrix one
-unit cochain at a time: the column for (t, alpha, j) is the cochain that is
-zero everywhere except at the k-tuple t.  Its image is evaluated only on the
-support of t, the tuples (h,)+t, t+(h,) and t[:i] + (h, h^-1 t_i) + t[i+1:]
-for all h.  The rule is exact, not a heuristic: P0*a reads a on the last k
-entries, a*P0 on the first k, and the i-th interior face of d a on the
-tuple with entries i and i+1 merged, so on any other tuple every term
-evaluates a off t, where it is the zero symbol.
+Both ``solve_order`` and ``cohomology_dims`` assemble d_{P0} on order-n
+slots s = (alpha, j), the symbol xi^alpha times basis element j, as the
+bar-complex differential of C^k(G, M), M the slot space.  With g the
+product of t, the column for s at the k-tuple t is, for every h,
+
+    L[h, g, s] = P0(h) star s over (phi_h, phi_g)   on the row (h,)+t,
+    -(-1)^k R[g, h, s], R = s star P0(h) over (phi_g, phi_h)   on t+(h,),
+    (-1)^(i+1) s   on each split row t[:i] + (h, h^-1 t_i) + t[i+1:].
+
+This is exact, not a heuristic: P0*a reads a on the last k entries, a*P0
+on the first k, and the i-th interior face of d a on the tuple with entries
+i and i+1 merged, so on any other tuple every term evaluates a off t, where
+it is the zero symbol.  L and R depend on t only through g, so each is one
+star product per (h, g, s).  The basis escape check runs on each star term,
+not on each row sum; both callers build P0 at truncation order n, so every
+term lies in slot n and the two checks agree.
 """
 
 from __future__ import annotations
@@ -233,27 +241,6 @@ def twisted_d(p0, a, check=True, rng=None):
     left = star_graded(p0, a)
     right = star_graded(a, p0).scale(sign)
     return d(a).add(left).sub(right)
-
-
-def is_normalized(a, rng=None):
-    """True when every identity-containing tuple evaluates to the unit symbol.
-
-    This is the G-system normalization; it is a property of candidate
-    systems, not a subspace preserved by d or the graded product.
-    """
-    one = FormalSymbol.one(a.dim, a.order)
-    ident = a.action.group.identity
-    if a.degree == 0:
-        return True
-    if a.action.is_finite:
-        tuples = [t for t in a.tuples() if ident in t]
-    else:
-        tuples = []
-        pool = test_tuples(a.action, a.degree - 1, rng=rng, symbolic=False) if a.degree > 1 else [()]
-        for t in pool:
-            for pos in range(a.degree):
-                tuples.append(t[:pos] + (ident,) + t[pos:])
-    return all(a.value(t).sub(one).is_zero() for t in tuples)
 
 
 # ---------------------------------------------------------------------------
@@ -531,49 +518,63 @@ def _slot_coords(action, n, basis, tuples):
     return [(t, alpha, j) for t in tuples for alpha, j in slots]
 
 
-def _support(action, t):
-    """Tuples where d_{P0} of a cochain supported at t alone can be nonzero."""
-    out = set()
+def _slot_symbol(dim, order, n, coeffs):
+    """Symbol of truncation ``order`` with the {alpha: coefficient} ``coeffs`` in slot n."""
+    comps = [PolyXi.zero(dim) for _ in range(order + 1)]
+    comps[n] = PolyXi(dim, coeffs)
+    return FormalSymbol(dim, order, comps)
+
+
+def _slot_maps(action, p0, n, basis, tuples):
+    """Star terms L and R of d_{P0} on order-n slots, for the products of ``tuples``.
+
+    L[h, g, alpha, j] and R[g, h, alpha, j] are the slot coordinates of
+    P0(h) star s and s star P0(h), s the unit symbol of slot (alpha, j).
+    The empty tuple keeps the key () and the identity diffeomorphism.
+    """
+    dim, order, coords = action.dim, p0.order, action.coords
+    phis = {action.product(t) if t else (): action.product_diffeo(t) for t in tuples}
+    units = {(alpha, j): _slot_symbol(dim, order, n, {alpha: e})
+             for alpha in multi_indices(dim, n) for j, e in enumerate(basis.exprs)}
+    left, right = {}, {}
     for h in action.group.elements():
-        out.add((h,) + t)
-        out.add(t + (h,))
-        h_inv = action.inverse(h)
-        for i, g in enumerate(t):
-            out.add(t[:i] + (h, action.mult(h_inv, g)) + t[i + 1:])
-    return sorted(out)
+        p, phi_h = p0.value((h,)), action.diffeo(h)
+        for g, phi_g in phis.items():
+            for (alpha, j), s in units.items():
+                left[h, g, alpha, j] = _decompose_symbol_slot(
+                    star(p, phi_h, s, phi_g, coords), n, basis)
+                right[g, h, alpha, j] = _decompose_symbol_slot(
+                    star(s, phi_g, p, phi_h, coords), n, basis)
+    return left, right
 
 
-def _matrix_of_twisted_d(action, p0, n, basis, cols, row_index):
-    """Matrix of d_{P0} on order-n slots, from columns (t, alpha, j) to rows."""
-    dim, order = action.dim, p0.order
-    zero = FormalSymbol.zero(dim, order)
+def _matrix_of_twisted_d(action, maps, cols, row_index):
+    """Matrix of d_{P0} from columns (t, alpha, j) to rows, read off ``maps``."""
+    left, right = maps
+    splits = [(h, action.inverse(h)) for h in action.group.elements()]
     m = SparseMatrix(len(row_index), len(cols))
     for col, (t, alpha, j) in enumerate(cols):
-        comps = [PolyXi.zero(dim) for _ in range(order + 1)]
-        comps[n] = PolyXi(dim, {alpha: basis.exprs[j]})
-        x = Cochain(action, len(t), order, table={t: FormalSymbol(dim, order, comps)},
-                    fn=lambda gs: zero)
-        y = twisted_d(p0, x, check=False)
-        for tt in _support(action, t):
-            for (alpha2, j2), c in _decompose_symbol_slot(y.value(tt), n, basis).items():
-                m.add(row_index[(tt, alpha2, j2)], col, c)
+        g = action.product(t) if t else ()
+        odd = len(t) % 2
+        for h, h_inv in splits:
+            for (alpha2, j2), c in left[h, g, alpha, j].items():
+                m.add(row_index[((h,) + t, alpha2, j2)], col, c)
+            for (alpha2, j2), c in right[g, h, alpha, j].items():
+                m.add(row_index[(t + (h,), alpha2, j2)], col, c if odd else -c)
+            for i, gi in enumerate(t):
+                split = t[:i] + (h, action.mult(h_inv, gi)) + t[i + 1:]
+                m.add(row_index[(split, alpha, j)], col, (-1) ** (i + 1))
     return m
 
 
 def _slot_cochain(action, order, n, basis, coords, vec, degree):
     """Cochain of ``degree`` whose order-n slot has coordinates ``vec`` on ``coords``."""
-    dim = action.dim
     slots = {t: {} for t in _tuples(action.group.elements(), degree)}
     for (t, alpha, j), c in zip(coords, vec):
         if not c.is_zero():
             coeffs = slots[t]
-            e = as_expr(c) * basis.exprs[j]
-            coeffs[alpha] = coeffs.get(alpha, Expr.zero()) + e
-    table = {}
-    for t, coeffs in slots.items():
-        comps = [PolyXi.zero(dim) for _ in range(order + 1)]
-        comps[n] = PolyXi(dim, coeffs)
-        table[t] = FormalSymbol(dim, order, comps)
+            coeffs[alpha] = coeffs.get(alpha, Expr.zero()) + as_expr(c) * basis.exprs[j]
+    table = {t: _slot_symbol(action.dim, order, n, coeffs) for t, coeffs in slots.items()}
     return Cochain(action, degree, order, table=table)
 
 
@@ -606,18 +607,18 @@ def solve_order(action, p0, below, n, basis, order=None, rhs_cochain=None, rng=N
     closed = cochain_zero_report(twisted_d(p0, rhs, check=False), rng=rng).all_ok
 
     elems = action.group.elements()
-    ident = action.group.identity
-    cols = _slot_coords(action, n, basis, [(g,) for g in elems if g != ident])
+    col_tuples = [(g,) for g in elems if g != action.group.identity]
+    cols = _slot_coords(action, n, basis, col_tuples)
     pair_tuples = _tuples(elems, 2)
     rows = _slot_coords(action, n, basis, pair_tuples)
     row_index = {c: i for i, c in enumerate(rows)}
 
-    m = _matrix_of_twisted_d(action, p0, n, basis, cols, row_index)
+    maps = _slot_maps(action, p0, n, basis, col_tuples)
+    m = _matrix_of_twisted_d(action, maps, cols, row_index)
 
     b = [GaussRat(0)] * len(rows)
     for t in pair_tuples:
-        v = rhs.value(t)
-        for (alpha, j), c in _decompose_symbol_slot(v, n, basis).items():
+        for (alpha, j), c in _decompose_symbol_slot(rhs.value(t), n, basis).items():
             b[row_index[(t, alpha, j)]] = c
 
     x, residual, kernel = solve_with_kernel(m, b)
@@ -664,9 +665,7 @@ def cohomology_dims(action, basis, p0=None, n_max=2):
 
 
 def _lift_leading(v, order):
-    comps = [PolyXi.zero(v.dim) for _ in range(order + 1)]
-    comps[0] = v.comps[0]
-    return FormalSymbol(v.dim, order, comps)
+    return _slot_symbol(v.dim, order, 0, v.comps[0].coeffs)
 
 
 def trivial_system(action, order):
@@ -676,12 +675,13 @@ def trivial_system(action, order):
 
 def _cohomology_at_order(action, basis, p0, n):
     elems = action.group.elements()
-    coords = [_slot_coords(action, n, basis, _tuples(elems, k)) for k in range(4)]
+    tuples = [_tuples(elems, k) for k in range(4)]
+    coords = [_slot_coords(action, n, basis, ts) for ts in tuples]
+    maps = _slot_maps(action, p0, n, basis, tuples[0] + tuples[1] + tuples[2])
     ranks = []
     for k in range(3):
         row_index = {c: i for i, c in enumerate(coords[k + 1])}
-        ranks.append(rank(_matrix_of_twisted_d(action, p0, n, basis, coords[k],
-                                               row_index)))
+        ranks.append(rank(_matrix_of_twisted_d(action, maps, coords[k], row_index)))
     r0, r1, r2 = ranks
     return {
         "H0": len(coords[0]) - r0,

@@ -1,11 +1,13 @@
 """Tests for diffeomorphisms, groups and action verification."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from quantact.actions import (
+    BUILTIN_ACTIONS,
     ActionSpec,
     Diffeo,
     FiniteGroup,
@@ -96,6 +98,23 @@ def test_check_action_builtins_pass():
         act = factory()
         rep = check_action(act, rng=rng)
         assert rep.all_ok, "%s\n%s" % (act.name, rep.render())
+
+
+@pytest.mark.parametrize("name", [name for name, factory in BUILTIN_ACTIONS.items()
+                                  if factory().is_finite])
+def test_product_diffeo_is_the_diffeo_of_the_product(name):
+    act = BUILTIN_ACTIONS[name]()
+    elems = act.group.elements()
+    ident = act.product_diffeo(())
+    assert act.product(()) == act.group.identity
+    assert ident.forward == ident.inverse == [Expr.var(c) for c in act.coords]
+    for k in (1, 2, 3):
+        for t in itertools.product(elems, repeat=k):
+            g = t[0]
+            for h in t[1:]:
+                g = act.mult(g, h)
+            assert act.product(t) == g
+            assert act.product_diffeo(t) is act.diffeo(g)
 
 
 def test_check_action_catches_bad_inverse():

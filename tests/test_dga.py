@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from quantact import dga
 from quantact.actions import (FiniteGroup, cyclic_rotations, galilean_boosts,
                               heisenberg, sign_flip, translations,
                               trivial_action)
 from quantact.dga import (BasisEscapeError, Cochain, CoefficientBasis,
-                          PhaseCochain, _lift_leading, _matrix_of_twisted_d,
-                          _support, character_phase, cochain_zero_report,
-                          cohomology_dims, d, delta_phase, exp_system,
-                          gauge_report, is_normalized, mc_residual,
+                          PhaseCochain, _decompose_symbol_slot, _lift_leading,
+                          _matrix_of_twisted_d, _slot_maps, character_phase,
+                          cochain_zero_report, cohomology_dims, d, delta_phase,
+                          exp_system, gauge_report, mc_residual,
                           phase_zero_report, representation_report,
                           solve_order, star_graded, trivial_system, twisted_d)
 from quantact.expr import Expr, GaussRat, is_zero, parse
@@ -157,15 +158,6 @@ def test_broken_system_fails_mc_and_representation_at_same_pairs():
     expected = {"pair %s" % ("(" + ", ".join(action.group.labels[g] for g in gs) + ")")
                 for gs in mc_fail}
     assert rep_fail == expected
-
-
-def test_normalization_predicate():
-    action = cyclic_rotations(2)
-    a = trivial_system(action, 1)
-    assert is_normalized(a)
-    one = FormalSymbol.one(2, 1)
-    table = {(0,): one.scale(Expr.integer(3)), (1,): one}
-    assert not is_normalized(Cochain(action, 1, 1, table=table))
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +540,18 @@ def test_basis_decompose_escapes():
 # the assembled matrix of d_{P0}
 
 
+def _support(action, t):
+    """Tuples where d_{P0} of a cochain supported at t alone can be nonzero."""
+    out = set()
+    for h in action.group.elements():
+        out.add((h,) + t)
+        out.add(t + (h,))
+        h_inv = action.inverse(h)
+        for i, g in enumerate(t):
+            out.add(t[:i] + (h, action.mult(h_inv, g)) + t[i + 1:])
+    return sorted(out)
+
+
 def _unit_cochain(action, t, sym):
     """Cochain equal to ``sym`` at t and to the zero symbol on every other tuple."""
     zero = FormalSymbol.zero(action.dim, sym.order)
@@ -592,7 +596,9 @@ def test_twisted_d_matrices_square_to_zero(twist, n):
     coords = [[(t, alpha, j) for t in itertools.product(elems, repeat=k)
                for alpha in multi_indices(action.dim, n)
                for j in range(len(basis))] for k in range(4)]
-    mats = [_matrix_of_twisted_d(action, p0, n, basis, coords[k],
+    tuples = [t for k in range(3) for t in itertools.product(elems, repeat=k)]
+    maps = _slot_maps(action, p0, n, basis, tuples)
+    mats = [_matrix_of_twisted_d(action, maps, coords[k],
                                  {c: r for r, c in enumerate(coords[k + 1])})
             for k in range(3)]
     assert all(m.nnz() for m in mats[1:])
@@ -600,3 +606,88 @@ def test_twisted_d_matrices_square_to_zero(twist, n):
         for col in range(len(coords[k])):
             image = mats[k + 1].mul_vector(_column(mats[k], col))
             assert all(v.is_zero() for v in image), (k, coords[k][col])
+
+
+def _character_twist(action, n):
+    """P0(g) = w^g with w a primitive |G|-th root of unity: i for C4, -1 for C2."""
+    w = Expr.imag_unit() ** (4 // action.group.size)
+    return Cochain(action, 1, n,
+                   fn=lambda gs: FormalSymbol.from_scalar(action.dim, n, w ** gs[0]))
+
+
+def _oracle_column(action, p0, n, basis, t, alpha, j):
+    """Decomposed twisted_d of the unit cochain at slot (alpha, j) of t, on _support(t)."""
+    comps = [PolyXi.zero(action.dim) for _ in range(p0.order + 1)]
+    comps[n] = PolyXi(action.dim, {alpha: basis.exprs[j]})
+    x = _unit_cochain(action, t, FormalSymbol(action.dim, p0.order, comps))
+    y = twisted_d(p0, x, check=False)
+    return {(tt, alpha2, j2): c for tt in _support(action, t)
+            for (alpha2, j2), c in _decompose_symbol_slot(y.value(tt), n, basis).items()}
+
+
+def _matrix_columns(m, rows):
+    cols = [{} for _ in range(m.ncols)]
+    for r, row in enumerate(m.rows):
+        for col, c in row.items():
+            cols[col][rows[r]] = c
+    return cols
+
+
+@pytest.mark.parametrize("twist", ["trivial", "character"])
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("action", [cyclic_rotations(2), cyclic_rotations(4),
+                                    sign_flip()],
+                         ids=["rotations_c2", "rotations_c4", "sign_flip_c2"])
+def test_every_column_matches_twisted_d_of_a_unit_cochain(action, n, twist):
+    p0 = trivial_system(action, n) if twist == "trivial" else _character_twist(action, n)
+    assert_cochain_zero(mc_residual(p0))
+    basis = CoefficientBasis.monomials(action.coords, 1)
+    elems = action.group.elements()
+    slots = [(alpha, j) for alpha in multi_indices(action.dim, n)
+             for j in range(len(basis))]
+    tuples = [list(itertools.product(elems, repeat=k)) for k in range(4)]
+    # the three cochain degrees, and solve_order's columns without the identity
+    cases = [(tuples[k], tuples[k + 1]) for k in range(3)]
+    cases.append(([(g,) for g in elems if g != action.group.identity], tuples[2]))
+    for col_tuples, row_tuples in cases:
+        cols = [(t, alpha, j) for t in col_tuples for alpha, j in slots]
+        rows = [(t, alpha, j) for t in row_tuples for alpha, j in slots]
+        maps = _slot_maps(action, p0, n, basis, col_tuples)
+        m = _matrix_of_twisted_d(action, maps, cols, {c: r for r, c in enumerate(rows)})
+        for (t, alpha, j), got in zip(cols, _matrix_columns(m, rows)):
+            assert got == _oracle_column(action, p0, n, basis, t, alpha, j), (t, alpha, j)
+
+
+def _count_star_calls(monkeypatch):
+    calls = []
+    real = dga.star
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("quantact.dga.star", counting)
+    return calls
+
+
+def test_cohomology_makes_one_star_product_per_map_entry(monkeypatch):
+    # 2 maps x |G| elements h x (|G| products g + the empty tuple) x 3 slots
+    action = cyclic_rotations(4)
+    basis = CoefficientBasis.monomials(action.coords, 1)
+    calls = _count_star_calls(monkeypatch)
+    dims = cohomology_dims(action, basis, n_max=0)
+    assert len(calls) == 2 * 4 * (4 + 1) * 3
+    assert dims[0] == {"H0": 1, "H1": 0, "H2": 0}
+
+
+def test_solve_order_makes_one_star_product_per_map_entry(monkeypatch):
+    # maps: 2 x |G| elements h x 3 non-identity products g x 36 order-2 slots;
+    # the closedness check of the (zero) right-hand side stars P0 against it
+    # on both sides of each of the |G|^3 triples
+    action = cyclic_rotations(4)
+    basis = CoefficientBasis.monomials(action.coords, 2)
+    p0 = trivial_system(action, 2)
+    calls = _count_star_calls(monkeypatch)
+    res = solve_order(action, p0, {}, 2, basis)
+    assert len(calls) == 2 * 4 * 3 * 36 + 2 * 4 ** 3
+    assert res.solved and res.rhs_closed
