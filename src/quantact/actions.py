@@ -15,9 +15,9 @@ from fractions import Fraction
 import functools
 import random
 
-from .expr import Expr, ExprError, VarBinding, as_expr, is_zero, parse
+from .expr import (Expr, ExprError, VarBinding, ZeroCheck, all_zero, as_expr,
+                   is_zero, parse)
 from .report import Report
-from .symbols import FormalSymbol
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +71,6 @@ class Diffeo:
             checks.append(is_zero(g.substitute(fwd_map) - Expr.var(c), rng=rng))
         return checks
 
-    def jacobian(self):
-        return [[f.diff(c) for c in self.coords] for f in self.forward]
-
     def jacobian_det(self):
         return _det([[f.diff(c) for c in self.coords] for f in self.forward])
 
@@ -105,12 +102,6 @@ def compose_diffeo(phi1, phi2):
     forward = [f.substitute(fwd2) for f in phi1.forward]
     inverse = [g.substitute(inv1) for g in phi2.inverse]
     return Diffeo(phi1.coords, forward, inverse)
-
-
-def act_on_symbol(phi, sym):
-    """Pull back every coefficient of a FormalSymbol along phi."""
-    return FormalSymbol(sym.dim, sym.order,
-                        [c.map_coefficients(phi.pullback) for c in sym.comps])
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +232,13 @@ class ActionSpec:
     """
 
     def __init__(self, name, group, coords, diffeos=None, template=None,
-                 diffeo_fn=None, bounded_coefficients=True,
-                 volume_preserving=None, binding=None):
+                 diffeo_fn=None, volume_preserving=None, binding=None):
         self.name = name
         self.group = group
         self.coords = list(coords)
         self.diffeos = diffeos
         self.template = template
         self.diffeo_fn = diffeo_fn
-        self.bounded_coefficients = bounded_coefficients
         self.volume_preserving = volume_preserving
         self.binding = binding or VarBinding(coordinates=self.coords)
         if isinstance(group, FiniteGroup):
@@ -266,9 +255,6 @@ class ActionSpec:
     @property
     def is_finite(self):
         return isinstance(self.group, FiniteGroup)
-
-    def identity_element(self):
-        return self.group.identity
 
     def diffeo(self, g):
         if self.is_finite:
@@ -314,16 +300,6 @@ def check_action(action, rng=None, samples=8):
     rng = rng if rng is not None else random.Random(0)
     rep = Report("action axioms: %s" % action.name,
                  {"group": repr(action.group), "coords": ",".join(action.coords)})
-    coords = action.coords
-
-    def diffeos_equal(d1, d2):
-        kinds = []
-        for f1, f2 in zip(d1.forward, d2.forward):
-            chk = is_zero(f1 - f2, rng=rng)
-            kinds.append(chk)
-            if not chk.ok:
-                return False, chk.kind
-        return True, ("exact" if all(k.kind == "exact" for k in kinds) else "probabilistic")
 
     if action.is_finite:
         rep.extend(action.group.check())
@@ -336,54 +312,39 @@ def check_action(action, rng=None, samples=8):
             g1 = action.group.symbolic_element(1)
             g2 = action.group.symbolic_element(2)
             pairs = [(g1, g2)] + pairs
-        # group laws on samples: g * g^{-1} = e, e * g = g
+        # group laws on samples: g * g^{-1} = e
         for idx, g in enumerate(elems):
             prod = action.group.mult(g, action.group.inverse(g))
-            ok = True
-            kind = "exact"
-            for comp, id_comp in zip(prod, action.group.identity):
-                chk = is_zero(comp - id_comp, rng=rng)
-                ok = ok and chk.ok
-                kind = kind if chk.kind == "exact" else "probabilistic"
-            rep.add("inverse law sample %d" % idx, ok, kind)
+            chk = all_zero(is_zero(comp - id_comp, rng=rng)
+                           for comp, id_comp in zip(prod, action.group.identity))
+            rep.add("inverse law sample %d" % idx, chk.ok, chk.kind)
 
-    # identity acts trivially
-    e_id = action.identity_element()
-    rep.add("identity acts trivially", action.diffeo(e_id).is_identity())
+    def differences(d1, d2):
+        return [is_zero(f1 - f2, rng=rng) for f1, f2 in zip(d1.forward, d2.forward)]
 
-    # declared inverses
+    chk = all_zero(differences(action.diffeo(action.group.identity),
+                               Diffeo.identity(action.coords)))
+    rep.add("identity acts trivially", chk.ok, chk.kind)
+
     some = action.group.elements() if action.is_finite else action.sample_elements(rng, samples)
-    inv_ok, inv_kind = True, "exact"
-    for g in some:
-        for chk in action.diffeo(g).verify_inverse(rng=rng):
-            inv_ok = inv_ok and chk.ok
-            if chk.kind != "exact":
-                inv_kind = "probabilistic"
-    rep.add("forward/inverse pairs", inv_ok, inv_kind)
+    chk = all_zero(c for g in some for c in action.diffeo(g).verify_inverse(rng=rng))
+    rep.add("forward/inverse pairs", chk.ok, chk.kind)
 
-    # homomorphism: phi_{g1 g2} = phi_{g1} o phi_{g2}
-    hom_ok, hom_kind = True, "exact"
-    for g1, g2 in pairs:
-        lhs = action.diffeo(action.mult(g1, g2))
-        rhs = compose_diffeo(action.diffeo(g1), action.diffeo(g2))
-        ok, kind = diffeos_equal(lhs, rhs)
-        hom_ok = hom_ok and ok
-        if kind != "exact":
-            hom_kind = "probabilistic"
+    chk = all_zero(c for g1, g2 in pairs
+                   for c in differences(action.diffeo(action.mult(g1, g2)),
+                                        compose_diffeo(action.diffeo(g1), action.diffeo(g2))))
     rep.add("homomorphism phi_(g1*g2) = phi_g1 o phi_g2 (%d pairs)" % len(pairs),
-            hom_ok, hom_kind)
+            chk.ok, chk.kind)
 
-    # volume preservation when declared
     if action.volume_preserving:
-        vol_ok, vol_kind = True, "exact"
-        for g in some:
+        def unit_det(g):
             det = action.diffeo(g).jacobian_det()
-            chk1 = is_zero(det - Expr.one(), rng=rng)
-            chk2 = is_zero(det + Expr.one(), rng=rng)
-            vol_ok = vol_ok and (chk1.ok or chk2.ok)
-            if chk1.kind != "exact":
-                vol_kind = chk1.kind
-        rep.add("volume preservation |det| = 1", vol_ok, vol_kind)
+            plus = is_zero(det - Expr.one(), rng=rng)
+            minus = is_zero(det + Expr.one(), rng=rng)
+            return ZeroCheck(plus.ok or minus.ok, plus.kind)
+
+        chk = all_zero(unit_det(g) for g in some)
+        rep.add("volume preservation |det| = 1", chk.ok, chk.kind)
 
     return rep
 

@@ -131,6 +131,8 @@ class SessionConfig:
 
 def _get_int(section, key, default, where):
     if key not in section:
+        if default is None:
+            raise ConfigError("[%s] is missing the %r key" % (where, key))
         return default
     try:
         return int(section[key])
@@ -237,17 +239,22 @@ def _basis(cfg, action):
         raise ConfigError("[basis] exprs: %s" % exc)
 
 
-def _elements(cfg, action, section, where):
+def _elements(action, section, where):
     if "elements" not in section:
         raise ConfigError("[%s] is missing the 'elements' key" % where)
     chunks = [c.strip() for c in section["elements"].split(";") if c.strip()]
     out = []
     for chunk in chunks:
-        if action.is_finite:
-            out.append(int(chunk))
-        else:
-            vals = [Fraction(p.strip()) for p in chunk.split(",")]
-            out.append(action.group.element(*vals))
+        try:
+            if action.is_finite:
+                g = int(chunk)
+                if not 0 <= g < action.group.size:
+                    raise ValueError("index outside 0..%d" % (action.group.size - 1))
+            else:
+                g = action.group.element(*(Fraction(p.strip()) for p in chunk.split(",")))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError("[%s] elements: bad entry %r: %s" % (where, chunk, exc))
+        out.append(g)
     return out
 
 
@@ -366,10 +373,12 @@ def task_verify_numeric(cfg, rng):
     phase = _phase_cochain(cfg, action)
     gsec = cfg.section("grid")
     nsec = cfg.section("numeric")
-    grid = WaveGrid(_get_int(gsec, "dim", 2, "grid"),
-                    _get_int(gsec, "points", None, "grid"),
-                    _get_float(gsec, "length", None, "grid"),
-                    _get_float(gsec, "hbar", None, "grid"))
+    args = (_get_int(gsec, "dim", 2, "grid"), _get_int(gsec, "points", None, "grid"),
+            _get_float(gsec, "length", None, "grid"), _get_float(gsec, "hbar", None, "grid"))
+    try:
+        grid = WaveGrid(*args)
+    except ValueError as exc:
+        raise ConfigError("[grid]: %s" % exc)
     if grid.dim != action.dim:
         raise ConfigError("[grid] dim %d does not match the %d-dimensional "
                           "action" % (grid.dim, action.dim))
@@ -389,7 +398,7 @@ def task_verify_numeric(cfg, rng):
                                   "pairs")
             name, value = pair.split(":", 1)
             consts[name.strip()] = float(Fraction(value.strip()))
-    elements = _elements(cfg, action, nsec, "numeric")
+    elements = _elements(action, nsec, "numeric")
     utol = _get_float(nsec, "unitarity_tol", 1e-8, "numeric")
     rtol = _get_float(nsec, "representation_tol", 1e-7, "numeric")
     ttol = _get_float(nsec, "tail_tol", 1e-8, "numeric")

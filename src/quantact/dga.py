@@ -15,7 +15,10 @@ quantizations compose like the group, T_{g1} T_{g2} = T_{g1 g2}.
 
 Scalar phase cochains form the companion complex with the left action
 (g.S)(x) = S(phi_g^{-1}(x)) included as the outer face maps; a real 1-cocycle
-S there exponentiates to a Maurer-Cartan element g -> e^{i S_g}.
+S there exponentiates to a Maurer-Cartan element g -> e^{i S_g}.  A
+PhaseCochain is a Cochain whose values are scalar Exprs, so both kinds share
+one lazy value table.  The zero reports fold the checks on each tuple through
+``expr.all_zero``, so a line is exact only when every check behind it is.
 
 The twisted differential d_{P0} a = da + P0*a - (-1)^k a*P0 governs the
 order-by-order correction problem: with P^1..P^{n-1} known, the order-n
@@ -47,7 +50,7 @@ import itertools
 import random
 
 from .actions import Diffeo
-from .expr import Expr, GaussRat, as_expr, is_zero
+from .expr import Expr, GaussRat, all_zero, as_expr, is_zero
 from .linalg import (SparseMatrix, left_inverse, rank, residual_vector,
                      solve_with_kernel)
 from .opcalc import FormalFunction, apply, star, to_operator
@@ -159,17 +162,9 @@ def test_tuples(action, degree, rng=None, samples=4, symbolic=True):
 def cochain_zero_report(c, title="cochain vanishes", rng=None, samples=4):
     rep = Report(title)
     for gs in test_tuples(c.action, c.degree, rng=rng, samples=samples):
-        v = c.value(gs)
-        ok = True
-        kind = "exact"
-        for comp in v.comps:
-            for alpha, coeff in comp.coeffs.items():
-                chk = is_zero(coeff, rng=rng)
-                ok = ok and chk.ok
-                if chk.kind != "exact":
-                    kind = "probabilistic"
-        label = _tuple_label(c.action, gs)
-        rep.add("zero at %s" % label, ok, kind)
+        chk = all_zero(is_zero(coeff, rng=rng)
+                       for comp in c.value(gs).comps for coeff in comp.coeffs.values())
+        rep.add("zero at %s" % _tuple_label(c.action, gs), chk.ok, chk.kind)
     return rep
 
 
@@ -247,29 +242,14 @@ def twisted_d(p0, a, check=True, rng=None):
 # phase cochains
 
 
-class PhaseCochain:
-    """Scalar-valued cochain of phase functions."""
+class PhaseCochain(Cochain):
+    """Cochain of scalar phase functions: its values are Exprs, not symbols."""
 
     def __init__(self, action, degree, table=None, fn=None):
-        self.action = action
-        self.degree = degree
-        self._fn = fn
-        self._cache = {}
         if table is not None:
-            for gs, v in table.items():
-                self._cache[tuple(gs)] = as_expr(v)
-        if degree > 0 and table is None and fn is None:
-            raise ValueError("need a table or a closure")
-
-    def value(self, gs=()):
-        gs = tuple(gs)
-        if len(gs) != self.degree:
-            raise ValueError("expected %d group elements" % self.degree)
-        if gs in self._cache:
-            return self._cache[gs]
-        v = as_expr(self._fn(gs))
-        self._cache[gs] = v
-        return v
+            table = {gs: as_expr(v) for gs, v in table.items()}
+        super().__init__(action, degree, None, table=table,
+                         fn=fn and (lambda gs: as_expr(fn(gs))))
 
     def sub(self, other):
         return PhaseCochain(self.action, self.degree,
@@ -355,18 +335,14 @@ def representation_report(a, psis, rng=None, pairs=None, title="representation p
         t2 = to_operator(a.value((g2,)), action.diffeo(g2), action.coords)
         t12 = to_operator(a.value((action.mult(g1, g2),)),
                           action.product_diffeo((g1, g2)), action.coords)
-        ok = True
-        kind = "exact"
+        checks = []
         for psi in psis:
             f = FormalFunction.from_expr(psi, a.order)
             lhs = apply(t1, apply(t2, f))
             rhs = apply(t12, f)
-            for u, v in zip(lhs.terms, rhs.terms):
-                chk = is_zero(u - v, rng=rng)
-                ok = ok and chk.ok
-                if chk.kind != "exact":
-                    kind = "probabilistic"
-        rep.add("pair %s" % _tuple_label(action, gs), ok, kind)
+            checks.extend(is_zero(u - v, rng=rng) for u, v in zip(lhs.terms, rhs.terms))
+        chk = all_zero(checks)
+        rep.add("pair %s" % _tuple_label(action, gs), chk.ok, chk.kind)
     return rep
 
 
@@ -418,9 +394,10 @@ class CoefficientBasis:
         for j, e in enumerate(self.exprs):
             for mono, c in e.poly.terms.items():
                 self._matrix.set(self._index[mono], j, c)
-        if rank(self._matrix) != len(self.exprs):
-            raise ValueError("basis expressions are linearly dependent")
-        self._left_inverse = left_inverse(self._matrix)
+        try:
+            self._left_inverse = left_inverse(self._matrix)
+        except ValueError:
+            raise ValueError("basis expressions are linearly dependent") from None
 
     def __len__(self):
         return len(self.exprs)

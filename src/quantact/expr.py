@@ -21,7 +21,9 @@ Division is exact only when the divisor canonicalizes to an invertible
 monomial (a nonzero constant, possibly times an exponential atom).  Any other
 quotient leaves the canonical class: the result is kept as an opaque quotient
 tree, arithmetic on it stays at tree level, and zero testing falls back to
-randomized evaluation with an explicitly probabilistic certificate.
+randomized evaluation with an explicitly probabilistic certificate.  Every
+check that vanishes on several expressions folds their certificates through
+``all_zero``: exact only when each one is.
 
 The text grammar (used by ``parse`` and produced by ``str``):
 
@@ -792,6 +794,18 @@ class ZeroCheck:
     ok: bool
     kind: str          # "exact" or "probabilistic"
     detail: str = ""
+
+
+def all_zero(checks):
+    """One certificate for several zero checks.
+
+    It passes iff every check passes, and it is exact iff every check is
+    exact (an empty input passes exactly).  Every check is consumed, so the
+    rng draws of later checks never depend on an earlier failure.
+    """
+    checks = list(checks)
+    exact = all(c.kind == "exact" for c in checks)
+    return ZeroCheck(all(c.ok for c in checks), "exact" if exact else "probabilistic")
 
 
 def is_zero(e, rng=None, points=20, tol=1e-9):

@@ -33,9 +33,6 @@ class SparseMatrix:
         else:
             self.rows[i][j] = s
 
-    def copy(self):
-        return SparseMatrix(self.nrows, self.ncols, self.rows)
-
     def nnz(self):
         return sum(len(r) for r in self.rows)
 
@@ -51,8 +48,13 @@ class SparseMatrix:
         return out
 
 
-def _eliminate(rows, ncols, rhs=None):
-    """Row reduce in place; returns (pivots, order) with pivots[col] = row idx."""
+def _eliminate(rows, ncols):
+    """Row reduce in place, pivoting on columns < ncols only.
+
+    Returns pivots with pivots[col] = row index.  Entries at columns >= ncols
+    (a right-hand side or an identity block) ride along with the row
+    operations.
+    """
     pivots = {}
     row_used = [False] * len(rows)
     # process columns in order, choosing the sparsest available pivot row
@@ -72,8 +74,6 @@ def _eliminate(rows, ncols, rhs=None):
         inv = piv_val.inv()
         for j in list(piv_row):
             piv_row[j] = piv_row[j] * inv
-        if rhs is not None:
-            rhs[best] = rhs[best] * inv
         row_used[best] = True
         pivots[col] = best
         for i, row in enumerate(rows):
@@ -89,8 +89,6 @@ def _eliminate(rows, ncols, rhs=None):
                     row.pop(j, None)
                 else:
                     row[j] = nv
-            if rhs is not None:
-                rhs[i] = rhs[i] - c * rhs[best]
     return pivots
 
 
@@ -101,17 +99,20 @@ def rank(matrix):
 
 
 def _reduce(matrix, b):
-    """Copy A and b and row reduce them; returns (rows, rhs, pivots)."""
+    """Row reduce a copy of [A | b], b in column ncols; returns (rows, pivots)."""
+    n = matrix.ncols
     rows = [dict(r) for r in matrix.rows]
-    rhs = [GaussRat.of(v) for v in b]
-    pivots = _eliminate(rows, matrix.ncols, rhs)
-    return rows, rhs, pivots
+    for row, v in zip(rows, b):
+        v = GaussRat.of(v)
+        if not v.is_zero():
+            row[n] = v
+    return rows, _eliminate(rows, n)
 
 
-def _solution(matrix, b, rhs, pivots):
+def _solution(matrix, b, rows, pivots):
     x = [GaussRat(0)] * matrix.ncols
     for col, i in pivots.items():
-        x[col] = rhs[i]
+        x[col] = rows[i].get(matrix.ncols, GaussRat(0))
     return x, residual_vector(matrix, x, b)
 
 
@@ -123,8 +124,8 @@ def solve(matrix, b):
     least-structured certificate pair (particular attempt, nonzero residual
     vector b - A x) exposing the failure.
     """
-    _, rhs, pivots = _reduce(matrix, b)
-    return _solution(matrix, b, rhs, pivots)
+    rows, pivots = _reduce(matrix, b)
+    return _solution(matrix, b, rows, pivots)
 
 
 def solve_with_kernel(matrix, b):
@@ -133,8 +134,8 @@ def solve_with_kernel(matrix, b):
     The reduced rows do not depend on the right-hand side, so the kernel is
     read off the same elimination that solves A x = b.
     """
-    rows, rhs, pivots = _reduce(matrix, b)
-    x, residual = _solution(matrix, b, rhs, pivots)
+    rows, pivots = _reduce(matrix, b)
+    x, residual = _solution(matrix, b, rows, pivots)
     return x, residual, _kernel(rows, pivots, matrix.ncols)
 
 

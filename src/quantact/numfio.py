@@ -152,33 +152,10 @@ class WaveGrid:
     def norm(self, psi):
         return float(np.sqrt(np.sum(np.abs(psi) ** 2) * self.delta ** self.dim))
 
-    def dump(self, psi, fh):
-        fh.write("wavegrid dim=%d M=%d L=%r hbar=%r\n"
-                 % (self.dim, self.npoints, self.length, self.hbar))
-        flat = np.asarray(psi, dtype=complex).reshape(-1)
-        for v in flat:
-            fh.write("%r %r\n" % (float(v.real), float(v.imag)))
-
 
 def inner(grid, f, g):
     """Discrete L^2 inner product, conjugate-linear in the first slot."""
     return complex(np.sum(np.conj(f) * g) * grid.delta ** grid.dim)
-
-
-def load_wave(fh):
-    header = fh.readline().split()
-    if not header or header[0] != "wavegrid":
-        raise ValueError("not a wavegrid dump")
-    fields = dict(item.split("=", 1) for item in header[1:])
-    grid = WaveGrid(int(fields["dim"]), int(fields["M"]),
-                    float(fields["L"]), float(fields["hbar"]))
-    vals = []
-    for line in fh:
-        if line.strip():
-            re_s, im_s = line.split()
-            vals.append(complex(float(re_s), float(im_s)))
-    psi = np.array(vals, dtype=complex).reshape(grid.shape)
-    return grid, psi
 
 
 def gaussian(grid, centers=None, sigma=1.0, momenta=None):

@@ -97,9 +97,6 @@ class PolyXi:
         e = as_expr(e)
         return PolyXi(self.dim, {a: c * e for a, c in self.coeffs.items()})
 
-    def map_coefficients(self, fn):
-        return PolyXi(self.dim, {a: fn(c) for a, c in self.coeffs.items()})
-
     def to_expr(self, xi_names):
         out = Expr.zero()
         for alpha, c in self.coeffs.items():
@@ -172,18 +169,6 @@ class FormalSymbol:
 
     def scale(self, e):
         return FormalSymbol(self.dim, self.order, [c.scale(e) for c in self.comps])
-
-    def multiply_hbar(self, k=1):
-        """Multiply by the k-th power of the expansion parameter.
-
-        Shifts components up by k slots; components pushed beyond the
-        truncation order are discarded.
-        """
-        comps = [PolyXi.zero(self.dim) for _ in range(self.order + 1)]
-        for n, c in enumerate(self.comps):
-            if n + k <= self.order:
-                comps[n + k] = c
-        return FormalSymbol(self.dim, self.order, comps)
 
     def is_zero(self):
         return all(c.is_zero() for c in self.comps)

@@ -12,7 +12,6 @@ from quantact.actions import (
     Diffeo,
     FiniteGroup,
     ParamGroup,
-    act_on_symbol,
     action_from_config,
     check_action,
     compose_diffeo,
@@ -26,7 +25,6 @@ from quantact.actions import (
     trivial_action,
 )
 from quantact.expr import Expr, VarBinding, is_zero, parse
-from quantact.symbols import FormalSymbol, PolyXi
 
 
 def test_compose_diffeo_order():
@@ -78,17 +76,6 @@ def test_jacobian_chain_rule():
     assert is_zero(lhs - rhs).ok
 
 
-def test_act_on_symbol_is_coefficientwise_pullback():
-    act = sign_flip()
-    phi = act.diffeos[1]
-    x = Expr.var("x")
-    sym = FormalSymbol(1, 1, [PolyXi.constant(1, x ** 2 + x),
-                              PolyXi(1, {(1,): x})])
-    moved = act_on_symbol(phi, sym)
-    assert is_zero(moved.comps[0].coefficient((0,)) - (x ** 2 - x)).ok
-    assert is_zero(moved.comps[1].coefficient((1,)) + x).ok
-
-
 def test_check_action_builtins_pass():
     rng = random.Random(3)
     for factory in (lambda: translations(1), lambda: translations(2),
@@ -115,6 +102,31 @@ def test_product_diffeo_is_the_diffeo_of_the_product(name):
                 g = act.mult(g, h)
             assert act.product(t) == g
             assert act.product_diffeo(t) is act.diffeo(g)
+
+
+def _custom_action(coords, forward, inverse):
+    return action_from_config({
+        "coords": coords, "params": "a", "forward": forward, "inverse": inverse,
+        "product": "a__1 + a__2", "param_inverse": "-a", "param_identity": "0"})
+
+
+def _item(report, prefix):
+    return next(item for item in report.items if item.name.startswith(prefix))
+
+
+def test_noncanonical_identity_map_is_probabilistic():
+    # at a = 0 the map is x + 0/(1 + x^2), a quotient tree that is sampled
+    act = _custom_action("x", "x + a/(1+x*x)", "x - a/(1+x*x)")
+    item = _item(check_action(act, rng=random.Random(7)), "identity acts trivially")
+    assert (item.ok, item.kind) == (True, "probabilistic")
+
+
+def test_failing_homomorphism_kind_counts_every_component():
+    # on the symbolic pair x fails exactly; y is a quotient tree, sampled
+    act = _custom_action("x, y", "x + a*a, y + a*y/(1+a*a)",
+                         "x - a*a, y*(1+a*a)/(1+a+a*a)")
+    item = _item(check_action(act, rng=random.Random(7)), "homomorphism")
+    assert (item.ok, item.kind) == (False, "probabilistic")
 
 
 def test_check_action_catches_bad_inverse():

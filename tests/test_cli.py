@@ -16,6 +16,11 @@ def write(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def read(path, mode="r"):
+    with open(path, mode) as fh:
+        return fh.read()
+
+
 # ---------------------------------------------------------------------------
 # config grammar
 
@@ -95,7 +100,7 @@ builtin = translations_1d
 """)
     assert status == 0
     assert "result: PASS" in io.out
-    report = open(os.path.join(out, "check-action.txt")).read()
+    report = read(os.path.join(out, "check-action.txt"))
     assert report == io.out
 
 
@@ -287,9 +292,9 @@ builtin = galilean
 expr = m*v*x - m*v*v*t/2
 """
     status1, io1, out = run_cli(tmp_path, capsys, text)
-    first = open(os.path.join(out, "mc-check.txt"), "rb").read()
+    first = read(os.path.join(out, "mc-check.txt"), "rb")
     status2, io2, out = run_cli(tmp_path, capsys, text)
-    second = open(os.path.join(out, "mc-check.txt"), "rb").read()
+    second = read(os.path.join(out, "mc-check.txt"), "rb")
     assert status1 == status2 == 0
     assert first == second and io1.out == io2.out
 
@@ -322,6 +327,41 @@ elements = 1/5
 """)
     assert status == 2
     assert "does not match" in io.err
+
+
+@pytest.mark.parametrize("builtin,phase,points,elements,message", [
+    ("galilean", "expr = m*v*x", "points = 48", "1/5", "power of two"),
+    ("galilean", "expr = m*v*x", "", "1/5", "missing the 'points' key"),
+    ("galilean", "expr = m*v*x", "points = 32", "abc", "bad entry 'abc'"),
+    ("galilean", "expr = m*v*x", "points = 32", "1/0", "bad entry '1/0'"),
+    ("galilean", "expr = m*v*x", "points = 32", "1/5, 2", "expected 1 parameters"),
+    ("rotations_c4", "exprs = 0, 0, 0, 0", "points = 32", "7", "outside 0..3"),
+    ("rotations_c4", "exprs = 0, 0, 0, 0", "points = 32", "-1", "outside 0..3"),
+], ids=["points-48", "points-missing", "element-abc", "element-1/0",
+        "element-arity", "index-7", "index--1"])
+def test_bad_grid_or_element_is_a_config_error(tmp_path, capsys, builtin, phase,
+                                               points, elements, message):
+    status, io, _ = run_cli(tmp_path, capsys, """
+[session]
+task = verify-numeric
+
+[action]
+builtin = %s
+
+[phase]
+%s
+
+[grid]
+dim = 2
+%s
+length = 8
+hbar = 1/10
+
+[numeric]
+elements = %s
+""" % (builtin, phase, points, elements))
+    assert status == 2
+    assert "config error:" in io.err and message in io.err
 
 
 def test_check_cocycle_on_a_pole_terminates(tmp_path):
@@ -370,7 +410,7 @@ exprs = x
     assert "FAIL     coefficient basis closed under the action" in io.out
     assert "result: FAIL" in io.out
     assert line in io.out
-    assert open(os.path.join(out, task + ".txt")).read() == io.out
+    assert read(os.path.join(out, task + ".txt")) == io.out
 
 
 @pytest.mark.parametrize("basis,message", [

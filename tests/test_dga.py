@@ -227,6 +227,15 @@ def test_delta_phase_squares_to_zero():
     assert rep0.all_ok, rep0.render()
 
 
+def test_phase_cochain_missing_tuple_is_a_key_error():
+    action = sign_flip()
+    s = PhaseCochain(action, 1, table={(0,): Expr.var("x")})
+    with pytest.raises(KeyError):
+        s.value((1,))
+    assert is_zero(s.value((0,)) - Expr.var("x")).ok
+    assert isinstance(s, Cochain)
+
+
 def test_central_character_defect_on_heisenberg():
     # S_g = ga * (x^2 + y^2) has coboundary -(al2 be1 - al1 be2)/2 * (x^2+y^2)
     action = heisenberg()

@@ -10,6 +10,8 @@ from quantact.expr import (
     GaussRat,
     ParseError,
     VarBinding,
+    ZeroCheck,
+    all_zero,
     is_zero,
     parse,
 )
@@ -65,6 +67,25 @@ def test_trigonometric_identities_cancel_exactly():
 def test_nonzero_is_detected():
     assert not is_zero(parse("(x+1)^2 - x^2", B)).ok
     assert not is_zero(parse("sin(x)^2 - cos(x)^2", B)).ok
+
+
+def test_all_zero_folds_kinds_and_consumes_every_check():
+    exact, sampled = ZeroCheck(True, "exact"), ZeroCheck(True, "probabilistic")
+    assert all_zero([]) == ZeroCheck(True, "exact")
+    assert all_zero([exact, exact]) == ZeroCheck(True, "exact")
+    assert all_zero([exact, sampled]) == ZeroCheck(True, "probabilistic")
+    # a failure does not end the fold: the sampled check after it counts
+    failed = ZeroCheck(False, "exact")
+    assert all_zero([failed, sampled]) == ZeroCheck(False, "probabilistic")
+    seen = []
+
+    def checks():
+        for chk in (failed, exact, sampled):
+            seen.append(chk)
+            yield chk
+
+    assert all_zero(checks()) == ZeroCheck(False, "probabilistic")
+    assert seen == [failed, exact, sampled]
 
 
 def test_galilean_cocycle_is_exact_zero():

@@ -5,7 +5,6 @@ exact index rolls, multiplier amplitudes acting as closed-form shifts, and
 the symbolic operator calculus cross-checked against grid quadrature.
 """
 
-import io
 import math
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ from quantact.expr import Expr, is_zero
 from quantact.numfio import (NumericAmplitude, WaveGrid, apply_operator_numeric,
                              asymptotic_consistency, eval_expr, fio_apply,
                              gaussian, grid_pullback, inner, kn_apply,
-                             load_wave, phase_system_apply,
+                             phase_system_apply,
                              representation_residual, spectral_tail_fraction,
                              standard_product_residual, symbol_amplitude,
                              symbol_from_polynomial, unitarity_residual)
@@ -75,17 +74,6 @@ def test_single_mode_has_unit_coefficient():
         want = np.zeros(64, dtype=complex)
         want[k] = 1.0
         assert np.max(np.abs(c - want)) < 1e-12
-
-
-def test_dump_load_roundtrip():
-    grid = WaveGrid(2, 16, 3.0, 0.25)
-    psi = gaussian(grid, centers=[0.2, -0.4], sigma=0.6, momenta=[0.1, 0.0])
-    buf = io.StringIO()
-    grid.dump(psi, buf)
-    buf.seek(0)
-    grid2, psi2 = load_wave(buf)
-    assert (grid2.dim, grid2.npoints, grid2.length, grid2.hbar) == (2, 16, 3.0, 0.25)
-    assert np.array_equal(psi2, psi)
 
 
 def test_spectral_tail_fraction_flags_rough_data():

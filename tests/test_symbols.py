@@ -35,15 +35,6 @@ def test_symbol_component_degree_enforced():
     FormalSymbol(1, 1, [PolyXi.zero(1), PolyXi(1, {(1,): Expr.one()})])
 
 
-def test_multiply_hbar_shifts_and_truncates():
-    s = FormalSymbol.one(1, 2)
-    shifted = s.multiply_hbar()
-    assert shifted.comps[0].is_zero()
-    assert not shifted.comps[1].is_zero()
-    # shifting past the truncation discards
-    assert s.multiply_hbar(3).is_zero()
-
-
 def test_linearity_of_taylor_map():
     rng = random.Random(5)
     x1, xi1 = "x1", "xi1"
