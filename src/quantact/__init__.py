@@ -19,9 +19,8 @@ from .actions import (ActionSpec, BUILTIN_ACTIONS, Diffeo, FiniteGroup,
 from .opcalc import FormalFunction, apply, compose, standard_star, star, to_operator
 from .dga import (Cochain, CoefficientBasis, PhaseCochain, character_phase,
                   cochain_zero_report, cohomology_dims, d, delta_phase,
-                  exp_system, gauge_report, mc_residual, phase_zero_report,
-                  representation_report, solve_order, star_graded,
-                  trivial_system, twisted_d)
+                  exp_system, gauge_report, mc_residual, representation_report,
+                  solve_order, star_graded, trivial_system, twisted_d)
 from .numfio import (NumericAmplitude, WaveGrid, asymptotic_consistency,
                      fio_apply, gaussian, grid_pullback, kn_apply,
                      phase_system_apply, representation_residual,
@@ -42,9 +41,8 @@ __all__ = [
     "to_operator",
     "Cochain", "CoefficientBasis", "PhaseCochain", "character_phase",
     "cochain_zero_report", "cohomology_dims", "d", "delta_phase",
-    "exp_system", "gauge_report", "mc_residual", "phase_zero_report",
-    "representation_report", "solve_order", "star_graded", "trivial_system",
-    "twisted_d",
+    "exp_system", "gauge_report", "mc_residual", "representation_report",
+    "solve_order", "star_graded", "trivial_system", "twisted_d",
     "NumericAmplitude", "WaveGrid", "asymptotic_consistency", "fio_apply",
     "gaussian", "grid_pullback", "kn_apply", "phase_system_apply",
     "representation_residual", "spectral_tail_fraction",

@@ -109,12 +109,12 @@ def compose_diffeo(phi1, phi2):
 
 
 class FiniteGroup:
-    """Finite group given by labels and a multiplication table of indices."""
+    """Finite group: labels and a multiplication table of indices; 0 is the identity."""
 
-    def __init__(self, labels, table, identity=0):
+    def __init__(self, labels, table):
         self.labels = list(labels)
         self.table = [list(row) for row in table]
-        self.identity = identity
+        self.identity = 0
         n = len(self.labels)
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError("table must be %dx%d" % (n, n))
@@ -155,7 +155,7 @@ class FiniteGroup:
     def cyclic(k):
         labels = ["e"] + ["g%d" % j for j in range(1, k)]
         table = [[(a + b) % k for b in range(k)] for a in range(k)]
-        return FiniteGroup(labels, table, identity=0)
+        return FiniteGroup(labels, table)
 
     def __repr__(self):
         return "FiniteGroup(%r)" % (self.labels,)
@@ -289,14 +289,16 @@ class ActionSpec:
         return (not self.is_finite) and self.template is not None
 
 
-def check_action(action, rng=None, samples=8):
+def check_action(action, rng=None):
     """Verify the action axioms; returns a Report.
 
     Checks: group axioms (finite) or sampled/symbolic law consistency
     (parametric), phi_e = id, phi_{g1 g2} = phi_{g1} o phi_{g2},
     phi_{g^{-1}} = phi_g^{-1}, declared forward/inverse pairs, and volume
-    preservation when declared.
+    preservation when declared.  A parameter group is checked on 8 sampled
+    elements and 16 sampled pairs.
     """
+    samples = 8
     rng = rng if rng is not None else random.Random(0)
     rep = Report("action axioms: %s" % action.name,
                  {"group": repr(action.group), "coords": ",".join(action.coords)})
@@ -353,7 +355,7 @@ def check_action(action, rng=None, samples=8):
 # built-in actions
 
 
-def translations(dim=1, box=None):
+def translations(dim=1):
     """R^d acting on itself by translations: x -> x + a."""
     coords = ["x%d" % (k + 1) for k in range(dim)] if dim > 1 else ["x1"]
     params = ["a%d" % (k + 1) for k in range(dim)]

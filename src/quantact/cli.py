@@ -35,8 +35,7 @@ from fractions import Fraction
 from .actions import action_from_config, check_action, _split_exprs
 from .dga import (Cochain, CoefficientBasis, PhaseCochain, _tuple_label,
                   cochain_zero_report, delta_phase, exp_system, mc_residual,
-                  phase_zero_report, solve_order, trivial_system,
-                  cohomology_dims)
+                  solve_order, trivial_system, cohomology_dims)
 from .expr import ExprError, VarBinding, parse
 from .numfio import (WaveGrid, gaussian, phase_system_apply,
                      representation_residual, spectral_tail_fraction,
@@ -116,9 +115,9 @@ class SessionConfig:
         if task is None:
             raise ConfigError("no task given (use --task or [session] task)")
         if order is None:
-            order = _get_int(session, "order", 1, "session")
+            order = _get_number(session, "order", 1, "session", int)
         if seed is None:
-            seed = _get_int(session, "seed", 0, "session")
+            seed = _get_number(session, "seed", 0, "session", int)
         out = out if out is not None else session.get("out", ".")
         return cls(path, sections, task, order, seed, out)
 
@@ -129,40 +128,31 @@ class SessionConfig:
         return self.sections[name]
 
 
-def _get_int(section, key, default, where):
+def _number(text, where, key, convert):
+    """One numeric value of ``[where] key`` as ``convert`` (int or float).
+
+    A float is read as an exact Fraction first, so "1/10" is accepted.  A
+    malformed value, "1/0" and "1e400" included, is a ConfigError.
+    """
+    try:
+        return int(text) if convert is int else float(Fraction(text.strip()))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ConfigError("[%s] %s must be %s, got %r"
+                          % (where, key, "an integer" if convert is int else "a number",
+                             text.strip())) from None
+
+
+def _get_number(section, key, default, where, convert):
     if key not in section:
         if default is None:
             raise ConfigError("[%s] is missing the %r key" % (where, key))
         return default
-    try:
-        return int(section[key])
-    except ValueError:
-        raise ConfigError("[%s] %s must be an integer, got %r"
-                          % (where, key, section[key]))
+    return _number(section[key], where, key, convert)
 
 
-def _get_float(section, key, default, where):
-    if key not in section:
-        if default is None:
-            raise ConfigError("[%s] is missing the %r key" % (where, key))
-        return default
-    try:
-        return float(Fraction(section[key]))
-    except ValueError:
-        raise ConfigError("[%s] %s must be a number, got %r"
-                          % (where, key, section[key]))
-
-
-def _float_list(section, key, where, default=None):
-    if key not in section:
-        if default is None:
-            raise ConfigError("[%s] is missing the %r key" % (where, key))
-        return default
-    try:
-        return [float(Fraction(part.strip()))
-                for part in section[key].split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError("[%s] %s must be comma-separated numbers" % (where, key))
+def _float_list(text, where, key):
+    """Comma-separated floats."""
+    return [_number(part, where, key, float) for part in text.split(",") if part.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +216,7 @@ def _system_cochain(cfg, action):
 def _basis(cfg, action):
     section = cfg.section("basis")
     if "monomials" in section:
-        deg = _get_int(section, "monomials", None, "basis")
+        deg = _get_number(section, "monomials", None, "basis", int)
         if deg < 0:
             raise ConfigError("[basis] monomials must be >= 0, got %d" % deg)
         return CoefficientBasis.monomials(action.coords, deg)
@@ -272,8 +262,8 @@ def task_check_action(cfg, rng):
 def task_check_cocycle(cfg, rng):
     action = _load_action(cfg)
     phase = _phase_cochain(cfg, action)
-    report = phase_zero_report(delta_phase(phase),
-                               title="phase cocycle condition", rng=rng)
+    report = cochain_zero_report(delta_phase(phase),
+                                 title="phase cocycle condition", rng=rng)
     report.params["action"] = action.name
     return report, []
 
@@ -373,8 +363,10 @@ def task_verify_numeric(cfg, rng):
     phase = _phase_cochain(cfg, action)
     gsec = cfg.section("grid")
     nsec = cfg.section("numeric")
-    args = (_get_int(gsec, "dim", 2, "grid"), _get_int(gsec, "points", None, "grid"),
-            _get_float(gsec, "length", None, "grid"), _get_float(gsec, "hbar", None, "grid"))
+    args = (_get_number(gsec, "dim", 2, "grid", int),
+            _get_number(gsec, "points", None, "grid", int),
+            _get_number(gsec, "length", None, "grid", float),
+            _get_number(gsec, "hbar", None, "grid", float))
     try:
         grid = WaveGrid(*args)
     except ValueError as exc:
@@ -382,11 +374,12 @@ def task_verify_numeric(cfg, rng):
     if grid.dim != action.dim:
         raise ConfigError("[grid] dim %d does not match the %d-dimensional "
                           "action" % (grid.dim, action.dim))
-    sigma = _get_float(nsec, "sigma", 1.0, "numeric")
-    centers = [_float_list({"c": c}, "c", "numeric")
-               for c in nsec.get("centers", "0" + ",0" * (grid.dim - 1)).split(";")]
-    momenta = [_float_list({"m": m}, "m", "numeric")
-               for m in nsec.get("momenta", "0" + ",0" * (grid.dim - 1)).split(";")]
+    sigma = _get_number(nsec, "sigma", 1.0, "numeric", float)
+    origin = "0" + ",0" * (grid.dim - 1)
+    centers = [_float_list(c, "numeric", "centers")
+               for c in nsec.get("centers", origin).split(";")]
+    momenta = [_float_list(m, "numeric", "momenta")
+               for m in nsec.get("momenta", origin).split(";")]
     if len(centers) != len(momenta):
         raise ConfigError("[numeric] centers and momenta list different "
                           "packet counts")
@@ -397,11 +390,11 @@ def task_verify_numeric(cfg, rng):
                 raise ConfigError("[numeric] constants must be 'name:value' "
                                   "pairs")
             name, value = pair.split(":", 1)
-            consts[name.strip()] = float(Fraction(value.strip()))
+            consts[name.strip()] = _number(value, "numeric", "constants", float)
     elements = _elements(action, nsec, "numeric")
-    utol = _get_float(nsec, "unitarity_tol", 1e-8, "numeric")
-    rtol = _get_float(nsec, "representation_tol", 1e-7, "numeric")
-    ttol = _get_float(nsec, "tail_tol", 1e-8, "numeric")
+    utol = _get_number(nsec, "unitarity_tol", 1e-8, "numeric", float)
+    rtol = _get_number(nsec, "representation_tol", 1e-7, "numeric", float)
+    ttol = _get_number(nsec, "tail_tol", 1e-8, "numeric", float)
 
     psis = [gaussian(grid, centers=c, sigma=sigma, momenta=m)
             for c, m in zip(centers, momenta)]

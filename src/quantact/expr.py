@@ -576,6 +576,10 @@ class Expr:
     def is_const(self):
         return self.poly is not None and self.poly.is_const()
 
+    def is_exact_zero(self):
+        """True for the zero polynomial; never for a tree, which only ``is_zero`` decides."""
+        return self.poly is not None and self.poly.is_zero()
+
     def const_value(self):
         if not self.is_const():
             raise ExprError("not a constant")
@@ -808,16 +812,18 @@ def all_zero(checks):
     return ZeroCheck(all(c.ok for c in checks), "exact" if exact else "probabilistic")
 
 
-def is_zero(e, rng=None, points=20, tol=1e-9):
+def is_zero(e, rng=None):
     """Zero test with certificate.
 
     Canonical expressions are decided exactly.  Expressions outside the
-    canonical class (quotient trees) are sampled at ``points`` random rational
-    points; a nonzero function passes all samples only with negligible
-    probability, and the certificate is marked probabilistic.  Draws that hit
-    a pole are redrawn, up to 10 * ``points`` draws in all; if too few points
-    could be evaluated the test is undecided and reports not-zero.
+    canonical class (quotient trees) are sampled at 20 random rational
+    points and pass when every |value| is at most 1e-9; a nonzero function
+    passes all samples only with negligible probability, and the certificate
+    is marked probabilistic.  Draws that hit a pole are redrawn, up to 200
+    draws in all; if too few points could be evaluated the test is undecided
+    and reports not-zero.
     """
+    points, tol = 20, 1e-9
     e = as_expr(e)
     if e.poly is not None:
         return ZeroCheck(e.poly.is_zero(), "exact")

@@ -25,12 +25,16 @@ import math
 
 import numpy as np
 
-from .expr import Expr, ExprError, Poly, as_expr, is_zero
+from .expr import Expr, ExprError, Poly, as_expr
 from .opcalc import standard_star, to_operator
 from .symbols import (FormalSymbol, PolyXi, taylor_from_amplitude,
                       xi_decompose)
 
 HBAR_NAME = "hb"
+# tolerance for a pulled-back grid point to count as real and on the lattice
+GRID_TOL = 1e-9
+# largest (grid points)^2 for which a dense mode matrix may be built
+DENSE_GUARD = 2 ** 22
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +195,7 @@ def spectral_tail_fraction(grid, psi):
 # pullback paths
 
 
-def _is_exact_zero(e):
-    chk = is_zero(e)
-    return chk.ok and chk.kind == "exact"
-
-
-def grid_pullback(grid, phi, psi, consts=None, tol=1e-9):
+def grid_pullback(grid, phi, psi, consts=None):
     """(t_phi psi)(x) = psi(phi^{-1}(x)) on the grid.
 
     Paths: identity / exact index permutation / single-axis spectral shear /
@@ -209,11 +208,11 @@ def grid_pullback(grid, phi, psi, consts=None, tol=1e-9):
 
     targets = [np.broadcast_to(np.asarray(eval_expr(g, env), dtype=complex),
                                grid.shape) for g in phi.inverse]
-    if any(np.max(np.abs(t.imag)) > tol for t in targets):
+    if any(np.max(np.abs(t.imag)) > GRID_TOL for t in targets):
         raise ValueError("map must stay real on the grid")
     reals = [t.real for t in targets]
 
-    perm = _permutation_indices(grid, reals, tol)
+    perm = _permutation_indices(grid, reals)
     if perm is not None:
         return np.array(psi, dtype=complex)[perm]
 
@@ -230,12 +229,12 @@ def grid_pullback(grid, phi, psi, consts=None, tol=1e-9):
     return _bandlimited_pullback(grid, reals, psi)
 
 
-def _permutation_indices(grid, reals, tol):
+def _permutation_indices(grid, reals):
     idx = []
     for t in reals:
         frac = (t + grid.length) / grid.delta
         rounded = np.rint(frac)
-        if np.max(np.abs(frac - rounded)) > tol:
+        if np.max(np.abs(frac - rounded)) > GRID_TOL:
             return None
         idx.append(np.mod(rounded.astype(np.int64), grid.npoints))
     return tuple(idx)
@@ -247,11 +246,11 @@ def _shear_data(grid, phi, env):
     sheared = None
     for i, (c, inv) in enumerate(zip(coords, phi.inverse)):
         diff = inv - Expr.var(c)
-        if _is_exact_zero(diff):
+        if diff.is_exact_zero():
             continue
         if sheared is not None:
             return None
-        if not _is_exact_zero(diff.diff(c)):
+        if not diff.diff(c).is_exact_zero():
             return None
         sheared = (i, diff)
     if sheared is None:
@@ -263,9 +262,9 @@ def _shear_data(grid, phi, env):
     return i, np.broadcast_to(shift.real, grid.shape)
 
 
-def _bandlimited_pullback(grid, reals, psi, guard=2 ** 22):
+def _bandlimited_pullback(grid, reals, psi):
     npts = grid.npoints ** grid.dim
-    if npts * npts > guard:
+    if npts * npts > DENSE_GUARD:
         raise ValueError("pullback needs a structured (permutation or shear) "
                          "map at this grid size")
     c = grid.hfft(psi).reshape(-1)
@@ -350,9 +349,9 @@ def kn_apply(grid, amp, psi):
     return _dense_kn_apply(grid, amp, c)
 
 
-def _dense_kn_apply(grid, amp, c, guard=2 ** 22):
+def _dense_kn_apply(grid, amp, c):
     npts = grid.npoints ** grid.dim
-    if npts * npts > guard:
+    if npts * npts > DENSE_GUARD:
         raise ValueError("non-separable amplitude needs a smaller grid")
     x_flat = [m.reshape(-1) for m in grid.mesh()]
     xi_flat = [m.reshape(-1) for m in grid.xi_mesh()]
@@ -539,14 +538,14 @@ class SlopeFit:
 
 
 def asymptotic_consistency(dim, npoints, length, amp_series, phi, psi_fn,
-                           hbars, truncation, convention="multi", consts=None,
-                           exact_floor=1e-12, spread_limit=0.2):
+                           hbars, truncation, convention="multi", consts=None):
     """Measured convergence order of the formal truncation against fio_apply.
 
     The full amplitude sum_k hb^k a^k is applied through the grid FIO; the
     order-N truncation of its graded expansion is applied through the
     normal-form evaluator; the relative error is fitted log-log against
-    hbar.  A fit whose residual spread exceeds ``spread_limit`` is rejected.
+    hbar.  Errors all at most 1e-9 make the status "exact"; a fit whose
+    residual spread exceeds 0.2 is rejected.
     """
     coords = list(phi.coords)
     hb = Expr.var(HBAR_NAME)
@@ -567,12 +566,12 @@ def asymptotic_consistency(dim, npoints, length, amp_series, phi, psi_fn,
         formal = apply_operator_numeric(grid, op, psi, consts=consts)
         errors.append(grid.norm(full - formal) / grid.norm(psi))
 
-    if max(errors) <= exact_floor:
+    if max(errors) <= 1e-9:
         return SlopeFit("exact", errors)
     logs_h = np.log(np.asarray(hbars, dtype=float))
     logs_e = np.log(np.asarray(errors, dtype=float))
     slope, intercept = np.polyfit(logs_h, logs_e, 1)
     spread = float(np.max(np.abs(logs_e - (slope * logs_h + intercept))))
-    if spread > spread_limit:
+    if spread > 0.2:
         raise ValueError("slope fit rejected: residual spread %.3f" % spread)
     return SlopeFit("fitted", errors, slope=float(slope), spread=spread)

@@ -126,7 +126,7 @@ def apply(op, fn):
                 m = n + j
                 if m > op.order:
                     break
-                if psi.is_canonical and psi.poly.is_zero():
+                if psi.is_exact_zero():
                     continue
                 deriv = _d_alpha(psi, op.coords, alpha).substitute(inv_map)
                 out[m] = out[m] + f * deriv
@@ -166,11 +166,11 @@ def _compose_terms(coords, order, terms1, inv1, terms2, inv2):
                             nxt = {}
                             for gamma, c in carrier.items():
                                 dc = c.diff(coords[j]) * _MINUS_I
-                                if not (dc.is_canonical and dc.poly.is_zero()):
+                                if not dc.is_exact_zero():
                                     nxt[gamma] = nxt.get(gamma, Expr.zero()) + dc
                                 for k in range(dim):
                                     jk = jac[k][j]
-                                    if jk.is_canonical and jk.poly.is_zero():
+                                    if jk.is_exact_zero():
                                         continue
                                     gk = tuple(gamma[m] + (1 if m == k else 0)
                                                for m in range(dim))
@@ -181,7 +181,7 @@ def _compose_terms(coords, order, terms1, inv1, terms2, inv2):
                         add_term(n1 + n2, gamma, coeff)
 
     return [{g: c for g, c in table.items()
-             if not (c.is_canonical and c.poly.is_zero())}
+             if not c.is_exact_zero()}
             for table in out]
 
 

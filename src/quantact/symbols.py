@@ -59,7 +59,7 @@ class PolyXi:
                 if len(alpha) != dim:
                     raise ValueError("multi-index length mismatch")
                 c = as_expr(c)
-                if c.is_canonical and c.poly.is_zero():
+                if c.is_exact_zero():
                     continue
                 data[alpha] = c
         self.coeffs = data
@@ -170,6 +170,22 @@ class FormalSymbol:
     def scale(self, e):
         return FormalSymbol(self.dim, self.order, [c.scale(e) for c in self.comps])
 
+    # the operators call the named methods, so wrapping a method wraps its operator
+    def __add__(self, other):
+        return self.add(other)
+
+    def __sub__(self, other):
+        return self.sub(other)
+
+    def __neg__(self):
+        return self.neg()
+
+    def __mul__(self, e):
+        """Scalar multiple by an Expr or number."""
+        return self.scale(e)
+
+    __rmul__ = __mul__
+
     def is_zero(self):
         return all(c.is_zero() for c in self.comps)
 
@@ -271,27 +287,28 @@ def taylor_from_amplitude(amp, order, convention="multi"):
         coeffs = {}
         for alpha in multi_indices(dim, n):
             a_term = amp.term(n - sum(alpha))
-            if a_term.is_canonical and a_term.poly.is_zero():
+            if a_term.is_exact_zero():
                 continue
             deriv = a_term
             for name, k in zip(amp.xi_names, alpha):
                 for _ in range(k):
                     deriv = deriv.diff(name)
             at_zero = deriv.substitute(zero_point)
-            if at_zero.is_canonical and at_zero.poly.is_zero():
+            if at_zero.is_exact_zero():
                 continue
             coeffs[alpha] = at_zero * _factorial_weight(alpha, convention)
         comps.append(PolyXi(dim, coeffs))
     return FormalSymbol(dim, order, comps)
 
 
-def xi_decompose(e, xi_names, max_degree=12):
+def xi_decompose(e, xi_names):
     """Write e as a frequency polynomial: dict alpha -> coefficient Expr.
 
     Works by exact Taylor extraction at xi = 0 and verifies the
     reconstruction; raises ExprError when e is not polynomial in the
-    frequency variables up to max_degree.
+    frequency variables up to degree 12.
     """
+    max_degree = 12
     e = as_expr(e)
     dim = len(xi_names)
     zero_point = {name: Expr.zero() for name in xi_names}
@@ -303,7 +320,7 @@ def xi_decompose(e, xi_names, max_degree=12):
             for _ in range(k):
                 deriv = deriv.diff(name)
         coeff = deriv.substitute(zero_point) * _factorial_weight(alpha, "multi")
-        if coeff.is_canonical and coeff.poly.is_zero():
+        if coeff.is_exact_zero():
             continue
         out[alpha] = coeff
         term = coeff

@@ -364,6 +364,39 @@ elements = %s
     assert "config error:" in io.err and message in io.err
 
 
+@pytest.mark.parametrize("grid,numeric,message", [
+    ("length = 1/0", "", "[grid] length must be a number, got '1/0'"),
+    ("length = 8", "sigma = 1e400", "[numeric] sigma must be a number, got '1e400'"),
+    ("length = 8", "centers = 1/0,0",
+     "[numeric] centers must be a number, got '1/0'"),
+    ("length = 8", "constants = m:abc",
+     "[numeric] constants must be a number, got 'abc'"),
+], ids=["length-1/0", "sigma-1e400", "centers-1/0", "constants-abc"])
+def test_bad_number_is_a_config_error(tmp_path, capsys, grid, numeric, message):
+    status, io, _ = run_cli(tmp_path, capsys, """
+[session]
+task = verify-numeric
+
+[action]
+builtin = galilean
+
+[phase]
+expr = m*v*x
+
+[grid]
+dim = 2
+points = 32
+hbar = 1/10
+%s
+
+[numeric]
+elements = 1/5
+%s
+""" % (grid, numeric))
+    assert status == 2
+    assert "config error:" in io.err and message in io.err
+
+
 def test_check_cocycle_on_a_pole_terminates(tmp_path):
     cfg = write(tmp_path, """
 [session]

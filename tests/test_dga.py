@@ -15,8 +15,8 @@ from quantact.dga import (BasisEscapeError, Cochain, CoefficientBasis,
                           _matrix_of_twisted_d, _slot_maps, character_phase,
                           cochain_zero_report, cohomology_dims, d, delta_phase,
                           exp_system, gauge_report, mc_residual,
-                          phase_zero_report, representation_report,
-                          solve_order, star_graded, trivial_system, twisted_d)
+                          representation_report, solve_order, star_graded,
+                          trivial_system, twisted_d)
 from quantact.expr import Expr, GaussRat, is_zero, parse
 from quantact.linalg import SparseMatrix, solve
 from quantact.opcalc import compose, to_operator, to_symbol
@@ -180,7 +180,7 @@ def galilean_free_phase():
 
 def test_galilean_phase_is_exact_cocycle():
     action, s = galilean_free_phase()
-    rep = phase_zero_report(delta_phase(s))
+    rep = cochain_zero_report(delta_phase(s))
     assert rep.all_ok, rep.render()
     assert all(item.kind == "exact" for item in rep.items[:1])
 
@@ -219,12 +219,49 @@ def test_delta_phase_squares_to_zero():
         return al * x * y + be * z + ga * x
 
     s = PhaseCochain(action, 1, fn=fn)
-    rep = phase_zero_report(delta_phase(delta_phase(s)))
+    rep = cochain_zero_report(delta_phase(delta_phase(s)))
     assert rep.all_ok, rep.render()
 
     k = PhaseCochain(action, 0, table={(): x * x + z})
-    rep0 = phase_zero_report(delta_phase(delta_phase(k)))
+    rep0 = cochain_zero_report(delta_phase(delta_phase(k)))
     assert rep0.all_ok, rep0.render()
+
+
+def test_phase_cochains_share_the_cochain_algebra():
+    # add, sub and scale are the Expr arithmetic of the values, on a
+    # parametric and on a finite phase cochain
+    x, t = Expr.var("x"), Expr.var("t")
+    boosts = galilean_boosts()
+    flip = sign_flip()
+    pairs = [(character_phase(boosts, t), character_phase(boosts, x * t)),
+             (PhaseCochain(flip, 1, table={(0,): x, (1,): x * x + 1}),
+              PhaseCochain(flip, 1, table={(0,): -x, (1,): Expr.integer(3)}))]
+    for s, r in pairs:
+        for gs in dga.test_tuples(s.action, 1):
+            u, v = s.value(gs), r.value(gs)
+            assert s.add(r).value(gs) == u + v
+            assert s.sub(r).value(gs) == u - v
+            assert s.scale(Fraction(-3, 2)).value(gs) == u * Fraction(-3, 2)
+
+
+def test_phase_cocycle_zero_report_lines():
+    # the lines and certificate kinds of the former phase-only report
+    s = character_phase(galilean_boosts(), Expr.var("t"))
+    rep = cochain_zero_report(delta_phase(s))
+    assert [(i.name, i.ok, i.kind) for i in rep.items] == [
+        ("zero at ((v__1), (v__2))", True, "exact"),
+        ("zero at ((2), (-7/2))", True, "exact"),
+        ("zero at ((-7/2), (4))", True, "exact"),
+        ("zero at ((4), (2))", True, "exact"),
+        ("zero at ((2), (7/2))", True, "exact")]
+
+    # S_g = K o phi_g^{-1} - K for K = x^3 + x on the sign flip
+    x = Expr.var("x")
+    f = PhaseCochain(sign_flip(), 1, table={(0,): 0, (1,): -2 * x ** 3 - 2 * x})
+    rep = cochain_zero_report(delta_phase(f))
+    assert [(i.name, i.ok, i.kind) for i in rep.items] == [
+        ("zero at (e, e)", True, "exact"), ("zero at (e, g1)", True, "exact"),
+        ("zero at (g1, e)", True, "exact"), ("zero at (g1, g1)", True, "exact")]
 
 
 def test_phase_cochain_missing_tuple_is_a_key_error():
@@ -255,7 +292,7 @@ def test_additive_character_phase_is_cocycle():
     action = heisenberg()
     x, y = Expr.var("x"), Expr.var("y")
     s = character_phase(action, x * x + y * y, character=lambda g: g[0])
-    rep = phase_zero_report(delta_phase(s))
+    rep = cochain_zero_report(delta_phase(s))
     assert rep.all_ok, rep.render()
 
 
@@ -265,7 +302,7 @@ def test_gauge_equivalence_by_coboundary():
     x = Expr.var("x")
     k = PhaseCochain(action, 0, table={(): x * x})
     dk = delta_phase(k)
-    s2 = PhaseCochain(action, 1, fn=lambda gs: s.value(gs) + dk.value(gs))
+    s2 = s.add(dk)
     a = exp_system(s)
     b = exp_system(s2)
     u = FormalSymbol.from_scalar(2, 0, Expr.exp(Expr.imag_unit() * x * x))
@@ -344,7 +381,7 @@ def test_second_order_correction_solved_and_reinserted():
     x1 = Cochain(action, 1, order, table={(0,): zero1,
                                           (1,): FormalSymbol(1, order, comps)})
 
-    res = solve_order(action, p0, {1: x1}, 2, basis, order=order)
+    res = solve_order(action, p0, {1: x1}, 2, basis)
     assert res.solved
     assert res.rhs_closed
 

@@ -442,7 +442,7 @@ def test_expansion_of_pure_first_order_symbol_is_exact():
     fit = asymptotic_consistency(
         2, 64, 8.0, trig_series("pure"), shear_map_2d(),
         packet_factory([1.5, 1.0]), [0.1, 0.05, 0.025], truncation=1,
-        consts={"w0": math.pi / 8.0}, exact_floor=1e-9)
+        consts={"w0": math.pi / 8.0})
     assert fit.status == "exact"
 
 
@@ -450,7 +450,7 @@ def test_expansion_slope_is_second_order_past_truncation():
     fit = asymptotic_consistency(
         2, 64, 8.0, trig_series("first-order"), shear_map_2d(),
         packet_factory([1.5, 1.0]), [0.1, 0.05, 0.025], truncation=1,
-        consts={"w0": math.pi / 8.0}, exact_floor=1e-9)
+        consts={"w0": math.pi / 8.0})
     assert fit.status == "fitted"
     assert 1.9 <= fit.slope <= 2.1
 
@@ -459,7 +459,7 @@ def test_taylor_weight_conventions_differ_on_mixed_indices():
     # the conventions disagree exactly at the mixed second-order index, so
     # the per-index weight must reach third order while the total-degree
     # weight leaves a second-order defect
-    kwargs = dict(consts={"w0": math.pi / 8.0}, exact_floor=1e-9)
+    kwargs = dict(consts={"w0": math.pi / 8.0})
     good = asymptotic_consistency(
         2, 64, 8.0, trig_series("mixed"), shear_map_2d(),
         packet_factory([1.5, 1.0]), [0.1, 0.05, 0.025], truncation=2,
