@@ -41,8 +41,8 @@ from .numfio import (WaveGrid, gaussian, phase_system_apply,
                      representation_residual, spectral_tail_fraction,
                      unitarity_residual)
 from .report import Report
-from .symbols import (AmplitudeSeries, FormalSymbol, dump_symbol,
-                      taylor_from_amplitude)
+from .symbols import (AmplitudeSeries, FormalSymbol, default_xi_names,
+                      dump_symbol, taylor_from_amplitude)
 
 
 class ConfigError(ValueError):
@@ -375,6 +375,8 @@ def task_verify_numeric(cfg, rng):
         raise ConfigError("[grid] dim %d does not match the %d-dimensional "
                           "action" % (grid.dim, action.dim))
     sigma = _get_number(nsec, "sigma", 1.0, "numeric", float)
+    if sigma <= 0:
+        raise ConfigError("[numeric] sigma must be positive, got %r" % nsec["sigma"].strip())
     origin = "0" + ",0" * (grid.dim - 1)
     centers = [_float_list(c, "numeric", "centers")
                for c in nsec.get("centers", origin).split(";")]
@@ -434,7 +436,7 @@ def task_expand(cfg, rng):
         raise ConfigError("[amplitude] needs 'coords' and 'terms'")
     coords = [c.strip() for c in section["coords"].split(",")]
     xi_names = [x.strip() for x in section.get("xi_names", "").split(",")
-                if x.strip()] or ["xi%d" % (k + 1) for k in range(len(coords))]
+                if x.strip()] or default_xi_names(len(coords))
     consts = [c.strip() for c in section.get("constants", "").split(",")
               if c.strip()]
     binding = VarBinding(coordinates=coords + xi_names, constants=consts)

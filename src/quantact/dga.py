@@ -413,9 +413,7 @@ class CoefficientBasis:
     def closure_report(self, action, rng=None):
         """Check the span is preserved by all (sampled) pullbacks."""
         rep = Report("basis closed under the action")
-        elems = (action.group.elements() if action.is_finite
-                 else action.sample_elements(rng or random.Random(0), 6))
-        for g in elems:
+        for g in action.sample_elements(rng or random.Random(0), 6):
             phi = action.diffeo(g)
             ok = True
             for e in self.exprs:

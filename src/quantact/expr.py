@@ -25,6 +25,12 @@ randomized evaluation with an explicitly probabilistic certificate.  Every
 check that vanishes on several expressions folds their certificates through
 ``all_zero``: exact only when each one is.
 
+Sampling (``Expr.eval``), substitution (``Expr.substitute``) and grid
+evaluation (``numfio.eval_expr``) are folds: ``Expr.fold`` combines tree nodes
+in a chosen algebra (``cmath``, ``numpy`` or ``Expr``) and hands each canonical
+part to a leaf function, and ``Poly.fold`` evaluates a polynomial in such an
+algebra term by term.  No other module reads tree nodes or monomial keys.
+
 The text grammar (used by ``parse`` and produced by ``str``):
 
     expr    := term (('+'|'-') term)*
@@ -41,6 +47,7 @@ Identifiers must be declared in the VarBinding passed to ``parse``;
 from __future__ import annotations
 
 import cmath
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -332,9 +339,6 @@ class Poly:
     def neg(self):
         return Poly({m: -c for m, c in self.terms.items()})
 
-    def sub(self, other):
-        return self.add(other.neg())
-
     def scalar_mul(self, c):
         c = GaussRat.of(c)
         if c.is_zero():
@@ -446,6 +450,21 @@ class Poly:
             else:
                 float_sum += exact.to_complex() * approx
         return exact_sum.to_complex() + float_sum
+
+    def fold(self, zero, const, var, exp):
+        """Evaluate in another algebra, term by term and left to right: the sum
+        onto ``zero`` of const(c) * var(v)**p * ... * exp(folded argument);
+        exp atoms always have power 1."""
+        total = zero
+        for mono, c in self.terms.items():
+            term = const(c)
+            for gen, p in mono:
+                if gen[0] == "v":
+                    term = term * var(gen[1]) ** p
+                else:
+                    term = term * exp(Poly._from_key(gen[1]).fold(zero, const, var, exp))
+            total = total + term
+        return total
 
     # rendering ------------------------------------------------------------
 
@@ -595,9 +614,13 @@ class Expr:
         return out
 
     # arithmetic ------------------------------------------------------------
+    # an operand as_expr rejects gets NotImplemented: Python tries its reflected method
 
     def __add__(self, other):
-        other = as_expr(other)
+        try:
+            other = as_expr(other)
+        except TypeError:
+            return NotImplemented
         if self.poly is not None and other.poly is not None:
             return Expr(poly=self.poly.add(other.poly))
         return Expr(node=("add", self, other))
@@ -610,13 +633,24 @@ class Expr:
         return Expr(node=("neg", self))
 
     def __sub__(self, other):
-        return self + (-as_expr(other))
+        try:
+            other = as_expr(other)
+        except TypeError:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return as_expr(other) + (-self)
+        try:
+            other = as_expr(other)
+        except TypeError:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
-        other = as_expr(other)
+        try:
+            other = as_expr(other)
+        except TypeError:
+            return NotImplemented
         if self.poly is not None and other.poly is not None:
             return Expr(poly=self.poly.mul(other.poly))
         return Expr(node=("mul", self, other))
@@ -633,19 +667,24 @@ class Expr:
         return Expr.one() / (self ** (-n))
 
     def __truediv__(self, other):
-        other = as_expr(other)
+        try:
+            other = as_expr(other)
+        except TypeError:
+            return NotImplemented
+        if other.is_exact_zero():
+            raise ZeroDivisionError("division by symbolic zero")
         if self.poly is not None and other.poly is not None:
-            if other.poly.is_zero():
-                raise ZeroDivisionError("division by symbolic zero")
             inv = other.poly.invert_monomial()
             if inv is not None:
                 return Expr(poly=self.poly.mul(inv))
-        if other.poly is not None and other.poly.is_zero():
-            raise ZeroDivisionError("division by symbolic zero")
         return Expr(node=("quot", self, other))
 
     def __rtruediv__(self, other):
-        return as_expr(other) / self
+        try:
+            other = as_expr(other)
+        except TypeError:
+            return NotImplemented
+        return other / self
 
     # calculus ---------------------------------------------------------------
 
@@ -677,54 +716,28 @@ class Expr:
     def substitute(self, mapping):
         """Replace variables; mapping: name -> Expr (or int/Fraction)."""
         mapping = {k: as_expr(v) for k, v in mapping.items()}
-        if self.poly is not None:
-            if all(v.poly is not None for v in mapping.values()):
-                return Expr(poly=self.poly.subs({k: v.poly for k, v in mapping.items()}))
-            # rebuild through tree arithmetic
-            return _poly_rebuild(self.poly, mapping)
-        kind = self.node[0]
-        if kind == "quot":
-            return self.node[1].substitute(mapping) / self.node[2].substitute(mapping)
-        if kind == "add":
-            return self.node[1].substitute(mapping) + self.node[2].substitute(mapping)
-        if kind == "neg":
-            return -self.node[1].substitute(mapping)
-        if kind == "mul":
-            return self.node[1].substitute(mapping) * self.node[2].substitute(mapping)
-        if kind == "pow":
-            return self.node[1].substitute(mapping) ** self.node[2]
-        if kind == "exp":
-            return Expr.exp(self.node[1].substitute(mapping))
-        if kind == "sin":
-            return Expr.sin(self.node[1].substitute(mapping))
-        if kind == "cos":
-            return Expr.cos(self.node[1].substitute(mapping))
-        raise ExprError("cannot substitute into node %r" % kind)
+        if all(v.poly is not None for v in mapping.values()):
+            polys = {k: v.poly for k, v in mapping.items()}
+            return self.fold(lambda poly: Expr(poly=poly.subs(polys)), Expr)
+        # a tree value: rebuild each canonical part through tree arithmetic
+        def var(name):
+            return mapping.get(name, Expr.var(name))
+        return self.fold(lambda poly: poly.fold(Expr.zero(), as_expr, var, Expr.exp), Expr)
 
     def eval(self, values):
+        """Complex value at a point; a vanishing denominator raises ZeroDivisionError."""
+        return self.fold(lambda poly: poly.eval(values), cmath)
+
+    def fold(self, leaf, funcs):
+        """Evaluate bottom-up: ``leaf(poly)`` on each canonical part; tree nodes
+        apply ``_TREE_OPS`` to their children's values and take exp, sin and
+        cos from ``funcs`` (``cmath``, ``numpy`` or ``Expr`` itself)."""
         if self.poly is not None:
-            return self.poly.eval(values)
+            return leaf(self.poly)
         kind = self.node[0]
-        if kind == "add":
-            return self.node[1].eval(values) + self.node[2].eval(values)
-        if kind == "neg":
-            return -self.node[1].eval(values)
-        if kind == "mul":
-            return self.node[1].eval(values) * self.node[2].eval(values)
-        if kind == "quot":
-            den = self.node[2].eval(values)
-            if den == 0:
-                raise ZeroDivisionError("denominator vanishes at evaluation point")
-            return self.node[1].eval(values) / den
-        if kind == "pow":
-            return self.node[1].eval(values) ** self.node[2]
-        if kind == "exp":
-            return cmath.exp(self.node[1].eval(values))
-        if kind == "sin":
-            return cmath.sin(self.node[1].eval(values))
-        if kind == "cos":
-            return cmath.cos(self.node[1].eval(values))
-        raise ExprError("cannot evaluate node %r" % kind)
+        args = [a.fold(leaf, funcs) if isinstance(a, Expr) else a for a in self.node[1:]]
+        op = _TREE_OPS.get(kind)
+        return op(*args) if op is not None else getattr(funcs, kind)(*args)
 
     # comparison ------------------------------------------------------------
 
@@ -765,28 +778,15 @@ class Expr:
 def as_expr(v):
     if isinstance(v, Expr):
         return v
-    if isinstance(v, int):
-        return Expr.integer(v)
-    if isinstance(v, Fraction):
-        return Expr(poly=Poly.const(GaussRat(v)))
-    if isinstance(v, GaussRat):
+    if isinstance(v, (int, Fraction, GaussRat)):
         return Expr(poly=Poly.const(v))
     raise TypeError("cannot coerce %r to Expr" % (v,))
 
 
-def _poly_rebuild(poly, mapping):
-    out = Expr.zero()
-    for mono, c in poly.terms.items():
-        term = Expr(poly=Poly.const(c))
-        for gen, p in mono:
-            if gen[0] == "v":
-                rep = mapping.get(gen[1], Expr.var(gen[1]))
-                term = term * rep ** p
-            else:
-                arg = Expr(poly=Poly._from_key(gen[1])).substitute(mapping)
-                term = term * Expr.exp(arg)
-        out = out + term
-    return out
+# tree node kind -> operator on the children's values; exp/sin/cos come
+# from the ``funcs`` argument of ``Expr.fold``
+_TREE_OPS = {"add": operator.add, "neg": operator.neg, "mul": operator.mul,
+             "quot": operator.truediv, "pow": operator.pow}
 
 
 # ---------------------------------------------------------------------------

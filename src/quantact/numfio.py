@@ -25,10 +25,10 @@ import math
 
 import numpy as np
 
-from .expr import Expr, ExprError, Poly, as_expr
+from .expr import Expr, ExprError, GaussRat, as_expr
 from .opcalc import standard_star, to_operator
-from .symbols import (FormalSymbol, PolyXi, taylor_from_amplitude,
-                      xi_decompose)
+from .symbols import (FormalSymbol, PolyXi, default_xi_names,
+                      taylor_from_amplitude, xi_decompose)
 
 HBAR_NAME = "hb"
 # tolerance for a pulled-back grid point to count as real and on the lattice
@@ -43,44 +43,16 @@ DENSE_GUARD = 2 ** 22
 
 def eval_expr(e, env):
     """Evaluate an Expr on an environment of numpy arrays / complex scalars."""
-    e = as_expr(e)
-    if e.poly is not None:
-        return _eval_poly(e.poly, env)
-    kind = e.node[0]
-    if kind == "add":
-        return eval_expr(e.node[1], env) + eval_expr(e.node[2], env)
-    if kind == "neg":
-        return -eval_expr(e.node[1], env)
-    if kind == "mul":
-        return eval_expr(e.node[1], env) * eval_expr(e.node[2], env)
-    if kind == "quot":
-        return eval_expr(e.node[1], env) / eval_expr(e.node[2], env)
-    if kind == "pow":
-        return eval_expr(e.node[1], env) ** e.node[2]
-    if kind == "exp":
-        return np.exp(eval_expr(e.node[1], env))
-    if kind == "sin":
-        return np.sin(eval_expr(e.node[1], env))
-    if kind == "cos":
-        return np.cos(eval_expr(e.node[1], env))
-    raise ExprError("cannot evaluate node %r" % kind)
+    def var(name):
+        if name not in env:
+            raise ExprError("no numeric value bound for %r" % name)
+        return np.asarray(env[name])
+    return as_expr(e).fold(lambda poly: poly.fold(0j, GaussRat.to_complex, var, np.exp), np)
 
 
-def _eval_poly(poly, env):
-    total = 0j
-    for mono, c in poly.terms.items():
-        factor = c.to_complex()
-        for gen, p in mono:
-            if gen[0] == "v":
-                name = gen[1]
-                if name not in env:
-                    raise ExprError("no numeric value bound for %r" % name)
-                factor = factor * np.asarray(env[name]) ** p
-            else:
-                arg = _eval_poly(Poly._from_key(gen[1]), env)
-                factor = factor * np.exp(arg) ** p
-        total = total + factor
-    return total
+def _grid_values(e, env, shape):
+    """Values of e on env as a complex array of the given shape."""
+    return np.broadcast_to(np.asarray(eval_expr(e, env), dtype=complex), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +178,7 @@ def grid_pullback(grid, phi, psi, consts=None):
     coords = phi.coords
     env = grid.coord_env(coords, consts)
 
-    targets = [np.broadcast_to(np.asarray(eval_expr(g, env), dtype=complex),
-                               grid.shape) for g in phi.inverse]
+    targets = [_grid_values(g, env, grid.shape) for g in phi.inverse]
     if any(np.max(np.abs(t.imag)) > GRID_TOL for t in targets):
         raise ValueError("map must stay real on the grid")
     reals = [t.real for t in targets]
@@ -256,22 +227,27 @@ def _shear_data(grid, phi, env):
     if sheared is None:
         return None
     i, diff = sheared
-    shift = -np.asarray(eval_expr(diff, env), dtype=complex)
+    shift = _grid_values(diff, env, grid.shape)
     if np.max(np.abs(shift.imag)) > 1e-12:
         return None
-    return i, np.broadcast_to(shift.real, grid.shape)
+    return i, -shift.real
 
 
 def _bandlimited_pullback(grid, reals, psi):
+    modes = _dense_modes(grid, reals, "pullback needs a structured (permutation "
+                         "or shear) map at this grid size")
+    return (modes @ grid.hfft(psi).reshape(-1)).reshape(grid.shape)
+
+
+def _dense_modes(grid, points, message):
+    """e^{(i/hbar) <y_j, xi_k>} over sample points y (one array per axis) and
+    the frequency lattice; ValueError(message) past DENSE_GUARD entries."""
     npts = grid.npoints ** grid.dim
     if npts * npts > DENSE_GUARD:
-        raise ValueError("pullback needs a structured (permutation or shear) "
-                         "map at this grid size")
-    c = grid.hfft(psi).reshape(-1)
+        raise ValueError(message)
+    y_flat = np.stack([t.reshape(-1) for t in points], axis=1)
     xi_flat = np.stack([m.reshape(-1) for m in grid.xi_mesh()], axis=1)
-    y_flat = np.stack([t.reshape(-1) for t in reals], axis=1)
-    modes = np.exp(1j / grid.hbar * (y_flat @ xi_flat.T))
-    return (modes @ c).reshape(grid.shape)
+    return np.exp(1j / grid.hbar * (y_flat @ xi_flat.T))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +265,7 @@ class NumericAmplitude:
         self.expr = as_expr(expr)
         self.coords = list(coords)
         self.xi_names = (list(xi_names) if xi_names is not None
-                         else ["xi%d" % (k + 1) for k in range(len(coords))])
+                         else default_xi_names(len(coords)))
         if len(self.xi_names) != len(self.coords):
             raise ValueError("need one frequency name per coordinate")
         self.consts = dict(consts or {})
@@ -309,9 +285,7 @@ def kn_apply(grid, amp, psi):
     env = grid.coord_env(amp.coords, amp.consts)
 
     if not uses_xi:
-        values = np.broadcast_to(np.asarray(eval_expr(amp.expr, env),
-                                            dtype=complex), grid.shape)
-        out = values * np.asarray(psi, dtype=complex)
+        out = _grid_values(amp.expr, env, grid.shape) * np.asarray(psi, dtype=complex)
         _check_finite(out)
         return out
 
@@ -321,51 +295,37 @@ def kn_apply(grid, amp, psi):
         xi_env = dict(zip(amp.xi_names, grid.xi_mesh()))
         xi_env[HBAR_NAME] = grid.hbar
         xi_env.update(amp.consts)
-        mult = np.broadcast_to(np.asarray(eval_expr(amp.expr, xi_env),
-                                          dtype=complex), grid.shape)
-        out = grid.hifft(mult * c)
+        out = grid.hifft(_grid_values(amp.expr, xi_env, grid.shape) * c)
         _check_finite(out)
         return out
 
     try:
         parts = xi_decompose(amp.expr, amp.xi_names)
     except ExprError:
-        parts = None
-
-    if parts is not None:
-        xi = grid.xi_mesh()
-        out = np.zeros(grid.shape, dtype=complex)
-        for alpha, coeff in parts.items():
-            mult = np.ones(grid.shape, dtype=complex)
-            for ax, p in enumerate(alpha):
-                if p:
-                    mult = mult * xi[ax] ** p
-            f = np.broadcast_to(np.asarray(eval_expr(coeff, env),
-                                           dtype=complex), grid.shape)
-            out = out + f * grid.hifft(mult * c)
-        _check_finite(out)
-        return out
-
-    return _dense_kn_apply(grid, amp, c)
+        return _dense_kn_apply(grid, amp, c)
+    xi = grid.xi_mesh()
+    out = np.zeros(grid.shape, dtype=complex)
+    for alpha, coeff in parts.items():
+        mult = np.ones(grid.shape, dtype=complex)
+        for ax, p in enumerate(alpha):
+            if p:
+                mult = mult * xi[ax] ** p
+        f = _grid_values(coeff, env, grid.shape)
+        out = out + f * grid.hifft(mult * c)
+    _check_finite(out)
+    return out
 
 
 def _dense_kn_apply(grid, amp, c):
-    npts = grid.npoints ** grid.dim
-    if npts * npts > DENSE_GUARD:
-        raise ValueError("non-separable amplitude needs a smaller grid")
-    x_flat = [m.reshape(-1) for m in grid.mesh()]
-    xi_flat = [m.reshape(-1) for m in grid.xi_mesh()]
+    mesh = grid.mesh()
+    modes = _dense_modes(grid, mesh, "non-separable amplitude needs a smaller grid")
     env = {HBAR_NAME: grid.hbar}
     env.update(amp.consts)
-    for name, arr in zip(amp.coords, x_flat):
-        env[name] = arr[:, None]
-    for name, arr in zip(amp.xi_names, xi_flat):
-        env[name] = arr[None, :]
-    a_mat = np.broadcast_to(np.asarray(eval_expr(amp.expr, env), dtype=complex),
-                            (npts, npts))
-    xg = np.stack(x_flat, axis=1)
-    xig = np.stack(xi_flat, axis=1)
-    modes = np.exp(1j / grid.hbar * (xg @ xig.T))
+    for name, arr in zip(amp.coords, mesh):
+        env[name] = arr.reshape(-1)[:, None]
+    for name, arr in zip(amp.xi_names, grid.xi_mesh()):
+        env[name] = arr.reshape(-1)[None, :]
+    a_mat = _grid_values(amp.expr, env, modes.shape)
     out = ((a_mat * modes) @ c.reshape(-1)).reshape(grid.shape)
     _check_finite(out)
     return out
@@ -391,8 +351,7 @@ def symbol_amplitude(sym, coords, xi_names=None, consts=None):
     hb^{n-|alpha|} coeff(x) xi^alpha; the filtration makes every hbar power
     nonnegative.
     """
-    xi_names = (list(xi_names) if xi_names is not None
-                else ["xi%d" % (k + 1) for k in range(sym.dim)])
+    xi_names = list(xi_names) if xi_names is not None else default_xi_names(sym.dim)
     hb = Expr.var(HBAR_NAME)
     total = Expr.zero()
     for n, comp in enumerate(sym.comps):
@@ -443,8 +402,7 @@ def apply_operator_numeric(grid, op, psi, consts=None):
                     mult = mult * omega[ax] ** p
             deriv = grid.hifft(mult * c)
             moved = grid_pullback(grid, op.phi, deriv, consts=consts)
-            f = np.broadcast_to(np.asarray(eval_expr(coeff, env),
-                                           dtype=complex), grid.shape)
+            f = _grid_values(coeff, env, grid.shape)
             out = out + scale * f * moved
     return out
 

@@ -371,7 +371,10 @@ elements = %s
      "[numeric] centers must be a number, got '1/0'"),
     ("length = 8", "constants = m:abc",
      "[numeric] constants must be a number, got 'abc'"),
-], ids=["length-1/0", "sigma-1e400", "centers-1/0", "constants-abc"])
+    ("length = 8", "sigma = 0", "[numeric] sigma must be positive, got '0'"),
+    ("length = 8", "sigma = -1", "[numeric] sigma must be positive, got '-1'"),
+], ids=["length-1/0", "sigma-1e400", "centers-1/0", "constants-abc", "sigma-0",
+        "sigma-negative"])
 def test_bad_number_is_a_config_error(tmp_path, capsys, grid, numeric, message):
     status, io, _ = run_cli(tmp_path, capsys, """
 [session]

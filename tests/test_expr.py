@@ -324,3 +324,59 @@ def test_poly_power_matches_repeated_product():
     for n in range(7):
         assert base.pow(n) == expected
         expected = expected.mul(base)
+
+
+# ---------------------------------------------------------------------------
+# the shared walker: Expr.fold and Poly.fold
+
+
+def test_substitute_tree_value_into_exponential_atom():
+    # a tree value forces the canonical polynomial through tree arithmetic,
+    # exp atom included
+    T = VarBinding(coordinates=["x", "y", "t"])
+    e = parse("x^2*exp(i*x*y) + 3*x*y - exp(x)", T)
+    assert e.is_canonical
+    r = parse("1/(1+t^2)", T)
+    moved = e.substitute({"x": r})
+    assert not moved.is_canonical
+    rng = random.Random(41)
+    for _ in range(10):
+        t = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+        y = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+        want = e.eval({"x": r.eval({"t": t}), "y": y})
+        got = moved.eval({"t": t, "y": y})
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_eval_at_a_pole_raises():
+    e = parse("(x + 1) / (x - y) + y", B)
+    with pytest.raises(ZeroDivisionError):
+        e.eval({"x": 3, "y": 3})
+    with pytest.raises(ZeroDivisionError):
+        e.eval({"x": 0.5, "y": 0.5})
+    assert e.eval({"x": 3, "y": 1}) == 3
+
+
+def test_operators_defer_to_the_other_operand():
+    class Tagged:
+        def __radd__(self, other):
+            return ("radd", other)
+
+        def __rmul__(self, other):
+            return ("rmul", other)
+
+        def __rsub__(self, other):
+            return ("rsub", other)
+
+        def __rtruediv__(self, other):
+            return ("rtruediv", other)
+
+    x = Expr.var("x")
+    assert (x + Tagged())[0] == "radd"
+    assert (x * Tagged())[0] == "rmul"
+    assert (x - Tagged())[0] == "rsub"
+    assert (x / Tagged())[0] == "rtruediv"
+    for op in (lambda a: a + 1.5, lambda a: 1.5 * a, lambda a: a - 1.5,
+               lambda a: 1.5 / a):
+        with pytest.raises(TypeError):
+            op(x)

@@ -6,6 +6,7 @@ the symbolic operator calculus cross-checked against grid quadrature.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,43 @@ def grid_1d(hbar=0.1, npoints=128, length=8.0):
 
 def rel_err(grid, got, want):
     return grid.norm(np.asarray(got) - np.asarray(want)) / grid.norm(want)
+
+
+# ---------------------------------------------------------------------------
+# expression evaluation on arrays
+
+
+def _node_kinds(e):
+    """Tree node kinds in e, plus "exp-atom" for a canonical part with an exp atom."""
+    if e.is_canonical:
+        return {"exp-atom"} if "exp(" in str(e) else set()
+    kinds = {e.node[0]}
+    for child in e.node[1:]:
+        if isinstance(child, Expr):
+            kinds |= _node_kinds(child)
+    return kinds
+
+
+def test_eval_expr_matches_expr_eval_on_every_node_kind():
+    rng = random.Random(17)
+
+    def coeff():
+        return Expr.rational(rng.randint(-9, 9), rng.randint(1, 5))
+
+    x, y = Expr.var("x"), Expr.var("y")
+    q = (coeff() * x + coeff() * y) / (2 + x * x + y * y)
+    atom = Expr.exp(Expr.imag_unit() * coeff() * x * y + coeff() * y)
+    e = (Expr.exp(q) * Expr.sin(q) - Expr.cos(coeff() * q)) ** 3 + atom * q
+    assert _node_kinds(e) == {"add", "neg", "mul", "quot", "pow", "exp", "sin",
+                              "cos", "exp-atom"}
+    points = [(Fraction(rng.randint(-40, 40), rng.randint(1, 20)),
+               Fraction(rng.randint(-40, 40), rng.randint(1, 20))) for _ in range(50)]
+    xs = np.array([float(a) for a, _ in points])
+    ys = np.array([float(b) for _, b in points])
+    grid_values = eval_expr(e, {"x": xs, "y": ys})
+    for (a, b), got in zip(points, grid_values):
+        want = e.eval({"x": a, "y": b})
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 # ---------------------------------------------------------------------------

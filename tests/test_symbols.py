@@ -116,3 +116,10 @@ def test_serialization_round_trip():
     text = dump_symbol(sym)
     back = load_symbol(text)
     assert back == sym
+
+
+def test_scalar_times_symbol_in_either_order():
+    x = Expr.var("x")
+    one = FormalSymbol.one(1, 1)
+    assert x * one == one * x == one.scale(x)
+    assert 3 * one == one * 3
