@@ -22,8 +22,9 @@ from .dga import (Cochain, CoefficientBasis, PhaseCochain, character_phase,
                   exp_system, gauge_report, mc_residual, representation_report,
                   solve_order, star_graded, trivial_system, twisted_d)
 from .numfio import (NumericAmplitude, WaveGrid, asymptotic_consistency,
-                     fio_apply, gaussian, grid_pullback, kn_apply,
-                     phase_system_apply, representation_residual,
+                     fio_apply, fio_plan, gaussian, grid_pullback, kn_apply,
+                     kn_plan, phase_system_apply, phase_system_plan,
+                     pullback_plan, representation_residual,
                      spectral_tail_fraction, standard_product_residual,
                      symbol_amplitude, symbol_from_polynomial,
                      unitarity_residual)
@@ -44,7 +45,8 @@ __all__ = [
     "exp_system", "gauge_report", "mc_residual", "representation_report",
     "solve_order", "star_graded", "trivial_system", "twisted_d",
     "NumericAmplitude", "WaveGrid", "asymptotic_consistency", "fio_apply",
-    "gaussian", "grid_pullback", "kn_apply", "phase_system_apply",
+    "fio_plan", "gaussian", "grid_pullback", "kn_apply", "kn_plan",
+    "phase_system_apply", "phase_system_plan", "pullback_plan",
     "representation_residual", "spectral_tail_fraction",
     "standard_product_residual", "symbol_amplitude", "symbol_from_polynomial",
     "unitarity_residual",

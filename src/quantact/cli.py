@@ -37,7 +37,7 @@ from .dga import (Cochain, CoefficientBasis, PhaseCochain, _tuple_label,
                   cochain_zero_report, delta_phase, exp_system, mc_residual,
                   solve_order, trivial_system, cohomology_dims)
 from .expr import ExprError, VarBinding, parse
-from .numfio import (WaveGrid, gaussian, phase_system_apply,
+from .numfio import (WaveGrid, gaussian, phase_system_plan,
                      representation_residual, spectral_tail_fraction,
                      unitarity_residual)
 from .report import Report
@@ -401,8 +401,8 @@ def task_verify_numeric(cfg, rng):
     psis = [gaussian(grid, centers=c, sigma=sigma, momenta=m)
             for c, m in zip(centers, momenta)]
 
-    def apply_for(g, psi):
-        return phase_system_apply(grid, action, phase, g, psi, consts=consts)
+    def plan_for(g):
+        return phase_system_plan(grid, action, phase, g, consts=consts)
 
     report = Report("numeric unitarity and representation",
                     params={"action": action.name,
@@ -414,16 +414,25 @@ def task_verify_numeric(cfg, rng):
     tail = max(spectral_tail_fraction(grid, p) for p in psis)
     report.add("packet spectral tail below %.1e" % ttol, tail < ttol,
                "numeric", "max %.3e" % tail)
+    # one plan per element for the whole task; a product's plan lives for
+    # its pair only, so at most |elements| + 1 plans are alive at once
+    plans = {}
     for g in elements:
-        resid = unitarity_residual(grid, lambda p: apply_for(g, p), psis)
+        if g not in plans:
+            plans[g] = plan_for(g)
+        resid = unitarity_residual(grid, plans[g], psis)
         report.add("unitarity at %s within %.1e" % (_tuple_label(action, (g,)),
                                                     utol),
                    resid <= utol, "numeric", "residual %.3e" % resid)
     pairs = [(elements[i], elements[j])
              for i in range(len(elements)) for j in range(i, len(elements))]
     for g1, g2 in pairs:
-        resid = representation_residual(grid, apply_for, action.mult,
-                                        [(g1, g2)], psis)
+        step = dict(plans)
+        product = action.mult(g1, g2)
+        if product not in step:
+            step[product] = plan_for(product)
+        resid = representation_residual(grid, lambda g, psi: step[g](psi),
+                                        action.mult, [(g1, g2)], psis)
         report.add("composition at %s within %.1e"
                    % (_tuple_label(action, (g1, g2)), rtol),
                    resid <= rtol, "numeric", "residual %.3e" % resid)

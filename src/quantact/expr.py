@@ -701,6 +701,10 @@ class Expr:
             return a.diff(name) * b + a * b.diff(name)
         if kind == "quot":
             a, b = self.node[1], self.node[2]
+            if name not in b.free_names():
+                # a constant denominator stays as it is: squaring it on every
+                # derivative would double its size each time
+                return a.diff(name) / b
             return Expr(node=("quot", a.diff(name) * b - a * b.diff(name), b * b))
         if kind == "pow":
             a, n = self.node[1], self.node[2]
@@ -812,16 +816,72 @@ def all_zero(checks):
     return ZeroCheck(all(c.ok for c in checks), "exact" if exact else "probabilistic")
 
 
+class _Sized:
+    """A sampled value with the size of the terms it was computed from.
+
+    Canonical parts evaluate exactly up to their exp atoms; the floating
+    point error of tree arithmetic on them is relative to the sizes of its
+    summands, not to the value, so ``size`` bounds that scale.  The class
+    serves ``Expr.fold`` as its ``funcs`` too.
+    """
+
+    __slots__ = ("value", "size")
+
+    def __init__(self, value, size):
+        self.value = value
+        self.size = size
+
+    @staticmethod
+    def leaf(value):
+        return _Sized(value, abs(value))
+
+    def __add__(self, other):
+        return _Sized(self.value + other.value, self.size + other.size)
+
+    def __neg__(self):
+        return _Sized(-self.value, self.size)
+
+    def __mul__(self, other):
+        return _Sized(self.value * other.value, self.size * other.size)
+
+    def __truediv__(self, other):
+        q = self.value / other.value
+        return _Sized(q, (self.size + abs(q) * other.size) / abs(other.value))
+
+    def __pow__(self, n):
+        return _Sized(self.value ** n, self.size ** n)
+
+    # an argument off by eps*size moves f by |f'| eps*size
+    @staticmethod
+    def exp(a):
+        v = cmath.exp(a.value)
+        return _Sized(v, abs(v) * (1 + a.size))
+
+    @staticmethod
+    def sin(a):
+        return _Sized(cmath.sin(a.value), _Sized._trig_size(a))
+
+    @staticmethod
+    def cos(a):
+        return _Sized(cmath.cos(a.value), _Sized._trig_size(a))
+
+    @staticmethod
+    def _trig_size(a):
+        return (abs(cmath.sin(a.value)) + abs(cmath.cos(a.value))) * (1 + a.size)
+
+
 def is_zero(e, rng=None):
     """Zero test with certificate.
 
     Canonical expressions are decided exactly.  Expressions outside the
     canonical class (quotient trees) are sampled at 20 random rational
-    points and pass when every |value| is at most 1e-9; a nonzero function
-    passes all samples only with negligible probability, and the certificate
-    is marked probabilistic.  Draws that hit a pole are redrawn, up to 200
-    draws in all; if too few points could be evaluated the test is undecided
-    and reports not-zero.
+    points and pass when every |value| is at most 1e-9 times the size of
+    the terms it sums at that point (``_Sized``), so large terms that cancel
+    pass and a small nonzero function fails; a nonzero function passes all
+    samples only with negligible probability, and the certificate is marked
+    probabilistic.  Draws that hit a pole are redrawn, up to 200 draws in
+    all; if too few points could be evaluated the test is undecided and
+    reports not-zero.
     """
     points, tol = 20, 1e-9
     e = as_expr(e)
@@ -840,12 +900,13 @@ def is_zero(e, rng=None):
         draws += 1
         values = {n: Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for n in names}
         try:
-            v = e.eval(values)
+            sample = e.fold(lambda poly: _Sized.leaf(poly.eval(values)), _Sized)
         except ZeroDivisionError:
             continue
         tried += 1
+        v = sample.value
         worst = max(worst, abs(v))
-        if abs(v) > tol:
+        if abs(v) > tol * sample.size:
             return ZeroCheck(False, "probabilistic",
                              "nonzero value %.3e at sample %d" % (abs(v), tried))
     return ZeroCheck(True, "probabilistic",

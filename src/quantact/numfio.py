@@ -9,10 +9,18 @@ psi = sum_k c_k e_k, so an amplitude a(x, xi) acts by
 
 and Op(a, phi) = t_phi o Op(a o (phi x id)) with (t_phi u)(x) = u(phi^{-1}(x)).
 
-The pullback t_phi picks the fastest faithful path: identity, exact index
-permutation when phi^{-1} maps the lattice to itself, a per-slice spectral
-shift when phi is a single-axis shear, and band-limited (trigonometric)
-interpolation as the general fallback with a size guard.
+Each operator is split into a plan and its application.  A plan is built
+once from (grid, phi, amplitude): it evaluates the amplitude on the grid
+and classifies the pullback t_phi into its fastest faithful path --
+identity, exact index permutation when phi^{-1} maps the lattice to
+itself, a per-slice spectral shift when phi is a single-axis shear, and
+band-limited (trigonometric) interpolation as the general fallback with a
+size guard.  Applying the plan to a packet is then FFTs and pointwise
+products only.  ``pullback_plan``, ``kn_plan``, ``fio_plan`` and
+``phase_system_plan`` build plans; ``grid_pullback``, ``kn_apply``,
+``fio_apply`` and ``phase_system_apply`` build one and apply it once.
+Plans hold arrays of the grid's shape only: the dense mode matrices of the
+band-limited paths are rebuilt on every application.
 
 Test functions are Gaussians decayed below 1e-14 at the box boundary, so
 periodization error sits at roundoff level; ``spectral_tail_fraction``
@@ -101,7 +109,10 @@ class WaveGrid:
         return list(np.meshgrid(*axes, indexing="ij"))
 
     def coord_env(self, coords, consts=None):
-        env = dict(zip(coords, self.mesh()))
+        """Coordinate arrays as an open mesh (each varies along its own axis
+        only), so a term in one coordinate costs O(M), not O(M^d)."""
+        axes = [self.axis()] * self.dim
+        env = dict(zip(coords, np.meshgrid(*axes, indexing="ij", sparse=True)))
         env[HBAR_NAME] = self.hbar
         if consts:
             env.update(consts)
@@ -167,16 +178,15 @@ def spectral_tail_fraction(grid, psi):
 # pullback paths
 
 
-def grid_pullback(grid, phi, psi, consts=None):
-    """(t_phi psi)(x) = psi(phi^{-1}(x)) on the grid.
+def pullback_plan(grid, phi, consts=None):
+    """Classify t_phi once; return psi -> (t_phi psi)(x) = psi(phi^{-1}(x)).
 
     Paths: identity / exact index permutation / single-axis spectral shear /
     band-limited interpolation (guarded).
     """
     if phi.is_identity():
-        return np.array(psi, dtype=complex)
-    coords = phi.coords
-    env = grid.coord_env(coords, consts)
+        return lambda psi: np.array(psi, dtype=complex)
+    env = grid.coord_env(phi.coords, consts)
 
     targets = [_grid_values(g, env, grid.shape) for g in phi.inverse]
     if any(np.max(np.abs(t.imag)) > GRID_TOL for t in targets):
@@ -185,7 +195,7 @@ def grid_pullback(grid, phi, psi, consts=None):
 
     perm = _permutation_indices(grid, reals)
     if perm is not None:
-        return np.array(psi, dtype=complex)[perm]
+        return lambda psi: np.array(psi, dtype=complex)[perm]
 
     shear = _shear_data(grid, phi, env)
     if shear is not None:
@@ -194,10 +204,18 @@ def grid_pullback(grid, phi, psi, consts=None):
         shape = [1] * grid.dim
         shape[axis] = grid.npoints
         phase = np.exp(-1j / grid.hbar * xi.reshape(shape) * shift)
-        return np.fft.ifft(np.fft.fft(np.asarray(psi, dtype=complex), axis=axis)
-                           * phase, axis=axis)
+        return lambda psi: np.fft.ifft(np.fft.fft(np.asarray(psi, dtype=complex),
+                                                  axis=axis) * phase, axis=axis)
 
-    return _bandlimited_pullback(grid, reals, psi)
+    _check_dense(grid, "pullback needs a structured (permutation or shear) map "
+                 "at this grid size")
+    return lambda psi: _bandlimited_pullback(grid, reals, psi)
+
+
+def grid_pullback(grid, phi, psi, consts=None):
+    """(t_phi psi)(x) = psi(phi^{-1}(x)) on the grid: one application of
+    ``pullback_plan``."""
+    return pullback_plan(grid, phi, consts)(psi)
 
 
 def _permutation_indices(grid, reals):
@@ -234,17 +252,20 @@ def _shear_data(grid, phi, env):
 
 
 def _bandlimited_pullback(grid, reals, psi):
-    modes = _dense_modes(grid, reals, "pullback needs a structured (permutation "
-                         "or shear) map at this grid size")
+    modes = _dense_modes(grid, reals)
     return (modes @ grid.hfft(psi).reshape(-1)).reshape(grid.shape)
 
 
-def _dense_modes(grid, points, message):
-    """e^{(i/hbar) <y_j, xi_k>} over sample points y (one array per axis) and
-    the frequency lattice; ValueError(message) past DENSE_GUARD entries."""
+def _check_dense(grid, message):
+    """ValueError(message) when a dense mode matrix would pass DENSE_GUARD entries."""
     npts = grid.npoints ** grid.dim
     if npts * npts > DENSE_GUARD:
         raise ValueError(message)
+
+
+def _dense_modes(grid, points):
+    """e^{(i/hbar) <y_j, xi_k>} over sample points y (one array per axis) and
+    the frequency lattice; the plan that calls it has passed _check_dense."""
     y_flat = np.stack([t.reshape(-1) for t in points], axis=1)
     xi_flat = np.stack([m.reshape(-1) for m in grid.xi_mesh()], axis=1)
     return np.exp(1j / grid.hbar * (y_flat @ xi_flat.T))
@@ -275,8 +296,9 @@ class NumericAmplitude:
                                 self.xi_names, self.consts)
 
 
-def kn_apply(grid, amp, psi):
-    """Standard quantization: (Op(a) psi)(x) = sum_k c_k a(x, xi_k) e_k(x)."""
+def kn_plan(grid, amp):
+    """Evaluate a once on the grid; return psi -> (Op(a) psi)(x) =
+    sum_k c_k a(x, xi_k) e_k(x)."""
     if grid.dim != len(amp.coords):
         raise ValueError("amplitude dimension does not match the grid")
     names = amp.expr.free_names()
@@ -285,40 +307,48 @@ def kn_apply(grid, amp, psi):
     env = grid.coord_env(amp.coords, amp.consts)
 
     if not uses_xi:
-        out = _grid_values(amp.expr, env, grid.shape) * np.asarray(psi, dtype=complex)
-        _check_finite(out)
-        return out
-
-    c = grid.hfft(psi)
+        values = _grid_values(amp.expr, env, grid.shape)
+        return lambda psi: _check_finite(values * np.asarray(psi, dtype=complex))
 
     if not uses_x:
         xi_env = dict(zip(amp.xi_names, grid.xi_mesh()))
         xi_env[HBAR_NAME] = grid.hbar
         xi_env.update(amp.consts)
-        out = grid.hifft(_grid_values(amp.expr, xi_env, grid.shape) * c)
-        _check_finite(out)
-        return out
+        values = _grid_values(amp.expr, xi_env, grid.shape)
+        return lambda psi: _check_finite(grid.hifft(values * grid.hfft(psi)))
 
     try:
         parts = xi_decompose(amp.expr, amp.xi_names)
     except ExprError:
-        return _dense_kn_apply(grid, amp, c)
+        _check_dense(grid, "non-separable amplitude needs a smaller grid")
+        return lambda psi: _dense_kn_apply(grid, amp, grid.hfft(psi))
     xi = grid.xi_mesh()
-    out = np.zeros(grid.shape, dtype=complex)
+    terms = []
     for alpha, coeff in parts.items():
         mult = np.ones(grid.shape, dtype=complex)
         for ax, p in enumerate(alpha):
             if p:
                 mult = mult * xi[ax] ** p
-        f = _grid_values(coeff, env, grid.shape)
-        out = out + f * grid.hifft(mult * c)
-    _check_finite(out)
-    return out
+        terms.append((mult, _grid_values(coeff, env, grid.shape)))
+
+    def apply(psi):
+        c = grid.hfft(psi)
+        out = np.zeros(grid.shape, dtype=complex)
+        for mult, f in terms:
+            out = out + f * grid.hifft(mult * c)
+        return _check_finite(out)
+
+    return apply
+
+
+def kn_apply(grid, amp, psi):
+    """Standard quantization Op(a) psi: one application of ``kn_plan``."""
+    return kn_plan(grid, amp)(psi)
 
 
 def _dense_kn_apply(grid, amp, c):
     mesh = grid.mesh()
-    modes = _dense_modes(grid, mesh, "non-separable amplitude needs a smaller grid")
+    modes = _dense_modes(grid, mesh)
     env = {HBAR_NAME: grid.hbar}
     env.update(amp.consts)
     for name, arr in zip(amp.coords, mesh):
@@ -326,22 +356,26 @@ def _dense_kn_apply(grid, amp, c):
     for name, arr in zip(amp.xi_names, grid.xi_mesh()):
         env[name] = arr.reshape(-1)[None, :]
     a_mat = _grid_values(amp.expr, env, modes.shape)
-    out = ((a_mat * modes) @ c.reshape(-1)).reshape(grid.shape)
-    _check_finite(out)
-    return out
+    return _check_finite(((a_mat * modes) @ c.reshape(-1)).reshape(grid.shape))
 
 
 def _check_finite(arr):
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError("operator application produced non-finite values")
+    return arr
+
+
+def fio_plan(grid, amp, phi):
+    """Op(a, phi) = t_phi o Op(a o (phi x id)): quantize, then pull back."""
+    mapping = dict(zip(amp.coords, phi.forward))
+    quantize = kn_plan(grid, amp.substituted(mapping))
+    pull = pullback_plan(grid, phi, consts=amp.consts)
+    return lambda psi: pull(quantize(psi))
 
 
 def fio_apply(grid, amp, phi, psi):
-    """Op(a, phi) = t_phi o Op(a o (phi x id)): quantize, then pull back."""
-    mapping = dict(zip(amp.coords, phi.forward))
-    moved = amp.substituted(mapping)
-    u = kn_apply(grid, moved, psi)
-    return grid_pullback(grid, phi, u, consts=amp.consts)
+    """Op(a, phi) psi: one application of ``fio_plan``."""
+    return fio_plan(grid, amp, phi)(psi)
 
 
 def symbol_amplitude(sym, coords, xi_names=None, consts=None):
@@ -387,9 +421,10 @@ def apply_operator_numeric(grid, op, psi, consts=None):
     """Evaluate a normal-form operator on grid samples.
 
     sum_n hbar^n sum_alpha f_alpha(x) (D^alpha psi)(phi^{-1}(x)), with the
-    derivative computed spectrally and the pullback via grid_pullback.
+    derivative computed spectrally and one pullback plan for every term.
     """
     env = grid.coord_env(op.coords, consts)
+    pull = pullback_plan(grid, op.phi, consts)
     c = grid.hfft(psi)
     omega = [m / grid.hbar for m in grid.xi_mesh()]   # hbar-free angular modes
     out = np.zeros(grid.shape, dtype=complex)
@@ -401,18 +436,23 @@ def apply_operator_numeric(grid, op, psi, consts=None):
                 if p:
                     mult = mult * omega[ax] ** p
             deriv = grid.hifft(mult * c)
-            moved = grid_pullback(grid, op.phi, deriv, consts=consts)
+            moved = pull(deriv)
             f = _grid_values(coeff, env, grid.shape)
             out = out + scale * f * moved
     return out
 
 
-def phase_system_apply(grid, action, phase, g, psi, consts=None):
-    """Apply T_g = Op(e^{i S_g}, phi_g) for a degree-1 phase cochain."""
+def phase_system_plan(grid, action, phase, g, consts=None):
+    """Plan of T_g = Op(e^{i S_g}, phi_g) for a degree-1 phase cochain."""
     s = phase.value((g,))
     amp = NumericAmplitude(Expr.exp(Expr.imag_unit() * s), action.coords,
                            consts=consts)
-    return fio_apply(grid, amp, action.diffeo(g), psi)
+    return fio_plan(grid, amp, action.diffeo(g))
+
+
+def phase_system_apply(grid, action, phase, g, psi, consts=None):
+    """Apply T_g once: one application of ``phase_system_plan``."""
+    return phase_system_plan(grid, action, phase, g, consts)(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +462,27 @@ def phase_system_apply(grid, action, phase, g, psi, consts=None):
 def unitarity_residual(grid, apply_fn, psis):
     """max |<T f, T g> - <f, g>| / (|f| |g|) over all test pairs."""
     images = [apply_fn(p) for p in psis]
+    norms = [grid.norm(p) for p in psis]
     worst = 0.0
     for i, f in enumerate(psis):
         for j, g in enumerate(psis):
             base = inner(grid, f, g)
             after = inner(grid, images[i], images[j])
-            scale = grid.norm(f) * grid.norm(g)
+            scale = norms[i] * norms[j]
             worst = max(worst, abs(after - base) / scale)
     return worst
 
 
 def representation_residual(grid, apply_for, mult, pairs, psis):
     """max relative L^2 error of T_{g1} T_{g2} psi - T_{g1 g2} psi."""
+    norms = [grid.norm(p) for p in psis]
     worst = 0.0
     for g1, g2 in pairs:
         g12 = mult(g1, g2)
-        for psi in psis:
+        for psi, norm in zip(psis, norms):
             two_step = apply_for(g1, apply_for(g2, psi))
             one_step = apply_for(g12, psi)
-            worst = max(worst, grid.norm(two_step - one_step) / grid.norm(psi))
+            worst = max(worst, grid.norm(two_step - one_step) / norm)
     return worst
 
 

@@ -306,7 +306,10 @@ def xi_decompose(e, xi_names):
 
     Works by exact Taylor extraction at xi = 0 and verifies the
     reconstruction; raises ExprError when e is not polynomial in the
-    frequency variables up to degree 12.
+    frequency variables up to degree 12.  Each derivative is one more
+    derivative of one already taken: the multi-indices come by total degree,
+    and lowering the last nonzero entry of alpha gives the same sequence of
+    derivatives as differentiating e in name order.
     """
     max_degree = 12
     e = as_expr(e)
@@ -314,11 +317,16 @@ def xi_decompose(e, xi_names):
     zero_point = {name: Expr.zero() for name in xi_names}
     out = {}
     recon = Expr.zero()
+    derivs = {}
     for alpha in multi_indices(dim, max_degree):
-        deriv = e
-        for name, k in zip(xi_names, alpha):
-            for _ in range(k):
-                deriv = deriv.diff(name)
+        nonzero = [i for i, k in enumerate(alpha) if k]
+        if not nonzero:
+            deriv = e
+        else:
+            i = nonzero[-1]
+            lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            deriv = derivs[lower].diff(xi_names[i])
+        derivs[alpha] = deriv
         coeff = deriv.substitute(zero_point) * _factorial_weight(alpha, "multi")
         if coeff.is_exact_zero():
             continue

@@ -3,11 +3,16 @@
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import quantact
+from quantact import cli
 from quantact.cli import ConfigError, SessionConfig, main, parse_config
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -421,6 +426,66 @@ expr = 1/(1/x - 1/x)
     # the check fails as undecided; it must neither hang nor crash
     assert proc.returncode == 1
     assert "result: FAIL" in proc.stdout
+
+
+def test_closed_tree_phase_with_large_terms_passes(tmp_path, capsys):
+    # the polynomial terms are large at the sample points and cancel; the
+    # rounding left in their float sum is relative to them, not absolute
+    status, io, _ = run_cli(tmp_path, capsys, """
+[session]
+task = check-cocycle
+seed = 5
+
+[action]
+builtin = galilean
+
+[phase]
+expr = m*v*x - m*v*v*t/2 + v*t/(1+t*t)
+""")
+    assert status == 0
+    assert "FAIL" not in io.out and "result: PASS" in io.out
+
+
+# ---------------------------------------------------------------------------
+# verify-numeric builds one grid plan per group element
+
+
+def count_plans(monkeypatch, tmp_path, text):
+    """(plans built, most plans alive at once) in one verify-numeric run."""
+    built = []
+    alive = []
+    real = cli.phase_system_plan
+
+    def counting(*args, **kwargs):
+        plan = real(*args, **kwargs)
+        built.append(weakref.ref(plan))
+        alive.append(sum(ref() is not None for ref in built))
+        return plan
+
+    monkeypatch.setattr(cli, "phase_system_plan", counting)
+    cfg = SessionConfig.load(write(tmp_path, text), out=str(tmp_path / "out"))
+    status, report = cli.run(cfg)
+    assert status == 0, report
+    return len(built), max(alive)
+
+
+def test_verify_numeric_builds_one_plan_per_element(monkeypatch, tmp_path):
+    # elements 1/5, 1/10, -3/20: three element plans, then the six pairs
+    # have five new products, since 1/10 + 1/10 = 1/5 reuses an element's
+    text = read(os.path.join(CONFIGS, "galilean_numeric.cfg"))
+    assert "elements = 1/5 ; 1/10 ; -3/20" in text
+    assert "centers = 0,0 ; 0,0\n" in text
+    built, alive = count_plans(monkeypatch, tmp_path, text)
+    assert built == 3 + 5
+    assert alive <= 3 + 1
+    # the count does not depend on the number of packets
+    one = text.replace("centers = 0,0 ; 0,0\n", "centers = 0,0\n").replace(
+        "momenta = 0,0 ; 1/10,-1/20\n", "momenta = 0,0\n")
+    three = text.replace("centers = 0,0 ; 0,0\n", "centers = 0,0 ; 0,0 ; 1,-1\n").replace(
+        "momenta = 0,0 ; 1/10,-1/20\n", "momenta = 0,0 ; 1/10,-1/20 ; 0,1/20\n")
+    for variant in (one, three):
+        assert variant != text
+        assert count_plans(monkeypatch, tmp_path, variant) == (built, alive)
 
 
 @pytest.mark.parametrize("task,line", [

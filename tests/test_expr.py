@@ -280,6 +280,32 @@ def test_quotient_differentiation_is_closed():
     assert chk.ok
 
 
+def test_quotient_by_a_constant_denominator_keeps_it():
+    # the denominator is free of y, so d/dy divides by it once instead of
+    # squaring it; twelve derivatives keep it at its first size
+    e = parse("exp(i*x*y/7) / (1 + x^2)", B)
+    de = e.diff("y")
+    assert str(de) == "(1/7*i*exp(1/7*i*x*y)*x)/(1 + x^2)"
+    for _ in range(11):
+        de = de.diff("y")
+    assert str(de).endswith("/(1 + x^2)") and str(de).count("/(1 + x^2)") == 1
+    ref = parse("(x/7)^12 * exp(i*x*y/7) / (1 + x^2)", B)
+    assert is_zero(de - ref).ok
+
+
+def test_sampled_zero_scales_with_the_terms_that_cancel():
+    # (10^8 x + q) - 10^8 x - q with q a quotient tree: the float sum loses
+    # about 1e-8 |x| to rounding, which an absolute 1e-9 would call nonzero
+    x = Expr.var("x")
+    big = Expr.integer(10 ** 8) * x
+    q = Expr.one() / (1 + x * x)
+    chk = is_zero(big + q - big - q)
+    assert chk.ok and chk.kind == "probabilistic"
+    # small is not zero: the scale is that of the terms, not an absolute one
+    chk = is_zero(parse("(1/1000000)/(1+x*x)", B))
+    assert not chk.ok and chk.kind == "probabilistic"
+
+
 def test_gauss_rational_arithmetic():
     a = GaussRat(Fraction(1, 2), Fraction(3, 4))
     b = GaussRat(Fraction(-2, 3), Fraction(1, 5))

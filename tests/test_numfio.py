@@ -6,20 +6,25 @@ the symbolic operator calculus cross-checked against grid quadrature.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import quantact
 from quantact.actions import (Diffeo, cyclic_rotations, galilean_boosts,
                               translations)
 from quantact.dga import PhaseCochain
 from quantact.expr import Expr, is_zero
-from quantact.numfio import (NumericAmplitude, WaveGrid, apply_operator_numeric,
+from quantact.numfio import (NumericAmplitude, WaveGrid, _grid_values,
+                             apply_operator_numeric,
                              asymptotic_consistency, eval_expr, fio_apply,
-                             gaussian, grid_pullback, inner, kn_apply,
-                             phase_system_apply,
+                             gaussian, grid_pullback, inner, kn_apply, kn_plan,
+                             phase_system_apply, pullback_plan,
                              representation_residual, spectral_tail_fraction,
                              standard_product_residual, symbol_amplitude,
                              symbol_from_polynomial, unitarity_residual)
@@ -55,9 +60,8 @@ def _node_kinds(e):
     return kinds
 
 
-def test_eval_expr_matches_expr_eval_on_every_node_kind():
-    rng = random.Random(17)
-
+def every_node_kind_tree(rng):
+    """A seeded tree in x, y holding every node kind and an exp atom."""
     def coeff():
         return Expr.rational(rng.randint(-9, 9), rng.randint(1, 5))
 
@@ -67,6 +71,12 @@ def test_eval_expr_matches_expr_eval_on_every_node_kind():
     e = (Expr.exp(q) * Expr.sin(q) - Expr.cos(coeff() * q)) ** 3 + atom * q
     assert _node_kinds(e) == {"add", "neg", "mul", "quot", "pow", "exp", "sin",
                               "cos", "exp-atom"}
+    return e
+
+
+def test_eval_expr_matches_expr_eval_on_every_node_kind():
+    rng = random.Random(17)
+    e = every_node_kind_tree(rng)
     points = [(Fraction(rng.randint(-40, 40), rng.randint(1, 20)),
                Fraction(rng.randint(-40, 40), rng.randint(1, 20))) for _ in range(50)]
     xs = np.array([float(a) for a, _ in points])
@@ -75,6 +85,19 @@ def test_eval_expr_matches_expr_eval_on_every_node_kind():
     for (a, b), got in zip(points, grid_values):
         want = e.eval({"x": a, "y": b})
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_open_mesh_values_equal_dense_mesh_values():
+    # the coordinate environment is an open mesh; evaluation is element-wise,
+    # so broadcasting gives the dense-mesh floats bit for bit
+    e = every_node_kind_tree(random.Random(17))
+    grid = WaveGrid(2, 32, 4.0, 0.1)
+    env = grid.coord_env(["x", "y"])
+    assert [a.shape for a in (env["x"], env["y"])] == [(32, 1), (1, 32)]
+    dense = dict(zip(["x", "y"], grid.mesh()), hb=grid.hbar)
+    got = _grid_values(e, env, grid.shape)
+    assert got.shape == grid.shape
+    assert np.array_equal(got, _grid_values(e, dense, grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +337,67 @@ def test_interpolation_guard_trips_on_large_grids():
                  [x1 * h, x2 * h])
     with pytest.raises(ValueError):
         grid_pullback(grid, phi, psi)
+    # the plan refuses at once, before any packet is applied
+    with pytest.raises(ValueError, match="structured"):
+        pullback_plan(grid, phi)
+
+
+def test_complex_map_is_refused_by_the_plan():
+    grid = grid_1d(npoints=32)
+    phi = Diffeo(["x1"], [I * X1], [-I * X1])
+    with pytest.raises(ValueError, match="map must stay real on the grid"):
+        pullback_plan(grid, phi)
+    with pytest.raises(ValueError, match="map must stay real on the grid"):
+        grid_pullback(grid, phi, gaussian(grid))
+
+
+@pytest.mark.parametrize("path", ["identity", "permutation", "shear", "band-limited"])
+def test_one_pullback_plan_serves_many_packets(path):
+    # one plan applied to two packets gives what two fresh pullbacks give
+    if path == "band-limited":
+        grid = grid_1d(npoints=64, length=12.0)
+        phi = Diffeo(["x1"], [Expr.integer(2) * X1], [X1 * Expr.rational(1, 2)])
+        centers, momenta = [[0.0], [0.5]], [[0.0], [0.1]]
+    else:
+        grid = WaveGrid(2, 32, 6.0, 0.1)
+        phi = {"identity": Diffeo.identity(["x", "y"]),
+               "permutation": cyclic_rotations(4).diffeo(1),
+               "shear": galilean_boosts().diffeo(
+                   galilean_boosts().group.element(Fraction(1, 4)))}[path]
+        centers, momenta = [[0.0, 0.3], [0.5, -0.25]], [[0.15, -0.1], [0.0, 0.1]]
+    psis = [gaussian(grid, centers=c, sigma=0.8, momenta=p)
+            for c, p in zip(centers, momenta)]
+    plan = pullback_plan(grid, phi)
+    for psi in psis:
+        assert np.array_equal(plan(psi), grid_pullback(grid, phi, psi))
+
+
+def test_one_kn_plan_serves_many_packets():
+    grid = grid_1d(npoints=64)
+    psis = [gaussian(grid, centers=[0.0], sigma=0.8, momenta=[0.2]),
+            gaussian(grid, centers=[0.5], sigma=1.0, momenta=[-0.1])]
+    for expr in (Expr.exp(I * X1), XI1 * XI1, X1 * XI1 + HB, Expr.exp(I * X1 * XI1)):
+        amp = NumericAmplitude(expr, ["x1"])
+        plan = kn_plan(grid, amp)
+        for psi in psis:
+            assert np.array_equal(plan(psi), kn_apply(grid, amp, psi))
+
+
+def test_kn_apply_on_a_nonpolynomial_quotient_terminates():
+    # d/dxi of exp(i x xi/7)/(1+x^2) used to square the denominator on every
+    # derivative; the frequency decomposition tried twelve of them
+    code = ("from quantact.expr import VarBinding, parse\n"
+            "from quantact.numfio import NumericAmplitude, WaveGrid, gaussian, kn_apply\n"
+            "b = VarBinding(coordinates=['x1', 'xi1'])\n"
+            "amp = NumericAmplitude(parse('exp(i*x1*xi1/7)/(1+x1^2)', b), ['x1'])\n"
+            "grid = WaveGrid(1, 32, 8.0, 0.1)\n"
+            "print(kn_apply(grid, amp, gaussian(grid)).shape)\n")
+    src = os.path.dirname(os.path.dirname(quantact.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(32,)"
 
 
 # ---------------------------------------------------------------------------

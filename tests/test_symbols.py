@@ -109,6 +109,26 @@ def test_xi_decompose_round_trip():
         xi_decompose(parse("exp(xi1)", None), ["xi1"])
 
 
+def test_xi_decompose_takes_each_derivative_once(monkeypatch):
+    # one derivative per nonzero multi-index of degree <= 12, each taken from
+    # the one below it: 12 in one frequency (78 when each restarted from e),
+    # C(14, 2) - 1 = 90 in two
+    calls = []
+    diff = Expr.diff
+
+    def counting(self, name):
+        calls.append(name)
+        return diff(self, name)
+
+    monkeypatch.setattr(Expr, "diff", counting)
+    d = xi_decompose(parse("x1*xi1^2 - 3*xi1 + exp(i*x1)", None), ["xi1"])
+    assert len(calls) == 12 and set(d) == {(0,), (1,), (2,)}
+    del calls[:]
+    d = xi_decompose(parse("x1*xi1^2*xi2 - xi2", None), ["xi1", "xi2"])
+    assert len(calls) == 90 and set(d) == {(2, 1), (0, 1)}
+    assert is_zero(d[(2, 1)] - Expr.var("x1")).ok and is_zero(d[(0, 1)] + 1).ok
+
+
 def test_serialization_round_trip():
     amp = AmplitudeSeries(2, [parse("x1*xi1*xi2 + x2", None), parse("xi1", None)],
                           ["xi1", "xi2"])
