@@ -33,6 +33,7 @@ class Diffeo:
         self.inverse = [as_expr(c) for c in inverse]
         if not (len(self.forward) == len(self.inverse) == len(self.coords)):
             raise ValueError("component count must match coordinate count")
+        self._inverse_jacobian = None
 
     @property
     def dim(self):
@@ -70,6 +71,13 @@ class Diffeo:
             checks.append(is_zero(f.substitute(inv_map) - Expr.var(c), rng=rng))
             checks.append(is_zero(g.substitute(fwd_map) - Expr.var(c), rng=rng))
         return checks
+
+    def inverse_jacobian(self):
+        """jac[k][j] = d_j (phi^{-1})_k, computed on first use and kept."""
+        if self._inverse_jacobian is None:
+            self._inverse_jacobian = [[g.diff(c) for c in self.coords]
+                                      for g in self.inverse]
+        return self._inverse_jacobian
 
     def jacobian_det(self):
         return _det([[f.diff(c) for c in self.coords] for f in self.forward])

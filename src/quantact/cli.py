@@ -22,11 +22,14 @@ Tasks (``--task`` or ``task =`` under ``[session]``):
 Flags ``--order``, ``--seed`` and ``--out`` override the [session] values.
 With a fixed seed every report is byte-identical across runs.  Exit status:
 0 when every checked identity holds, 1 when any fails, 2 on config errors.
+A config whose mc-solve or cohomology matrices would exceed ``SLOT_BUDGET``
+rows is a config error, raised before the basis is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -213,20 +216,43 @@ def _system_cochain(cfg, action):
                       % cfg.task)
 
 
-def _basis(cfg, action):
+# Slots |multi-indices(dim, n)| x |basis| x |G|^(k+1) that mc-solve and
+# cohomology may assemble at order n as the rows of d_{P0} on degree k.
+# On a 2-CPU Xeon with Python 3.11, cohomology of C4 at basis degree 3 and
+# orders 0..3 (6,400 slots) runs in about 2 s; degree 4 and orders 0..4
+# (14,400 slots) is refused.
+SLOT_BUDGET = 10_000
+
+
+def _basis(cfg, action, row_degree):
+    """The [basis] span, refused before it is built when the slots at
+    cfg.order on ``row_degree``-tuples exceed SLOT_BUDGET."""
     section = cfg.section("basis")
     if "monomials" in section:
         deg = _get_number(section, "monomials", None, "basis", int)
         if deg < 0:
             raise ConfigError("[basis] monomials must be >= 0, got %d" % deg)
+        _check_slot_budget(cfg, action, math.comb(action.dim + deg, deg), row_degree)
         return CoefficientBasis.monomials(action.coords, deg)
     if "exprs" not in section:
         raise ConfigError("[basis] needs 'exprs' or 'monomials'")
     exprs = _split_exprs(section["exprs"], VarBinding(coordinates=action.coords))
+    _check_slot_budget(cfg, action, len(exprs), row_degree)
     try:
         return CoefficientBasis(action.coords, exprs)
     except ValueError as exc:
         raise ConfigError("[basis] exprs: %s" % exc)
+
+
+def _check_slot_budget(cfg, action, basis_size, row_degree):
+    n = cfg.order
+    alphas = math.comb(action.dim + n, n)
+    slots = alphas * basis_size * action.group.size ** row_degree
+    if slots > SLOT_BUDGET:
+        raise ConfigError("%s at order %d over a basis of %d elements needs "
+                          "%d x %d x %d^%d = %d slots, more than the budget of %d"
+                          % (cfg.task, n, basis_size, alphas, basis_size,
+                             action.group.size, row_degree, slots, SLOT_BUDGET))
 
 
 def _elements(action, section, where):
@@ -282,7 +308,7 @@ def task_mc_solve(cfg, rng):
     action = _load_action(cfg)
     if not action.is_finite:
         raise ConfigError("mc-solve works on finite group actions")
-    basis = _basis(cfg, action)
+    basis = _basis(cfg, action, 2)
     n = cfg.order
     if n < 1:
         raise ConfigError("mc-solve needs --order >= 1")
@@ -342,7 +368,7 @@ def task_cohomology(cfg, rng):
     action = _load_action(cfg)
     if not action.is_finite:
         raise ConfigError("cohomology tables work on finite group actions")
-    basis = _basis(cfg, action)
+    basis = _basis(cfg, action, 3)
     report = Report("twisted cohomology dimensions",
                     params={"action": action.name, "basis": len(basis),
                             "orders": "0..%d" % cfg.order})

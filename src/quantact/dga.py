@@ -53,9 +53,9 @@ import itertools
 import random
 
 from .actions import Diffeo
-from .expr import Expr, GaussRat, all_zero, as_expr, is_zero
-from .linalg import (SparseMatrix, left_inverse, rank, residual_vector,
-                     solve_with_kernel)
+from .expr import (GR_ONE, GR_ZERO, Expr, GaussRat, _accumulate, all_zero,
+                   as_expr, is_zero)
+from .linalg import SparseMatrix, _eliminate, rank, solve_with_kernel
 from .opcalc import FormalFunction, apply, star, to_operator
 from .report import Report
 from .symbols import FormalSymbol, PolyXi, multi_indices
@@ -361,7 +361,13 @@ class BasisEscapeError(ValueError):
 
 
 class CoefficientBasis:
-    """Finite Expr basis for coefficient functions, with exact decomposition."""
+    """Finite Expr basis for coefficient functions, with exact decomposition.
+
+    The basis is kept in reduced echelon form: one row per pivot monomial,
+    holding the row's other monomials and its coordinates in ``exprs``.  An
+    expression's echelon coordinates are its coefficients at the pivot
+    monomials, so decomposing it is one sparse pass over its terms.
+    """
 
     def __init__(self, coords, exprs):
         self.coords = list(coords)
@@ -369,16 +375,22 @@ class CoefficientBasis:
         for e in self.exprs:
             if not e.is_canonical:
                 raise ValueError("basis elements must canonicalize")
-        self._monomials = sorted({m for e in self.exprs for m in e.poly.terms})
-        self._index = {m: i for i, m in enumerate(self._monomials)}
-        self._matrix = SparseMatrix(len(self._monomials), len(self.exprs))
-        for j, e in enumerate(self.exprs):
-            for mono, c in e.poly.terms.items():
-                self._matrix.set(self._index[mono], j, c)
-        try:
-            self._left_inverse = left_inverse(self._matrix)
-        except ValueError:
-            raise ValueError("basis expressions are linearly dependent") from None
+        monos = sorted({m for e in self.exprs for m in e.poly.terms})
+        index = {m: i for i, m in enumerate(monos)}
+        # Gauss-Jordan on [E | I], one row per basis element, pivots on monomials
+        nm = len(monos)
+        rows = [{index[m]: c for m, c in e.poly.terms.items()} for e in self.exprs]
+        for j, row in enumerate(rows):
+            row[nm + j] = GR_ONE
+        pivots = _eliminate(rows, nm)
+        if len(pivots) != len(self.exprs):
+            raise ValueError("basis expressions are linearly dependent")
+        self._monomials = set(monos)
+        self._echelon = {}
+        for col, i in pivots.items():
+            others = {monos[k]: c for k, c in rows[i].items() if k < nm and k != col}
+            back = {k - nm: c for k, c in rows[i].items() if k >= nm}
+            self._echelon[monos[col]] = (others, back)
 
     def __len__(self):
         return len(self.exprs)
@@ -396,19 +408,35 @@ class CoefficientBasis:
 
     def decompose(self, e):
         """Coordinates of e in the basis; raises BasisEscapeError if outside."""
+        coords = self._coordinates(e)
+        return [coords.get(j, GR_ZERO) for j in range(len(self.exprs))]
+
+    def _coordinates(self, e):
+        """Nonzero coordinates {j: c} of e; raises BasisEscapeError if outside.
+
+        e lies in the span iff it equals the sum of its pivot coefficients
+        times the echelon rows, which holds at the pivot monomials by
+        construction; ``rest`` collects the nonzero difference at the others.
+        """
         e = as_expr(e)
         if not e.is_canonical:
             raise BasisEscapeError("coefficient %s is outside the polynomial class" % e)
-        vec = [GaussRat(0)] * len(self._monomials)
+        out, rest = {}, {}
         for mono, c in e.poly.terms.items():
-            idx = self._index.get(mono)
-            if idx is None:
-                raise BasisEscapeError("coefficient %s escapes the basis span" % e)
-            vec[idx] = c
-        x = self._left_inverse.mul_vector(vec)
-        if residual_vector(self._matrix, x, vec) is not None:
+            row = self._echelon.get(mono)
+            if row is None:
+                if mono not in self._monomials:
+                    raise BasisEscapeError("coefficient %s escapes the basis span" % e)
+                _accumulate(rest, mono, c)
+                continue
+            others, back = row
+            for m, v in others.items():
+                _accumulate(rest, m, -(c * v))
+            for j, v in back.items():
+                _accumulate(out, j, c * v)
+        if rest:
             raise BasisEscapeError("coefficient %s escapes the basis span" % e)
-        return x
+        return out
 
     def closure_report(self, action, rng=None):
         """Check the span is preserved by all (sampled) pullbacks."""
@@ -454,12 +482,9 @@ class SolveResult:
 def _decompose_symbol_slot(v, n, basis):
     """Coordinates of the order-n slot of a symbol in (alpha, basis) blocks."""
     out = {}
-    comp = v.comps[n]
-    for alpha, coeff in comp.coeffs.items():
-        coords = basis.decompose(coeff)
-        for j, c in enumerate(coords):
-            if not c.is_zero():
-                out[(alpha, j)] = out.get((alpha, j), GaussRat(0)) + c
+    for alpha, coeff in v.comps[n].coeffs.items():
+        for j, c in basis._coordinates(coeff).items():
+            out[(alpha, j)] = c
     for n2, comp2 in enumerate(v.comps):
         if n2 != n and not comp2.is_zero():
             raise BasisEscapeError("value has support outside the solved order")

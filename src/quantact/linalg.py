@@ -8,14 +8,18 @@ solutions and nullspaces carry no floating error.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .expr import GaussRat, GR_ONE
 
 
 class SparseMatrix:
-    def __init__(self, nrows, ncols, rows=None):
+    """Rows as dicts column -> nonzero coefficient; ``set`` and ``add`` drop zeros."""
+
+    def __init__(self, nrows, ncols):
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = [dict(r) for r in rows] if rows is not None else [dict() for _ in range(nrows)]
+        self.rows = [dict() for _ in range(nrows)]
 
     def set(self, i, j, value):
         value = GaussRat.of(value)
@@ -48,45 +52,50 @@ class SparseMatrix:
         return out
 
 
-def _eliminate(rows, ncols):
+def _eliminate(rows, ncols, back=True):
     """Row reduce in place, pivoting on columns < ncols only.
 
     Returns pivots with pivots[col] = row index.  Entries at columns >= ncols
     (a right-hand side or an identity block) ride along with the row
-    operations.
+    operations.  Columns are taken in order; the pivot is the sparsest
+    unused row holding the column, the lowest index on a tie.  A column ->
+    rows index keeps the pivot search and the clearing to the rows that
+    hold the column.  With ``back`` false only the unused rows are cleared
+    (forward elimination), which leaves the pivots unchanged: they depend on
+    the unused rows alone.
     """
+    holders = defaultdict(set)
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
     pivots = {}
     row_used = [False] * len(rows)
-    # process columns in order, choosing the sparsest available pivot row
     for col in range(ncols):
-        best = None
-        for i, row in enumerate(rows):
-            if row_used[i]:
-                continue
-            c = row.get(col)
-            if c is not None and not c.is_zero():
-                if best is None or len(row) < len(rows[best]):
-                    best = i
-        if best is None:
+        candidates = [i for i in holders[col] if not row_used[i]]
+        if not candidates:
             continue
+        best = min(candidates, key=lambda i: (len(rows[i]), i))
         piv_row = rows[best]
-        piv_val = piv_row[col]
-        inv = piv_val.inv()
-        for j in list(piv_row):
-            piv_row[j] = piv_row[j] * inv
+        inv = piv_row[col].inv()
+        for j, v in piv_row.items():
+            piv_row[j] = v * inv
         row_used[best] = True
         pivots[col] = best
-        for i, row in enumerate(rows):
+        for i in (list(holders[col]) if back else candidates):
             if i == best:
                 continue
-            c = row.get(col)
-            if c is None or c.is_zero():
-                continue
+            row = rows[i]
+            c = row[col]
             for j, pv in piv_row.items():
                 cur = row.get(j)
-                nv = (cur - c * pv) if cur is not None else -(c * pv)
+                if cur is None:
+                    row[j] = -(c * pv)
+                    holders[j].add(i)
+                    continue
+                nv = cur - c * pv
                 if nv.is_zero():
-                    row.pop(j, None)
+                    del row[j]
+                    holders[j].discard(i)
                 else:
                     row[j] = nv
     return pivots
@@ -94,7 +103,7 @@ def _eliminate(rows, ncols):
 
 def rank(matrix):
     rows = [dict(r) for r in matrix.rows]
-    pivots = _eliminate(rows, matrix.ncols)
+    pivots = _eliminate(rows, matrix.ncols, back=False)
     return len(pivots)
 
 
@@ -145,25 +154,6 @@ def residual_vector(matrix, x, b):
     if all(v.is_zero() for v in residual):
         return None
     return residual
-
-
-def left_inverse(matrix):
-    """L with L A = I for A of full column rank, by Gauss-Jordan on [A | I].
-
-    For b in the column span, x = L b is the unique solution of A x = b;
-    whether b lies in the span is left to ``residual_vector``.
-    """
-    n = matrix.ncols
-    rows = [dict(r) for r in matrix.rows]
-    for i, row in enumerate(rows):
-        row[n + i] = GR_ONE
-    pivots = _eliminate(rows, n)
-    if len(pivots) != n:
-        raise ValueError("matrix does not have full column rank")
-    out = SparseMatrix(n, matrix.nrows)
-    for col, i in pivots.items():
-        out.rows[col] = {j - n: c for j, c in rows[i].items() if j >= n}
-    return out
 
 
 def nullspace(matrix):

@@ -133,17 +133,17 @@ def apply(op, fn):
     return FormalFunction(op.order, out)
 
 
-def _compose_terms(coords, order, terms1, inv1, terms2, inv2):
+def _compose_terms(coords, order, terms1, phi1, terms2, phi2):
     """Coefficient tables of (terms1 over phi1) o (terms2 over phi2).
 
-    Only the inverses of the two diffeomorphisms enter: inv1 for the outer
-    substitution and inv2 for the chain rule through the inner pullback.
-    Exact zeros are dropped from the result.
+    Only inverse maps enter: phi1's for the outer substitution, and the
+    Jacobian of phi2's, which phi2 keeps, for the chain rule through the
+    inner pullback.  Exact zeros are dropped from the result.
     """
     dim = len(coords)
-    inv1_map = dict(zip(coords, inv1))
-    # jacobian of the inner inverse map: jac[k][j] = d_j (phi2^{-1})_k
-    jac = [[inv2[k].diff(coords[j]) for j in range(dim)] for k in range(dim)]
+    inv1_map = dict(zip(coords, phi1.inverse))
+    # jac[k][j] = d_j (phi2^{-1})_k
+    jac = phi2.inverse_jacobian()
     out = [dict() for _ in range(order + 1)]
 
     def add_term(n, gamma, coeff):
@@ -191,8 +191,8 @@ def compose(op1, op2):
         raise ValueError("coordinate mismatch")
     if op1.order != op2.order:
         raise ValueError("order mismatch")
-    terms = _compose_terms(op1.coords, op1.order, op1.terms, op1.phi.inverse,
-                           op2.terms, op2.phi.inverse)
+    terms = _compose_terms(op1.coords, op1.order, op1.terms, op1.phi,
+                           op2.terms, op2.phi)
     return FormalOperator(op1.coords, op1.order, terms,
                           compose_diffeo(op1.phi, op2.phi))
 
@@ -214,8 +214,7 @@ def star(p, phi1, k, phi2, coords=None):
     # structural test only: sampling tree coefficients here would draw from rng
     if not any(terms1) or not any(terms2):
         return FormalSymbol.zero(dim, order)
-    terms = _compose_terms(coords, order, terms1, phi1.inverse, terms2,
-                           phi2.inverse)
+    terms = _compose_terms(coords, order, terms1, phi1, terms2, phi2)
     return FormalSymbol(dim, order, [PolyXi(dim, table) for table in terms])
 
 

@@ -417,15 +417,58 @@ builtin = galilean
 [phase]
 expr = 1/(1/x - 1/x)
 """)
-    src = os.path.dirname(os.path.dirname(quantact.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "quantact.cli", "--config", cfg,
-         "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = _run_subprocess(tmp_path, cfg, timeout=60)
     # the check fails as undecided; it must neither hang nor crash
     assert proc.returncode == 1
     assert "result: FAIL" in proc.stdout
+
+
+def _run_subprocess(tmp_path, cfg, timeout):
+    src = os.path.dirname(os.path.dirname(quantact.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "quantact.cli", "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("task,order,degree,slots", [
+    # the monomial list alone would not fit in memory
+    ("cohomology", 1, 100000000, None),
+    # 15 monomials x 15 basis elements on |G|^3 = 64 triples
+    ("cohomology", 4, 4, 14400),
+    ("mc-solve", 100000000, 1, None),
+], ids=["huge_basis", "order4_degree4", "huge_order"])
+def test_slot_budget_refuses_before_assembly(tmp_path, task, order, degree, slots):
+    cfg = write(tmp_path, """
+[session]
+task = %s
+order = %d
+seed = 1
+
+[action]
+builtin = rotations_c4
+
+[basis]
+monomials = %d
+""" % (task, order, degree))
+    proc = _run_subprocess(tmp_path, cfg, timeout=20)
+    assert proc.returncode == 2
+    assert "more than the budget of %d" % cli.SLOT_BUDGET in proc.stderr
+    if slots is not None:
+        assert "= %d slots" % slots in proc.stderr
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_slot_budget_admits_the_worked_example():
+    # configs/cohomology_c4.cfg: 6 alphas x 6 basis elements x 4^3 = 2304
+    # slots; at order 6 there are 28 alphas, 10752 slots
+    cfg = SessionConfig.load(os.path.join(CONFIGS, "cohomology_c4.cfg"))
+    action = cli._load_action(cfg)
+    assert len(cli._basis(cfg, action, 3)) == 6
+    cfg.order = 6
+    with pytest.raises(ConfigError, match="= 10752 slots"):
+        cli._basis(cfg, action, 3)
 
 
 def test_closed_tree_phase_with_large_terms_passes(tmp_path, capsys):

@@ -17,7 +17,7 @@ from quantact.dga import (BasisEscapeError, Cochain, CoefficientBasis,
                           exp_system, gauge_report, mc_residual,
                           representation_report, solve_order, star_graded,
                           trivial_system, twisted_d)
-from quantact.expr import Expr, GaussRat, is_zero, parse
+from quantact.expr import Expr, GaussRat, Poly, is_zero, parse
 from quantact.linalg import SparseMatrix, solve
 from quantact.opcalc import compose, to_operator, to_symbol
 from quantact.symbols import FormalSymbol, PolyXi, multi_indices
@@ -704,15 +704,16 @@ def test_every_column_matches_twisted_d_of_a_unit_cochain(action, n, twist):
             assert got == _oracle_column(action, p0, n, basis, t, alpha, j), (t, alpha, j)
 
 
-def _count_star_calls(monkeypatch):
+def _count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call."""
     calls = []
-    real = dga.star
+    real = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr("quantact.dga.star", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -720,7 +721,7 @@ def test_cohomology_makes_one_star_product_per_map_entry(monkeypatch):
     # 2 maps x |G| elements h x (|G| products g + the empty tuple) x 3 slots
     action = cyclic_rotations(4)
     basis = CoefficientBasis.monomials(action.coords, 1)
-    calls = _count_star_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, dga, "star")
     dims = cohomology_dims(action, basis, n_max=0)
     assert len(calls) == 2 * 4 * (4 + 1) * 3
     assert dims[0] == {"H0": 1, "H1": 0, "H2": 0}
@@ -733,7 +734,34 @@ def test_solve_order_makes_one_star_product_per_map_entry(monkeypatch):
     action = cyclic_rotations(4)
     basis = CoefficientBasis.monomials(action.coords, 2)
     p0 = trivial_system(action, 2)
-    calls = _count_star_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, dga, "star")
+    diffs = _count_calls(monkeypatch, Poly, "diff")
     res = solve_order(action, p0, {}, 2, basis)
     assert len(calls) == 2 * 4 * 3 * 36 + 2 * 4 ** 3
     assert res.solved and res.rhs_closed
+    # the 2 x 2 inverse Jacobian once for each of the 4 rotations, then the
+    # chain rule of s star P0(h): one step per unit of |alpha| (8 over the
+    # six alpha of order <= 2) per basis element, for each of the 4 x 3 (h, g)
+    assert len(diffs) == 4 * 4 + 8 * 6 * 4 * 3
+
+
+def test_inverse_jacobian_is_computed_once_per_diffeo():
+    phi = cyclic_rotations(4).diffeo(1)
+    jac = phi.inverse_jacobian()
+    assert phi.inverse_jacobian() is jac
+    expected = [[g.diff(c) for c in phi.coords] for g in phi.inverse]
+    assert all(is_zero(a - b).ok for row, erow in zip(jac, expected)
+               for a, b in zip(row, erow))
+
+
+def test_basis_decompose_makes_no_matrix_products(monkeypatch):
+    monomial = CoefficientBasis.monomials(["x", "y"], 2)
+    mixed = CoefficientBasis(["x", "y"], [parse("1 + x"), parse("x - y"),
+                                          parse("x^2 + i*y")])
+    calls = _count_calls(monkeypatch, SparseMatrix, "mul_vector")
+    for basis in (monomial, mixed):
+        coeffs = [GaussRat(j + 1, -j) for j in range(len(basis))]
+        assert basis.decompose(basis.combine(coeffs)) == coeffs
+    with pytest.raises(BasisEscapeError):
+        mixed.decompose(parse("x^2"))
+    assert calls == []

@@ -9,6 +9,9 @@ other module evaluates, substitutes and walks expressions through
 The command line interface applies grid plans (``numfio.phase_system_plan``)
 and never the per-call grid operators, which classify their map anew on
 every call.
+
+Coefficient bases decompose through their echelon form: ``linalg`` has no
+left inverse and ``dga`` makes no matrix-vector product.
 """
 
 import ast
@@ -83,3 +86,46 @@ def test_the_plan_guard_sees_imports_and_attributes(tmp_path):
                     "    return numfio.grid_pullback(grid, phi, psi)\n")
     assert sorted(name for _, name in per_call_operator_uses(str(path))) == [
         "grid_pullback", "kn_apply"]
+
+
+# basis coordinates are read off an echelon form: the dense left inverse
+# stays gone from linalg, and dga decomposes without matrix-vector products
+def name_uses(path, names):
+    """(line, name) for each definition, import or attribute read of ``names``."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names:
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
+                and node.id in names:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in names]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((node.lineno, node.attr))
+    return found
+
+
+def test_left_inverse_stays_gone_from_linalg():
+    path = os.path.join(ROOT, "src", "quantact", "linalg.py")
+    assert name_uses(path, ("left_inverse",)) == []
+
+
+def test_dga_makes_no_matrix_vector_products():
+    path = os.path.join(ROOT, "src", "quantact", "dga.py")
+    assert name_uses(path, ("mul_vector", "left_inverse")) == []
+
+
+def test_the_name_guard_sees_each_kind_of_use(tmp_path):
+    path = tmp_path / "named.py"
+    path.write_text("from .linalg import left_inverse\n"
+                    "def mul_vector(m, v):\n"
+                    "    return m.mul_vector(v)\n"
+                    "class left_inverse:\n"
+                    "    pass\n"
+                    "mul_vector = None\n")
+    assert sorted(name_uses(str(path), ("left_inverse", "mul_vector"))) == [
+        (1, "left_inverse"), (2, "mul_vector"), (3, "mul_vector"),
+        (4, "left_inverse"), (6, "mul_vector")]

@@ -6,8 +6,14 @@ from fractions import Fraction
 import pytest
 
 from quantact.expr import GaussRat
-from quantact.linalg import (SparseMatrix, left_inverse, nullspace, rank,
-                             residual_vector, solve, solve_with_kernel)
+from quantact.linalg import (SparseMatrix, nullspace, rank, solve,
+                             solve_with_kernel)
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:
+    hypothesis = None
 
 
 def _dense_rank_oracle(rows, ncols):
@@ -75,28 +81,6 @@ def test_nullspace_vectors_annihilate():
             assert all(v.is_zero() for v in out)
 
 
-def test_left_inverse_of_full_column_rank():
-    rng = random.Random(23)
-    checked = 0
-    while checked < 10:
-        nrows = rng.randint(1, 7)
-        m = _random_matrix(rng, nrows, rng.randint(1, nrows))
-        if rank(m) < m.ncols:
-            with pytest.raises(ValueError):
-                left_inverse(m)
-            continue
-        checked += 1
-        inv = left_inverse(m)
-        for j in range(m.ncols):
-            col = [m.rows[i].get(j, GaussRat(0)) for i in range(m.nrows)]
-            unit = [GaussRat(1 if i == j else 0) for i in range(m.ncols)]
-            assert inv.mul_vector(col) == unit
-        x = [GaussRat(rng.randint(-3, 3)) for _ in range(m.ncols)]
-        b = m.mul_vector(x)
-        assert residual_vector(m, x, b) is None
-        assert inv.mul_vector(b) == x
-
-
 def test_solve_with_kernel_matches_solve_and_nullspace():
     rng = random.Random(41)
     consistent = set()
@@ -114,3 +98,135 @@ def test_solve_with_kernel_matches_solve_and_nullspace():
             kernel_sizes.add(len(kernel))
     assert consistent == {True, False}
     assert len(kernel_sizes) > 1
+
+
+# ---------------------------------------------------------------------------
+# reference: Gauss-Jordan that scans every row for each pivot and clears it
+
+
+def _ref_eliminate(rows, ncols):
+    pivots = {}
+    row_used = [False] * len(rows)
+    for col in range(ncols):
+        best = None
+        for i, row in enumerate(rows):
+            if not row_used[i] and col in row:
+                if best is None or len(row) < len(rows[best]):
+                    best = i
+        if best is None:
+            continue
+        piv_row = rows[best]
+        inv = piv_row[col].inv()
+        for j in list(piv_row):
+            piv_row[j] = piv_row[j] * inv
+        row_used[best] = True
+        pivots[col] = best
+        for i, row in enumerate(rows):
+            c = row.get(col)
+            if i == best or c is None:
+                continue
+            for j, pv in piv_row.items():
+                nv = row.get(j, GaussRat(0)) - c * pv
+                if nv.is_zero():
+                    row.pop(j, None)
+                else:
+                    row[j] = nv
+    return pivots
+
+
+def _ref_solve_with_kernel(m, b):
+    n = m.ncols
+    rows = [dict(r) for r in m.rows]
+    for row, v in zip(rows, b):
+        if not v.is_zero():
+            row[n] = v
+    pivots = _ref_eliminate(rows, n)
+    x = [GaussRat(0)] * n
+    for col, i in pivots.items():
+        x[col] = rows[i].get(n, GaussRat(0))
+    residual = [bv - sum((c * x[j] for j, c in row.items()), GaussRat(0))
+                for bv, row in zip(b, m.rows)]
+    if all(v.is_zero() for v in residual):
+        residual = None
+    kernel = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        vec = [GaussRat(0)] * n
+        vec[fc] = GaussRat(1)
+        for col, i in pivots.items():
+            if fc in rows[i]:
+                vec[col] = -rows[i][fc]
+        kernel.append(vec)
+    return len(pivots), x, residual, kernel
+
+
+def _block_matrix(rng, nblocks, max_size, empty_rows, empty_cols):
+    """Random sparse block matrix, rank deficient in its blocks, rows and
+    columns permuted, with empty rows and columns mixed in."""
+    entries = []
+    nrows = ncols = 0
+    for _ in range(nblocks):
+        r, c = rng.randint(1, max_size), rng.randint(1, max_size)
+        block = [{j: GaussRat(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                              rng.randint(-1, 1))
+                  for j in range(c) if rng.random() < 0.5} for _ in range(r)]
+        # a combination of two rows makes the block rank deficient
+        if r > 2:
+            w = GaussRat(rng.randint(1, 3), rng.randint(-1, 1))
+            combo = dict(block[0])
+            for j, v in block[1].items():
+                combo[j] = combo.get(j, GaussRat(0)) + w * v
+            block[2] = {j: v for j, v in combo.items() if not v.is_zero()}
+        entries += [(nrows + i, ncols + j, v) for i, row in enumerate(block)
+                    for j, v in row.items()]
+        nrows, ncols = nrows + r, ncols + c
+    row_perm = list(range(nrows + empty_rows))
+    col_perm = list(range(ncols + empty_cols))
+    rng.shuffle(row_perm)
+    rng.shuffle(col_perm)
+    m = SparseMatrix(len(row_perm), len(col_perm))
+    for i, j, v in entries:
+        m.set(row_perm[i], col_perm[j], v)
+    return m
+
+
+def _assert_matches_reference(m, rng):
+    """Compare with the reference on b in the image and on a random b;
+    returns (rank, whether the random b was consistent)."""
+    image = [sum((c * GaussRat(rng.randint(-2, 2)) for c in row.values()), GaussRat(0))
+             for row in m.rows]
+    other = [GaussRat(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(m.nrows)]
+    for b in (image, other):
+        r, x, residual, kernel = _ref_solve_with_kernel(m, b)
+        assert rank(m) == r
+        assert solve(m, b) == (x, residual)
+        assert nullspace(m) == kernel
+        assert solve_with_kernel(m, b) == (x, residual, kernel)
+    return r, residual is None
+
+
+def test_elimination_matches_the_row_scan_reference():
+    rng = random.Random(53)
+    deficient, consistent = set(), set()
+    for _ in range(40):
+        m = _block_matrix(rng, rng.randint(1, 4), rng.randint(1, 5),
+                          rng.randint(0, 3), rng.randint(0, 3))
+        r, ok = _assert_matches_reference(m, rng)
+        deficient.add(r < min(m.nrows, m.ncols))
+        consistent.add(ok)
+    assert deficient == consistent == {True, False}
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_elimination_matches_the_row_scan_reference_on_drawn_shapes():
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+                      st.integers(1, 6), st.integers(0, 3), st.integers(0, 3))
+    def check(seed, nblocks, max_size, empty_rows, empty_cols):
+        rng = random.Random(seed)
+        _assert_matches_reference(
+            _block_matrix(rng, nblocks, max_size, empty_rows, empty_cols), rng)
+
+    check()
