@@ -16,7 +16,8 @@ from .actions import (ActionSpec, BUILTIN_ACTIONS, Diffeo, FiniteGroup,
                       cyclic_rotations, galilean_boosts, heisenberg,
                       integer_quarter_turns, sign_flip, translations,
                       trivial_action)
-from .opcalc import FormalFunction, apply, compose, standard_star, star, to_operator
+from .opcalc import (FormalFunction, FormalOperator, apply, compose,
+                     standard_star, star)
 from .dga import (Cochain, CoefficientBasis, PhaseCochain, character_phase,
                   cochain_zero_report, cohomology_dims, d, delta_phase,
                   exp_system, gauge_report, mc_residual, representation_report,
@@ -38,8 +39,8 @@ __all__ = [
     "action_from_config", "check_action", "cyclic_rotations",
     "galilean_boosts", "heisenberg", "integer_quarter_turns", "sign_flip",
     "translations", "trivial_action",
-    "FormalFunction", "apply", "compose", "standard_star", "star",
-    "to_operator",
+    "FormalFunction", "FormalOperator", "apply", "compose", "standard_star",
+    "star",
     "Cochain", "CoefficientBasis", "PhaseCochain", "character_phase",
     "cochain_zero_report", "cohomology_dims", "d", "delta_phase",
     "exp_system", "gauge_report", "mc_residual", "representation_report",

@@ -171,16 +171,22 @@ def _load_action(cfg):
         raise ConfigError("[action]: %s" % exc)
 
 
+def _per_element(action, section, where, key):
+    """``[where] key``: one expression per element of the finite group."""
+    exprs = _split_exprs(section[key], action.binding)
+    if len(exprs) != action.group.size:
+        raise ConfigError("[%s] %s: expected %d entries, got %d"
+                          % (where, key, action.group.size, len(exprs)))
+    return exprs
+
+
 def _phase_cochain(cfg, action):
     section = cfg.section("phase")
     if action.is_finite:
         if "exprs" not in section:
             raise ConfigError("[phase] needs 'exprs' (one per group element) "
                               "for finite groups")
-        exprs = _split_exprs(section["exprs"], action.binding)
-        if len(exprs) != action.group.size:
-            raise ConfigError("[phase] exprs: expected %d entries, got %d"
-                              % (action.group.size, len(exprs)))
+        exprs = _per_element(action, section, "phase", "exprs")
         table = {(g,): exprs[g] for g in action.group.elements()}
         return PhaseCochain(action, 1, table=table)
     if "expr" not in section:
@@ -203,10 +209,7 @@ def _system_cochain(cfg, action):
         if not action.is_finite:
             raise ConfigError("[system] values need a finite group; use "
                               "[phase] for parametric groups")
-        values = _split_exprs(section["values"], action.binding)
-        if len(values) != action.group.size:
-            raise ConfigError("[system] values: expected %d entries, got %d"
-                              % (action.group.size, len(values)))
+        values = _per_element(action, section, "system", "values")
         table = {(g,): FormalSymbol.from_scalar(action.dim, cfg.order, values[g])
                  for g in action.group.elements()}
         return Cochain(action, 1, cfg.order, table=table)
@@ -239,7 +242,7 @@ def _basis(cfg, action, row_degree):
     exprs = _split_exprs(section["exprs"], VarBinding(coordinates=action.coords))
     _check_slot_budget(cfg, action, len(exprs), row_degree)
     try:
-        return CoefficientBasis(action.coords, exprs)
+        return CoefficientBasis(exprs)
     except ValueError as exc:
         raise ConfigError("[basis] exprs: %s" % exc)
 
@@ -472,11 +475,17 @@ def task_expand(cfg, rng):
     coords = [c.strip() for c in section["coords"].split(",")]
     xi_names = [x.strip() for x in section.get("xi_names", "").split(",")
                 if x.strip()] or default_xi_names(len(coords))
+    if len(xi_names) != len(coords):
+        raise ConfigError("[amplitude] xi_names: expected %d names, got %d"
+                          % (len(coords), len(xi_names)))
     consts = [c.strip() for c in section.get("constants", "").split(",")
               if c.strip()]
     binding = VarBinding(coordinates=coords + xi_names, constants=consts)
     terms = _split_exprs(section["terms"], binding)
     convention = section.get("convention", "multi")
+    if convention not in ("multi", "total"):
+        raise ConfigError("[amplitude] convention must be 'multi' or 'total', "
+                          "got %r" % convention)
     series = AmplitudeSeries(len(coords), terms, xi_names)
     sym = taylor_from_amplitude(series, cfg.order, convention)
     report = Report("amplitude expansion",

@@ -56,9 +56,9 @@ from .actions import Diffeo
 from .expr import (GR_ONE, GR_ZERO, Expr, GaussRat, _accumulate, all_zero,
                    as_expr, is_zero)
 from .linalg import SparseMatrix, _eliminate, rank, solve_with_kernel
-from .opcalc import FormalFunction, apply, star, to_operator
+from .opcalc import FormalFunction, FormalOperator, apply, star
 from .report import Report
-from .symbols import FormalSymbol, PolyXi, multi_indices
+from .symbols import FormalSymbol, PolyXi, monomial, multi_indices
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,7 @@ def star_graded(a, b):
         left, right = gs[:k], gs[k:]
         phi1 = a.action.product_diffeo(left)
         phi2 = a.action.product_diffeo(right)
-        return star(a.value(left), phi1, b.value(right), phi2, a.action.coords)
+        return star(a.value(left), phi1, b.value(right), phi2)
 
     return Cochain(a.action, k + l, a.order, fn=val)
 
@@ -312,10 +312,10 @@ def representation_report(a, psis, rng=None, pairs=None, title="representation p
         pairs = test_tuples(action, 2, rng=rng)
     for gs in pairs:
         g1, g2 = gs
-        t1 = to_operator(a.value((g1,)), action.diffeo(g1), action.coords)
-        t2 = to_operator(a.value((g2,)), action.diffeo(g2), action.coords)
-        t12 = to_operator(a.value((action.mult(g1, g2),)),
-                          action.product_diffeo((g1, g2)), action.coords)
+        t1 = FormalOperator(a.value((g1,)), action.diffeo(g1))
+        t2 = FormalOperator(a.value((g2,)), action.diffeo(g2))
+        t12 = FormalOperator(a.value((action.mult(g1, g2),)),
+                             action.product_diffeo((g1, g2)))
         checks = []
         for psi in psis:
             f = FormalFunction.from_expr(psi, a.order)
@@ -341,8 +341,8 @@ def gauge_residual(a, b, u):
     def val(gs):
         (g,) = gs
         phi = action.diffeo(g)
-        left = star(a.value((g,)), phi, u.value(()), ident, action.coords)
-        right = star(u.value(()), ident, b.value((g,)), phi, action.coords)
+        left = star(a.value((g,)), phi, u.value(()), ident)
+        right = star(u.value(()), ident, b.value((g,)), phi)
         return left.sub(right)
 
     return Cochain(action, 1, a.order, fn=val)
@@ -369,8 +369,7 @@ class CoefficientBasis:
     monomials, so decomposing it is one sparse pass over its terms.
     """
 
-    def __init__(self, coords, exprs):
-        self.coords = list(coords)
+    def __init__(self, exprs):
         self.exprs = [as_expr(e) for e in exprs]
         for e in self.exprs:
             if not e.is_canonical:
@@ -397,14 +396,8 @@ class CoefficientBasis:
 
     @staticmethod
     def monomials(coords, max_degree):
-        out = []
-        for alpha in multi_indices(len(coords), max_degree):
-            e = Expr.one()
-            for c, p in zip(coords, alpha):
-                if p:
-                    e = e * Expr.var(c) ** p
-            out.append(e)
-        return CoefficientBasis(coords, out)
+        return CoefficientBasis([monomial(coords, alpha)
+                                 for alpha in multi_indices(len(coords), max_degree)])
 
     def decompose(self, e):
         """Coordinates of e in the basis; raises BasisEscapeError if outside."""
@@ -512,7 +505,7 @@ def _slot_maps(action, p0, n, basis, tuples):
     P0(h) star s and s star P0(h), s the unit symbol of slot (alpha, j).
     The empty tuple keeps the key () and the identity diffeomorphism.
     """
-    dim, order, coords = action.dim, p0.order, action.coords
+    dim, order = action.dim, p0.order
     phis = {action.product(t) if t else (): action.product_diffeo(t) for t in tuples}
     units = {(alpha, j): _slot_symbol(dim, order, n, {alpha: e})
              for alpha in multi_indices(dim, n) for j, e in enumerate(basis.exprs)}
@@ -522,9 +515,9 @@ def _slot_maps(action, p0, n, basis, tuples):
         for g, phi_g in phis.items():
             for (alpha, j), s in units.items():
                 left[h, g, alpha, j] = _decompose_symbol_slot(
-                    star(p, phi_h, s, phi_g, coords), n, basis)
+                    star(p, phi_h, s, phi_g), n, basis)
                 right[g, h, alpha, j] = _decompose_symbol_slot(
-                    star(s, phi_g, p, phi_h, coords), n, basis)
+                    star(s, phi_g, p, phi_h), n, basis)
     return left, right
 
 

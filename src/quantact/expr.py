@@ -167,7 +167,6 @@ class GaussRat:
 GR_ZERO = GaussRat(0, 0)
 GR_ONE = GaussRat(1, 0)
 GR_I = GaussRat(0, 1)
-GR_MINUS_I = GaussRat(0, -1)
 
 
 def _frac_str(f):
@@ -942,11 +941,6 @@ class VarBinding:
     @property
     def dim(self):
         return len(self.coordinates)
-
-    def extend(self, parameters=(), constants=()):
-        return VarBinding(self.coordinates,
-                          self.parameters + list(parameters),
-                          self.constants + list(constants))
 
     def __contains__(self, name):
         return name in self.names()

@@ -34,8 +34,8 @@ import math
 import numpy as np
 
 from .expr import Expr, ExprError, GaussRat, as_expr
-from .opcalc import standard_star, to_operator
-from .symbols import (FormalSymbol, PolyXi, default_xi_names,
+from .opcalc import FormalOperator, standard_star
+from .symbols import (FormalSymbol, PolyXi, default_xi_names, monomial,
                       taylor_from_amplitude, xi_decompose)
 
 HBAR_NAME = "hb"
@@ -390,11 +390,7 @@ def symbol_amplitude(sym, coords, xi_names=None, consts=None):
     total = Expr.zero()
     for n, comp in enumerate(sym.comps):
         for alpha, coeff in comp.coeffs.items():
-            term = coeff * hb ** (n - sum(alpha))
-            for name, p in zip(xi_names, alpha):
-                if p:
-                    term = term * Expr.var(name) ** p
-            total = total + term
+            total = total + coeff * hb ** (n - sum(alpha)) * monomial(xi_names, alpha)
     return NumericAmplitude(total, coords, xi_names, consts)
 
 
@@ -562,7 +558,7 @@ def asymptotic_consistency(dim, npoints, length, amp_series, phi, psi_fn,
         full = fio_apply(grid, amp, phi, psi)
         if sym is None:
             sym = taylor_from_amplitude(amp_series, truncation, convention)
-            op = to_operator(sym, phi, coords)
+            op = FormalOperator(sym, phi)
         formal = apply_operator_numeric(grid, op, psi, consts=consts)
         errors.append(grid.norm(full - formal) / grid.norm(psi))
 

@@ -23,7 +23,7 @@ exact at every truncation order (no mixing between orders beyond n1 + n2).
 from __future__ import annotations
 
 from .actions import Diffeo, compose_diffeo
-from .expr import Expr, GaussRat, as_expr, is_zero
+from .expr import Expr, as_expr, is_zero
 from .symbols import FormalSymbol, PolyXi
 
 _MINUS_I = Expr.gauss(0, -1)
@@ -60,47 +60,26 @@ class FormalFunction:
 
 
 class FormalOperator:
-    """Normal form: list over the expansion order of {alpha: coefficient}."""
+    """Op(symbol, phi): a FormalSymbol quantized over the diffeomorphism phi."""
 
-    def __init__(self, coords, order, terms, phi):
-        self.coords = list(coords)
-        self.order = order
-        self.terms = [dict(t) for t in terms]
+    def __init__(self, symbol, phi):
+        if symbol.dim != phi.dim:
+            raise ValueError("coordinate count must match symbol dimension")
+        self.symbol = symbol
         self.phi = phi
-        if len(self.terms) != order + 1:
-            raise ValueError("expected %d order slots" % (order + 1))
-        for n, table in enumerate(self.terms):
-            for alpha in table:
-                if len(alpha) != self.dim:
-                    raise ValueError("multi-index length mismatch")
-                if sum(alpha) > n:
-                    raise ValueError("derivative order %d exceeds slot %d"
-                                     % (sum(alpha), n))
 
     @property
-    def dim(self):
-        return len(self.coords)
+    def coords(self):
+        return self.phi.coords
 
-    @staticmethod
-    def identity(coords, order):
-        terms = [{} for _ in range(order + 1)]
-        terms[0] = {tuple([0] * len(coords)): Expr.one()}
-        return FormalOperator(coords, order, terms, Diffeo.identity(coords))
+    @property
+    def order(self):
+        return self.symbol.order
 
-
-def to_operator(sym, phi, coords=None):
-    """Quantize a FormalSymbol over the diffeomorphism phi."""
-    coords = list(coords if coords is not None else phi.coords)
-    if len(coords) != sym.dim:
-        raise ValueError("coordinate count must match symbol dimension")
-    terms = [dict(comp.coeffs) for comp in sym.comps]
-    return FormalOperator(coords, sym.order, terms, phi)
-
-
-def to_symbol(op):
-    """Read the symbol back off a formal operator."""
-    return FormalSymbol(op.dim, op.order,
-                        [PolyXi(op.dim, table) for table in op.terms])
+    @property
+    def terms(self):
+        """Coefficient tables {alpha: coefficient}, one per expansion order."""
+        return [comp.coeffs for comp in self.symbol.comps]
 
 
 def _d_alpha(e, coords, alpha):
@@ -133,16 +112,16 @@ def apply(op, fn):
     return FormalFunction(op.order, out)
 
 
-def _compose_terms(coords, order, terms1, phi1, terms2, phi2):
-    """Coefficient tables of (terms1 over phi1) o (terms2 over phi2).
+def _product(p, phi1, k, phi2):
+    """Symbol of Op(p, phi1) o Op(k, phi2).
 
     Only inverse maps enter: phi1's for the outer substitution, and the
     Jacobian of phi2's, which phi2 keeps, for the chain rule through the
-    inner pullback.  Exact zeros are dropped from the result.
+    inner pullback.
     """
-    dim = len(coords)
+    coords, dim, order = phi1.coords, p.dim, p.order
     inv1_map = dict(zip(coords, phi1.inverse))
-    # jac[k][j] = d_j (phi2^{-1})_k
+    # jac[i][j] = d_j (phi2^{-1})_i
     jac = phi2.inverse_jacobian()
     out = [dict() for _ in range(order + 1)]
 
@@ -153,12 +132,12 @@ def _compose_terms(coords, order, terms1, phi1, terms2, phi2):
         else:
             table[gamma] = coeff
 
-    for n1, table1 in enumerate(terms1):
-        for alpha, f in table1.items():
-            for n2, table2 in enumerate(terms2):
+    for n1, comp1 in enumerate(p.comps):
+        for alpha, f in comp1.coeffs.items():
+            for n2, comp2 in enumerate(k.comps):
                 if n1 + n2 > order:
                     break
-                for beta, g in table2.items():
+                for beta, g in comp2.coeffs.items():
                     # carrier maps gamma -> coefficient of (D^gamma psi) o phi2^{-1}
                     carrier = {beta: g}
                     for j in range(dim):
@@ -168,21 +147,20 @@ def _compose_terms(coords, order, terms1, phi1, terms2, phi2):
                                 dc = c.diff(coords[j]) * _MINUS_I
                                 if not dc.is_exact_zero():
                                     nxt[gamma] = nxt.get(gamma, Expr.zero()) + dc
-                                for k in range(dim):
-                                    jk = jac[k][j]
-                                    if jk.is_exact_zero():
+                                for i in range(dim):
+                                    ji = jac[i][j]
+                                    if ji.is_exact_zero():
                                         continue
-                                    gk = tuple(gamma[m] + (1 if m == k else 0)
+                                    gi = tuple(gamma[m] + (1 if m == i else 0)
                                                for m in range(dim))
-                                    nxt[gk] = nxt.get(gk, Expr.zero()) + c * jk
+                                    nxt[gi] = nxt.get(gi, Expr.zero()) + c * ji
                             carrier = nxt
                     for gamma, c in carrier.items():
                         coeff = f * c.substitute(inv1_map)
                         add_term(n1 + n2, gamma, coeff)
 
-    return [{g: c for g, c in table.items()
-             if not c.is_exact_zero()}
-            for table in out]
+    # PolyXi drops the exact zeros
+    return FormalSymbol(dim, order, [PolyXi(dim, table) for table in out])
 
 
 def compose(op1, op2):
@@ -191,34 +169,27 @@ def compose(op1, op2):
         raise ValueError("coordinate mismatch")
     if op1.order != op2.order:
         raise ValueError("order mismatch")
-    terms = _compose_terms(op1.coords, op1.order, op1.terms, op1.phi,
-                           op2.terms, op2.phi)
-    return FormalOperator(op1.coords, op1.order, terms,
+    return FormalOperator(_product(op1.symbol, op1.phi, op2.symbol, op2.phi),
                           compose_diffeo(op1.phi, op2.phi))
 
 
-def star(p, phi1, k, phi2, coords=None):
+def star(p, phi1, k, phi2):
     """Product of symbols induced by operator composition over phi1, phi2.
 
-    This is to_symbol(compose(to_operator(p, phi1), to_operator(k, phi2)))
+    This is compose(FormalOperator(p, phi1), FormalOperator(k, phi2)).symbol
     without building the composite diffeomorphism, which the symbol drops.
     """
-    coords = list(coords if coords is not None else phi1.coords)
-    if len(coords) != p.dim or len(coords) != k.dim:
+    if phi1.dim != p.dim or phi1.dim != k.dim:
         raise ValueError("coordinate count must match symbol dimension")
     if p.order != k.order:
         raise ValueError("order mismatch")
-    dim, order = p.dim, p.order
-    terms1 = [comp.coeffs for comp in p.comps]
-    terms2 = [comp.coeffs for comp in k.comps]
     # structural test only: sampling tree coefficients here would draw from rng
-    if not any(terms1) or not any(terms2):
-        return FormalSymbol.zero(dim, order)
-    terms = _compose_terms(coords, order, terms1, phi1, terms2, phi2)
-    return FormalSymbol(dim, order, [PolyXi(dim, table) for table in terms])
+    if not any(c.coeffs for c in p.comps) or not any(c.coeffs for c in k.comps):
+        return FormalSymbol.zero(p.dim, p.order)
+    return _product(p, phi1, k, phi2)
 
 
 def standard_star(p, k, coords):
     """Star product over identity diffeomorphisms (pseudodifferential case)."""
     ident = Diffeo.identity(coords)
-    return star(p, ident, k, ident, coords)
+    return star(p, ident, k, ident)

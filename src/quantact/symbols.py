@@ -45,6 +45,15 @@ def default_xi_names(dim):
     return ["xi%d" % (k + 1) for k in range(dim)]
 
 
+def monomial(names, alpha):
+    """The monomial prod_i names[i]^alpha[i] as an Expr."""
+    out = Expr.one()
+    for name, p in zip(names, alpha):
+        if p:
+            out = out * Expr.var(name) ** p
+    return out
+
+
 class PolyXi:
     """Polynomial in the frequency variables with Expr coefficients."""
 
@@ -100,11 +109,7 @@ class PolyXi:
     def to_expr(self, xi_names):
         out = Expr.zero()
         for alpha, c in self.coeffs.items():
-            term = c
-            for name, p in zip(xi_names, alpha):
-                if p:
-                    term = term * Expr.var(name) ** p
-            out = out + term
+            out = out + c * monomial(xi_names, alpha)
         return out
 
     def __eq__(self, other):
@@ -274,6 +279,27 @@ def _factorial_weight(alpha, convention):
     return Fraction(1, den)
 
 
+def _xi_derivatives(e, xi_names, max_degree):
+    """(alpha, d_xi^alpha e) for |alpha| <= max_degree, by total degree.
+
+    Each derivative is one more derivative of one already taken: the
+    multi-indices come by total degree, and lowering the last nonzero entry
+    of alpha gives the same sequence of derivatives as differentiating e in
+    name order.
+    """
+    derivs = {}
+    for alpha in multi_indices(len(xi_names), max_degree):
+        nonzero = [i for i, k in enumerate(alpha) if k]
+        if not nonzero:
+            deriv = e
+        else:
+            i = nonzero[-1]
+            lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            deriv = derivs[lower].diff(xi_names[i])
+        derivs[alpha] = deriv
+        yield alpha, deriv
+
+
 def taylor_from_amplitude(amp, order, convention="multi"):
     """Taylor-expand an amplitude series at xi = 0 into a FormalSymbol.
 
@@ -282,21 +308,16 @@ def taylor_from_amplitude(amp, order, convention="multi"):
     """
     dim = amp.dim
     zero_point = {name: Expr.zero() for name in amp.xi_names}
+    # derivs[k][alpha] = d_xi^alpha a^k, which lands in slot k + |alpha|
+    derivs = [dict(_xi_derivatives(amp.term(k), amp.xi_names, order - k))
+              for k in range(order + 1)]
     comps = []
     for n in range(order + 1):
         coeffs = {}
         for alpha in multi_indices(dim, n):
-            a_term = amp.term(n - sum(alpha))
-            if a_term.is_exact_zero():
-                continue
-            deriv = a_term
-            for name, k in zip(amp.xi_names, alpha):
-                for _ in range(k):
-                    deriv = deriv.diff(name)
-            at_zero = deriv.substitute(zero_point)
-            if at_zero.is_exact_zero():
-                continue
-            coeffs[alpha] = at_zero * _factorial_weight(alpha, convention)
+            at_zero = derivs[n - sum(alpha)][alpha].substitute(zero_point)
+            if not at_zero.is_exact_zero():
+                coeffs[alpha] = at_zero * _factorial_weight(alpha, convention)
         comps.append(PolyXi(dim, coeffs))
     return FormalSymbol(dim, order, comps)
 
@@ -306,36 +327,19 @@ def xi_decompose(e, xi_names):
 
     Works by exact Taylor extraction at xi = 0 and verifies the
     reconstruction; raises ExprError when e is not polynomial in the
-    frequency variables up to degree 12.  Each derivative is one more
-    derivative of one already taken: the multi-indices come by total degree,
-    and lowering the last nonzero entry of alpha gives the same sequence of
-    derivatives as differentiating e in name order.
+    frequency variables up to degree 12.
     """
     max_degree = 12
     e = as_expr(e)
-    dim = len(xi_names)
     zero_point = {name: Expr.zero() for name in xi_names}
     out = {}
     recon = Expr.zero()
-    derivs = {}
-    for alpha in multi_indices(dim, max_degree):
-        nonzero = [i for i, k in enumerate(alpha) if k]
-        if not nonzero:
-            deriv = e
-        else:
-            i = nonzero[-1]
-            lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-            deriv = derivs[lower].diff(xi_names[i])
-        derivs[alpha] = deriv
+    for alpha, deriv in _xi_derivatives(e, xi_names, max_degree):
         coeff = deriv.substitute(zero_point) * _factorial_weight(alpha, "multi")
         if coeff.is_exact_zero():
             continue
         out[alpha] = coeff
-        term = coeff
-        for name, p in zip(xi_names, alpha):
-            if p:
-                term = term * Expr.var(name) ** p
-        recon = recon + term
+        recon = recon + coeff * monomial(xi_names, alpha)
     if not is_zero(e - recon).ok:
         raise ExprError("expression is not polynomial of degree <= %d in %s"
                         % (max_degree, ",".join(xi_names)))

@@ -250,6 +250,25 @@ convention = multi
     assert "3 (1,1) 1" in io.out
 
 
+@pytest.mark.parametrize("line,message", [
+    ("convention = foo", "[amplitude] convention must be 'multi' or 'total', got 'foo'"),
+    ("xi_names = k1", "[amplitude] xi_names: expected 2 names, got 1"),
+], ids=["convention", "xi_names"])
+def test_expand_bad_amplitude_is_a_config_error(tmp_path, capsys, line, message):
+    status, io, _ = run_cli(tmp_path, capsys, """
+[session]
+task = expand
+order = 2
+
+[amplitude]
+coords = x1, x2
+terms = x1 + x2, x1
+%s
+""" % line)
+    assert status == 2
+    assert "config error: %s" % message in io.err
+
+
 def test_verify_numeric_passes(tmp_path, capsys):
     status, io, _ = run_cli(tmp_path, capsys, """
 [session]

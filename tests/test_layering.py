@@ -118,6 +118,15 @@ def test_dga_makes_no_matrix_vector_products():
     assert name_uses(path, ("mul_vector", "left_inverse")) == []
 
 
+# an operator holds its symbol and its map, so no converter between the two
+def test_operator_symbol_converters_stay_gone():
+    modules = glob.glob(os.path.join(ROOT, "src", "quantact", "*.py"))
+    uses = ["%s:%d %s" % (os.path.basename(m), line, name)
+            for m in sorted(modules)
+            for line, name in name_uses(m, ("to_operator", "to_symbol"))]
+    assert modules and not uses, "converters are back: %s" % ", ".join(uses)
+
+
 def test_the_name_guard_sees_each_kind_of_use(tmp_path):
     path = tmp_path / "named.py"
     path.write_text("from .linalg import left_inverse\n"

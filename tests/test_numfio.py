@@ -28,7 +28,7 @@ from quantact.numfio import (NumericAmplitude, WaveGrid, _grid_values,
                              representation_residual, spectral_tail_fraction,
                              standard_product_residual, symbol_amplitude,
                              symbol_from_polynomial, unitarity_residual)
-from quantact.opcalc import to_operator
+from quantact.opcalc import FormalOperator
 from quantact.symbols import AmplitudeSeries, FormalSymbol, PolyXi
 
 X1 = Expr.var("x1")
@@ -526,7 +526,7 @@ def test_normal_form_evaluator_matches_quantization():
     sym = symbol_from_polynomial(expr, ["x1"], ["xi1"])
     amp = symbol_amplitude(sym, ["x1"], ["xi1"])
     direct = kn_apply(grid, amp, psi)
-    op = to_operator(sym, Diffeo.identity(["x1"]), ["x1"])
+    op = FormalOperator(sym, Diffeo.identity(["x1"]))
     formal = apply_operator_numeric(grid, op, psi)
     assert rel_err(grid, formal, direct) < 1e-12
 

@@ -3,26 +3,32 @@
 ``perfbench/tracer.py`` rebinds each (module, attribute) of its ``TARGETS``
 list when a run is traced (``perfbench/run.py --trace 1``), so deleting or
 renaming one of those names breaks traced runs.  Class attributes are looked
-up in the class's own ``__dict__``, as ``Tracer.install`` does.
+up in the class's own ``__dict__``, as ``Tracer.install`` does.  Its hooks
+read the results and arguments of some calls, so those shapes are pinned too.
 """
 
 import importlib
 import importlib.util
 import os
 
+from quantact import opcalc
+from quantact.actions import sign_flip
+from quantact.expr import Expr
+from quantact.symbols import FormalSymbol, PolyXi
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def tracer_targets():
+def tracer_module():
     path = os.path.join(ROOT, "perfbench", "tracer.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_tracer_target_resolves():
-    targets = tracer_targets()
+    targets = tracer_module().TARGETS
     missing = []
     for layer, path, _key, _keep in targets:
         module = importlib.import_module("quantact." + layer)
@@ -35,3 +41,25 @@ def test_every_tracer_target_resolves():
         if not found:
             missing.append("%s.%s" % (layer, path))
     assert targets and not missing, "tracer targets not found: %s" % ", ".join(missing)
+
+
+def test_tracer_hooks_count_compose_terms_and_zero_star_operands():
+    # the hooks read compose's result.terms and star's args[0] and args[2]
+    x = Expr.var("x")
+    phi = sign_flip().diffeos[1]
+    p = FormalSymbol(1, 1, [PolyXi.constant(1, x), PolyXi(1, {(1,): x})])
+    zero = FormalSymbol.zero(1, 1)
+    tracer = tracer_module().Tracer()
+    tracer.install()
+    try:
+        composite = opcalc.compose(opcalc.FormalOperator(p, phi),
+                                   opcalc.FormalOperator(p, phi))
+        opcalc.star(p, phi, zero, phi)
+        opcalc.star(p, phi, p, phi)
+    finally:
+        tracer.uninstall()
+    rec = tracer.rec
+    assert rec.calls["opcalc.compose"] == 1 and rec.calls["opcalc.star"] == 2
+    terms_out = sum(len(table) for table in composite.terms)
+    assert terms_out > 0 and rec.extra["opcalc.compose_terms_out"] == terms_out
+    assert rec.extra["opcalc.star_zero_operand_calls"] == 1
