@@ -34,6 +34,8 @@ class Diffeo:
         if not (len(self.forward) == len(self.inverse) == len(self.coords)):
             raise ValueError("component count must match coordinate count")
         self._inverse_jacobian = None
+        self._inverse_map = dict(zip(self.coords, self.inverse))
+        self._images = {}   # monomial -> its image under the inverse map
 
     @property
     def dim(self):
@@ -54,9 +56,9 @@ class Diffeo:
                       [g.substitute(mapping) for g in self.inverse])
 
     def pullback(self, e):
-        """Compose a scalar expression with the inverse map: e o phi^{-1}."""
-        mapping = dict(zip(self.coords, self.inverse))
-        return as_expr(e).substitute(mapping)
+        """Compose a scalar expression with the inverse map: e o phi^{-1}.
+        The instance keeps the image of each monomial it meets."""
+        return as_expr(e).substitute(self._inverse_map, self._images)
 
     def pushforward(self, e):
         mapping = dict(zip(self.coords, self.forward))
@@ -64,7 +66,7 @@ class Diffeo:
 
     def verify_inverse(self, rng=None):
         """Certificates that forward o inverse and inverse o forward are id."""
-        inv_map = dict(zip(self.coords, self.inverse))
+        inv_map = self._inverse_map
         fwd_map = dict(zip(self.coords, self.forward))
         checks = []
         for c, f, g in zip(self.coords, self.forward, self.inverse):
@@ -249,6 +251,7 @@ class ActionSpec:
         self.diffeo_fn = diffeo_fn
         self.volume_preserving = volume_preserving
         self.binding = binding or VarBinding(coordinates=self.coords)
+        self._identity = Diffeo.identity(self.coords)
         if isinstance(group, FiniteGroup):
             if diffeos is None or len(diffeos) != group.size:
                 raise ValueError("finite actions need one diffeo per element")
@@ -283,9 +286,10 @@ class ActionSpec:
         return functools.reduce(self.mult, gs) if gs else self.group.identity
 
     def product_diffeo(self, gs):
-        """Diffeo of a product g1 g2 ... gk (identity for the empty tuple)."""
+        """Diffeo of a product g1 g2 ... gk; the empty tuple gives the action's
+        one identity, whose Jacobian and pullback images are kept."""
         if not gs:
-            return Diffeo.identity(self.coords)
+            return self._identity
         return self.diffeo(self.product(gs))
 
     def sample_elements(self, rng, count=8):

@@ -524,19 +524,26 @@ def _slot_maps(action, p0, n, basis, tuples):
 def _matrix_of_twisted_d(action, maps, cols, row_index):
     """Matrix of d_{P0} from columns (t, alpha, j) to rows, read off ``maps``."""
     left, right = maps
+    # an even-length t takes R with a minus sign: each entry is negated once
+    minus_right = {}
+    face_signs = (-GR_ONE, GR_ONE)   # (-1)^(i+1) by the parity of i
     splits = [(h, action.inverse(h)) for h in action.group.elements()]
     m = SparseMatrix(len(row_index), len(cols))
     for col, (t, alpha, j) in enumerate(cols):
         g = action.product(t) if t else ()
-        odd = len(t) % 2
         for h, h_inv in splits:
             for (alpha2, j2), c in left[h, g, alpha, j].items():
                 m.add(row_index[((h,) + t, alpha2, j2)], col, c)
-            for (alpha2, j2), c in right[g, h, alpha, j].items():
-                m.add(row_index[(t + (h,), alpha2, j2)], col, c if odd else -c)
+            r = right[g, h, alpha, j]
+            if not len(t) % 2:
+                if (g, h, alpha, j) not in minus_right:
+                    minus_right[g, h, alpha, j] = {s: -c for s, c in r.items()}
+                r = minus_right[g, h, alpha, j]
+            for (alpha2, j2), c in r.items():
+                m.add(row_index[(t + (h,), alpha2, j2)], col, c)
             for i, gi in enumerate(t):
                 split = t[:i] + (h, action.mult(h_inv, gi)) + t[i + 1:]
-                m.add(row_index[(split, alpha, j)], col, (-1) ** (i + 1))
+                m.add(row_index[(split, alpha, j)], col, face_signs[i % 2])
     return m
 
 

@@ -97,9 +97,10 @@ class GaussRat:
 
     __slots__ = ("re", "im")
 
+    # slots are set by their descriptors; an int part needs no normalization
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _int_or_fraction(re))
-        object.__setattr__(self, "im", _int_or_fraction(im))
+        _SET_RE(self, re if type(re) is int else _int_or_fraction(re))
+        _SET_IM(self, im if type(im) is int else _int_or_fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -113,18 +114,18 @@ class GaussRat:
         raise TypeError("cannot build GaussRat from %r" % (v,))
 
     def __add__(self, other):
-        other = GaussRat.of(other)
+        other = other if type(other) is GaussRat else GaussRat.of(other)
         return GaussRat(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other):
-        other = GaussRat.of(other)
+        other = other if type(other) is GaussRat else GaussRat.of(other)
         return GaussRat(self.re - other.re, self.im - other.im)
 
     def __neg__(self):
         return GaussRat(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = GaussRat.of(other)
+        other = other if type(other) is GaussRat else GaussRat.of(other)
         return GaussRat(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -163,6 +164,9 @@ class GaussRat:
     def __repr__(self):
         return "GaussRat(%s, %s)" % (self.re, self.im)
 
+
+_SET_RE = GaussRat.re.__set__
+_SET_IM = GaussRat.im.__set__
 
 GR_ZERO = GaussRat(0, 0)
 GR_ONE = GaussRat(1, 0)
@@ -258,9 +262,9 @@ class Poly:
     __slots__ = ("terms", "_key", "_hash")
 
     def __init__(self, terms):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", None)
+        _SET_TERMS(self, terms)
+        _SET_KEY(self, None)
+        _SET_HASH(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -294,13 +298,12 @@ class Poly:
 
     def key(self):
         if self._key is None:
-            k = tuple(sorted((m, c.key()) for m, c in self.terms.items()))
-            object.__setattr__(self, "_key", k)
+            _SET_KEY(self, tuple(sorted((m, c.key()) for m, c in self.terms.items())))
         return self._key
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.key()))
+            _SET_HASH(self, hash(self.key()))
         return self._hash
 
     def __eq__(self, other):
@@ -335,16 +338,35 @@ class Poly:
             _accumulate(terms, m, c)
         return Poly(terms)
 
+    def sub(self, other):
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            old = terms.get(m)
+            s = -c if old is None else old - c
+            if s.is_zero():
+                del terms[m]
+            else:
+                terms[m] = s
+        return Poly(terms)
+
     def neg(self):
         return Poly({m: -c for m, c in self.terms.items()})
 
     def scalar_mul(self, c):
+        """c times the polynomial; 1 returns the operand itself."""
         c = GaussRat.of(c)
         if c.is_zero():
             return Poly.zero()
+        if c == GR_ONE:
+            return self
         return Poly({m: v * c for m, v in self.terms.items()})
 
     def mul(self, other):
+        # a constant factor scales the terms of the other, in their order
+        if len(other.terms) == 1 and () in other.terms:
+            return self.scalar_mul(other.terms[()])
+        if len(self.terms) == 1 and () in self.terms:
+            return other.scalar_mul(self.terms[()])
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -396,25 +418,33 @@ class Poly:
                         _accumulate(out, m, dc)
         return Poly(out)
 
-    def subs(self, mapping):
-        """Substitute variables by Polys; mapping: name -> Poly."""
+    def subs(self, mapping, images=None):
+        """Substitute variables by Polys; mapping: name -> Poly.
+
+        ``images`` maps monomials to their images and gains the new ones; it
+        may be kept across calls that all use this same mapping.
+        """
+        images = {} if images is None else images
         out = {}
         powers = {}
         for mono, c in self.terms.items():
-            term = Poly.const(c)
-            for gen, p in mono:
-                if gen[0] == "v":
-                    factor = powers.get((gen[1], p))
-                    if factor is None:
-                        rep = mapping.get(gen[1])
-                        factor = (rep if rep is not None else Poly.var(gen[1])).pow(p)
-                        powers[(gen[1], p)] = factor
-                    term = term.mul(factor)
-                else:
-                    arg = Poly._from_key(gen[1]).subs(mapping)
-                    term = term.mul(Poly.exp_atom(arg))
-            for m, tc in term.terms.items():
-                _accumulate(out, m, tc)
+            image = images.get(mono)
+            if image is None:
+                image = Poly.const(GR_ONE)
+                for gen, p in mono:
+                    if gen[0] == "v":
+                        factor = powers.get((gen[1], p))
+                        if factor is None:
+                            rep = mapping.get(gen[1])
+                            factor = (rep if rep is not None else Poly.var(gen[1])).pow(p)
+                            powers[(gen[1], p)] = factor
+                        image = image.mul(factor)
+                    else:
+                        arg = Poly._from_key(gen[1]).subs(mapping, images)
+                        image = image.mul(Poly.exp_atom(arg))
+                images[mono] = image
+            for m, tc in image.terms.items():
+                _accumulate(out, m, tc * c)
         return Poly(out)
 
     def eval(self, values):
@@ -501,6 +531,11 @@ class Poly:
         return text
 
 
+_SET_TERMS = Poly.terms.__set__
+_SET_KEY = Poly._key.__set__
+_SET_HASH = Poly._hash.__set__
+
+
 def _gr_pow(c, p):
     out = GR_ONE
     for _ in range(p):
@@ -524,8 +559,8 @@ class Expr:
     __slots__ = ("poly", "node")
 
     def __init__(self, poly=None, node=None):
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "node", node)
+        _SET_POLY(self, poly)
+        _SET_NODE(self, node)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -636,6 +671,8 @@ class Expr:
             other = as_expr(other)
         except TypeError:
             return NotImplemented
+        if self.poly is not None and other.poly is not None:
+            return Expr(poly=self.poly.sub(other.poly))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -716,12 +753,13 @@ class Expr:
             return -self.node[1].diff(name) * Expr.sin(self.node[1])
         raise ExprError("cannot differentiate node %r" % kind)
 
-    def substitute(self, mapping):
-        """Replace variables; mapping: name -> Expr (or int/Fraction)."""
+    def substitute(self, mapping, images=None):
+        """Replace variables; mapping: name -> Expr (or int/Fraction).
+        ``images`` serves ``Poly.subs`` unless a value is a tree."""
         mapping = {k: as_expr(v) for k, v in mapping.items()}
         if all(v.poly is not None for v in mapping.values()):
             polys = {k: v.poly for k, v in mapping.items()}
-            return self.fold(lambda poly: Expr(poly=poly.subs(polys)), Expr)
+            return self.fold(lambda poly: Expr(poly=poly.subs(polys, images)), Expr)
         # a tree value: rebuild each canonical part through tree arithmetic
         def var(name):
             return mapping.get(name, Expr.var(name))
@@ -776,6 +814,10 @@ class Expr:
         return "%s(%s)" % (kind, self.node[1])
 
     __repr__ = __str__
+
+
+_SET_POLY = Expr.poly.__set__
+_SET_NODE = Expr.node.__set__
 
 
 def as_expr(v):

@@ -102,9 +102,14 @@ def _eliminate(rows, ncols, back=True):
 
 
 def rank(matrix):
-    rows = [dict(r) for r in matrix.rows]
-    pivots = _eliminate(rows, matrix.ncols, back=False)
-    return len(pivots)
+    """Rank by forward elimination on the side with fewer rows: rank A = rank A^T."""
+    if matrix.nrows <= matrix.ncols:
+        return len(_eliminate([dict(r) for r in matrix.rows], matrix.ncols, back=False))
+    cols = [dict() for _ in range(matrix.ncols)]
+    for i, row in enumerate(matrix.rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return len(_eliminate(cols, matrix.nrows, back=False))
 
 
 def _reduce(matrix, b):

@@ -18,13 +18,18 @@ by the Leibniz and chain rules,
 which keeps the normal form and shows the composite lives over phi1 o phi2.
 Reading off the coefficients defines the product ``star`` on symbols; it is
 exact at every truncation order (no mixing between orders beyond n1 + n2).
+
+One product call builds each carrier D^alpha[g * (D^beta psi) o phi2^{-1}]
+once, in a table keyed by (n2, beta, alpha), from the carrier of alpha - e_j.
+Pullbacks by phi1^{-1} go through ``Diffeo.pullback``, and each map keeps the
+images of the monomials it has pulled back.
 """
 
 from __future__ import annotations
 
 from .actions import Diffeo, compose_diffeo
 from .expr import Expr, as_expr, is_zero
-from .symbols import FormalSymbol, PolyXi
+from .symbols import FormalSymbol, PolyXi, lower_last
 
 _MINUS_I = Expr.gauss(0, -1)
 
@@ -97,7 +102,6 @@ def apply(op, fn):
         fn = FormalFunction.from_expr(as_expr(fn), op.order)
     if fn.order != op.order:
         raise ValueError("operator and function truncations must match")
-    inv_map = dict(zip(op.coords, op.phi.inverse))
     out = [Expr.zero() for _ in range(op.order + 1)]
     for n, table in enumerate(op.terms):
         for alpha, f in table.items():
@@ -107,60 +111,75 @@ def apply(op, fn):
                     break
                 if psi.is_exact_zero():
                     continue
-                deriv = _d_alpha(psi, op.coords, alpha).substitute(inv_map)
+                deriv = op.phi.pullback(_d_alpha(psi, op.coords, alpha))
                 out[m] = out[m] + f * deriv
     return FormalFunction(op.order, out)
+
+
+def _add_into(table, key, value):
+    """table[key] += value, a missing key counting as Expr.zero()."""
+    old = table.get(key)
+    if old is None:
+        # a tree keeps the 0 + value node that a sum from zero builds
+        table[key] = value if value.is_canonical else Expr.zero() + value
+    else:
+        table[key] = old + value
+
+
+def _carrier_step(carrier, coords, j, jac):
+    """D_j of sum_gamma c_gamma (D^gamma psi) o phi2^{-1}; a constant c_gamma
+    is not differentiated."""
+    nxt = {}
+    for gamma, c in carrier.items():
+        if not c.is_const():
+            dc = c.diff(coords[j]) * _MINUS_I
+            if not dc.is_exact_zero():
+                _add_into(nxt, gamma, dc)
+        for i, row in enumerate(jac):
+            ji = row[j]
+            if ji.is_exact_zero():
+                continue
+            gi = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1:]
+            _add_into(nxt, gi, c * ji)
+    return nxt
 
 
 def _product(p, phi1, k, phi2):
     """Symbol of Op(p, phi1) o Op(k, phi2).
 
-    Only inverse maps enter: phi1's for the outer substitution, and the
+    Only inverse maps enter: phi1's for the outer pullback, and the
     Jacobian of phi2's, which phi2 keeps, for the chain rule through the
-    inner pullback.
+    inner pullback.  Carriers are built once per call (module docstring).
     """
     coords, dim, order = phi1.coords, p.dim, p.order
-    inv1_map = dict(zip(coords, phi1.inverse))
     # jac[i][j] = d_j (phi2^{-1})_i
     jac = phi2.inverse_jacobian()
+    # (n2, beta, alpha) -> carrier: gamma -> coefficient of (D^gamma psi) o phi2^{-1}
+    carriers = {}
+
+    def carrier(n2, beta, g, alpha):
+        key = (n2, beta, alpha)
+        if key not in carriers:
+            step = lower_last(alpha)
+            carriers[key] = {beta: g} if step is None else _carrier_step(
+                carrier(n2, beta, g, step[1]), coords, step[0], jac)
+        return carriers[key]
+
     out = [dict() for _ in range(order + 1)]
-
-    def add_term(n, gamma, coeff):
-        table = out[n]
-        if gamma in table:
-            table[gamma] = table[gamma] + coeff
-        else:
-            table[gamma] = coeff
-
     for n1, comp1 in enumerate(p.comps):
         for alpha, f in comp1.coeffs.items():
             for n2, comp2 in enumerate(k.comps):
                 if n1 + n2 > order:
                     break
+                table = out[n1 + n2]
                 for beta, g in comp2.coeffs.items():
-                    # carrier maps gamma -> coefficient of (D^gamma psi) o phi2^{-1}
-                    carrier = {beta: g}
-                    for j in range(dim):
-                        for _ in range(alpha[j]):
-                            nxt = {}
-                            for gamma, c in carrier.items():
-                                dc = c.diff(coords[j]) * _MINUS_I
-                                if not dc.is_exact_zero():
-                                    nxt[gamma] = nxt.get(gamma, Expr.zero()) + dc
-                                for i in range(dim):
-                                    ji = jac[i][j]
-                                    if ji.is_exact_zero():
-                                        continue
-                                    gi = tuple(gamma[m] + (1 if m == i else 0)
-                                               for m in range(dim))
-                                    nxt[gi] = nxt.get(gi, Expr.zero()) + c * ji
-                            carrier = nxt
-                    for gamma, c in carrier.items():
-                        coeff = f * c.substitute(inv1_map)
-                        add_term(n1 + n2, gamma, coeff)
+                    for gamma, c in carrier(n2, beta, g, alpha).items():
+                        coeff = f * phi1.pullback(c)
+                        old = table.get(gamma)
+                        table[gamma] = coeff if old is None else old + coeff
 
-    # PolyXi drops the exact zeros
-    return FormalSymbol(dim, order, [PolyXi(dim, table) for table in out])
+    # the sums may hold exact zeros, which PolyXi.unchecked drops
+    return FormalSymbol.unchecked(dim, order, [PolyXi.unchecked(dim, t) for t in out])
 
 
 def compose(op1, op2):

@@ -41,6 +41,15 @@ def multi_indices(dim, max_total):
     return out
 
 
+def lower_last(alpha):
+    """(j, alpha - e_j) for the last nonzero index j of alpha, None for 0: the
+    derivative d^alpha taken in index order is d_j after d^(alpha - e_j)."""
+    for j in range(len(alpha) - 1, -1, -1):
+        if alpha[j]:
+            return j, alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+    return None
+
+
 def default_xi_names(dim):
     return ["xi%d" % (k + 1) for k in range(dim)]
 
@@ -74,6 +83,15 @@ class PolyXi:
         self.coeffs = data
 
     @staticmethod
+    def unchecked(dim, coeffs):
+        """PolyXi over a dict of valid multi-indices to Exprs, without the
+        constructor's checks; only the exact zeros are dropped."""
+        out = PolyXi.__new__(PolyXi)
+        out.dim = dim
+        out.coeffs = {a: c for a, c in coeffs.items() if not c.is_exact_zero()}
+        return out
+
+    @staticmethod
     def zero(dim):
         return PolyXi(dim)
 
@@ -94,17 +112,20 @@ class PolyXi:
         out = dict(self.coeffs)
         for a, c in other.coeffs.items():
             out[a] = out[a] + c if a in out else c
-        return PolyXi(self.dim, out)
+        return PolyXi.unchecked(self.dim, out)
 
     def neg(self):
-        return PolyXi(self.dim, {a: -c for a, c in self.coeffs.items()})
+        return PolyXi.unchecked(self.dim, {a: -c for a, c in self.coeffs.items()})
 
     def sub(self, other):
-        return self.add(other.neg())
+        out = dict(self.coeffs)
+        for a, c in other.coeffs.items():
+            out[a] = out[a] - c if a in out else -c
+        return PolyXi.unchecked(self.dim, out)
 
     def scale(self, e):
         e = as_expr(e)
-        return PolyXi(self.dim, {a: c * e for a, c in self.coeffs.items()})
+        return PolyXi.unchecked(self.dim, {a: c * e for a, c in self.coeffs.items()})
 
     def to_expr(self, xi_names):
         out = Expr.zero()
@@ -143,6 +164,13 @@ class FormalSymbol:
         self.comps = comps
 
     @staticmethod
+    def unchecked(dim, order, comps):
+        """FormalSymbol over a list of valid components, without the checks."""
+        out = FormalSymbol.__new__(FormalSymbol)
+        out.dim, out.order, out.comps = dim, order, comps
+        return out
+
+    @staticmethod
     def zero(dim, order):
         return FormalSymbol(dim, order)
 
@@ -161,19 +189,19 @@ class FormalSymbol:
 
     def add(self, other):
         self._check_compatible(other)
-        return FormalSymbol(self.dim, self.order,
-                            [a.add(b) for a, b in zip(self.comps, other.comps)])
+        return FormalSymbol.unchecked(self.dim, self.order,
+                                      [a.add(b) for a, b in zip(self.comps, other.comps)])
 
     def sub(self, other):
         self._check_compatible(other)
-        return FormalSymbol(self.dim, self.order,
-                            [a.sub(b) for a, b in zip(self.comps, other.comps)])
+        return FormalSymbol.unchecked(self.dim, self.order,
+                                      [a.sub(b) for a, b in zip(self.comps, other.comps)])
 
     def neg(self):
-        return FormalSymbol(self.dim, self.order, [c.neg() for c in self.comps])
+        return FormalSymbol.unchecked(self.dim, self.order, [c.neg() for c in self.comps])
 
     def scale(self, e):
-        return FormalSymbol(self.dim, self.order, [c.scale(e) for c in self.comps])
+        return FormalSymbol.unchecked(self.dim, self.order, [c.scale(e) for c in self.comps])
 
     # the operators call the named methods, so wrapping a method wraps its operator
     def __add__(self, other):
@@ -282,20 +310,13 @@ def _factorial_weight(alpha, convention):
 def _xi_derivatives(e, xi_names, max_degree):
     """(alpha, d_xi^alpha e) for |alpha| <= max_degree, by total degree.
 
-    Each derivative is one more derivative of one already taken: the
-    multi-indices come by total degree, and lowering the last nonzero entry
-    of alpha gives the same sequence of derivatives as differentiating e in
-    name order.
+    Each derivative is one more derivative of one already taken
+    (``lower_last``), in the same sequence as differentiating e in name order.
     """
     derivs = {}
     for alpha in multi_indices(len(xi_names), max_degree):
-        nonzero = [i for i, k in enumerate(alpha) if k]
-        if not nonzero:
-            deriv = e
-        else:
-            i = nonzero[-1]
-            lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-            deriv = derivs[lower].diff(xi_names[i])
+        step = lower_last(alpha)
+        deriv = e if step is None else derivs[step[1]].diff(xi_names[step[0]])
         derivs[alpha] = deriv
         yield alpha, deriv
 

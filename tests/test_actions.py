@@ -104,6 +104,16 @@ def test_product_diffeo_is_the_diffeo_of_the_product(name):
             assert act.product_diffeo(t) is act.diffeo(g)
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_ACTIONS))
+def test_one_identity_map_per_action(name):
+    # the identity keeps its Jacobian and pullback images from call to call
+    act = BUILTIN_ACTIONS[name]()
+    ident = act.product_diffeo(())
+    assert act.product_diffeo(()) is ident
+    assert ident.coords == act.coords and ident.is_identity()
+    assert BUILTIN_ACTIONS[name]().product_diffeo(()) is not ident
+
+
 def _custom_action(coords, forward, inverse):
     return action_from_config({
         "coords": coords, "params": "a", "forward": forward, "inverse": inverse,

@@ -12,6 +12,8 @@ every call.
 
 Coefficient bases decompose through their echelon form: ``linalg`` has no
 left inverse and ``dga`` makes no matrix-vector product.
+
+``opcalc`` pulls expressions back only through ``Diffeo.pullback``.
 """
 
 import ast
@@ -125,6 +127,13 @@ def test_operator_symbol_converters_stay_gone():
             for m in sorted(modules)
             for line, name in name_uses(m, ("to_operator", "to_symbol"))]
     assert modules and not uses, "converters are back: %s" % ", ".join(uses)
+
+
+# the star kernel pulls back through Diffeo.pullback, which keeps the
+# images of monomials on the map; a direct substitution would not
+def test_opcalc_pulls_back_through_the_map():
+    path = os.path.join(ROOT, "src", "quantact", "opcalc.py")
+    assert name_uses(path, ("substitute",)) == []
 
 
 def test_the_name_guard_sees_each_kind_of_use(tmp_path):

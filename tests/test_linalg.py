@@ -161,13 +161,18 @@ def _ref_solve_with_kernel(m, b):
     return len(pivots), x, residual, kernel
 
 
-def _block_matrix(rng, nblocks, max_size, empty_rows, empty_cols):
+def _block_matrix(rng, nblocks, max_size, empty_rows, empty_cols, shape=None):
     """Random sparse block matrix, rank deficient in its blocks, rows and
-    columns permuted, with empty rows and columns mixed in."""
+    columns permuted, with empty rows and columns mixed in.  A "tall" or
+    "wide" shape gives each block more rows or more columns."""
     entries = []
     nrows = ncols = 0
     for _ in range(nblocks):
         r, c = rng.randint(1, max_size), rng.randint(1, max_size)
+        if shape == "tall":
+            r = c + rng.randint(1, max_size)
+        elif shape == "wide":
+            c = r + rng.randint(1, max_size)
         block = [{j: GaussRat(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                               rng.randint(-1, 1))
                   for j in range(c) if rng.random() < 0.5} for _ in range(r)]
@@ -223,10 +228,18 @@ def test_elimination_matches_the_row_scan_reference_on_drawn_shapes():
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
                          database=None)
     @hypothesis.given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
-                      st.integers(1, 6), st.integers(0, 3), st.integers(0, 3))
-    def check(seed, nblocks, max_size, empty_rows, empty_cols):
+                      st.integers(1, 6), st.integers(0, 3), st.integers(0, 3),
+                      st.sampled_from([None, "tall", "wide"]))
+    def check(seed, nblocks, max_size, empty_rows, empty_cols, shape):
+        # rank eliminates the transpose of a tall matrix
+        if shape == "tall":
+            empty_cols = 0
+        elif shape == "wide":
+            empty_rows = 0
         rng = random.Random(seed)
-        _assert_matches_reference(
-            _block_matrix(rng, nblocks, max_size, empty_rows, empty_cols), rng)
+        m = _block_matrix(rng, nblocks, max_size, empty_rows, empty_cols, shape)
+        if shape is not None:
+            assert (m.nrows > m.ncols) == (shape == "tall")
+        _assert_matches_reference(m, rng)
 
     check()

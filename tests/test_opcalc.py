@@ -5,17 +5,28 @@ from fractions import Fraction
 
 import pytest
 
-from quantact.actions import Diffeo, cyclic_rotations, galilean_boosts, sign_flip
+from quantact.actions import (BUILTIN_ACTIONS, Diffeo, action_from_config,
+                              compose_diffeo, cyclic_rotations, galilean_boosts,
+                              sign_flip)
 from quantact.expr import Expr, is_zero, parse
 from quantact.opcalc import (
     FormalFunction,
     FormalOperator,
+    _product,
     apply,
     compose,
     standard_star,
     star,
 )
 from quantact.symbols import FormalSymbol, PolyXi, multi_indices
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:
+    hypothesis = None
+
+needs_hypothesis = pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
 
 X = Expr.var("x")
 I = Expr.imag_unit()
@@ -287,3 +298,212 @@ def test_star_checks_order_and_dim_before_zero_short_cut():
         star(k, phi, zero, phi)
     with pytest.raises(ValueError, match="dimension"):
         star(FormalSymbol.zero(1, 2), phi, k, phi)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles for the product kernel
+
+
+def _reference_product(p, phi1, k, phi2):
+    """The product kernel as it was before carriers were shared within a
+    call and pullbacks kept their monomial images: every carrier is built
+    anew for each (alpha, f) and every term is substituted anew."""
+    _MINUS_I = Expr.gauss(0, -1)
+    coords, dim, order = phi1.coords, p.dim, p.order
+    inv1_map = dict(zip(coords, phi1.inverse))
+    # jac[i][j] = d_j (phi2^{-1})_i
+    jac = phi2.inverse_jacobian()
+    out = [dict() for _ in range(order + 1)]
+
+    def add_term(n, gamma, coeff):
+        table = out[n]
+        if gamma in table:
+            table[gamma] = table[gamma] + coeff
+        else:
+            table[gamma] = coeff
+
+    for n1, comp1 in enumerate(p.comps):
+        for alpha, f in comp1.coeffs.items():
+            for n2, comp2 in enumerate(k.comps):
+                if n1 + n2 > order:
+                    break
+                for beta, g in comp2.coeffs.items():
+                    # carrier maps gamma -> coefficient of (D^gamma psi) o phi2^{-1}
+                    carrier = {beta: g}
+                    for j in range(dim):
+                        for _ in range(alpha[j]):
+                            nxt = {}
+                            for gamma, c in carrier.items():
+                                dc = c.diff(coords[j]) * _MINUS_I
+                                if not dc.is_exact_zero():
+                                    nxt[gamma] = nxt.get(gamma, Expr.zero()) + dc
+                                for i in range(dim):
+                                    ji = jac[i][j]
+                                    if ji.is_exact_zero():
+                                        continue
+                                    gi = tuple(gamma[m] + (1 if m == i else 0)
+                                               for m in range(dim))
+                                    nxt[gi] = nxt.get(gi, Expr.zero()) + c * ji
+                            carrier = nxt
+                    for gamma, c in carrier.items():
+                        coeff = f * c.substitute(inv1_map)
+                        add_term(n1 + n2, gamma, coeff)
+
+    # PolyXi drops the exact zeros
+    return FormalSymbol(dim, order, [PolyXi(dim, table) for table in out])
+
+
+def _form(e):
+    """An expression as nested lists: a canonical part by its terms in
+    order, a tree node by its kind and its children's forms."""
+    if e.is_canonical:
+        return list(e.poly.terms.items())
+    return [e.node[0]] + [_form(a) if isinstance(a, Expr) else a for a in e.node[1:]]
+
+
+def _symbol_form(sym):
+    return [[(alpha, _form(c)) for alpha, c in comp.coeffs.items()] for comp in sym.comps]
+
+
+# R acting on the (t, x) plane by nonlinear shears x -> x + a t^2/(1 + t^2):
+# its inverse and the Jacobian of the inverse are quotient trees
+NONLINEAR_SHEAR = {
+    "coords": "t, x", "params": "a",
+    "forward": "t, x + a*t^2/(1 + t^2)", "inverse": "t, x - a*t^2/(1 + t^2)",
+    "product": "a__1 + a__2", "param_inverse": "-a", "param_identity": "0",
+}
+
+
+def _maps_under_test():
+    """(name, coords, diffeos): every finite built-in action, then the shear."""
+    out = []
+    for name, make in BUILTIN_ACTIONS.items():
+        act = make()
+        if act.is_finite:
+            out.append((name, act.coords, [act.diffeo(g) for g in act.group.elements()]))
+    shear = action_from_config(NONLINEAR_SHEAR)
+    out.append(("nonlinear_shear", shear.coords,
+                [shear.diffeo((Expr.integer(a),)) for a in (0, 1, -2)]))
+    return out
+
+
+MAPS = _maps_under_test()
+MAP_IDS = [name for name, _, _ in MAPS]
+
+
+def _draw_symbol(draw, coords, order):
+    """Random symbol with a nonzero order-0 part: small integer combinations
+    of 1, the coordinates, a product of two and exp(i*coordinate)."""
+    atoms = [Expr.one()] + [Expr.var(c) for c in coords]
+    atoms += [Expr.var(coords[0]) * Expr.var(coords[-1]),
+              Expr.exp(I * Expr.var(coords[0]))]
+    coefficient = st.lists(st.tuples(st.sampled_from(atoms),
+                                     st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                           min_size=1, max_size=2)
+    dim = len(coords)
+    comps = []
+    for n in range(order + 1):
+        entries = {}
+        for alpha in multi_indices(dim, n):
+            if n == 0 or draw(st.booleans()):
+                entries[alpha] = sum((a * c for a, c in draw(coefficient)), Expr.zero())
+        comps.append(PolyXi(dim, entries))
+    return FormalSymbol(dim, order, comps)
+
+
+@needs_hypothesis
+@pytest.mark.parametrize("name, coords, diffeos", MAPS, ids=MAP_IDS)
+def test_product_matches_the_reference_kernel(name, coords, diffeos):
+    trees = []
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        phi1 = data.draw(st.sampled_from(diffeos))
+        phi2 = data.draw(st.sampled_from(diffeos))
+        order = data.draw(st.integers(0, 2))
+        p = _draw_symbol(data.draw, coords, order)
+        k = _draw_symbol(data.draw, coords, order)
+        got = _product(p, phi1, k, phi2)
+        assert _symbol_form(got) == _symbol_form(_reference_product(p, phi1, k, phi2))
+        trees.extend(c for comp in got.comps for c in comp.coeffs.values()
+                     if not c.is_canonical)
+
+    check()
+    # the shear's inverse is a quotient tree, so its products hold trees
+    assert bool(trees) == (name == "nonlinear_shear")
+
+
+@needs_hypothesis
+@pytest.mark.parametrize("name, coords, diffeos", MAPS[:-1], ids=MAP_IDS[:-1])
+def test_star_is_associative_over_composed_maps(name, coords, diffeos):
+    @hypothesis.settings(max_examples=15, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        phi1, phi2, phi3 = (data.draw(st.sampled_from(diffeos)) for _ in range(3))
+        order = data.draw(st.integers(0, 2))
+        p, q, r = (_draw_symbol(data.draw, coords, order) for _ in range(3))
+        lhs = star(star(p, phi1, q, phi2), compose_diffeo(phi1, phi2), r, phi3)
+        rhs = star(p, phi1, star(q, phi2, r, phi3), compose_diffeo(phi2, phi3))
+        assert lhs == rhs
+
+    check()
+
+
+def test_a_repeated_star_adds_no_monomial_image():
+    phi = cyclic_rotations(4).diffeo(1)
+    x, y = Expr.var("x"), Expr.var("y")
+    p = FormalSymbol(2, 2, [PolyXi.constant(2, x * y + 1),
+                            PolyXi(2, {(1, 0): y ** 2}),
+                            PolyXi(2, {(1, 1): x})])
+    first = star(p, phi, p, phi)
+    images = len(phi._images)
+    assert images > 0
+    assert star(p, phi, p, phi) == first
+    assert len(phi._images) == images
+
+
+def test_compose_agrees_with_sympy():
+    """Apply Op(p, phi1) o Op(k, phi2) and the composite operator to
+    psi = exp(a x + b y) in sympy, truncated at h^order."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
+                                            standard_transformations)
+
+    act = cyclic_rotations(4)
+    sx, sy, a, b, h = sympy.symbols("x y a b h")
+    names = {"x": sx, "y": sy, "i": sympy.I, "exp": sympy.exp}
+
+    def to_sympy(e):
+        return parse_expr(str(e), local_dict=names,
+                          transformations=standard_transformations + (convert_xor,))
+
+    def op_apply(symbol, phi, fn):
+        # sum_n h^n sum_alpha f(x) * ((1/i)^|alpha| d^alpha fn)(phi^{-1}(x))
+        inverse = {sx: to_sympy(phi.inverse[0]), sy: to_sympy(phi.inverse[1])}
+        total = 0
+        for n, comp in enumerate(symbol.comps):
+            for (ax, ay), f in comp.coeffs.items():
+                d = sympy.diff(fn, sx, ax, sy, ay) * (-sympy.I) ** (ax + ay)
+                total += h ** n * to_sympy(f) * d.subs(inverse, simultaneous=True)
+        return total
+
+    def truncate(e, order):
+        e = sympy.expand(e)
+        return sum(e.coeff(h, n) * h ** n for n in range(order + 1))
+
+    x, y = Expr.var("x"), Expr.var("y")
+    p = FormalSymbol(2, 1, [PolyXi.constant(2, x * y + 2),
+                            PolyXi(2, {(1, 0): y, (0, 1): 3 * x, (0, 0): x})])
+    k = FormalSymbol(2, 1, [PolyXi.constant(2, x - y ** 2),
+                            PolyXi(2, {(0, 1): x * y, (0, 0): I * y})])
+    psi = sympy.exp(a * sx + b * sy)
+    for g1, g2 in ((1, 2), (3, 1), (0, 3)):
+        t1 = FormalOperator(p, act.diffeo(g1))
+        t2 = FormalOperator(k, act.diffeo(g2))
+        composite = compose(t1, t2)
+        lhs = truncate(op_apply(p, t1.phi, op_apply(k, t2.phi, psi)), 1)
+        rhs = truncate(op_apply(composite.symbol, composite.phi, psi), 1)
+        assert sympy.simplify(lhs - rhs) == 0, (g1, g2)
