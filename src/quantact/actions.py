@@ -16,7 +16,7 @@ import functools
 import random
 
 from .expr import (Expr, ExprError, VarBinding, ZeroCheck, all_zero, as_expr,
-                   is_zero, parse)
+                   is_zero, parse, substitution)
 from .report import Report
 
 
@@ -34,8 +34,7 @@ class Diffeo:
         if not (len(self.forward) == len(self.inverse) == len(self.coords)):
             raise ValueError("component count must match coordinate count")
         self._inverse_jacobian = None
-        self._inverse_map = dict(zip(self.coords, self.inverse))
-        self._images = {}   # monomial -> its image under the inverse map
+        self._pullback = substitution(dict(zip(self.coords, self.inverse)))
 
     @property
     def dim(self):
@@ -51,27 +50,25 @@ class Diffeo:
                    for f, c in zip(self.forward, self.coords))
 
     def substitute_params(self, mapping):
-        return Diffeo(self.coords,
-                      [f.substitute(mapping) for f in self.forward],
-                      [g.substitute(mapping) for g in self.inverse])
+        sub = substitution(mapping)
+        return Diffeo(self.coords, [sub(f) for f in self.forward],
+                      [sub(g) for g in self.inverse])
 
     def pullback(self, e):
         """Compose a scalar expression with the inverse map: e o phi^{-1}.
-        The instance keeps the image of each monomial it meets."""
-        return as_expr(e).substitute(self._inverse_map, self._images)
+        The instance keeps one substitution of the inverse map for all calls."""
+        return self._pullback(e)
 
     def pushforward(self, e):
-        mapping = dict(zip(self.coords, self.forward))
-        return as_expr(e).substitute(mapping)
+        return substitution(dict(zip(self.coords, self.forward)))(e)
 
     def verify_inverse(self, rng=None):
         """Certificates that forward o inverse and inverse o forward are id."""
-        inv_map = self._inverse_map
-        fwd_map = dict(zip(self.coords, self.forward))
+        forward = substitution(dict(zip(self.coords, self.forward)))
         checks = []
         for c, f, g in zip(self.coords, self.forward, self.inverse):
-            checks.append(is_zero(f.substitute(inv_map) - Expr.var(c), rng=rng))
-            checks.append(is_zero(g.substitute(fwd_map) - Expr.var(c), rng=rng))
+            checks.append(is_zero(self._pullback(f) - Expr.var(c), rng=rng))
+            checks.append(is_zero(forward(g) - Expr.var(c), rng=rng))
         return checks
 
     def inverse_jacobian(self):
@@ -107,11 +104,9 @@ def compose_diffeo(phi1, phi2):
     """Composition phi1 o phi2 (apply phi2 first)."""
     if phi1.coords != phi2.coords:
         raise ValueError("coordinate mismatch")
-    fwd2 = dict(zip(phi2.coords, phi2.forward))
-    inv1 = dict(zip(phi1.coords, phi1.inverse))
-    forward = [f.substitute(fwd2) for f in phi1.forward]
-    inverse = [g.substitute(inv1) for g in phi2.inverse]
-    return Diffeo(phi1.coords, forward, inverse)
+    forward2 = substitution(dict(zip(phi2.coords, phi2.forward)))
+    return Diffeo(phi1.coords, [forward2(f) for f in phi1.forward],
+                  [phi1._pullback(g) for g in phi2.inverse])
 
 
 # ---------------------------------------------------------------------------

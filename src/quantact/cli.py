@@ -14,7 +14,7 @@ Tasks (``--task`` or ``task =`` under ``[session]``):
     check-action     verify the group-action axioms           [action]
     check-cocycle    phase cochain delta-closedness           [action] [phase]
     mc-check         Maurer-Cartan residual of a system       [action] + [phase]|[system]
-    mc-solve         order-n correction / obstruction         [action] [basis]
+    mc-solve         order-n correction and cocycle basis     [action] [basis]
     cohomology       twisted H^0..H^2 per symbol order        [action] [basis]
     verify-numeric   grid unitarity + representation checks   [action] [phase] [grid] [numeric]
     expand           amplitude series -> graded symbol        [amplitude]
@@ -23,7 +23,8 @@ Flags ``--order``, ``--seed`` and ``--out`` override the [session] values.
 With a fixed seed every report is byte-identical across runs.  Exit status:
 0 when every checked identity holds, 1 when any fails, 2 on config errors.
 A config whose mc-solve or cohomology matrices would exceed ``SLOT_BUDGET``
-rows is a config error, raised before the basis is built.
+rows is a config error, raised before the basis is built; so is an expand
+order with more multi-indices than that, raised before any derivative.
 """
 
 from __future__ import annotations
@@ -153,9 +154,16 @@ def _get_number(section, key, default, where, convert):
     return _number(section[key], where, key, convert)
 
 
-def _float_list(text, where, key):
-    """Comma-separated floats."""
-    return [_number(part, where, key, float) for part in text.split(",") if part.strip()]
+def _packets(section, key, dim):
+    """``[numeric] key``: packets separated by ';', each of exactly ``dim``
+    comma-separated numbers; one packet at the origin by default."""
+    packets = [[_number(part, "numeric", key, float) for part in chunk.split(",") if part.strip()]
+               for chunk in section.get(key, ",".join(["0"] * dim)).split(";")]
+    for packet in packets:
+        if len(packet) != dim:
+            raise ConfigError("[numeric] %s: each packet needs %d numbers, got %d"
+                              % (key, dim, len(packet)))
+    return packets
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +282,8 @@ def _elements(action, section, where):
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError("[%s] elements: bad entry %r: %s" % (where, chunk, exc))
         out.append(g)
+    if not out:
+        raise ConfigError("[%s] elements must list at least one element" % where)
     return out
 
 
@@ -333,13 +343,6 @@ def task_mc_solve(cfg, rng):
         for i, coc in enumerate(res.cocycle_basis or []):
             lines.append("cocycle basis vector %d:" % i)
             lines.extend(_dump_degree1(action, coc))
-    elif res.obstruction is not None:
-        lines.append("obstruction (degree-2 remainder):")
-        for gs in sorted(res.obstruction.tuples()):
-            v = res.obstruction.value(gs)
-            if not v.is_zero():
-                lines.append("at %s:" % _tuple_label(action, gs))
-                lines.extend("  " + ln for ln in dump_symbol(v).splitlines())
     return report, lines
 
 
@@ -406,11 +409,8 @@ def task_verify_numeric(cfg, rng):
     sigma = _get_number(nsec, "sigma", 1.0, "numeric", float)
     if sigma <= 0:
         raise ConfigError("[numeric] sigma must be positive, got %r" % nsec["sigma"].strip())
-    origin = "0" + ",0" * (grid.dim - 1)
-    centers = [_float_list(c, "numeric", "centers")
-               for c in nsec.get("centers", origin).split(";")]
-    momenta = [_float_list(m, "numeric", "momenta")
-               for m in nsec.get("momenta", origin).split(";")]
+    centers = _packets(nsec, "centers", grid.dim)
+    momenta = _packets(nsec, "momenta", grid.dim)
     if len(centers) != len(momenta):
         raise ConfigError("[numeric] centers and momenta list different "
                           "packet counts")
@@ -486,6 +486,11 @@ def task_expand(cfg, rng):
     if convention not in ("multi", "total"):
         raise ConfigError("[amplitude] convention must be 'multi' or 'total', "
                           "got %r" % convention)
+    alphas = math.comb(len(coords) + cfg.order, cfg.order)
+    if alphas > SLOT_BUDGET:
+        raise ConfigError("expand at order %d in %d coordinates needs %d "
+                          "multi-indices, more than the budget of %d"
+                          % (cfg.order, len(coords), alphas, SLOT_BUDGET))
     series = AmplitudeSeries(len(coords), terms, xi_names)
     sym = taylor_from_amplitude(series, cfg.order, convention)
     report = Report("amplitude expansion",

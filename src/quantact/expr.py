@@ -25,7 +25,7 @@ randomized evaluation with an explicitly probabilistic certificate.  Every
 check that vanishes on several expressions folds their certificates through
 ``all_zero``: exact only when each one is.
 
-Sampling (``Expr.eval``), substitution (``Expr.substitute``) and grid
+Sampling (``Expr.eval``), substitution (``substitution``) and grid
 evaluation (``numfio.eval_expr``) are folds: ``Expr.fold`` combines tree nodes
 in a chosen algebra (``cmath``, ``numpy`` or ``Expr``) and hands each canonical
 part to a leaf function, and ``Poly.fold`` evaluates a polynomial in such an
@@ -97,13 +97,10 @@ class GaussRat:
 
     __slots__ = ("re", "im")
 
-    # slots are set by their descriptors; an int part needs no normalization
+    # an int part needs no normalization
     def __init__(self, re=0, im=0):
-        _SET_RE(self, re if type(re) is int else _int_or_fraction(re))
-        _SET_IM(self, im if type(im) is int else _int_or_fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRat is immutable")
+        self.re = re if type(re) is int else _int_or_fraction(re)
+        self.im = im if type(im) is int else _int_or_fraction(im)
 
     @staticmethod
     def of(v):
@@ -165,9 +162,6 @@ class GaussRat:
         return "GaussRat(%s, %s)" % (self.re, self.im)
 
 
-_SET_RE = GaussRat.re.__set__
-_SET_IM = GaussRat.im.__set__
-
 GR_ZERO = GaussRat(0, 0)
 GR_ONE = GaussRat(1, 0)
 GR_I = GaussRat(0, 1)
@@ -197,7 +191,8 @@ def _gauss_str(c):
 # ---------------------------------------------------------------------------
 # Canonical polynomials
 #
-# Generator keys: ("v", name) for variables, ("e", polykey) for exp atoms.
+# Generators: ("v", name) for variables, ("e", poly) for exp atoms; a Poly
+# sorts by its key, so monomials sort, hash and compare by value.
 # A monomial is a sorted tuple of (generator, power) with power >= 1 and at
 # most one exponential generator (power exactly 1).  A polynomial is a dict
 # monomial -> nonzero GaussRat.
@@ -213,15 +208,14 @@ def _mono_normalize(pairs):
         if gen[0] == "v":
             varpow[gen] = varpow.get(gen, 0) + p
         else:
-            arg = Poly._from_key(gen[1])
-            term = arg if p == 1 else arg.scalar_mul(GaussRat(p))
+            term = gen[1] if p == 1 else gen[1].scalar_mul(GaussRat(p))
             exp_arg = term if exp_arg is None else exp_arg.add(term)
     items = [(g, p) for g, p in varpow.items() if p != 0]
     for g, p in items:
         if p < 0:
             raise ExprError("negative power of variable %s" % g[1])
     if exp_arg is not None and exp_arg.terms:
-        items.append((("e", exp_arg.key()), 1))
+        items.append((("e", exp_arg), 1))
     return tuple(sorted(items))
 
 
@@ -262,12 +256,9 @@ class Poly:
     __slots__ = ("terms", "_key", "_hash")
 
     def __init__(self, terms):
-        _SET_TERMS(self, terms)
-        _SET_KEY(self, None)
-        _SET_HASH(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        self.terms = terms
+        self._key = None
+        self._hash = None
 
     # construction ---------------------------------------------------------
 
@@ -288,26 +279,25 @@ class Poly:
     def exp_atom(arg):
         if not arg.terms:
             return Poly.const(GR_ONE)
-        return Poly({((("e", arg.key()), 1),): GR_ONE})
-
-    @staticmethod
-    def _from_key(key):
-        return Poly({mono: GaussRat(re, im) for mono, (re, im) in key})
+        return Poly({((("e", arg), 1),): GR_ONE})
 
     # structure ------------------------------------------------------------
 
     def key(self):
         if self._key is None:
-            _SET_KEY(self, tuple(sorted((m, c.key()) for m, c in self.terms.items())))
+            self._key = tuple(sorted((m, c.key()) for m, c in self.terms.items()))
         return self._key
 
     def __hash__(self):
         if self._hash is None:
-            _SET_HASH(self, hash(self.key()))
+            self._hash = hash(self.key())
         return self._hash
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.key() == other.key()
+
+    def __lt__(self, other):
+        return self.key() < other.key()
 
     def is_zero(self):
         return not self.terms
@@ -327,7 +317,7 @@ class Poly:
                 if gen[0] == "v":
                     out.add(gen[1])
                 else:
-                    out |= Poly._from_key(gen[1]).free_names()
+                    out |= gen[1].free_names()
         return out
 
     # arithmetic -----------------------------------------------------------
@@ -398,7 +388,7 @@ class Poly:
                 return None
         inv = Poly.const(c.inv())
         for gen, p in mono:
-            arg = Poly._from_key(gen[1]).scalar_mul(GaussRat(-p))
+            arg = gen[1].scalar_mul(GaussRat(-p))
             inv = inv.mul(Poly.exp_atom(arg))
         return inv
 
@@ -413,18 +403,14 @@ class Poly:
                     rest = mono[:idx] + ((g, p - 1),) + mono[idx + 1:]
                     _accumulate(out, _mono_normalize(rest), c * GaussRat(p))
                 elif g[0] == "e":
-                    darg = Poly._from_key(g[1]).diff(name)
+                    darg = g[1].diff(name)
                     for m, dc in darg.mul(Poly({mono: c})).terms.items():
                         _accumulate(out, m, dc)
         return Poly(out)
 
-    def subs(self, mapping, images=None):
-        """Substitute variables by Polys; mapping: name -> Poly.
-
-        ``images`` maps monomials to their images and gains the new ones; it
-        may be kept across calls that all use this same mapping.
-        """
-        images = {} if images is None else images
+    def subs(self, mapping, images):
+        """Substitute variables by Polys; mapping: name -> Poly.  ``images``
+        holds monomial images under this mapping and gains the new ones."""
         out = {}
         powers = {}
         for mono, c in self.terms.items():
@@ -440,7 +426,7 @@ class Poly:
                             powers[(gen[1], p)] = factor
                         image = image.mul(factor)
                     else:
-                        arg = Poly._from_key(gen[1]).subs(mapping, images)
+                        arg = gen[1].subs(mapping, images)
                         image = image.mul(Poly.exp_atom(arg))
                 images[mono] = image
             for m, tc in image.terms.items():
@@ -471,7 +457,7 @@ class Poly:
                         approx *= complex(v) ** p
                         is_exact = False
                 else:
-                    arg = Poly._from_key(gen[1]).eval(values)
+                    arg = gen[1].eval(values)
                     approx *= cmath.exp(arg) ** p
                     is_exact = False
             if is_exact:
@@ -491,7 +477,7 @@ class Poly:
                 if gen[0] == "v":
                     term = term * var(gen[1]) ** p
                 else:
-                    term = term * exp(Poly._from_key(gen[1]).fold(zero, const, var, exp))
+                    term = term * exp(gen[1].fold(zero, const, var, exp))
             total = total + term
         return total
 
@@ -507,7 +493,7 @@ class Poly:
                 if gen[0] == "v":
                     base = gen[1]
                 else:
-                    base = "exp(%s)" % Poly._from_key(gen[1])
+                    base = "exp(%s)" % gen[1]
                 factors.append(base if p == 1 else "%s^%d" % (base, p))
             body = "*".join(factors)
             ctxt = _gauss_str(c)
@@ -529,11 +515,6 @@ class Poly:
             else:
                 text += " + " + piece
         return text
-
-
-_SET_TERMS = Poly.terms.__set__
-_SET_KEY = Poly._key.__set__
-_SET_HASH = Poly._hash.__set__
 
 
 def _gr_pow(c, p):
@@ -559,11 +540,8 @@ class Expr:
     __slots__ = ("poly", "node")
 
     def __init__(self, poly=None, node=None):
-        _SET_POLY(self, poly)
-        _SET_NODE(self, node)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr is immutable")
+        self.poly = poly
+        self.node = node
 
     # constructors ----------------------------------------------------------
 
@@ -753,17 +731,9 @@ class Expr:
             return -self.node[1].diff(name) * Expr.sin(self.node[1])
         raise ExprError("cannot differentiate node %r" % kind)
 
-    def substitute(self, mapping, images=None):
-        """Replace variables; mapping: name -> Expr (or int/Fraction).
-        ``images`` serves ``Poly.subs`` unless a value is a tree."""
-        mapping = {k: as_expr(v) for k, v in mapping.items()}
-        if all(v.poly is not None for v in mapping.values()):
-            polys = {k: v.poly for k, v in mapping.items()}
-            return self.fold(lambda poly: Expr(poly=poly.subs(polys, images)), Expr)
-        # a tree value: rebuild each canonical part through tree arithmetic
-        def var(name):
-            return mapping.get(name, Expr.var(name))
-        return self.fold(lambda poly: poly.fold(Expr.zero(), as_expr, var, Expr.exp), Expr)
+    def substitute(self, mapping):
+        """Replace variables; mapping: name -> Expr (or int/Fraction)."""
+        return substitution(mapping)(self)
 
     def eval(self, values):
         """Complex value at a point; a vanishing denominator raises ZeroDivisionError."""
@@ -816,16 +786,29 @@ class Expr:
     __repr__ = __str__
 
 
-_SET_POLY = Expr.poly.__set__
-_SET_NODE = Expr.node.__set__
-
-
 def as_expr(v):
     if isinstance(v, Expr):
         return v
     if isinstance(v, (int, Fraction, GaussRat)):
         return Expr(poly=Poly.const(v))
     raise TypeError("cannot coerce %r to Expr" % (v,))
+
+
+def substitution(mapping):
+    """The map e -> e o mapping, for mapping: name -> Expr (or int/Fraction).
+
+    A canonical mapping keeps the image of each monomial it meets for every
+    later call; a tree value rebuilds each canonical part by tree arithmetic.
+    """
+    mapping = {k: as_expr(v) for k, v in mapping.items()}
+    if any(v.poly is None for v in mapping.values()):
+        def var(name):
+            return mapping.get(name, Expr.var(name))
+        return lambda e: as_expr(e).fold(
+            lambda poly: poly.fold(Expr.zero(), as_expr, var, Expr.exp), Expr)
+    polys = {k: v.poly for k, v in mapping.items()}
+    images = {}
+    return lambda e: as_expr(e).fold(lambda poly: Expr(poly=poly.subs(polys, images)), Expr)
 
 
 # tree node kind -> operator on the children's values; exp/sin/cos come

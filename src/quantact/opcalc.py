@@ -21,8 +21,8 @@ exact at every truncation order (no mixing between orders beyond n1 + n2).
 
 One product call builds each carrier D^alpha[g * (D^beta psi) o phi2^{-1}]
 once, in a table keyed by (n2, beta, alpha), from the carrier of alpha - e_j.
-Pullbacks by phi1^{-1} go through ``Diffeo.pullback``, and each map keeps the
-images of the monomials it has pulled back.
+Pullbacks by phi1^{-1} go through ``Diffeo.pullback``: each map keeps one
+substitution of its inverse, which keeps the images of the monomials it meets.
 """
 
 from __future__ import annotations

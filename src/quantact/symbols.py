@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .expr import Expr, ExprError, as_expr, is_zero, parse
+from .expr import Expr, ExprError, as_expr, is_zero, parse, substitution
 
 
 def multi_indices(dim, max_total):
@@ -328,17 +328,25 @@ def taylor_from_amplitude(amp, order, convention="multi"):
     weights by 1/|alpha|! instead, for cross-checks of the normalization.
     """
     dim = amp.dim
-    zero_point = {name: Expr.zero() for name in amp.xi_names}
-    # derivs[k][alpha] = d_xi^alpha a^k, which lands in slot k + |alpha|
-    derivs = [dict(_xi_derivatives(amp.term(k), amp.xi_names, order - k))
-              for k in range(order + 1)]
+    at_xi_zero = substitution({name: Expr.zero() for name in amp.xi_names})
+    # by_degree[m]: the multi-indices of total degree m, in multi_indices order
+    by_degree = [[] for _ in range(order + 1)]
+    for alpha in multi_indices(dim, order):
+        by_degree[sum(alpha)].append(alpha)
+    # derivs[k][alpha] = d_xi^alpha a^k, which lands in slot k + |alpha|; an
+    # exact-zero term, such as one past the end of the series, adds nothing
+    derivs = {k: dict(_xi_derivatives(amp.term(k), amp.xi_names, order - k))
+              for k in range(min(order, amp.order) + 1)
+              if not amp.term(k).is_exact_zero()}
     comps = []
     for n in range(order + 1):
         coeffs = {}
-        for alpha in multi_indices(dim, n):
-            at_zero = derivs[n - sum(alpha)][alpha].substitute(zero_point)
-            if not at_zero.is_exact_zero():
-                coeffs[alpha] = at_zero * _factorial_weight(alpha, convention)
+        # slot n takes |alpha| = n - k in ascending order, so k descending
+        for k in reversed([k for k in derivs if k <= n]):
+            for alpha in by_degree[n - k]:
+                at_zero = at_xi_zero(derivs[k][alpha])
+                if not at_zero.is_exact_zero():
+                    coeffs[alpha] = at_zero * _factorial_weight(alpha, convention)
         comps.append(PolyXi(dim, coeffs))
     return FormalSymbol(dim, order, comps)
 
@@ -352,11 +360,11 @@ def xi_decompose(e, xi_names):
     """
     max_degree = 12
     e = as_expr(e)
-    zero_point = {name: Expr.zero() for name in xi_names}
+    at_xi_zero = substitution({name: Expr.zero() for name in xi_names})
     out = {}
     recon = Expr.zero()
     for alpha, deriv in _xi_derivatives(e, xi_names, max_degree):
-        coeff = deriv.substitute(zero_point) * _factorial_weight(alpha, "multi")
+        coeff = at_xi_zero(deriv) * _factorial_weight(alpha, "multi")
         if coeff.is_exact_zero():
             continue
         out[alpha] = coeff

@@ -424,6 +424,45 @@ elements = 1/5
     assert "config error:" in io.err and message in io.err
 
 
+@pytest.mark.parametrize("key,value,message", [
+    # a third number on the 2-D grid used to be dropped
+    ("momenta", "0,0,5 ; 1/10,-1/20",
+     "[numeric] momenta: each packet needs 2 numbers, got 3"),
+    # a packet that does not decay along the second axis
+    ("centers", "0 ; 0,0", "[numeric] centers: each packet needs 2 numbers, got 1"),
+    # the tail check alone used to pass the run
+    ("elements", "", "[numeric] elements must list at least one element"),
+], ids=["momenta-3", "centers-1", "elements-empty"])
+def test_bad_packet_or_empty_elements_is_a_config_error(tmp_path, capsys, key,
+                                                        value, message):
+    numeric = {"centers": "0,0 ; 0,0", "momenta": "0,0 ; 1/10,-1/20",
+               "elements": "1/5 ; 1/10 ; -3/20"}
+    numeric[key] = value
+    status, io, _ = run_cli(tmp_path, capsys, """
+[session]
+task = verify-numeric
+seed = 11
+
+[action]
+builtin = galilean
+
+[phase]
+expr = m*v*x - m*v*v*t/2
+
+[grid]
+dim = 2
+points = 64
+length = 10
+hbar = 1/10
+
+[numeric]
+%s
+constants = m:1
+""" % "\n".join("%s = %s" % item for item in numeric.items()))
+    assert status == 2
+    assert "config error: %s" % message in io.err
+
+
 def test_check_cocycle_on_a_pole_terminates(tmp_path):
     cfg = write(tmp_path, """
 [session]
@@ -477,6 +516,40 @@ monomials = %d
     if slots is not None:
         assert "= %d slots" % slots in proc.stderr
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_expand_refuses_a_huge_order_before_any_derivative(tmp_path):
+    cfg = write(tmp_path, """
+[session]
+task = expand
+order = 100000000
+
+[amplitude]
+coords = x1, x2
+terms = x1*xi2 + x2*x2, xi1*xi2
+""")
+    proc = _run_subprocess(tmp_path, cfg, timeout=20)
+    assert proc.returncode == 2
+    assert ("expand at order 100000000 in 2 coordinates needs 5000000150000001 "
+            "multi-indices, more than the budget of %d" % cli.SLOT_BUDGET) in proc.stderr
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_expand_at_the_budget_edge_finishes(tmp_path):
+    # C(1 + 9999, 9999) = 10000 multi-indices is admitted; only the two
+    # nonzero terms of the series are differentiated
+    cfg = write(tmp_path, """
+[session]
+task = expand
+order = 9999
+
+[amplitude]
+coords = x1
+terms = x1*xi1 + xi1^2, x1
+""")
+    proc = _run_subprocess(tmp_path, cfg, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("symbol order=9999 dim=1\n1 (0) x1\n1 (1) x1\n2 (2) 1\n")
 
 
 def test_slot_budget_admits_the_worked_example():

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from quantact import dga
-from quantact.actions import (FiniteGroup, cyclic_rotations, galilean_boosts,
-                              heisenberg, sign_flip, translations,
-                              trivial_action)
+from quantact.actions import (BUILTIN_ACTIONS, FiniteGroup, cyclic_rotations,
+                              galilean_boosts, heisenberg, sign_flip,
+                              translations, trivial_action)
 from quantact.dga import (BasisEscapeError, Cochain, CoefficientBasis,
                           PhaseCochain, _decompose_symbol_slot, _lift_leading,
                           _matrix_of_twisted_d, _slot_maps, character_phase,
@@ -21,6 +21,12 @@ from quantact.expr import Expr, GaussRat, Poly, is_zero, parse
 from quantact.linalg import SparseMatrix, solve
 from quantact.opcalc import FormalOperator, compose
 from quantact.symbols import FormalSymbol, PolyXi, multi_indices
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:
+    hypothesis = None
 
 
 def random_symbol(rng, dim, order, coords):
@@ -91,6 +97,47 @@ def test_graded_leibniz_degree_zero_left_factor():
     lhs = d(star_graded(a, b))
     rhs = star_graded(d(a), b).add(star_graded(a, d(b)))
     assert_cochain_zero(lhs.sub(rhs))
+
+
+FINITE_BUILTINS = sorted(name for name, make in BUILTIN_ACTIONS.items()
+                         if make().is_finite)
+
+
+def _drawn_cochain(draw, action, degree, order):
+    """Cochain whose slots hold small integer combinations of 1, the
+    coordinates and exp(i*first coordinate), each slot drawn on its own."""
+    atoms = [Expr.one()] + [Expr.var(c) for c in action.coords]
+    atoms.append(Expr.exp(Expr.imag_unit() * Expr.var(action.coords[0])))
+    coefficient = st.lists(st.tuples(st.sampled_from(atoms), st.integers(-2, 2)),
+                           min_size=1, max_size=2)
+    table = {}
+    for t in itertools.product(action.group.elements(), repeat=degree):
+        comps = []
+        for n in range(order + 1):
+            comps.append(PolyXi(action.dim, {
+                alpha: sum((a * c for a, c in draw(coefficient)), Expr.zero())
+                for alpha in multi_indices(action.dim, n) if draw(st.booleans())}))
+        table[t] = FormalSymbol(action.dim, order, comps)
+    return Cochain(action, degree, order, table=table)
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+@pytest.mark.parametrize("degrees", [(0, 1), (1, 1)], ids=["deg01", "deg11"])
+@pytest.mark.parametrize("name", FINITE_BUILTINS)
+def test_graded_leibniz_rule_on_drawn_cochains(name, degrees):
+    # d(a*b) = (da)*b + (-1)^k a*(db) for k = deg a, on every finite builtin
+    action = BUILTIN_ACTIONS[name]()
+
+    @hypothesis.settings(max_examples=15, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        a, b = (_drawn_cochain(data.draw, action, k, 1) for k in degrees)
+        lhs = d(star_graded(a, b))
+        rhs = star_graded(d(a), b).add(star_graded(a, d(b)).scale((-1) ** degrees[0]))
+        assert_cochain_zero(lhs.sub(rhs))
+
+    check()
 
 
 def sign_representation():

@@ -1,10 +1,11 @@
 """Layering rules checked on the source with ``ast``.
 
 Only quantact.expr knows the expression format.  Tree nodes
-(``Expr.node``), the monomial generator keys that ``Poly._from_key``
-decodes, and ``Poly`` itself are private to ``quantact/expr.py``; every
-other module evaluates, substitutes and walks expressions through
-``Expr``'s methods (``Expr.fold`` among them).
+(``Expr.node``), monomials and ``Poly`` itself are private to
+``quantact/expr.py``; every other module evaluates, substitutes and walks
+expressions through ``Expr``'s methods (``Expr.fold`` among them) and
+``substitution``.  An exp atom holds its argument, so no key decoder
+(``_from_key``) exists, and only expr.py keeps monomial images.
 
 The command line interface applies grid plans (``numfio.phase_system_plan``)
 and never the per-call grid operators, which classify their map anew on
@@ -134,6 +135,30 @@ def test_operator_symbol_converters_stay_gone():
 def test_opcalc_pulls_back_through_the_map():
     path = os.path.join(ROOT, "src", "quantact", "opcalc.py")
     assert name_uses(path, ("substitute",)) == []
+
+
+# an exp atom holds its argument Poly, so there is no key to decode; the
+# images of monomials under a map live inside expr.substitution
+def test_no_key_decoder_and_no_image_table_outside_expr():
+    modules = glob.glob(os.path.join(ROOT, "src", "quantact", "*.py"))
+    uses = []
+    for m in sorted(modules):
+        names = ("_from_key",) if m.endswith(os.sep + "expr.py") else ("_from_key", "_images")
+        uses += ["%s:%d %s" % (os.path.basename(m), line, name)
+                 for line, name in name_uses(m, names)]
+    assert modules and not uses, "expression internals leaked: %s" % ", ".join(uses)
+
+
+def test_the_image_guard_sees_a_table_and_a_decoder(tmp_path):
+    path = tmp_path / "tabled.py"
+    path.write_text("class Diffeo:\n"
+                    "    def __init__(self):\n"
+                    "        self._images = {}\n"
+                    "    def pullback(self, gen):\n"
+                    "        return Poly._from_key(gen[1]), self._images\n"
+                    "_images = {}\n")
+    assert sorted(name_uses(str(path), ("_from_key", "_images"))) == [
+        (3, "_images"), (5, "_from_key"), (5, "_images"), (6, "_images")]
 
 
 def test_the_name_guard_sees_each_kind_of_use(tmp_path):
