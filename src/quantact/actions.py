@@ -106,7 +106,7 @@ def compose_diffeo(phi1, phi2):
         raise ValueError("coordinate mismatch")
     forward2 = substitution(dict(zip(phi2.coords, phi2.forward)))
     return Diffeo(phi1.coords, [forward2(f) for f in phi1.forward],
-                  [phi1._pullback(g) for g in phi2.inverse])
+                  [phi1.pullback(g) for g in phi2.inverse])
 
 
 # ---------------------------------------------------------------------------

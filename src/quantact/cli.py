@@ -5,9 +5,10 @@ Config files are line oriented:
     [section]
     key = value        # comment
 
-Blank lines and comment lines are skipped; an unescaped ``#`` starts an
-inline comment.  Keys live inside a section; duplicate sections or keys,
-and any malformed line, are rejected with their line number.
+Blank lines and comment lines are skipped; every ``#`` starts an inline
+comment (there is no escape, so no value can hold one).  Keys live inside
+a section; duplicate sections or keys, and any malformed line, are
+rejected with their line number.
 
 Tasks (``--task`` or ``task =`` under ``[session]``):
 

@@ -53,9 +53,9 @@ import itertools
 import random
 
 from .actions import Diffeo
-from .expr import (GR_ONE, GR_ZERO, Expr, GaussRat, _accumulate, all_zero,
+from .expr import (GR_ONE, Expr, GaussRat, _accumulate, all_zero,
                    as_expr, is_zero)
-from .linalg import SparseMatrix, _eliminate, rank, solve_with_kernel
+from .linalg import SparseMatrix, _eliminate, rank, solve
 from .opcalc import FormalFunction, FormalOperator, apply, star
 from .report import Report
 from .symbols import FormalSymbol, PolyXi, monomial, multi_indices
@@ -400,11 +400,6 @@ class CoefficientBasis:
                                  for alpha in multi_indices(len(coords), max_degree)])
 
     def decompose(self, e):
-        """Coordinates of e in the basis; raises BasisEscapeError if outside."""
-        coords = self._coordinates(e)
-        return [coords.get(j, GR_ZERO) for j in range(len(self.exprs))]
-
-    def _coordinates(self, e):
         """Nonzero coordinates {j: c} of e; raises BasisEscapeError if outside.
 
         e lies in the span iff it equals the sum of its pivot coefficients
@@ -445,11 +440,12 @@ class CoefficientBasis:
             rep.add("pullback by %s" % _tuple_label(action, (g,)), ok)
         return rep
 
-    def combine(self, coeffs):
+    def combine(self, coords):
+        """The expression with coordinates {j: c}; the inverse of ``decompose``."""
         out = Expr.zero()
-        for c, e in zip(coeffs, self.exprs):
+        for j, c in coords.items():
             if not c.is_zero():
-                out = out + as_expr(GaussRat.of(c)) * e
+                out = out + as_expr(GaussRat.of(c)) * self.exprs[j]
         return out
 
 
@@ -476,7 +472,7 @@ def _decompose_symbol_slot(v, n, basis):
     """Coordinates of the order-n slot of a symbol in (alpha, basis) blocks."""
     out = {}
     for alpha, coeff in v.comps[n].coeffs.items():
-        for j, c in basis._coordinates(coeff).items():
+        for j, c in basis.decompose(coeff).items():
             out[(alpha, j)] = c
     for n2, comp2 in enumerate(v.comps):
         if n2 != n and not comp2.is_zero():
@@ -599,7 +595,7 @@ def solve_order(action, p0, below, n, basis, rhs_cochain=None, rng=None):
         for (alpha, j), c in _decompose_symbol_slot(rhs.value(t), n, basis).items():
             b[row_index[(t, alpha, j)]] = c
 
-    x, residual, kernel = solve_with_kernel(m, b)
+    x, residual, kernel = solve(m, b)
 
     rhs_is_zero = all(v.is_zero() for v in b)
     cocycle_basis = ([_slot_cochain(action, n, basis, cols, v, 1) for v in kernel]

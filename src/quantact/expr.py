@@ -7,7 +7,7 @@ variable names or exponential atoms exp(P) whose argument P is itself a
 canonical polynomial.  Products of exponentials merge, exp(P)*exp(Q) =
 exp(P+Q), and exp(0) = 1, so each monomial carries at most one exponential
 factor.  Trigonometric functions are rewritten into exponentials on
-construction,
+construction, for a tree argument too,
 
     sin(P) = (exp(i*P) - exp(-i*P)) / (2*i),
     cos(P) = (exp(i*P) + exp(-i*P)) / 2,
@@ -584,19 +584,13 @@ class Expr:
 
     @staticmethod
     def sin(e):
-        e = as_expr(e)
-        if e.poly is not None:
-            i_e = e * Expr.imag_unit()
-            return (Expr.exp(i_e) - Expr.exp(-i_e)) * Expr.gauss(0, Fraction(-1, 2))
-        return Expr(node=("sin", e))
+        i_e = as_expr(e) * Expr.imag_unit()
+        return (Expr.exp(i_e) - Expr.exp(-i_e)) * Expr.gauss(0, Fraction(-1, 2))
 
     @staticmethod
     def cos(e):
-        e = as_expr(e)
-        if e.poly is not None:
-            i_e = e * Expr.imag_unit()
-            return (Expr.exp(i_e) + Expr.exp(-i_e)) * Expr.rational(1, 2)
-        return Expr(node=("cos", e))
+        i_e = as_expr(e) * Expr.imag_unit()
+        return (Expr.exp(i_e) + Expr.exp(-i_e)) * Expr.rational(1, 2)
 
     # predicates ------------------------------------------------------------
 
@@ -719,16 +713,18 @@ class Expr:
                 # a constant denominator stays as it is: squaring it on every
                 # derivative would double its size each time
                 return a.diff(name) / b
-            return Expr(node=("quot", a.diff(name) * b - a * b.diff(name), b * b))
+            # b = base^k: (a/base^k)' = (a' base - k a base') / base^(k+1), so
+            # the denominator grows by one factor per derivative, not doubles
+            base, k = b, 1
+            if b.node is not None and b.node[0] == "pow":
+                base, k = b.node[1], b.node[2]
+            num = a.diff(name) * base - Expr.integer(k) * a * base.diff(name)
+            return Expr(node=("quot", num, Expr(node=("pow", base, k + 1))))
         if kind == "pow":
             a, n = self.node[1], self.node[2]
             return Expr.integer(n) * a ** (n - 1) * a.diff(name)
         if kind == "exp":
             return self.node[1].diff(name) * self
-        if kind == "sin":
-            return self.node[1].diff(name) * Expr.cos(self.node[1])
-        if kind == "cos":
-            return -self.node[1].diff(name) * Expr.sin(self.node[1])
         raise ExprError("cannot differentiate node %r" % kind)
 
     def substitute(self, mapping):
@@ -741,8 +737,8 @@ class Expr:
 
     def fold(self, leaf, funcs):
         """Evaluate bottom-up: ``leaf(poly)`` on each canonical part; tree nodes
-        apply ``_TREE_OPS`` to their children's values and take exp, sin and
-        cos from ``funcs`` (``cmath``, ``numpy`` or ``Expr`` itself)."""
+        apply ``_TREE_OPS`` to their children's values and take exp from
+        ``funcs`` (``cmath``, ``numpy`` or ``Expr`` itself)."""
         if self.poly is not None:
             return leaf(self.poly)
         kind = self.node[0]
@@ -811,8 +807,8 @@ def substitution(mapping):
     return lambda e: as_expr(e).fold(lambda poly: Expr(poly=poly.subs(polys, images)), Expr)
 
 
-# tree node kind -> operator on the children's values; exp/sin/cos come
-# from the ``funcs`` argument of ``Expr.fold``
+# tree node kind -> operator on the children's values; exp comes from the
+# ``funcs`` argument of ``Expr.fold``
 _TREE_OPS = {"add": operator.add, "neg": operator.neg, "mul": operator.mul,
              "quot": operator.truediv, "pow": operator.pow}
 
@@ -880,18 +876,6 @@ class _Sized:
     def exp(a):
         v = cmath.exp(a.value)
         return _Sized(v, abs(v) * (1 + a.size))
-
-    @staticmethod
-    def sin(a):
-        return _Sized(cmath.sin(a.value), _Sized._trig_size(a))
-
-    @staticmethod
-    def cos(a):
-        return _Sized(cmath.cos(a.value), _Sized._trig_size(a))
-
-    @staticmethod
-    def _trig_size(a):
-        return (abs(cmath.sin(a.value)) + abs(cmath.cos(a.value))) * (1 + a.size)
 
 
 def is_zero(e, rng=None):

@@ -112,72 +112,42 @@ def rank(matrix):
     return len(_eliminate(cols, matrix.nrows, back=False))
 
 
-def _reduce(matrix, b):
-    """Row reduce a copy of [A | b], b in column ncols; returns (rows, pivots)."""
+def solve(matrix, b):
+    """Solve A x = b exactly; returns (x, residual, kernel) from one elimination.
+
+    x is the canonical solution with free variables set to zero, and residual
+    is None when the system is consistent, else the nonzero vector b - A x
+    exposing the failure.  The reduced rows do not depend on b, so the kernel
+    basis, one vector per free column, is read off the same elimination.
+    """
     n = matrix.ncols
     rows = [dict(r) for r in matrix.rows]
     for row, v in zip(rows, b):
         v = GaussRat.of(v)
         if not v.is_zero():
             row[n] = v
-    return rows, _eliminate(rows, n)
-
-
-def _solution(matrix, b, rows, pivots):
-    x = [GaussRat(0)] * matrix.ncols
+    pivots = _eliminate(rows, n)
+    x = [GaussRat(0)] * n
     for col, i in pivots.items():
-        x[col] = rows[i].get(matrix.ncols, GaussRat(0))
-    return x, residual_vector(matrix, x, b)
-
-
-def solve(matrix, b):
-    """Solve A x = b exactly.
-
-    Returns (solution, residual): the canonical solution with free variables
-    set to zero when the system is consistent (residual None), else the
-    least-structured certificate pair (particular attempt, nonzero residual
-    vector b - A x) exposing the failure.
-    """
-    rows, pivots = _reduce(matrix, b)
-    return _solution(matrix, b, rows, pivots)
-
-
-def solve_with_kernel(matrix, b):
-    """(x, residual, kernel): ``solve`` and ``nullspace`` from one elimination.
-
-    The reduced rows do not depend on the right-hand side, so the kernel is
-    read off the same elimination that solves A x = b.
-    """
-    rows, pivots = _reduce(matrix, b)
-    x, residual = _solution(matrix, b, rows, pivots)
-    return x, residual, _kernel(rows, pivots, matrix.ncols)
-
-
-def residual_vector(matrix, x, b):
-    """b - A x, or None when A x = b holds exactly."""
-    residual = [bv - av for bv, av in zip(b, matrix.mul_vector(x))]
-    if all(v.is_zero() for v in residual):
-        return None
-    return residual
-
-
-def nullspace(matrix):
-    """Basis of the exact kernel, one vector per free column."""
-    rows = [dict(r) for r in matrix.rows]
-    pivots = _eliminate(rows, matrix.ncols)
-    return _kernel(rows, pivots, matrix.ncols)
-
-
-def _kernel(rows, pivots, ncols):
-    """Kernel basis read off reduced rows, one vector per free column."""
-    free_cols = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [GaussRat(0)] * ncols
+        x[col] = rows[i].get(n, GaussRat(0))
+    kernel = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        vec = [GaussRat(0)] * n
         vec[fc] = GR_ONE
         for col, i in pivots.items():
             c = rows[i].get(fc)
             if c is not None:
                 vec[col] = -c
-        basis.append(vec)
-    return basis
+        kernel.append(vec)
+    residual = [bv - av for bv, av in zip(b, matrix.mul_vector(x))]
+    if all(v.is_zero() for v in residual):
+        residual = None
+    return x, residual, kernel
+
+
+def nullspace(matrix):
+    """Basis of the exact kernel, one vector per free column: ``solve`` at b = 0."""
+    return solve(matrix, [GaussRat(0)] * matrix.nrows)[2]
+

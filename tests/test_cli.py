@@ -10,6 +10,8 @@ import pytest
 import quantact
 from quantact import cli
 from quantact.cli import ConfigError, SessionConfig, main, parse_config
+from quantact.expr import Expr, is_zero
+from quantact.symbols import load_symbol
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "configs")
@@ -550,6 +552,26 @@ terms = x1*xi1 + xi1^2, x1
     proc = _run_subprocess(tmp_path, cfg, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.endswith("symbol order=9999 dim=1\n1 (0) x1\n1 (1) x1\n2 (2) 1\n")
+
+
+def test_expand_of_a_quotient_amplitude_stays_small(tmp_path):
+    # each frequency derivative of 1/(1 + x1*xi1) raises the power of the
+    # denominator by one; a squared denominator would double it every time
+    cfg = write(tmp_path, """
+[session]
+task = expand
+order = 16
+
+[amplitude]
+coords = x1
+terms = 1/(1 + x1*xi1)
+""")
+    proc = _run_subprocess(tmp_path, cfg, timeout=30)
+    assert proc.returncode == 0
+    sym = load_symbol(proc.stdout[proc.stdout.index("symbol order="):])
+    x1 = Expr.var("x1")
+    for n in range(17):
+        assert is_zero(sym.comps[n].coeffs[(n,)] - (-x1) ** n).ok
 
 
 def test_slot_budget_admits_the_worked_example():

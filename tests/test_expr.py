@@ -1,5 +1,6 @@
 """Tests for the exact expression engine."""
 
+import cmath
 import random
 from fractions import Fraction
 
@@ -291,6 +292,32 @@ def test_quotient_by_a_constant_denominator_keeps_it():
     assert str(de).endswith("/(1 + x^2)") and str(de).count("/(1 + x^2)") == 1
     ref = parse("(x/7)^12 * exp(i*x*y/7) / (1 + x^2)", B)
     assert is_zero(de - ref).ok
+
+
+def test_quotient_derivatives_raise_the_denominator_power():
+    # d^n/dy^n 1/(1 + x*y) = n! (-x)^n / (1 + x*y)^(n+1): one more factor of
+    # the denominator per derivative, never its square
+    de = parse("1/(1 + x*y)", B)
+    for n in range(1, 6):
+        de = de.diff("y")
+        assert str(de).endswith("/((1 + x*y)^%d)" % (n + 1))
+    ref = parse("-120*x^5/(1 + x*y)^6", B)
+    assert is_zero(de - ref).ok
+
+
+def test_trig_of_a_quotient_is_an_exp_sum():
+    q = parse("x/(y + 1)", B)
+    s, c = Expr.sin(q), Expr.cos(q)
+    assert "sin" not in str(s) and "cos" not in str(c)
+    rng = random.Random(5)
+    for _ in range(5):
+        pt = {"x": Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+              "y": Fraction(rng.randint(0, 9), rng.randint(1, 5))}
+        assert abs(ev(s, **pt) - cmath.sin(ev(q, **pt))) < 1e-12
+        assert abs(ev(c, **pt) - cmath.cos(ev(q, **pt))) < 1e-12
+    for name in ("x", "y"):
+        assert is_zero(s.diff(name) - q.diff(name) * c).ok
+        assert is_zero(c.diff(name) + q.diff(name) * s).ok
 
 
 def test_sampled_zero_scales_with_the_terms_that_cancel():

@@ -172,3 +172,14 @@ def test_the_name_guard_sees_each_kind_of_use(tmp_path):
     assert sorted(name_uses(str(path), ("left_inverse", "mul_vector"))) == [
         (1, "left_inverse"), (2, "mul_vector"), (3, "mul_vector"),
         (4, "left_inverse"), (6, "mul_vector")]
+
+
+# each solver step has one entry point, the public name the tracer wraps:
+# linalg.solve returns the kernel too, and CoefficientBasis.decompose is the
+# one basis decomposition
+def test_solver_twins_stay_gone():
+    modules = glob.glob(os.path.join(ROOT, "src", "quantact", "*.py"))
+    twins = ("solve_with_kernel", "_reduce", "_solution", "_coordinates")
+    uses = ["%s:%d %s" % (os.path.basename(m), line, name)
+            for m in sorted(modules) for line, name in name_uses(m, twins)]
+    assert modules and not uses, "solver twins are back: %s" % ", ".join(uses)

@@ -11,8 +11,9 @@ import importlib
 import importlib.util
 import os
 
-from quantact import opcalc
+from quantact import cli, opcalc
 from quantact.actions import sign_flip
+from quantact.cli import SessionConfig
 from quantact.expr import Expr
 from quantact.symbols import FormalSymbol, PolyXi
 
@@ -63,3 +64,22 @@ def test_tracer_hooks_count_compose_terms_and_zero_star_operands():
     terms_out = sum(len(table) for table in composite.terms)
     assert terms_out > 0 and rec.extra["opcalc.compose_terms_out"] == terms_out
     assert rec.extra["opcalc.star_zero_operand_calls"] == 1
+
+
+def test_traced_solve_sees_the_solver_and_every_basis_decomposition(tmp_path):
+    # the order-1 solve eliminates one matrix through linalg.solve and
+    # decomposes every star-term coefficient through CoefficientBasis.decompose
+    cfg = SessionConfig.load(os.path.join(ROOT, "configs", "solve_sign_flip.cfg"),
+                             out=str(tmp_path))
+    tracer = tracer_module().Tracer()
+    tracer.install()
+    try:
+        status, _ = cli.run(cfg)
+    finally:
+        tracer.uninstall()
+    rec = tracer.rec
+    assert status == 0
+    assert rec.calls["linalg.solve"] == 1
+    assert rec.extra["dga.matrix_rows"] > 0
+    # the closure report alone decomposes |basis| * |G| = 3 * 2 pullbacks
+    assert rec.calls["dga.basis_decompose"] > 6
