@@ -29,9 +29,9 @@ correction solves d_{P0} P^n = -sum_{i+j=n} P^i * P^j, a finite exact linear
 system over a declared coefficient basis.  ``solve_order`` assembles and
 solves it, reporting either the canonical solution or the obstruction class.
 
-Both ``solve_order`` and ``cohomology_dims`` assemble d_{P0} on order-n
-slots s = (alpha, j), the symbol xi^alpha times basis element j, as the
-bar-complex differential of C^k(G, M), M the slot space.  With g the
+Both ``solve_order`` and ``cohomology_dims`` take d_{P0} on order-n slots
+s = (alpha, j), the symbol xi^alpha times basis element j, from one builder,
+as the bar-complex differential of C^k(G, M), M the slot space.  With g the
 product of t, the column for s at the k-tuple t is, for every h,
 
     L[h, g, s] = P0(h) star s over (phi_h, phi_g)   on the row (h,)+t,
@@ -45,6 +45,10 @@ it is the zero symbol.  L and R depend on t only through g, so each is one
 star product per (h, g, s).  The basis escape check runs on each star term,
 not on each row sum; both callers build P0 at truncation order n, so every
 term lies in slot n and the two checks agree.
+
+When P0(e) = 1 and phi_e = id hold exactly, the builder works on the
+normalized complex: tuples over G minus e, h != e and no split row holding
+e, since every term it drops lands on a row holding e.
 """
 
 from __future__ import annotations
@@ -129,11 +133,14 @@ class Cochain:
         """All argument tuples (finite groups only)."""
         if not self.action.is_finite:
             raise ValueError("enumeration needs a finite group")
-        return _tuples(self.action.group.elements(), self.degree)
+        return _tuples(self.action, self.degree)
 
 
-def _tuples(elems, k):
-    """All k-tuples of ``elems`` in lexicographic order."""
+def _tuples(action, k, normalized=False):
+    """All k-tuples of group elements in lexicographic order, over G minus e
+    when ``normalized``."""
+    e = action.group.identity
+    elems = [g for g in action.group.elements() if not (normalized and g == e)]
     return list(itertools.product(elems, repeat=k))
 
 
@@ -145,7 +152,7 @@ def test_tuples(action, degree, rng=None):
     sampled rational tuples.
     """
     if action.is_finite:
-        return _tuples(action.group.elements(), degree)
+        return _tuples(action, degree)
     rng = rng if rng is not None else random.Random(0)
     out = []
     if action.supports_symbolic_elements():
@@ -480,13 +487,6 @@ def _decompose_symbol_slot(v, n, basis):
     return out
 
 
-def _slot_coords(action, n, basis, tuples):
-    """Coordinates (t, alpha, j) of order-n slot values on ``tuples``."""
-    slots = [(alpha, j) for alpha in multi_indices(action.dim, n)
-             for j in range(len(basis))]
-    return [(t, alpha, j) for t in tuples for alpha, j in slots]
-
-
 def _slot_symbol(dim, order, n, coeffs):
     """Symbol of truncation ``order`` with the {alpha: coefficient} ``coeffs`` in slot n."""
     comps = [PolyXi.zero(dim) for _ in range(order + 1)]
@@ -494,19 +494,35 @@ def _slot_symbol(dim, order, n, coeffs):
     return FormalSymbol(dim, order, comps)
 
 
-def _slot_maps(action, p0, n, basis, tuples):
+def _is_unital(action, p0):
+    """True when P0(e) = 1 and phi_e = id hold exactly, never by sampling.
+
+    Then the cochains vanishing on every tuple holding e form a subcomplex of
+    d_{P0}, and its inclusion is a quasi-isomorphism (the normalized bar
+    complex: Weibel, An Introduction to Homological Algebra, 1994, ch. 6, 9).
+    """
+    e = action.group.identity
+    phi = action.diffeo(e)
+    gaps = [c for comp in p0.value((e,)).sub(FormalSymbol.one(action.dim, p0.order)).comps
+            for c in comp.coeffs.values()]
+    gaps += [f - Expr.var(x) for f, x in zip(phi.forward + phi.inverse, phi.coords * 2)]
+    return all(v.is_canonical and is_zero(v).ok for v in gaps)
+
+
+def _slot_maps(action, p0, n, basis, tuples, normalized=False):
     """Star terms L and R of d_{P0} on order-n slots, for the products of ``tuples``.
 
     L[h, g, alpha, j] and R[g, h, alpha, j] are the slot coordinates of
-    P0(h) star s and s star P0(h), s the unit symbol of slot (alpha, j).
-    The empty tuple keeps the key () and the identity diffeomorphism.
+    P0(h) star s and s star P0(h), s the unit symbol of slot (alpha, j), and
+    g the product of a tuple (e for the empty one).  The normalized complex
+    takes no h = e: those terms land on rows holding e.
     """
     dim, order = action.dim, p0.order
-    phis = {action.product(t) if t else (): action.product_diffeo(t) for t in tuples}
+    phis = {g: action.diffeo(g) for g in dict.fromkeys(action.product(t) for t in tuples)}
     units = {(alpha, j): _slot_symbol(dim, order, n, {alpha: e})
              for alpha in multi_indices(dim, n) for j, e in enumerate(basis.exprs)}
     left, right = {}, {}
-    for h in action.group.elements():
+    for (h,) in _tuples(action, 1, normalized):
         p, phi_h = p0.value((h,)), action.diffeo(h)
         for g, phi_g in phis.items():
             for (alpha, j), s in units.items():
@@ -517,16 +533,20 @@ def _slot_maps(action, p0, n, basis, tuples):
     return left, right
 
 
-def _matrix_of_twisted_d(action, maps, cols, row_index):
-    """Matrix of d_{P0} from columns (t, alpha, j) to rows, read off ``maps``."""
+def _matrix_of_twisted_d(action, maps, cols, row_index, normalized=False):
+    """Matrix of d_{P0} from columns (t, alpha, j) to rows, read off ``maps``.
+
+    On the normalized complex every tuple is e-free: h runs over G minus e,
+    and the split row of t_i = h, which holds e, is skipped.
+    """
     left, right = maps
     # an even-length t takes R with a minus sign: each entry is negated once
     minus_right = {}
     face_signs = (-GR_ONE, GR_ONE)   # (-1)^(i+1) by the parity of i
-    splits = [(h, action.inverse(h)) for h in action.group.elements()]
+    splits = [(h, action.inverse(h)) for (h,) in _tuples(action, 1, normalized)]
     m = SparseMatrix(len(row_index), len(cols))
     for col, (t, alpha, j) in enumerate(cols):
-        g = action.product(t) if t else ()
+        g = action.product(t)
         for h, h_inv in splits:
             for (alpha2, j2), c in left[h, g, alpha, j].items():
                 m.add(row_index[((h,) + t, alpha2, j2)], col, c)
@@ -538,14 +558,33 @@ def _matrix_of_twisted_d(action, maps, cols, row_index):
             for (alpha2, j2), c in r.items():
                 m.add(row_index[(t + (h,), alpha2, j2)], col, c)
             for i, gi in enumerate(t):
+                if normalized and gi == h:
+                    continue
                 split = t[:i] + (h, action.mult(h_inv, gi)) + t[i + 1:]
                 m.add(row_index[(split, alpha, j)], col, face_signs[i % 2])
     return m
 
 
+def _twisted_d_matrices(action, p0, n, basis, tuples, normalized):
+    """Slot coordinates on each ``tuples[k]`` and the matrices of d_{P0} from
+    ``tuples[k]`` to ``tuples[k + 1]``, from one set of slot maps.
+
+    ``normalized`` (every tuple e-free, P0 unital) drops h = e from the maps
+    and the entries on rows holding e from the matrices.
+    """
+    slots = [(alpha, j) for alpha in multi_indices(action.dim, n) for j in range(len(basis))]
+    coords = [[(t, alpha, j) for t in ts for alpha, j in slots] for ts in tuples]
+    maps = _slot_maps(action, p0, n, basis, [t for ts in tuples[:-1] for t in ts],
+                      normalized)
+    mats = [_matrix_of_twisted_d(action, maps, coords[k],
+                                 {c: i for i, c in enumerate(coords[k + 1])}, normalized)
+            for k in range(len(tuples) - 1)]
+    return coords, mats
+
+
 def _slot_cochain(action, n, basis, coords, vec, degree):
     """Order-n cochain of ``degree`` whose slot n has coordinates ``vec`` on ``coords``."""
-    slots = {t: {} for t in _tuples(action.group.elements(), degree)}
+    slots = {t: {} for t in _tuples(action, degree)}
     for (t, alpha, j), c in zip(coords, vec):
         if not c.is_zero():
             coeffs = slots[t]
@@ -565,35 +604,30 @@ def solve_order(action, p0, below, n, basis, rhs_cochain=None, rng=None):
     A nonzero obstruction is reported as the canonical remainder of the
     right-hand side against the image of d_{P0} (free variables pinned to
     zero), together with the exact rank bookkeeping.
+
+    The unknowns live on G minus e.  The rows are the e-free pairs when
+    P0(e) = 1 and phi_e = id hold exactly and the right-hand side has no
+    basis coordinate on a pair holding e, where d_{P0} of an e-free cochain
+    vanishes too; otherwise they are all |G|^2 pairs.
     """
     if not action.is_finite:
         raise ValueError("order-by-order solving is implemented for finite groups")
-    # right-hand side
-    if rhs_cochain is None:
+    rhs = rhs_cochain
+    if rhs is None:
         rhs = Cochain.zero(action, 2, n)
         for i in range(1, n):
-            j = n - i
-            if i in below and j in below:
-                rhs = rhs.sub(star_graded(below[i], below[j]))
-    else:
-        rhs = rhs_cochain
+            if i in below and n - i in below:
+                rhs = rhs.sub(star_graded(below[i], below[n - i]))
 
     closed = cochain_zero_report(twisted_d(p0, rhs, check=False), rng=rng).all_ok
 
-    elems = action.group.elements()
-    col_tuples = [(g,) for g in elems if g != action.group.identity]
-    cols = _slot_coords(action, n, basis, col_tuples)
-    pair_tuples = _tuples(elems, 2)
-    rows = _slot_coords(action, n, basis, pair_tuples)
-    row_index = {c: i for i, c in enumerate(rows)}
-
-    maps = _slot_maps(action, p0, n, basis, col_tuples)
-    m = _matrix_of_twisted_d(action, maps, cols, row_index)
-
-    b = [GaussRat(0)] * len(rows)
-    for t in pair_tuples:
-        for (alpha, j), c in _decompose_symbol_slot(rhs.value(t), n, basis).items():
-            b[row_index[(t, alpha, j)]] = c
+    e = action.group.identity
+    rhs_coords = {t: _decompose_symbol_slot(rhs.value(t), n, basis) for t in _tuples(action, 2)}
+    normalized = _is_unital(action, p0) and not any(c for t, c in rhs_coords.items() if e in t)
+    (cols, rows), (m,) = _twisted_d_matrices(
+        action, p0, n, basis, [_tuples(action, 1, True), _tuples(action, 2, normalized)],
+        normalized)
+    b = [rhs_coords[t].get((alpha, j), GaussRat(0)) for t, alpha, j in rows]
 
     x, residual, kernel = solve(m, b)
 
@@ -619,11 +653,13 @@ def solve_order(action, p0, below, n, basis, rhs_cochain=None, rng=None):
 def cohomology_dims(action, basis, p0=None, n_max=2):
     """Dimensions of H^0, H^1, H^2 of the twisted complex per symbol order.
 
-    Cochain spaces are the full (non-normalized) ones: maps G^k -> order-n
-    frequency polynomials with coefficients in the basis span.  Only the
-    order-0 part of the twist acts on a fixed symbol order, so that part
-    is extracted from ``p0`` (default: the trivial system).  Finite groups
-    only; ranks are exact.
+    Cochains are maps G^k -> order-n frequency polynomials with coefficients
+    in the basis span.  When the twist has P0(e) = 1 and phi_e = id exactly,
+    they are the normalized ones, on tuples over G minus e, which give the
+    same H^k; otherwise (a zero twist, say) they are the full ones on G^k.
+    Only the order-0 part of the twist acts on a fixed symbol order, so that
+    part is extracted from ``p0`` (default: the trivial system).  Finite
+    groups only; ranks are exact.
     """
     if not action.is_finite:
         raise ValueError("cohomology dimensions need a finite group")
@@ -634,7 +670,12 @@ def cohomology_dims(action, basis, p0=None, n_max=2):
         else:
             p0n = Cochain(action, 1, n,
                           fn=lambda gs, k=n: _lift_leading(p0.value(gs), k))
-        out[n] = _cohomology_at_order(action, basis, p0n, n)
+        normalized = _is_unital(action, p0n)
+        (c0, c1, c2, _), mats = _twisted_d_matrices(
+            action, p0n, n, basis, [_tuples(action, k, normalized) for k in range(4)],
+            normalized)
+        r0, r1, r2 = (rank(m) for m in mats)
+        out[n] = {"H0": len(c0) - r0, "H1": len(c1) - r1 - r0, "H2": len(c2) - r2 - r1}
     return out
 
 
@@ -646,19 +687,3 @@ def trivial_system(action, order):
     one = FormalSymbol.one(action.dim, order)
     return Cochain(action, 1, order, fn=lambda gs: one)
 
-
-def _cohomology_at_order(action, basis, p0, n):
-    elems = action.group.elements()
-    tuples = [_tuples(elems, k) for k in range(4)]
-    coords = [_slot_coords(action, n, basis, ts) for ts in tuples]
-    maps = _slot_maps(action, p0, n, basis, tuples[0] + tuples[1] + tuples[2])
-    ranks = []
-    for k in range(3):
-        row_index = {c: i for i, c in enumerate(coords[k + 1])}
-        ranks.append(rank(_matrix_of_twisted_d(action, maps, coords[k], row_index)))
-    r0, r1, r2 = ranks
-    return {
-        "H0": len(coords[0]) - r0,
-        "H1": (len(coords[1]) - r1) - r0,
-        "H2": (len(coords[2]) - r2) - r1,
-    }

@@ -62,7 +62,8 @@ def _eliminate(rows, ncols, back=True):
     rows index keeps the pivot search and the clearing to the rows that
     hold the column.  With ``back`` false only the unused rows are cleared
     (forward elimination), which leaves the pivots unchanged: they depend on
-    the unused rows alone.
+    the unused rows alone; it clears each row with the one factor
+    row[col] / pivot and leaves the pivot row unscaled.
     """
     holders = defaultdict(set)
     for i, row in enumerate(rows):
@@ -77,16 +78,22 @@ def _eliminate(rows, ncols, back=True):
         best = min(candidates, key=lambda i: (len(rows[i]), i))
         piv_row = rows[best]
         inv = piv_row[col].inv()
-        for j, v in piv_row.items():
-            piv_row[j] = v * inv
+        if back:
+            for j, v in piv_row.items():
+                piv_row[j] = v * inv
         row_used[best] = True
         pivots[col] = best
         for i in (list(holders[col]) if back else candidates):
             if i == best:
                 continue
             row = rows[i]
-            c = row[col]
+            # the column itself cancels exactly; its holders are never read again
+            c = row.pop(col)
+            if not back:
+                c = c * inv
             for j, pv in piv_row.items():
+                if j == col:
+                    continue
                 cur = row.get(j)
                 if cur is None:
                     row[j] = -(c * pv)

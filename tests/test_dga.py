@@ -1,6 +1,7 @@
 """Cochain complex, Maurer-Cartan machinery, and the order-by-order solver."""
 
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from quantact import dga
 from quantact.actions import (BUILTIN_ACTIONS, FiniteGroup, cyclic_rotations,
                               galilean_boosts, heisenberg, sign_flip,
                               translations, trivial_action)
+from quantact.cli import SessionConfig, run
 from quantact.dga import (BasisEscapeError, Cochain, CoefficientBasis,
                           PhaseCochain, _decompose_symbol_slot, _lift_leading,
                           _matrix_of_twisted_d, _slot_maps, character_phase,
@@ -18,7 +20,7 @@ from quantact.dga import (BasisEscapeError, Cochain, CoefficientBasis,
                           representation_report, solve_order, star_graded,
                           trivial_system, twisted_d)
 from quantact.expr import Expr, GaussRat, Poly, is_zero, parse
-from quantact.linalg import SparseMatrix, solve
+from quantact.linalg import SparseMatrix, rank, solve
 from quantact.opcalc import FormalOperator, compose
 from quantact.symbols import FormalSymbol, PolyXi, multi_indices
 
@@ -27,6 +29,8 @@ try:
     from hypothesis import strategies as st
 except ImportError:
     hypothesis = None
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def random_symbol(rng, dim, order, coords):
@@ -751,6 +755,26 @@ def test_every_column_matches_twisted_d_of_a_unit_cochain(action, n, twist):
             assert got == _oracle_column(action, p0, n, basis, t, alpha, j), (t, alpha, j)
 
 
+@pytest.mark.parametrize("twist", ["trivial", "character"])
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("action", [cyclic_rotations(2), cyclic_rotations(4),
+                                    sign_flip()],
+                         ids=["rotations_c2", "rotations_c4", "sign_flip_c2"])
+def test_normalized_columns_match_twisted_d_on_e_free_rows(action, n, twist):
+    # the normalized builder drops h = e and the split rows holding e; what
+    # is left of each column is twisted_d of the unit cochain off e
+    p0 = trivial_system(action, n) if twist == "trivial" else _character_twist(action, n)
+    assert dga._is_unital(action, p0)
+    basis = CoefficientBasis.monomials(action.coords, 1)
+    e = action.group.identity
+    tuples = [dga._tuples(action, k, True) for k in range(4)]
+    coords, mats = dga._twisted_d_matrices(action, p0, n, basis, tuples, True)
+    for k in range(3):
+        for (t, alpha, j), got in zip(coords[k], _matrix_columns(mats[k], coords[k + 1])):
+            want = _oracle_column(action, p0, n, basis, t, alpha, j)
+            assert got == {r: c for r, c in want.items() if e not in r[0]}, (t, alpha, j)
+
+
 def _count_calls(monkeypatch, owner, name):
     """Replace ``owner.name`` by a wrapper that records each call."""
     calls = []
@@ -764,31 +788,61 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _record_matrices(monkeypatch, name):
+    """Wrap ``dga.<name>`` (``rank`` or ``solve``) to record (matrix, result) of each call."""
+    seen = []
+    real = getattr(dga, name)
+
+    def recording(m, *args):
+        out = real(m, *args)
+        seen.append((m, out))
+        return out
+
+    monkeypatch.setattr(dga, name, recording)
+    return seen
+
+
 def test_cohomology_makes_one_star_product_per_map_entry(monkeypatch):
-    # 2 maps x |G| elements h x (|G| products g + the empty tuple) x 3 slots
+    # normalized complex (P0 = 1): 2 maps x (|G| - 1) elements h != e
+    # x |G| products g of the e-free tuples of degree 0..2 x 3 slots = 2 * 3 * 4 * 3
     action = cyclic_rotations(4)
     basis = CoefficientBasis.monomials(action.coords, 1)
     calls = _count_calls(monkeypatch, dga, "star")
     dims = cohomology_dims(action, basis, n_max=0)
-    assert len(calls) == 2 * 4 * (4 + 1) * 3
+    assert len(calls) == 2 * 3 * 4 * 3
     assert dims[0] == {"H0": 1, "H1": 0, "H2": 0}
 
 
+def test_cohomology_ranks_matrices_on_e_free_rows(monkeypatch):
+    # 3 slots on the (|G| - 1)^(k+1) e-free tuples: 3 * 3, 3 * 9, 3 * 27 rows
+    action = cyclic_rotations(4)
+    basis = CoefficientBasis.monomials(action.coords, 1)
+    ranked = _record_matrices(monkeypatch, "rank")
+    cohomology_dims(action, basis, n_max=0)
+    assert [m.nrows for m, _ in ranked] == [9, 27, 81]
+
+
 def test_solve_order_makes_one_star_product_per_map_entry(monkeypatch):
-    # maps: 2 x |G| elements h x 3 non-identity products g x 36 order-2 slots;
-    # the closedness check of the (zero) right-hand side stars P0 against it
-    # on both sides of each of the |G|^3 triples
+    # maps: 2 x (|G| - 1) elements h != e x 3 non-identity products g
+    # x 36 order-2 slots = 2 * 3 * 3 * 36; the closedness check of the (zero)
+    # right-hand side stars P0 against it on both sides of each of the |G|^3
+    # triples, 2 * 4^3
     action = cyclic_rotations(4)
     basis = CoefficientBasis.monomials(action.coords, 2)
     p0 = trivial_system(action, 2)
     calls = _count_calls(monkeypatch, dga, "star")
     diffs = _count_calls(monkeypatch, Poly, "diff")
+    solved = _record_matrices(monkeypatch, "solve")
     res = solve_order(action, p0, {}, 2, basis)
-    assert len(calls) == 2 * 4 * 3 * 36 + 2 * 4 ** 3
+    assert len(calls) == 2 * 3 * 3 * 36 + 2 * 4 ** 3
     assert res.solved and res.rhs_closed
-    # the 2 x 2 inverse Jacobian once for each of the 4 rotations; the chain
-    # rule of s star P0(h) never differentiates, since P0 = 1 is constant
-    assert len(diffs) == 4 * 4
+    # the 2 x 2 inverse Jacobian once for each of the 3 rotations h != e (the
+    # identity now meets only the zero right-hand side, which skips the
+    # kernel); the chain rule of s star P0(h) never differentiates, since
+    # P0 = 1 is constant
+    assert len(diffs) == 3 * 4
+    # rows: 36 slots on the (|G| - 1)^2 e-free pairs
+    assert [(m.nrows, m.ncols) for m, _ in solved] == [(9 * 36, 3 * 36)]
 
 
 def test_inverse_jacobian_is_computed_once_per_diffeo():
@@ -811,3 +865,149 @@ def test_basis_decompose_makes_no_matrix_products(monkeypatch):
     with pytest.raises(BasisEscapeError):
         mixed.decompose(parse("x^2"))
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the normalized complex against the full one
+
+
+def _full_cohomology_at_order(action, basis, p0, n):
+    """H^0..H^2 of d_{P0} on the full complex: every k-tuple, h over all of G."""
+    elems = action.group.elements()
+    tuples = [list(itertools.product(elems, repeat=k)) for k in range(4)]
+    coords = [[(t, alpha, j) for t in ts for alpha in multi_indices(action.dim, n)
+               for j in range(len(basis))] for ts in tuples]
+    maps = _slot_maps(action, p0, n, basis, tuples[0] + tuples[1] + tuples[2])
+    ranks = []
+    for k in range(3):
+        row_index = {c: i for i, c in enumerate(coords[k + 1])}
+        ranks.append(rank(_matrix_of_twisted_d(action, maps, coords[k], row_index)))
+    r0, r1, r2 = ranks
+    return {
+        "H0": len(coords[0]) - r0,
+        "H1": (len(coords[1]) - r1) - r0,
+        "H2": (len(coords[2]) - r2) - r1,
+    }
+
+
+def _lifted(p0, n):
+    """The order-0 part of p0 at truncation order n, as cohomology_dims lifts it."""
+    return Cochain(p0.action, 1, n, fn=lambda gs: _lift_leading(p0.value(gs), n))
+
+
+NORMALIZED_ACTIONS = {
+    "rotations_c2": lambda: cyclic_rotations(2),
+    "rotations_c4": lambda: cyclic_rotations(4),
+    "sign_flip_c2": sign_flip,
+    "trivial_c3": lambda: trivial_action(FiniteGroup.cyclic(3), ["x"]),
+}
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_normalized_cohomology_matches_the_full_complex():
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.sampled_from(sorted(NORMALIZED_ACTIONS)),
+                      st.sampled_from(["trivial", "character"]),
+                      st.integers(0, 2), st.integers(0, 1))
+    def check(name, twist, degree, n_max):
+        action = NORMALIZED_ACTIONS[name]()
+        basis = CoefficientBasis.monomials(action.coords, degree)
+        # a character w^g with w in Q(i) needs |G| to divide 4, so C3 stays trivial
+        p0 = (_character_twist(action, 0)
+              if twist == "character" and 4 % action.group.size == 0 else None)
+        dims = cohomology_dims(action, basis, p0=p0, n_max=n_max)
+        for n in range(n_max + 1):
+            p0n = trivial_system(action, n) if p0 is None else _lifted(p0, n)
+            assert dga._is_unital(action, p0n)
+            assert dims[n] == _full_cohomology_at_order(action, basis, p0n, n), (n, dims)
+
+    check()
+
+
+def test_zero_twist_takes_the_full_complex(monkeypatch):
+    # P0 = 0 is Maurer-Cartan with P0(e) = 0, so the e-free tuples are no
+    # subcomplex: every tuple and every h stay
+    action = cyclic_rotations(4)
+    basis = CoefficientBasis.monomials(action.coords, 1)
+    p0 = Cochain.zero(action, 1, 0)
+    assert_cochain_zero(mc_residual(p0))
+    assert not dga._is_unital(action, _lifted(p0, 0))
+    ranked = _record_matrices(monkeypatch, "rank")
+    dims = cohomology_dims(action, basis, p0=p0, n_max=1)
+    # order 0: 3 slots on the 4^(k+1) tuples
+    assert [m.nrows for m, _ in ranked[:3]] == [12, 48, 192]
+    for n in range(2):
+        assert dims[n] == _full_cohomology_at_order(action, basis, _lifted(p0, n), n)
+
+
+def _solve_with_rows(monkeypatch, normalized, run_it):
+    """run_it() with solve_order's e-free rows allowed or refused; returns its
+    result and (shape, x, kernel) of each linear solve inside."""
+    with monkeypatch.context() as mp:
+        solved = _record_matrices(mp, "solve")
+        if not normalized:
+            mp.setattr(dga, "_is_unital", lambda action, p0: False)
+        result = run_it()
+    return result, [((m.nrows, m.ncols), x, kernel) for m, (x, _, kernel) in solved]
+
+
+C4_SOLVE_CFG = """[session]
+task = mc-solve
+order = 2
+seed = 3
+
+[action]
+builtin = rotations_c4
+
+[basis]
+monomials = 2
+"""
+
+
+@pytest.mark.parametrize("config, order, slots, size", [
+    ("solve_sign_flip", 1, 2 * 3, 2), ("solve_sign_flip", 2, 3 * 3, 2),
+    ("solve_sign_flip", 3, 4 * 3, 2), ("c4_degree2", 2, 6 * 6, 4)])
+def test_normalized_solve_rows_match_the_full_rows(monkeypatch, tmp_path, config,
+                                                   order, slots, size):
+    # the rows holding e are zero on e-free columns when P0 = 1, and the
+    # right-hand side vanishes there, so x, the kernel and the report stay
+    if config == "c4_degree2":
+        path = tmp_path / "c4.cfg"
+        path.write_text(C4_SOLVE_CFG)
+    else:
+        path = os.path.join(ROOT, "configs", config + ".cfg")
+
+    def run_config():
+        return run(SessionConfig.load(str(path), order=order, out=str(tmp_path)))
+
+    (status, text), [(shape, x, kernel)] = _solve_with_rows(monkeypatch, True, run_config)
+    (status_full, text_full), [(shape_full, x_full, kernel_full)] = _solve_with_rows(
+        monkeypatch, False, run_config)
+    assert status == status_full == 0
+    assert text == text_full
+    assert shape == ((size - 1) ** 2 * slots, (size - 1) * slots)
+    assert shape_full == (size ** 2 * slots, (size - 1) * slots)
+    assert x == x_full and kernel == kernel_full
+    assert kernel
+
+
+def test_right_hand_side_on_a_tuple_holding_e_keeps_every_row(monkeypatch):
+    # the engineered obstruction lives on (e, e): its rows must stay, and
+    # without it the e-free rows suffice; 2 order-1 multi-indices x 3 basis
+    # elements = 6 slots, on 2^2 or 1 pairs and 1 column element
+    action = sign_flip()
+    basis = CoefficientBasis.monomials(["x"], 2)
+    p0 = trivial_system(action, 1)
+    comps = [PolyXi.zero(1), PolyXi(1, {(0,): Expr.var("x")})]
+    y = Cochain(action, 1, 1, table={(0,): FormalSymbol(1, 1, comps),
+                                     (1,): FormalSymbol.zero(1, 1)})
+    rhs = twisted_d(p0, y, check=False)
+    res, solved = _solve_with_rows(
+        monkeypatch, True, lambda: solve_order(action, p0, {}, 1, basis, rhs_cochain=rhs))
+    assert not res.solved
+    assert [shape for shape, _, _ in solved] == [(4 * 6, 6)]
+    res, solved = _solve_with_rows(
+        monkeypatch, True, lambda: solve_order(action, p0, {}, 1, basis))
+    assert res.solved
+    assert [shape for shape, _, _ in solved] == [(1 * 6, 6)]

@@ -183,3 +183,47 @@ def test_solver_twins_stay_gone():
     uses = ["%s:%d %s" % (os.path.basename(m), line, name)
             for m in sorted(modules) for line, name in name_uses(m, twins)]
     assert modules and not uses, "solver twins are back: %s" % ", ".join(uses)
+
+
+# one matrix assembler for the differential: cohomology and mc-solve take the
+# slot maps and the matrices of d_{P0} from dga's one builder
+def callers(path, name):
+    """(innermost enclosing function, line) of each call of ``name``."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (isinstance(f, ast.Name) and f.id == name) or \
+                        (isinstance(f, ast.Attribute) and f.attr == name):
+                    found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_builder_assembles_the_twisted_differential():
+    modules = sorted(glob.glob(os.path.join(ROOT, "src", "quantact", "*.py")))
+    for name in ("_slot_maps", "_matrix_of_twisted_d"):
+        calls = [(owner, "%s:%d" % (os.path.basename(m), line))
+                 for m in modules for owner, line in callers(m, name)]
+        assert [owner for owner, _ in calls] == ["_twisted_d_matrices"], (name, calls)
+
+
+def test_the_caller_guard_sees_nested_and_module_calls(tmp_path):
+    path = tmp_path / "assemblers.py"
+    path.write_text("from . import dga\n"
+                    "def build(a):\n"
+                    "    def inner():\n"
+                    "        return dga._slot_maps(a)\n"
+                    "    return _slot_maps(a), inner\n"
+                    "_slot_maps(None)\n")
+    assert sorted(callers(str(path), "_slot_maps")) == [
+        ("<module>", 6), ("build", 5), ("inner", 4)]

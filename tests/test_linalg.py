@@ -240,3 +240,23 @@ def test_elimination_matches_the_row_scan_reference_on_drawn_shapes():
         _assert_matches_reference(m, rng)
 
     check()
+
+
+def test_rank_leaves_pivot_rows_unscaled(monkeypatch):
+    # forward elimination clears each row with one factor row[col] / pivot and
+    # never scales a pivot row: on this 12 x 14 matrix (35 nonzeros, rank 8)
+    # rank makes 17 products, where scaling every pivot row made 38
+    m = _block_matrix(random.Random(7), 3, 6, 1, 1)
+    assert (m.nrows, m.ncols, m.nnz()) == (12, 14, 35)
+    calls = []
+    real = GaussRat.__mul__
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(GaussRat, "__mul__", counting)
+    assert rank(m) == 8
+    monkeypatch.undo()
+    assert len(calls) == 17
+    assert rank(m) == _dense_rank_oracle(m.rows, m.ncols)
