@@ -24,7 +24,7 @@ from .dga import (Cochain, CoefficientBasis, PhaseCochain, character_phase,
                   solve_order, star_graded, trivial_system, twisted_d)
 from .numfio import (NumericAmplitude, WaveGrid, asymptotic_consistency,
                      fio_apply, fio_plan, gaussian, grid_pullback, kn_apply,
-                     kn_plan, phase_system_apply, phase_system_plan,
+                     kn_plan, packet_gram, phase_system_apply, phase_system_plan,
                      pullback_plan, representation_residual,
                      spectral_tail_fraction, standard_product_residual,
                      symbol_amplitude, symbol_from_polynomial,
@@ -46,7 +46,7 @@ __all__ = [
     "exp_system", "gauge_report", "mc_residual", "representation_report",
     "solve_order", "star_graded", "trivial_system", "twisted_d",
     "NumericAmplitude", "WaveGrid", "asymptotic_consistency", "fio_apply",
-    "fio_plan", "gaussian", "grid_pullback", "kn_apply", "kn_plan",
+    "fio_plan", "gaussian", "grid_pullback", "kn_apply", "kn_plan", "packet_gram",
     "phase_system_apply", "phase_system_plan", "pullback_plan",
     "representation_residual", "spectral_tail_fraction",
     "standard_product_residual", "symbol_amplitude", "symbol_from_polynomial",

@@ -78,6 +78,21 @@ class Diffeo:
                                       for g in self.inverse]
         return self._inverse_jacobian
 
+    @functools.cached_property
+    def inverse_affine(self):
+        """Exact (A, b), GaussRat lists, with phi^{-1}(x) = A x + b, computed on
+        first use; None unless every inverse component has degree <= 1 in the
+        coordinates with constant real coefficients (no constant or parameter)."""
+        def real(e):
+            return e.const_value() if e.is_const() and e.const_value().im == 0 else None
+        # constant partial derivatives make each component affine, so b = phi^{-1}(0)
+        a = [[real(d) for d in row] for row in self.inverse_jacobian()]
+        if any(c is None for row in a for c in row):
+            return None
+        at_origin = substitution(dict.fromkeys(self.coords, 0))
+        b = [real(at_origin(g)) for g in self.inverse]
+        return None if any(c is None for c in b) else (a, b)
+
     def jacobian_det(self):
         return _det([[f.diff(c) for c in self.coords] for f in self.forward])
 

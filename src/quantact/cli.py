@@ -26,6 +26,9 @@ With a fixed seed every report is byte-identical across runs.  Exit status:
 A config whose mc-solve or cohomology matrices would exceed ``SLOT_BUDGET``
 rows is a config error, raised before the basis is built; so is an expand
 order with more multi-indices than that, raised before any derivative.
+A verify-numeric phase whose e^{i S_g} is not finite on the grid (a pole at
+a grid point) is a config error naming [phase], raised when its plan is
+built.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ from .dga import (Cochain, CoefficientBasis, PhaseCochain, _tuple_label,
                   cochain_zero_report, delta_phase, exp_system, mc_residual,
                   solve_order, trivial_system, cohomology_dims)
 from .expr import ExprError, VarBinding, parse
-from .numfio import (WaveGrid, gaussian, phase_system_plan,
-                     representation_residual, spectral_tail_fraction,
-                     unitarity_residual)
+from .numfio import (NonFiniteError, WaveGrid, gaussian, packet_gram,
+                     phase_system_plan, representation_residual,
+                     spectral_tail_fraction, unitarity_residual)
 from .report import Report
 from .symbols import (AmplitudeSeries, FormalSymbol, default_xi_names,
                       dump_symbol, taylor_from_amplitude)
@@ -433,7 +436,10 @@ def task_verify_numeric(cfg, rng):
             for c, m in zip(centers, momenta)]
 
     def plan_for(g):
-        return phase_system_plan(grid, action, phase, g, consts=consts)
+        try:
+            return phase_system_plan(grid, action, phase, g, consts=consts)
+        except NonFiniteError as exc:
+            raise ConfigError("[phase] at %s: %s" % (_tuple_label(action, (g,)), exc))
 
     report = Report("numeric unitarity and representation",
                     params={"action": action.name,
@@ -445,27 +451,29 @@ def task_verify_numeric(cfg, rng):
     tail = max(spectral_tail_fraction(grid, p) for p in psis)
     report.add("packet spectral tail below %.1e" % ttol, tail < ttol,
                "numeric", "max %.3e" % tail)
-    # one plan per element for the whole task; a product's plan lives for
-    # its pair only, so at most |elements| + 1 plans are alive at once
-    plans = {}
-    for g in elements:
-        if g not in plans:
-            plans[g] = plan_for(g)
-        resid = unitarity_residual(grid, plans[g], psis)
-        report.add("unitarity at %s within %.1e" % (_tuple_label(action, (g,)),
-                                                    utol),
+    # one plan per element for the whole task, and each element g2 applied
+    # to each packet once: the images give g2's unitarity residual and are
+    # the inner factor of every pair (g1, g2), g1 at or before g2.  A
+    # product's plan lives for its pair only, so at most |elements| + 1 plans
+    # and one element's images are alive at once
+    plans = {g: plan_for(g) for g in dict.fromkeys(elements)}
+    norms, gram = packet_gram(grid, psis)
+    unitarity, composition = [], {}
+    for j, g2 in enumerate(elements):
+        images = [plans[g2](p) for p in psis]
+        unitarity.append(unitarity_residual(grid, images, norms, gram))
+        for i, g1 in enumerate(elements[:j + 1]):
+            product = action.mult(g1, g2)
+            composition[i, j] = representation_residual(
+                grid, plans[g1], plans.get(product) or plan_for(product),
+                images, psis, norms)
+        del images
+    for g, resid in zip(elements, unitarity):
+        report.add("unitarity at %s within %.1e" % (_tuple_label(action, (g,)), utol),
                    resid <= utol, "numeric", "residual %.3e" % resid)
-    pairs = [(elements[i], elements[j])
-             for i in range(len(elements)) for j in range(i, len(elements))]
-    for g1, g2 in pairs:
-        step = dict(plans)
-        product = action.mult(g1, g2)
-        if product not in step:
-            step[product] = plan_for(product)
-        resid = representation_residual(grid, lambda g, psi: step[g](psi),
-                                        action.mult, [(g1, g2)], psis)
+    for (i, j), resid in sorted(composition.items()):
         report.add("composition at %s within %.1e"
-                   % (_tuple_label(action, (g1, g2)), rtol),
+                   % (_tuple_label(action, (elements[i], elements[j])), rtol),
                    resid <= rtol, "numeric", "residual %.3e" % resid)
     return report, []
 

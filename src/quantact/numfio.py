@@ -10,15 +10,17 @@ psi = sum_k c_k e_k, so an amplitude a(x, xi) acts by
 and Op(a, phi) = t_phi o Op(a o (phi x id)) with (t_phi u)(x) = u(phi^{-1}(x)).
 
 Each operator is split into a plan and its application.  A plan is built
-once from (grid, phi, amplitude): it evaluates the amplitude on the grid
-and classifies the pullback t_phi into its fastest faithful path --
-identity, exact index permutation when phi^{-1} maps the lattice to
-itself, a per-slice spectral shift when phi is a single-axis shear, and
-band-limited (trigonometric) interpolation as the general fallback with a
-size guard.  Applying the plan to a packet is then FFTs and pointwise
-products only.  ``pullback_plan``, ``kn_plan``, ``fio_plan`` and
-``phase_system_plan`` build plans; ``grid_pullback``, ``kn_apply``,
-``fio_apply`` and ``phase_system_apply`` build one and apply it once.
+once from (grid, phi, amplitude): it evaluates the amplitude on the grid,
+refusing a non-finite value, and classifies the pullback t_phi into its
+fastest faithful path -- identity, exact index permutation when phi^{-1}
+maps the lattice to itself, a per-slice spectral shift when phi is a
+single-axis shear, and band-limited (trigonometric) interpolation as the
+general fallback with a size guard.  An inverse with exact affine data
+x -> A x + b is classified from A and b, with no grid-wide test; any other
+map from its values on the grid.  Applying the plan to a packet is then
+FFTs and pointwise products only.  ``pullback_plan``, ``kn_plan``,
+``fio_plan`` and ``phase_system_plan`` build plans; ``grid_pullback``,
+``kn_apply``, ``fio_apply`` and ``phase_system_apply`` build one and apply it once.
 Plans hold arrays of the grid's shape only: the dense mode matrices of the
 band-limited paths are rebuilt on every application.
 
@@ -29,6 +31,7 @@ reports the high-frequency energy share as an aliasing diagnostic.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -43,6 +46,10 @@ HBAR_NAME = "hb"
 GRID_TOL = 1e-9
 # largest (grid points)^2 for which a dense mode matrix may be built
 DENSE_GUARD = 2 ** 22
+
+
+class NonFiniteError(ValueError):
+    """An amplitude or an operator's output is infinite or NaN on the grid."""
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +101,7 @@ class WaveGrid:
         return -self.length + self.delta * np.arange(self.npoints)
 
     def mesh(self):
-        axes = [self.axis()] * self.dim
-        return list(np.meshgrid(*axes, indexing="ij"))
+        return list(np.meshgrid(*[self.axis()] * self.dim, indexing="ij"))
 
     def k_axis(self):
         return np.fft.fftfreq(self.npoints, 1.0 / self.npoints)
@@ -105,8 +111,7 @@ class WaveGrid:
         return (math.pi * self.hbar / self.length) * self.k_axis()
 
     def xi_mesh(self):
-        axes = [self.xi_axis()] * self.dim
-        return list(np.meshgrid(*axes, indexing="ij"))
+        return list(np.meshgrid(*[self.xi_axis()] * self.dim, indexing="ij"))
 
     def coord_env(self, coords, consts=None):
         """Coordinate arrays as an open mesh (each varies along its own axis
@@ -121,10 +126,7 @@ class WaveGrid:
     def _mode_signs(self):
         # e_k(x_j) = (-1)^k e^{2 pi i jk/M} per axis
         sign = np.where(np.mod(self.k_axis(), 2) == 0, 1.0, -1.0)
-        out = sign
-        for _ in range(self.dim - 1):
-            out = np.multiply.outer(out, sign)
-        return out
+        return functools.reduce(np.multiply.outer, [sign] * self.dim)
 
     def hfft(self, psi):
         """Coefficients on the e^{(i/hbar) xi_k x} mode basis."""
@@ -164,9 +166,7 @@ def spectral_tail_fraction(grid, psi):
     c = grid.hfft(psi)
     k = np.abs(grid.k_axis())
     cutoff = grid.npoints // 4
-    mask = k >= cutoff
-    for _ in range(grid.dim - 1):
-        mask = np.logical_or.outer(mask, np.abs(grid.k_axis()) >= cutoff)
+    mask = functools.reduce(np.logical_or.outer, [k >= cutoff] * grid.dim)
     power = np.abs(c) ** 2
     total = float(np.sum(power))
     if total == 0.0:
@@ -182,20 +182,19 @@ def pullback_plan(grid, phi, consts=None):
     """Classify t_phi once; return psi -> (t_phi psi)(x) = psi(phi^{-1}(x)).
 
     Paths: identity / exact index permutation / single-axis spectral shear /
-    band-limited interpolation (guarded).
+    band-limited interpolation (guarded).  Exact affine data (A, b) of
+    phi^{-1} (``Diffeo.inverse_affine``) is real, and a lattice permutation
+    needs A integral; any other map must stay real on the grid.
     """
     if phi.is_identity():
         return lambda psi: np.array(psi, dtype=complex)
     env = grid.coord_env(phi.coords, consts)
-
-    targets = [_grid_values(g, env, grid.shape) for g in phi.inverse]
-    if any(np.max(np.abs(t.imag)) > GRID_TOL for t in targets):
-        raise ValueError("map must stay real on the grid")
-    reals = [t.real for t in targets]
-
-    perm = _permutation_indices(grid, reals)
-    if perm is not None:
-        return lambda psi: np.array(psi, dtype=complex)[perm]
+    affine = phi.inverse_affine
+    reals = None if affine is not None else _real_targets(grid, phi, env)
+    if affine is None or all(c.re.denominator == 1 for row in affine[0] for c in row):
+        perm = _permutation_indices(grid, reals, affine)
+        if perm is not None:
+            return lambda psi: np.array(psi, dtype=complex)[perm]
 
     shear = _shear_data(grid, phi, env)
     if shear is not None:
@@ -204,11 +203,15 @@ def pullback_plan(grid, phi, consts=None):
         shape = [1] * grid.dim
         shape[axis] = grid.npoints
         phase = np.exp(-1j / grid.hbar * xi.reshape(shape) * shift)
-        return lambda psi: np.fft.ifft(np.fft.fft(np.asarray(psi, dtype=complex),
-                                                  axis=axis) * phase, axis=axis)
+
+        def sheared(psi):
+            modes = np.fft.fft(np.asarray(psi, dtype=complex), axis=axis)
+            return np.fft.ifft(np.multiply(modes, phase, out=modes), axis=axis, out=modes)
+        return sheared
 
     _check_dense(grid, "pullback needs a structured (permutation or shear) map "
                  "at this grid size")
+    reals = reals if reals is not None else _real_targets(grid, phi, env)
     return lambda psi: _bandlimited_pullback(grid, reals, psi)
 
 
@@ -218,19 +221,43 @@ def grid_pullback(grid, phi, psi, consts=None):
     return pullback_plan(grid, phi, consts)(psi)
 
 
-def _permutation_indices(grid, reals):
+def _real_targets(grid, phi, env):
+    """phi^{-1} on the full grid, one real array per axis."""
+    targets = [_grid_values(g, env, grid.shape) for g in phi.inverse]
+    if any(np.max(np.abs(t.imag)) > GRID_TOL for t in targets):
+        raise ValueError("map must stay real on the grid")
+    return [t.real for t in targets]
+
+
+def _permutation_indices(grid, reals, affine):
+    """Gather indices when phi^{-1} takes the lattice to itself, else None.
+    With exact (A, b), A integral, index j goes to A j + (b + L(1 - A 1))/delta:
+    only those offsets are tested, and aranges on an open mesh give the
+    indices.  Otherwise every grid value in ``reals`` is tested."""
+    if affine is None:
+        fracs = [(t + grid.length) / grid.delta for t in reals]
+    else:
+        a, b = affine
+        fracs = [(float(s.re) + grid.length * (1 - sum(c.re for c in row))) / grid.delta
+                 for row, s in zip(a, b)]
     idx = []
-    for t in reals:
-        frac = (t + grid.length) / grid.delta
+    for frac in fracs:
         rounded = np.rint(frac)
         if np.max(np.abs(frac - rounded)) > GRID_TOL:
             return None
         idx.append(np.mod(rounded.astype(np.int64), grid.npoints))
+    if affine is not None:
+        js = np.meshgrid(*[np.arange(grid.npoints)] * grid.dim, indexing="ij",
+                         sparse=True)
+        idx = [np.broadcast_to(np.mod(k + sum(int(c.re) * j for c, j in zip(row, js)),
+                                      grid.npoints), grid.shape)
+               for row, k in zip(affine[0], idx)]
     return tuple(idx)
 
 
 def _shear_data(grid, phi, env):
-    """Detect phi^{-1}(x)_i = x_i - s(x_others), identity elsewhere."""
+    """Detect phi^{-1}(x)_i = x_i - s(x_others), identity elsewhere; s is
+    evaluated on the open mesh ``env``."""
     coords = phi.coords
     sheared = None
     for i, (c, inv) in enumerate(zip(coords, phi.inverse)):
@@ -245,7 +272,7 @@ def _shear_data(grid, phi, env):
     if sheared is None:
         return None
     i, diff = sheared
-    shift = _grid_values(diff, env, grid.shape)
+    shift = np.asarray(eval_expr(diff, env), dtype=complex)
     if np.max(np.abs(shift.imag)) > 1e-12:
         return None
     return i, -shift.real
@@ -307,15 +334,15 @@ def kn_plan(grid, amp):
     env = grid.coord_env(amp.coords, amp.consts)
 
     if not uses_xi:
-        values = _grid_values(amp.expr, env, grid.shape)
-        return lambda psi: _check_finite(values * np.asarray(psi, dtype=complex))
+        values = _amplitude_values(amp.expr, env, grid.shape)
+        return lambda psi: values * np.asarray(psi, dtype=complex)
 
     if not uses_x:
         xi_env = dict(zip(amp.xi_names, grid.xi_mesh()))
         xi_env[HBAR_NAME] = grid.hbar
         xi_env.update(amp.consts)
-        values = _grid_values(amp.expr, xi_env, grid.shape)
-        return lambda psi: _check_finite(grid.hifft(values * grid.hfft(psi)))
+        values = _amplitude_values(amp.expr, xi_env, grid.shape)
+        return lambda psi: grid.hifft(values * grid.hfft(psi))
 
     try:
         parts = xi_decompose(amp.expr, amp.xi_names)
@@ -323,20 +350,15 @@ def kn_plan(grid, amp):
         _check_dense(grid, "non-separable amplitude needs a smaller grid")
         return lambda psi: _dense_kn_apply(grid, amp, grid.hfft(psi))
     xi = grid.xi_mesh()
-    terms = []
-    for alpha, coeff in parts.items():
-        mult = np.ones(grid.shape, dtype=complex)
-        for ax, p in enumerate(alpha):
-            if p:
-                mult = mult * xi[ax] ** p
-        terms.append((mult, _grid_values(coeff, env, grid.shape)))
+    terms = [(_monomial_values(grid, xi, alpha), _amplitude_values(coeff, env, grid.shape))
+             for alpha, coeff in parts.items()]
 
     def apply(psi):
         c = grid.hfft(psi)
         out = np.zeros(grid.shape, dtype=complex)
         for mult, f in terms:
             out = out + f * grid.hifft(mult * c)
-        return _check_finite(out)
+        return out
 
     return apply
 
@@ -344,6 +366,15 @@ def kn_plan(grid, amp):
 def kn_apply(grid, amp, psi):
     """Standard quantization Op(a) psi: one application of ``kn_plan``."""
     return kn_plan(grid, amp)(psi)
+
+
+def _monomial_values(grid, axes, alpha):
+    """prod_ax axes[ax]^alpha[ax] on the grid, a complex array."""
+    mult = np.ones(grid.shape, dtype=complex)
+    for ax, p in enumerate(alpha):
+        if p:
+            mult = mult * axes[ax] ** p
+    return mult
 
 
 def _dense_kn_apply(grid, amp, c):
@@ -359,9 +390,18 @@ def _dense_kn_apply(grid, amp, c):
     return _check_finite(((a_mat * modes) @ c.reshape(-1)).reshape(grid.shape))
 
 
-def _check_finite(arr):
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError("operator application produced non-finite values")
+def _amplitude_values(e, env, shape):
+    """Amplitude values on the grid, checked when the plan is built: a pole or
+    an overflow raises NonFiniteError, with no numpy warning."""
+    with np.errstate(all="ignore"):
+        values = np.asarray(eval_expr(e, env), dtype=complex)
+    return np.broadcast_to(_check_finite(values, "amplitude is not finite on the grid"),
+                           shape)
+
+
+def _check_finite(arr, message="operator application produced non-finite values"):
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteError(message)
     return arr
 
 
@@ -427,11 +467,7 @@ def apply_operator_numeric(grid, op, psi, consts=None):
     for n, table in enumerate(op.terms):
         scale = grid.hbar ** n
         for alpha, coeff in table.items():
-            mult = np.ones(grid.shape, dtype=complex)
-            for ax, p in enumerate(alpha):
-                if p:
-                    mult = mult * omega[ax] ** p
-            deriv = grid.hifft(mult * c)
+            deriv = grid.hifft(_monomial_values(grid, omega, alpha) * c)
             moved = pull(deriv)
             f = _grid_values(coeff, env, grid.shape)
             out = out + scale * f * moved
@@ -455,30 +491,31 @@ def phase_system_apply(grid, action, phase, g, psi, consts=None):
 # residual checks
 
 
-def unitarity_residual(grid, apply_fn, psis):
-    """max |<T f, T g> - <f, g>| / (|f| |g|) over all test pairs."""
-    images = [apply_fn(p) for p in psis]
-    norms = [grid.norm(p) for p in psis]
+def packet_gram(grid, psis):
+    """(norms |psi_i|, Gram matrix <psi_i, psi_j>) of the test packets: what
+    every residual below compares against, computed once per packet set."""
+    return ([grid.norm(p) for p in psis],
+            [[inner(grid, f, g) for g in psis] for f in psis])
+
+
+def unitarity_residual(grid, images, norms, gram):
+    """max |<T f_i, T f_j> - <f_i, f_j>| / (|f_i| |f_j|) over all test pairs,
+    from the images T f_i and the packets' ``packet_gram``."""
     worst = 0.0
-    for i, f in enumerate(psis):
-        for j, g in enumerate(psis):
-            base = inner(grid, f, g)
-            after = inner(grid, images[i], images[j])
-            scale = norms[i] * norms[j]
-            worst = max(worst, abs(after - base) / scale)
+    for i, f in enumerate(images):
+        for j, g in enumerate(images):
+            after = inner(grid, f, g)
+            worst = max(worst, abs(after - gram[i][j]) / (norms[i] * norms[j]))
     return worst
 
 
-def representation_residual(grid, apply_for, mult, pairs, psis):
-    """max relative L^2 error of T_{g1} T_{g2} psi - T_{g1 g2} psi."""
-    norms = [grid.norm(p) for p in psis]
+def representation_residual(grid, outer, product, images, psis, norms):
+    """max relative L^2 error of T_{g1} T_{g2} psi - T_{g1 g2} psi over the
+    packets psi, from the images T_{g2} psi, the operators ``outer`` = T_{g1}
+    and ``product`` = T_{g1 g2}, and the packet norms."""
     worst = 0.0
-    for g1, g2 in pairs:
-        g12 = mult(g1, g2)
-        for psi, norm in zip(psis, norms):
-            two_step = apply_for(g1, apply_for(g2, psi))
-            one_step = apply_for(g12, psi)
-            worst = max(worst, grid.norm(two_step - one_step) / norm)
+    for image, psi, norm in zip(images, psis, norms):
+        worst = max(worst, grid.norm(outer(image) - product(psi)) / norm)
     return worst
 
 

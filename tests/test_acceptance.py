@@ -22,7 +22,7 @@ from quantact.dga import (Cochain, CoefficientBasis, PhaseCochain,
                           solve_order, star_graded, trivial_system, twisted_d)
 from quantact.expr import Expr, is_zero, parse
 from quantact.numfio import (NumericAmplitude, WaveGrid,
-                             asymptotic_consistency, gaussian,
+                             asymptotic_consistency, gaussian, packet_gram,
                              phase_system_apply, representation_residual,
                              standard_product_residual, unitarity_residual)
 from quantact.symbols import (AmplitudeSeries, FormalSymbol, PolyXi,
@@ -377,8 +377,8 @@ def test_boost_quantization_unitary_on_fine_grid():
             gaussian(grid, centers=[1.0, -1.0], sigma=1.0,
                      momenta=[0.1, -0.05])]
 
-    def apply_for(g, psi):
-        return phase_system_apply(grid, action, s, g, psi, consts=consts)
+    def plan_for(g):
+        return lambda psi: phase_system_apply(grid, action, s, g, psi, consts=consts)
 
     pairs = [(Fraction(1, 5), Fraction(1, 10)),
              (Fraction(1, 10), Fraction(-3, 20)),
@@ -393,11 +393,14 @@ def test_boost_quantization_unitary_on_fine_grid():
         for g in (g1, g2):
             if g not in elements:
                 elements.append(g)
+    norms, gram = packet_gram(grid, psis)
     for g in elements:
-        resid = unitarity_residual(grid, lambda p: apply_for(g, p), psis)
+        resid = unitarity_residual(grid, [plan_for(g)(p) for p in psis], norms, gram)
         assert resid <= 1e-8, "element %s: %.3e" % (g, resid)
 
-    resid = representation_residual(grid, apply_for, action.mult, pairs, psis)
+    resid = max(representation_residual(grid, plan_for(g1), plan_for(action.mult(g1, g2)),
+                                        [plan_for(g2)(p) for p in psis], psis, norms)
+                for g1, g2 in pairs)
     assert resid <= 1e-7, "composition residual %.3e" % resid
     assert time.monotonic() - start <= 120.0
 

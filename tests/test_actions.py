@@ -76,6 +76,38 @@ def test_jacobian_chain_rule():
     assert is_zero(lhs - rhs).ok
 
 
+def test_inverse_affine_data_is_exact_and_kept():
+    boosts = galilean_boosts()
+    phi = boosts.diffeo(boosts.group.element(Fraction(3, 20)))
+    a, b = phi.inverse_affine
+    # phi^{-1}(t, x) = (t, x - 3/20 t)
+    assert a == [[1, 0], [Fraction(-3, 20), 1]] and b == [0, 0]
+    assert phi.inverse_affine is phi.inverse_affine
+    x = Expr.var("x")
+    shift = Diffeo(["x"], [-x + Fraction(1, 3)], [-x + Fraction(1, 3)])
+    assert shift.inverse_affine == ([[-1]], [Fraction(1, 3)])
+    # every built-in map in one or two dimensions is affine; so is Heisenberg's
+    rng = random.Random(3)
+    for name, factory in sorted(BUILTIN_ACTIONS.items()):
+        action = factory()
+        for g in action.sample_elements(rng, count=3):
+            assert action.diffeo(g).inverse_affine is not None, (name, g)
+
+
+@pytest.mark.parametrize("inverse", ["x - v*t", "x - m*t", "x - t^2", "x - exp(t)",
+                                     "x - i*t", "x - 1/(1 + t^2)", "x - v"])
+def test_inverse_affine_is_none_off_the_real_affine_maps(inverse):
+    # a parameter, a named constant, a higher degree, an exp atom, a complex
+    # coefficient, a tree and a parameter offset each give None; only the
+    # inverse components are read
+    binding = VarBinding(coordinates=["t", "x"], parameters=["v"], constants=["m"])
+    inv = parse(inverse, binding)
+    t = Expr.var("t")
+    phi = Diffeo(["t", "x"], [t, Expr.var("x")], [t, inv])
+    assert phi.inverse_affine is None
+    assert phi.inverse_affine is None
+
+
 def test_check_action_builtins_pass():
     rng = random.Random(3)
     for factory in (lambda: translations(1), lambda: translations(2),

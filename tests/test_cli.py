@@ -483,6 +483,20 @@ expr = 1/(1/x - 1/x)
     assert "result: FAIL" in proc.stdout
 
 
+def test_verify_numeric_phase_pole_is_a_config_error(tmp_path):
+    # v/x has a pole at x = 0, a grid point: the plan's amplitude values are
+    # checked when the plan is built, with no numpy warning on the way
+    text = read(os.path.join(CONFIGS, "galilean_numeric.cfg"))
+    line = "expr = m*v*x - m*v*v*t/2\n"
+    assert line in text
+    cfg = write(tmp_path, text.replace(line, "expr = m*v*x - m*v*v*t/2 + v/(x)\n"))
+    proc = _run_subprocess(tmp_path, cfg, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+    assert "[phase]" in proc.stderr and "not finite on the grid" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
 def _run_subprocess(tmp_path, cfg, timeout):
     src = os.path.dirname(os.path.dirname(quantact.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -643,6 +657,39 @@ def test_verify_numeric_builds_one_plan_per_element(monkeypatch, tmp_path):
     for variant in (one, three):
         assert variant != text
         assert count_plans(monkeypatch, tmp_path, variant) == (built, alive)
+
+
+def count_applications(monkeypatch, tmp_path, text):
+    """Plan applications, T_g psi, in one verify-numeric run."""
+    applied = []
+    real = cli.phase_system_plan
+
+    def counting(*args, **kwargs):
+        plan = real(*args, **kwargs)
+
+        def apply(psi):
+            applied.append(1)
+            return plan(psi)
+
+        return apply
+
+    monkeypatch.setattr(cli, "phase_system_plan", counting)
+    cfg = SessionConfig.load(write(tmp_path, text), out=str(tmp_path / "out"))
+    status, report = cli.run(cfg)
+    assert status == 0, report
+    return len(applied)
+
+
+def test_verify_numeric_applies_each_element_once_per_packet(monkeypatch, tmp_path):
+    # |E| |P| images, then per pair T_{g1} on the images and T_{g1 g2} on
+    # the packets: 3*2 + 2*6*2 = 30, where applying T_{g2} anew per pair took 42
+    text = read(os.path.join(CONFIGS, "galilean_numeric.cfg"))
+    assert "elements = 1/5 ; 1/10 ; -3/20" in text
+    assert count_applications(monkeypatch, tmp_path, text) == 30
+    one = text.replace("centers = 0,0 ; 0,0\n", "centers = 0,0\n").replace(
+        "momenta = 0,0 ; 1/10,-1/20\n", "momenta = 0,0\n")
+    assert one != text
+    assert count_applications(monkeypatch, tmp_path, one) == 3 * 1 + 2 * 6 * 1
 
 
 @pytest.mark.parametrize("task,line", [

@@ -15,6 +15,9 @@ Coefficient bases decompose through their echelon form: ``linalg`` has no
 left inverse and ``dga`` makes no matrix-vector product.
 
 ``opcalc`` pulls expressions back only through ``Diffeo.pullback``.
+
+Only ``numfio.pullback_plan`` classifies a pullback: the lattice test and
+the shear detection have no other caller.
 """
 
 import ast
@@ -227,3 +230,14 @@ def test_the_caller_guard_sees_nested_and_module_calls(tmp_path):
                     "_slot_maps(None)\n")
     assert sorted(callers(str(path), "_slot_maps")) == [
         ("<module>", 6), ("build", 5), ("inner", 4)]
+
+
+# pullback_plan is the one classifier of a pullback: it reads exact affine
+# data when the map has it and grid values otherwise, so the lattice test
+# and the shear detection have no caller besides it
+def test_one_classifier_for_pullback_paths():
+    modules = sorted(glob.glob(os.path.join(ROOT, "src", "quantact", "*.py")))
+    for name in ("_permutation_indices", "_shear_data"):
+        calls = [(owner, "%s:%d" % (os.path.basename(m), line))
+                 for m in modules for owner, line in callers(m, name)]
+        assert [owner for owner, _ in calls] == ["pullback_plan"], (name, calls)

@@ -16,15 +16,17 @@ import numpy as np
 import pytest
 
 import quantact
-from quantact.actions import (Diffeo, cyclic_rotations, galilean_boosts,
-                              translations)
+from quantact import numfio
+from quantact.actions import (BUILTIN_ACTIONS, Diffeo, cyclic_rotations,
+                              galilean_boosts, translations)
 from quantact.dga import PhaseCochain
 from quantact.expr import Expr, is_zero
-from quantact.numfio import (NumericAmplitude, WaveGrid, _grid_values,
+from quantact.numfio import (GRID_TOL, NumericAmplitude, WaveGrid,
+                             _bandlimited_pullback, _check_dense, _grid_values,
                              apply_operator_numeric,
                              asymptotic_consistency, eval_expr, fio_apply,
                              gaussian, grid_pullback, inner, kn_apply, kn_plan,
-                             phase_system_apply, pullback_plan,
+                             packet_gram, phase_system_apply, pullback_plan,
                              representation_residual, spectral_tail_fraction,
                              standard_product_residual, symbol_amplitude,
                              symbol_from_polynomial, unitarity_residual)
@@ -372,6 +374,130 @@ def test_one_pullback_plan_serves_many_packets(path):
         assert np.array_equal(plan(psi), grid_pullback(grid, phi, psi))
 
 
+# ---------------------------------------------------------------------------
+# the affine classifier against the grid-value classifier
+
+
+def reference_pullback_plan(grid, phi):
+    """The pullback classifier that reads the map's values on the full grid
+    only: the realness check, the lattice test on every pulled-back point,
+    the single-axis shear with its shift broadcast to the grid, then the
+    band-limited fallback.  It is the oracle for the affine classifier and
+    returns (path name, plan)."""
+    if phi.is_identity():
+        return "identity", lambda psi: np.array(psi, dtype=complex)
+    env = grid.coord_env(phi.coords)
+    targets = [_grid_values(g, env, grid.shape) for g in phi.inverse]
+    if any(np.max(np.abs(t.imag)) > GRID_TOL for t in targets):
+        raise ValueError("map must stay real on the grid")
+    reals = [t.real for t in targets]
+    idx = []
+    for t in reals:
+        frac = (t + grid.length) / grid.delta
+        rounded = np.rint(frac)
+        if np.max(np.abs(frac - rounded)) > GRID_TOL:
+            break
+        idx.append(np.mod(rounded.astype(np.int64), grid.npoints))
+    else:
+        return "permutation", lambda psi: np.array(psi, dtype=complex)[tuple(idx)]
+    moved = [(i, inv - Expr.var(c))
+             for i, (c, inv) in enumerate(zip(phi.coords, phi.inverse))
+             if not (inv - Expr.var(c)).is_exact_zero()]
+    if len(moved) == 1 and moved[0][1].diff(phi.coords[moved[0][0]]).is_exact_zero():
+        axis, diff = moved[0]
+        shift = _grid_values(diff, env, grid.shape)
+        if np.max(np.abs(shift.imag)) <= 1e-12:
+            shift = -shift.real
+            shape = [1] * grid.dim
+            shape[axis] = grid.npoints
+            phase = np.exp(-1j / grid.hbar * grid.xi_axis().reshape(shape) * shift)
+            return "shear", lambda psi: np.fft.ifft(
+                np.fft.fft(np.asarray(psi, dtype=complex), axis=axis) * phase, axis=axis)
+    _check_dense(grid, "pullback needs a structured (permutation or shear) map")
+    return "band-limited", lambda psi: _bandlimited_pullback(grid, reals, psi)
+
+
+def oracle_grids(dim):
+    # spacing 1/4 puts quarter translations and integer shears on the
+    # lattice; spacing 3/10 puts them off it
+    npoints = 32 if dim == 1 else 16
+    return [WaveGrid(dim, npoints, npoints * spacing / 2, 0.1) for spacing in (0.25, 0.3)]
+
+
+def oracle_maps():
+    """(label, map) for every element of the finite 1-D/2-D built-ins and
+    sampled elements of the parameter ones, plus the named extra cases."""
+    rng = random.Random(5)
+    maps = []
+    for name, factory in sorted(BUILTIN_ACTIONS.items()):
+        action = factory()
+        if action.dim > 2:
+            continue
+        for g in action.sample_elements(rng, count=6):
+            maps.append(("%s %s" % (name, g), action.diffeo(g)))
+    boosts = galilean_boosts()
+    maps.append(("translation by 3/10", translations(1).diffeo(
+        translations(1).group.element(Fraction(3, 10)))))
+    maps.append(("lattice shear v = 1", boosts.diffeo(boosts.group.element(1))))
+    t, x = Expr.var("t"), Expr.var("x")
+    maps.append(("non-affine (t, x + t^2)", Diffeo(["t", "x"], [t, x + t * t],
+                                                   [t, x - t * t])))
+    return maps
+
+
+@pytest.mark.parametrize("label,phi", oracle_maps(), ids=lambda v: str(v))
+def test_affine_classification_matches_the_grid_value_classifier(label, phi):
+    np_rng = np.random.default_rng(7)
+    for grid in oracle_grids(phi.dim):
+        _, want = reference_pullback_plan(grid, phi)
+        got = pullback_plan(grid, phi)
+        for _ in range(2):
+            psi = (np_rng.standard_normal(grid.shape)
+                   + 1j * np_rng.standard_normal(grid.shape))
+            assert np.array_equal(got(psi), want(psi)), (label, grid.delta)
+
+
+def test_oracle_maps_cover_every_path():
+    maps = oracle_maps()
+    paths = {reference_pullback_plan(grid, phi)[0]
+             for _, phi in maps for grid in oracle_grids(phi.dim)}
+    assert paths == {"identity", "permutation", "shear", "band-limited"}
+    # the extra cases take the paths they are named for on the 1/4 grids,
+    # and only the bent map lacks affine data
+    cases = {"translation by 3/10": "shear", "lattice shear v = 1": "permutation",
+             "non-affine (t, x + t^2)": "shear"}
+    for label, phi in maps:
+        if label in cases:
+            assert reference_pullback_plan(oracle_grids(phi.dim)[0], phi)[0] == cases[label]
+            assert (phi.inverse_affine is None) == label.startswith("non-affine")
+
+
+def count_lattice_tests(monkeypatch, grid, phi):
+    calls = []
+    real = numfio._permutation_indices
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numfio, "_permutation_indices", counting)
+    pullback_plan(grid, phi)
+    return len(calls)
+
+
+def test_a_non_integral_affine_map_skips_the_lattice_test(monkeypatch):
+    grid = WaveGrid(2, 64, 10.0, 0.1)
+    boosts = galilean_boosts()
+    boost = boosts.diffeo(boosts.group.element(Fraction(3, 20)))
+    assert count_lattice_tests(monkeypatch, grid, boost) == 0
+    # an integral map and a non-affine map are tested
+    lattice = boosts.diffeo(boosts.group.element(1))
+    assert count_lattice_tests(monkeypatch, grid, lattice) == 1
+    t, x = Expr.var("t"), Expr.var("x")
+    bent = Diffeo(["t", "x"], [t, x + t * t], [t, x - t * t])
+    assert count_lattice_tests(monkeypatch, grid, bent) == 1
+
+
 def test_one_kn_plan_serves_many_packets():
     grid = grid_1d(npoints=64)
     psis = [gaussian(grid, centers=[0.0], sigma=0.8, momenta=[0.2]),
@@ -410,10 +536,13 @@ def test_unitarity_residual_separates_unitary_from_scaled():
             gaussian(grid, centers=[0.5], sigma=1.0, momenta=[-0.1])]
     action = translations(1)
     phi = action.diffeo(action.group.element(1))
-    good = unitarity_residual(grid, lambda p: grid_pullback(grid, phi, p), psis)
+    norms, gram = packet_gram(grid, psis)
+    good = unitarity_residual(grid, [grid_pullback(grid, phi, p) for p in psis],
+                              norms, gram)
     assert good < 1e-12
     two = NumericAmplitude(2, ["x1"])
-    bad = unitarity_residual(grid, lambda p: kn_apply(grid, two, p), psis)
+    bad = unitarity_residual(grid, [kn_apply(grid, two, p) for p in psis],
+                             norms, gram)
     assert bad > 1.0
 
 
@@ -439,13 +568,16 @@ def test_boost_system_is_unitary_and_multiplicative():
           action.group.element(Fraction(1, 10)),
           action.group.element(Fraction(-3, 20))]
 
-    def apply_for(g, p):
-        return phase_system_apply(grid, action, phase, g, p, consts=consts)
+    def plan_for(g):
+        return lambda p: phase_system_apply(grid, action, phase, g, p, consts=consts)
 
-    uni = unitarity_residual(grid, lambda p: apply_for(vs[0], p), psis)
+    norms, gram = packet_gram(grid, psis)
+    uni = unitarity_residual(grid, [plan_for(vs[0])(p) for p in psis], norms, gram)
     assert uni < 1e-10
     pairs = [(vs[0], vs[1]), (vs[1], vs[2]), (vs[0], vs[2])]
-    rep = representation_residual(grid, apply_for, action.mult, pairs, psis)
+    rep = max(representation_residual(grid, plan_for(g1), plan_for(action.mult(g1, g2)),
+                                      [plan_for(g2)(p) for p in psis], psis, norms)
+              for g1, g2 in pairs)
     assert rep < 1e-9
 
 
@@ -465,14 +597,15 @@ def test_perturbed_boost_phase_fails_multiplicativity():
     v1 = action.group.element(Fraction(1, 5))
     v2 = action.group.element(Fraction(1, 10))
 
-    def apply_for(g, p):
-        return phase_system_apply(grid, action, phase, g, p, consts=consts)
+    def plan_for(g):
+        return lambda p: phase_system_apply(grid, action, phase, g, p, consts=consts)
 
     # each boost alone stays unitary; the product law is what breaks
-    uni = unitarity_residual(grid, lambda p: apply_for(v1, p), psis)
+    norms, gram = packet_gram(grid, psis)
+    uni = unitarity_residual(grid, [plan_for(v1)(p) for p in psis], norms, gram)
     assert uni < 1e-10
-    rep = representation_residual(grid, apply_for, action.mult,
-                                  [(v1, v2)], psis)
+    rep = representation_residual(grid, plan_for(v1), plan_for(action.mult(v1, v2)),
+                                  [plan_for(v2)(p) for p in psis], psis, norms)
     assert rep > 1e-3
 
 
