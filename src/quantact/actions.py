@@ -33,7 +33,6 @@ class Diffeo:
         self.inverse = [as_expr(c) for c in inverse]
         if not (len(self.forward) == len(self.inverse) == len(self.coords)):
             raise ValueError("component count must match coordinate count")
-        self._inverse_jacobian = None
         self._pullback = substitution(dict(zip(self.coords, self.inverse)))
 
     @property
@@ -71,22 +70,21 @@ class Diffeo:
             checks.append(is_zero(forward(g) - Expr.var(c), rng=rng))
         return checks
 
+    @functools.cached_property
     def inverse_jacobian(self):
         """jac[k][j] = d_j (phi^{-1})_k, computed on first use and kept."""
-        if self._inverse_jacobian is None:
-            self._inverse_jacobian = [[g.diff(c) for c in self.coords]
-                                      for g in self.inverse]
-        return self._inverse_jacobian
+        return [[g.diff(c) for c in self.coords] for g in self.inverse]
 
     @functools.cached_property
     def inverse_affine(self):
         """Exact (A, b), GaussRat lists, with phi^{-1}(x) = A x + b, computed on
-        first use; None unless every inverse component has degree <= 1 in the
-        coordinates with constant real coefficients (no constant or parameter)."""
+        first use and kept; None unless every inverse component has degree <= 1
+        in the coordinates with constant real coefficients (no constant or
+        parameter)."""
         def real(e):
             return e.const_value() if e.is_const() and e.const_value().im == 0 else None
         # constant partial derivatives make each component affine, so b = phi^{-1}(0)
-        a = [[real(d) for d in row] for row in self.inverse_jacobian()]
+        a = [[real(d) for d in row] for row in self.inverse_jacobian]
         if any(c is None for row in a for c in row):
             return None
         at_origin = substitution(dict.fromkeys(self.coords, 0))

@@ -31,7 +31,6 @@ reports the high-frequency energy share as an aliasing diagnostic.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -101,7 +100,8 @@ class WaveGrid:
         return -self.length + self.delta * np.arange(self.npoints)
 
     def mesh(self):
-        return list(np.meshgrid(*[self.axis()] * self.dim, indexing="ij"))
+        axes = [self.axis()] * self.dim
+        return list(np.meshgrid(*axes, indexing="ij"))
 
     def k_axis(self):
         return np.fft.fftfreq(self.npoints, 1.0 / self.npoints)
@@ -111,7 +111,8 @@ class WaveGrid:
         return (math.pi * self.hbar / self.length) * self.k_axis()
 
     def xi_mesh(self):
-        return list(np.meshgrid(*[self.xi_axis()] * self.dim, indexing="ij"))
+        axes = [self.xi_axis()] * self.dim
+        return list(np.meshgrid(*axes, indexing="ij"))
 
     def coord_env(self, coords, consts=None):
         """Coordinate arrays as an open mesh (each varies along its own axis
@@ -126,7 +127,10 @@ class WaveGrid:
     def _mode_signs(self):
         # e_k(x_j) = (-1)^k e^{2 pi i jk/M} per axis
         sign = np.where(np.mod(self.k_axis(), 2) == 0, 1.0, -1.0)
-        return functools.reduce(np.multiply.outer, [sign] * self.dim)
+        out = sign
+        for _ in range(self.dim - 1):
+            out = np.multiply.outer(out, sign)
+        return out
 
     def hfft(self, psi):
         """Coefficients on the e^{(i/hbar) xi_k x} mode basis."""
@@ -166,7 +170,9 @@ def spectral_tail_fraction(grid, psi):
     c = grid.hfft(psi)
     k = np.abs(grid.k_axis())
     cutoff = grid.npoints // 4
-    mask = functools.reduce(np.logical_or.outer, [k >= cutoff] * grid.dim)
+    mask = k >= cutoff
+    for _ in range(grid.dim - 1):
+        mask = np.logical_or.outer(mask, np.abs(grid.k_axis()) >= cutoff)
     power = np.abs(c) ** 2
     total = float(np.sum(power))
     if total == 0.0:
@@ -182,19 +188,26 @@ def pullback_plan(grid, phi, consts=None):
     """Classify t_phi once; return psi -> (t_phi psi)(x) = psi(phi^{-1}(x)).
 
     Paths: identity / exact index permutation / single-axis spectral shear /
-    band-limited interpolation (guarded).  Exact affine data (A, b) of
-    phi^{-1} (``Diffeo.inverse_affine``) is real, and a lattice permutation
-    needs A integral; any other map must stay real on the grid.
+    band-limited interpolation (guarded).  A map with exact affine data
+    (A, b) of phi^{-1} (``Diffeo.inverse_affine``) is real, and only an
+    integral A can permute the lattice, with one offset per axis to test;
+    any other map must stay real on the grid and is tested at every point.
     """
     if phi.is_identity():
         return lambda psi: np.array(psi, dtype=complex)
     env = grid.coord_env(phi.coords, consts)
     affine = phi.inverse_affine
-    reals = None if affine is not None else _real_targets(grid, phi, env)
-    if affine is None or all(c.re.denominator == 1 for row in affine[0] for c in row):
-        perm = _permutation_indices(grid, reals, affine)
-        if perm is not None:
-            return lambda psi: np.array(psi, dtype=complex)[perm]
+    reals = rows = fracs = None
+    if affine is None:
+        reals = _real_targets(grid, phi, env)
+        fracs = [(t + grid.length) / grid.delta for t in reals]
+    elif all(c.re.denominator == 1 for row in affine[0] for c in row):
+        rows = [[int(c.re) for c in row] for row in affine[0]]
+        fracs = [(float(s.re) + grid.length * (1 - sum(row))) / grid.delta
+                 for row, s in zip(rows, affine[1])]
+    perm = None if fracs is None else _permutation_indices(grid, fracs, rows)
+    if perm is not None:
+        return lambda psi: np.array(psi, dtype=complex)[perm]
 
     shear = _shear_data(grid, phi, env)
     if shear is not None:
@@ -205,13 +218,16 @@ def pullback_plan(grid, phi, consts=None):
         phase = np.exp(-1j / grid.hbar * xi.reshape(shape) * shift)
 
         def sheared(psi):
+            # one spectral buffer: ifft's out= needs numpy >= 2.0
             modes = np.fft.fft(np.asarray(psi, dtype=complex), axis=axis)
-            return np.fft.ifft(np.multiply(modes, phase, out=modes), axis=axis, out=modes)
+            modes *= phase
+            return np.fft.ifft(modes, axis=axis, out=modes)
         return sheared
 
     _check_dense(grid, "pullback needs a structured (permutation or shear) map "
                  "at this grid size")
-    reals = reals if reals is not None else _real_targets(grid, phi, env)
+    if reals is None:
+        reals = _real_targets(grid, phi, env)
     return lambda psi: _bandlimited_pullback(grid, reals, psi)
 
 
@@ -229,29 +245,23 @@ def _real_targets(grid, phi, env):
     return [t.real for t in targets]
 
 
-def _permutation_indices(grid, reals, affine):
+def _permutation_indices(grid, fracs, rows=None):
     """Gather indices when phi^{-1} takes the lattice to itself, else None.
-    With exact (A, b), A integral, index j goes to A j + (b + L(1 - A 1))/delta:
-    only those offsets are tested, and aranges on an open mesh give the
-    indices.  Otherwise every grid value in ``reals`` is tested."""
-    if affine is None:
-        fracs = [(t + grid.length) / grid.delta for t in reals]
-    else:
-        a, b = affine
-        fracs = [(float(s.re) + grid.length * (1 - sum(c.re for c in row))) / grid.delta
-                 for row, s in zip(a, b)]
+    ``fracs`` holds per axis the lattice positions (t + L)/delta of phi^{-1}
+    on the grid or, given the rows of an integral A, the offset in index j ->
+    A j + (b + L(1 - A 1))/delta, from which aranges give the indices."""
     idx = []
     for frac in fracs:
         rounded = np.rint(frac)
         if np.max(np.abs(frac - rounded)) > GRID_TOL:
             return None
         idx.append(np.mod(rounded.astype(np.int64), grid.npoints))
-    if affine is not None:
+    if rows is not None:
         js = np.meshgrid(*[np.arange(grid.npoints)] * grid.dim, indexing="ij",
                          sparse=True)
-        idx = [np.broadcast_to(np.mod(k + sum(int(c.re) * j for c, j in zip(row, js)),
+        idx = [np.broadcast_to(np.mod(k + sum(a * j for a, j in zip(row, js)),
                                       grid.npoints), grid.shape)
-               for row, k in zip(affine[0], idx)]
+               for row, k in zip(rows, idx)]
     return tuple(idx)
 
 
@@ -335,14 +345,14 @@ def kn_plan(grid, amp):
 
     if not uses_xi:
         values = _amplitude_values(amp.expr, env, grid.shape)
-        return lambda psi: values * np.asarray(psi, dtype=complex)
+        return lambda psi: _check_finite(values * np.asarray(psi, dtype=complex))
 
     if not uses_x:
         xi_env = dict(zip(amp.xi_names, grid.xi_mesh()))
         xi_env[HBAR_NAME] = grid.hbar
         xi_env.update(amp.consts)
         values = _amplitude_values(amp.expr, xi_env, grid.shape)
-        return lambda psi: grid.hifft(values * grid.hfft(psi))
+        return lambda psi: _check_finite(grid.hifft(values * grid.hfft(psi)))
 
     try:
         parts = xi_decompose(amp.expr, amp.xi_names)
@@ -358,7 +368,7 @@ def kn_plan(grid, amp):
         out = np.zeros(grid.shape, dtype=complex)
         for mult, f in terms:
             out = out + f * grid.hifft(mult * c)
-        return out
+        return _check_finite(out)
 
     return apply
 
@@ -400,7 +410,8 @@ def _amplitude_values(e, env, shape):
 
 
 def _check_finite(arr, message="operator application produced non-finite values"):
-    if not np.all(np.isfinite(arr)):
+    # one pass over the float view: a complex value is finite when both parts are
+    if not np.isfinite(np.ascontiguousarray(arr).view(float)).all():
         raise NonFiniteError(message)
     return arr
 
@@ -500,23 +511,24 @@ def packet_gram(grid, psis):
 
 def unitarity_residual(grid, images, norms, gram):
     """max |<T f_i, T f_j> - <f_i, f_j>| / (|f_i| |f_j|) over all test pairs,
-    from the images T f_i and the packets' ``packet_gram``."""
+    from the images T f_i and the packets' ``packet_gram``.  A NaN is kept
+    (``np.maximum``, where ``max`` would drop it), so it fails every bound."""
     worst = 0.0
     for i, f in enumerate(images):
         for j, g in enumerate(images):
             after = inner(grid, f, g)
-            worst = max(worst, abs(after - gram[i][j]) / (norms[i] * norms[j]))
-    return worst
+            worst = np.maximum(worst, abs(after - gram[i][j]) / (norms[i] * norms[j]))
+    return float(worst)
 
 
 def representation_residual(grid, outer, product, images, psis, norms):
     """max relative L^2 error of T_{g1} T_{g2} psi - T_{g1 g2} psi over the
     packets psi, from the images T_{g2} psi, the operators ``outer`` = T_{g1}
-    and ``product`` = T_{g1 g2}, and the packet norms."""
+    and ``product`` = T_{g1 g2}, and the packet norms; a NaN is kept."""
     worst = 0.0
     for image, psi, norm in zip(images, psis, norms):
-        worst = max(worst, grid.norm(outer(image) - product(psi)) / norm)
-    return worst
+        worst = np.maximum(worst, grid.norm(outer(image) - product(psi)) / norm)
+    return float(worst)
 
 
 def standard_product_residual(grid, a, b, psi):

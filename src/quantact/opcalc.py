@@ -153,7 +153,7 @@ def _product(p, phi1, k, phi2):
     """
     coords, dim, order = phi1.coords, p.dim, p.order
     # jac[i][j] = d_j (phi2^{-1})_i
-    jac = phi2.inverse_jacobian()
+    jac = phi2.inverse_jacobian
     # (n2, beta, alpha) -> carrier: gamma -> coefficient of (D^gamma psi) o phi2^{-1}
     carriers = {}
 

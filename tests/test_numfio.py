@@ -546,6 +546,32 @@ def test_unitarity_residual_separates_unitary_from_scaled():
     assert bad > 1.0
 
 
+@pytest.mark.parametrize("amplitude", [10 ** 308, 10 ** 308 + XI1, 10 ** 308 + X1 * XI1],
+                         ids=["x_only", "xi_only", "separable"])
+def test_an_overflowing_application_is_refused(amplitude):
+    # the amplitude is finite on the grid, so the plan builds; applied to a
+    # packet whose peak is above 1 (x-only, xi-only and separable paths) it
+    # overflows, and the application refuses its output
+    grid = grid_1d(npoints=64)
+    psi = 4.0 * gaussian(grid, centers=[0.0], sigma=0.5)
+    plan = kn_plan(grid, NumericAmplitude(amplitude, ["x1"]))
+    with pytest.raises(numfio.NonFiniteError):
+        with np.errstate(all="ignore"):
+            plan(psi)
+
+
+def test_a_nan_image_fails_both_residuals():
+    # max() would drop the NaN and report the finite pairs' residual
+    grid = grid_1d(npoints=64)
+    psis = [gaussian(grid, centers=[0.0], sigma=0.8),
+            gaussian(grid, centers=[0.5], sigma=1.0)]
+    norms, gram = packet_gram(grid, psis)
+    images = [np.full(grid.shape, np.nan, dtype=complex), psis[1]]
+    assert math.isnan(unitarity_residual(grid, images, norms, gram))
+    same = lambda p: np.array(p, dtype=complex)  # noqa: E731
+    assert math.isnan(representation_residual(grid, same, same, images, psis, norms))
+
+
 def free_boost_phase():
     action = galilean_boosts()
     m, t, x = Expr.var("m"), Expr.var("t"), Expr.var("x")

@@ -312,7 +312,7 @@ def _reference_product(p, phi1, k, phi2):
     coords, dim, order = phi1.coords, p.dim, p.order
     inv1_map = dict(zip(coords, phi1.inverse))
     # jac[i][j] = d_j (phi2^{-1})_i
-    jac = phi2.inverse_jacobian()
+    jac = phi2.inverse_jacobian
     out = [dict() for _ in range(order + 1)]
 
     def add_term(n, gamma, coeff):
