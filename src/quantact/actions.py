@@ -24,6 +24,10 @@ from .report import Report
 # diffeomorphisms
 
 
+class SingularMapError(ValueError):
+    """A parameter map divides by zero at the parameter values it is given."""
+
+
 class Diffeo:
     """Invertible map of R^d given by forward and inverse expressions."""
 
@@ -49,9 +53,17 @@ class Diffeo:
                    for f, c in zip(self.forward, self.coords))
 
     def substitute_params(self, mapping):
+        """The map at the parameter values ``mapping``; a side (forward or
+        inverse) that divides by zero there raises SingularMapError."""
         sub = substitution(mapping)
-        return Diffeo(self.coords, [sub(f) for f in self.forward],
-                      [sub(g) for g in self.inverse])
+        sides = []
+        for side, comps in (("forward", self.forward), ("inverse", self.inverse)):
+            try:
+                sides.append([sub(f) for f in comps])
+            except ZeroDivisionError:
+                at = ", ".join("%s = %s" % item for item in mapping.items())
+                raise SingularMapError("%s: division by zero at %s" % (side, at)) from None
+        return Diffeo(self.coords, *sides)
 
     def pullback(self, e):
         """Compose a scalar expression with the inverse map: e o phi^{-1}.

@@ -28,7 +28,12 @@ rows is a config error, raised before the basis is built; so is an expand
 order with more multi-indices than that, raised before any derivative.
 A verify-numeric phase whose e^{i S_g} is not finite on the grid (a pole at
 a grid point) is a config error naming [phase], raised when its plan is
-built.
+built; so is a map phi_g^{-1} not finite on the grid, naming [action].
+A config-defined action whose forward or inverse map divides by zero at a
+parameter value the task meets (check-action meets the identity parameter
+first) is a config error naming [action] forward or [action] inverse; an
+expand term that divides by zero at xi = 0, removable or not, is a config
+error naming [amplitude] terms.
 """
 
 from __future__ import annotations
@@ -40,13 +45,14 @@ import random
 import sys
 from fractions import Fraction
 
-from .actions import action_from_config, check_action, _split_exprs
+from .actions import (SingularMapError, action_from_config, check_action,
+                      _split_exprs)
 from .dga import (Cochain, CoefficientBasis, PhaseCochain, _tuple_label,
                   cochain_zero_report, delta_phase, exp_system, mc_residual,
                   solve_order, trivial_system, cohomology_dims)
 from .expr import ExprError, VarBinding, parse
-from .numfio import (NonFiniteError, WaveGrid, gaussian, packet_gram,
-                     phase_system_plan, representation_residual,
+from .numfio import (NonFiniteError, NonFiniteMapError, WaveGrid, gaussian,
+                     packet_gram, phase_system_plan, representation_residual,
                      spectral_tail_fraction, unitarity_residual)
 from .report import Report
 from .symbols import (AmplitudeSeries, FormalSymbol, default_xi_names,
@@ -439,7 +445,9 @@ def task_verify_numeric(cfg, rng):
         try:
             return phase_system_plan(grid, action, phase, g, consts=consts)
         except NonFiniteError as exc:
-            raise ConfigError("[phase] at %s: %s" % (_tuple_label(action, (g,)), exc))
+            where = "action" if isinstance(exc, NonFiniteMapError) else "phase"
+            raise ConfigError("[%s] at %s: %s"
+                              % (where, _tuple_label(action, (g,)), exc))
 
     report = Report("numeric unitarity and representation",
                     params={"action": action.name,
@@ -502,7 +510,12 @@ def task_expand(cfg, rng):
                           "multi-indices, more than the budget of %d"
                           % (cfg.order, len(coords), alphas, SLOT_BUDGET))
     series = AmplitudeSeries(len(coords), terms, xi_names)
-    sym = taylor_from_amplitude(series, cfg.order, convention)
+    try:
+        sym = taylor_from_amplitude(series, cfg.order, convention)
+    except ZeroDivisionError:
+        raise ConfigError("[amplitude] terms: a term or one of its xi-derivatives "
+                          "divides by zero at xi = 0, where the series is "
+                          "expanded") from None
     report = Report("amplitude expansion",
                     params={"convention": convention, "order": cfg.order,
                             "terms": len(terms)})
@@ -527,7 +540,11 @@ TASKS = {
 def run(cfg):
     """Execute the configured task; returns (exit status, report text)."""
     rng = random.Random(cfg.seed)
-    report, lines = TASKS[cfg.task](cfg, rng)
+    try:
+        report, lines = TASKS[cfg.task](cfg, rng)
+    except SingularMapError as exc:
+        # only a config-defined action has parameter maps to divide by zero
+        raise ConfigError("[action] %s" % exc) from None
     text = "quantact %s\nconfig = %s\nseed = %d\n\n" % (
         cfg.task, os.path.basename(cfg.path), cfg.seed)
     text += report.render()

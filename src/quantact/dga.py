@@ -210,12 +210,16 @@ def star_graded(a, b):
     if a.action is not b.action and a.action.coords != b.action.coords:
         raise ValueError("cochains over different actions")
     k, l = a.degree, b.degree
+    # one carrier table per right tuple for the life of the product: b(right)
+    # over its map is the right operand of every star on that tuple
+    carriers = {}
 
     def val(gs):
         left, right = gs[:k], gs[k:]
         phi1 = a.action.product_diffeo(left)
         phi2 = a.action.product_diffeo(right)
-        return star(a.value(left), phi1, b.value(right), phi2)
+        return star(a.value(left), phi1, b.value(right), phi2,
+                    carriers.setdefault(right, {}))
 
     return Cochain(a.action, k + l, a.order, fn=val)
 
@@ -344,11 +348,13 @@ def gauge_residual(a, b, u):
     if isinstance(u, FormalSymbol):
         u = Cochain(action, 0, a.order, table={(): u})
     ident = Diffeo.identity(action.coords)
+    # u over the identity is the right operand of every left star
+    carriers = {}
 
     def val(gs):
         (g,) = gs
         phi = action.diffeo(g)
-        left = star(a.value((g,)), phi, u.value(()), ident)
+        left = star(a.value((g,)), phi, u.value(()), ident, carriers)
         right = star(u.value(()), ident, b.value((g,)), phi)
         return left.sub(right)
 

@@ -51,6 +51,10 @@ class NonFiniteError(ValueError):
     """An amplitude or an operator's output is infinite or NaN on the grid."""
 
 
+class NonFiniteMapError(NonFiniteError):
+    """A map's inverse phi^{-1} is infinite or NaN on the grid."""
+
+
 # ---------------------------------------------------------------------------
 # numeric expression evaluation
 
@@ -238,8 +242,12 @@ def grid_pullback(grid, phi, psi, consts=None):
 
 
 def _real_targets(grid, phi, env):
-    """phi^{-1} on the full grid, one real array per axis."""
-    targets = [_grid_values(g, env, grid.shape) for g in phi.inverse]
+    """phi^{-1} on the full grid, one real array per axis.  A pole or an
+    overflow raises NonFiniteMapError, with no numpy warning."""
+    with np.errstate(all="ignore"):
+        targets = [_check_finite(_grid_values(g, env, grid.shape),
+                                 "map is not finite on the grid", NonFiniteMapError)
+                   for g in phi.inverse]
     if any(np.max(np.abs(t.imag)) > GRID_TOL for t in targets):
         raise ValueError("map must stay real on the grid")
     return [t.real for t in targets]
@@ -253,7 +261,8 @@ def _permutation_indices(grid, fracs, rows=None):
     idx = []
     for frac in fracs:
         rounded = np.rint(frac)
-        if np.max(np.abs(frac - rounded)) > GRID_TOL:
+        # a NaN offset fails the test rather than pass it
+        if not np.max(np.abs(frac - rounded)) <= GRID_TOL:
             return None
         idx.append(np.mod(rounded.astype(np.int64), grid.npoints))
     if rows is not None:
@@ -409,10 +418,11 @@ def _amplitude_values(e, env, shape):
                            shape)
 
 
-def _check_finite(arr, message="operator application produced non-finite values"):
+def _check_finite(arr, message="operator application produced non-finite values",
+                  error=NonFiniteError):
     # one pass over the float view: a complex value is finite when both parts are
     if not np.isfinite(np.ascontiguousarray(arr).view(float)).all():
-        raise NonFiniteError(message)
+        raise error(message)
     return arr
 
 

@@ -19,10 +19,13 @@ which keeps the normal form and shows the composite lives over phi1 o phi2.
 Reading off the coefficients defines the product ``star`` on symbols; it is
 exact at every truncation order (no mixing between orders beyond n1 + n2).
 
-One product call builds each carrier D^alpha[g * (D^beta psi) o phi2^{-1}]
-once, in a table keyed by (n2, beta, alpha), from the carrier of alpha - e_j.
-Pullbacks by phi1^{-1} go through ``Diffeo.pullback``: each map keeps one
-substitution of its inverse, which keeps the images of the monomials it meets.
+The carriers D^alpha[g * (D^beta psi) o phi2^{-1}] depend on the right
+operand (k, phi2) only.  Each is built once per right operand of a product
+cochain, in a table keyed by (n2, beta, alpha), from the carrier of
+alpha - e_j: ``dga.star_graded`` hands ``star`` one table per right tuple,
+and a call without a table fills a fresh one.  Pullbacks by phi1^{-1} go
+through ``Diffeo.pullback``: each map keeps one substitution of its inverse,
+which keeps the images of the monomials it meets.
 """
 
 from __future__ import annotations
@@ -144,18 +147,21 @@ def _carrier_step(carrier, coords, j, jac):
     return nxt
 
 
-def _product(p, phi1, k, phi2):
+def _product(p, phi1, k, phi2, carriers=None):
     """Symbol of Op(p, phi1) o Op(k, phi2).
 
     Only inverse maps enter: phi1's for the outer pullback, and the
     Jacobian of phi2's, which phi2 keeps, for the chain rule through the
-    inner pullback.  Carriers are built once per call (module docstring).
+    inner pullback.  Carriers are built once per right operand of a product
+    cochain (module docstring): ``carriers`` is the table of (k, phi2),
+    filled here as alpha asks; without one the call fills a fresh table.
     """
     coords, dim, order = phi1.coords, p.dim, p.order
     # jac[i][j] = d_j (phi2^{-1})_i
     jac = phi2.inverse_jacobian
     # (n2, beta, alpha) -> carrier: gamma -> coefficient of (D^gamma psi) o phi2^{-1}
-    carriers = {}
+    if carriers is None:
+        carriers = {}
 
     def carrier(n2, beta, g, alpha):
         key = (n2, beta, alpha)
@@ -192,11 +198,14 @@ def compose(op1, op2):
                           compose_diffeo(op1.phi, op2.phi))
 
 
-def star(p, phi1, k, phi2):
+def star(p, phi1, k, phi2, carriers=None):
     """Product of symbols induced by operator composition over phi1, phi2.
 
     This is compose(FormalOperator(p, phi1), FormalOperator(k, phi2)).symbol
     without building the composite diffeomorphism, which the symbol drops.
+    ``carriers`` is the carrier table of the right operand (k, phi2), kept
+    by a caller that multiplies several left operands by it; every call
+    that passes it must pass the same k and phi2.
     """
     if phi1.dim != p.dim or phi1.dim != k.dim:
         raise ValueError("coordinate count must match symbol dimension")
@@ -205,7 +214,7 @@ def star(p, phi1, k, phi2):
     # structural test only: sampling tree coefficients here would draw from rng
     if not any(c.coeffs for c in p.comps) or not any(c.coeffs for c in k.comps):
         return FormalSymbol.zero(p.dim, p.order)
-    return _product(p, phi1, k, phi2)
+    return _product(p, phi1, k, phi2, carriers)
 
 
 def standard_star(p, k, coords):

@@ -497,6 +497,96 @@ def test_verify_numeric_phase_pole_is_a_config_error(tmp_path):
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
+def test_verify_numeric_map_pole_is_a_config_error(tmp_path):
+    # phi^{-1}(x1) = x1 - 1/x1 has its pole at the grid point x1 = 0: the
+    # pullback plan refuses the map when it is built, naming [action]
+    cfg = write(tmp_path, """
+[session]
+task = verify-numeric
+seed = 1
+
+[action]
+coords = x1, x2
+params = v
+forward = x1 + 1/x1, x2
+inverse = x1 - 1/x1, x2
+product = v__1 + v__2
+param_inverse = -v
+param_identity = 0
+
+[phase]
+expr = 0
+
+[grid]
+dim = 2
+points = 32
+length = 4
+hbar = 1/10
+
+[numeric]
+centers = 0,0
+momenta = 0,0
+elements = 1
+""")
+    proc = _run_subprocess(tmp_path, cfg, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: [action] at ((1)):")
+    assert "map is not finite on the grid" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("terms", ["x1/(xi1)", "xi1/(xi1)", "x1, 1/(xi1 - xi1*xi1)"])
+def test_expand_term_singular_at_xi_zero_is_a_config_error(tmp_path, terms):
+    # the series is expanded at xi = 0, where each of these divides by zero
+    # (the second removably, the third in its second term)
+    cfg = write(tmp_path, """
+[session]
+task = expand
+order = 2
+seed = 1
+
+[amplitude]
+coords = x1
+terms = %s
+""" % terms)
+    proc = _run_subprocess(tmp_path, cfg, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: [amplitude] terms:")
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("key,forward,inverse", [
+    ("forward", "t + v/(v), x", "t - v, x"),
+    ("forward", "t/(v), x", "t*v, x"),
+    ("inverse", "t + v, x", "t - v/(v), x"),
+], ids=["forward_removable", "forward_pole", "inverse_removable"])
+def test_check_action_map_singular_at_the_identity_is_a_config_error(
+        tmp_path, key, forward, inverse):
+    # check-action first evaluates the map at the identity parameter v = 0
+    cfg = write(tmp_path, """
+[session]
+task = check-action
+seed = 1
+
+[action]
+coords = t, x
+params = v
+forward = %s
+inverse = %s
+product = v__1 + v__2
+param_inverse = -v
+param_identity = 0
+""" % (forward, inverse))
+    proc = _run_subprocess(tmp_path, cfg, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        "config error: [action] %s: division by zero at v = 0" % key)
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(tmp_path / "out")
+
+
 def _run_subprocess(tmp_path, cfg, timeout):
     src = os.path.dirname(os.path.dirname(quantact.__file__))
     env = dict(os.environ, PYTHONPATH=src)

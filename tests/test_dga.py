@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from quantact import dga
+from quantact import dga, opcalc
 from quantact.actions import (BUILTIN_ACTIONS, FiniteGroup, cyclic_rotations,
                               galilean_boosts, heisenberg, sign_flip,
                               translations, trivial_action)
@@ -16,12 +16,12 @@ from quantact.dga import (BasisEscapeError, Cochain, CoefficientBasis,
                           PhaseCochain, _decompose_symbol_slot, _lift_leading,
                           _matrix_of_twisted_d, _slot_maps, character_phase,
                           cochain_zero_report, cohomology_dims, d, delta_phase,
-                          exp_system, gauge_report, mc_residual,
+                          exp_system, gauge_report, gauge_residual, mc_residual,
                           representation_report, solve_order, star_graded,
                           trivial_system, twisted_d)
 from quantact.expr import Expr, GaussRat, Poly, is_zero, parse
 from quantact.linalg import SparseMatrix, rank, solve
-from quantact.opcalc import FormalOperator, compose
+from quantact.opcalc import FormalOperator, compose, star
 from quantact.symbols import FormalSymbol, PolyXi, multi_indices
 
 try:
@@ -107,15 +107,18 @@ FINITE_BUILTINS = sorted(name for name, make in BUILTIN_ACTIONS.items()
                          if make().is_finite)
 
 
-def _drawn_cochain(draw, action, degree, order):
-    """Cochain whose slots hold small integer combinations of 1, the
+def _drawn_cochain(draw, action, degree, order, elements=None):
+    """Cochain on the tuples of ``elements`` (default: the whole finite
+    group) whose slots hold small integer combinations of 1, the
     coordinates and exp(i*first coordinate), each slot drawn on its own."""
     atoms = [Expr.one()] + [Expr.var(c) for c in action.coords]
     atoms.append(Expr.exp(Expr.imag_unit() * Expr.var(action.coords[0])))
     coefficient = st.lists(st.tuples(st.sampled_from(atoms), st.integers(-2, 2)),
                            min_size=1, max_size=2)
+    if elements is None:
+        elements = action.group.elements()
     table = {}
-    for t in itertools.product(action.group.elements(), repeat=degree):
+    for t in itertools.product(elements, repeat=degree):
         comps = []
         for n in range(order + 1):
             comps.append(PolyXi(action.dim, {
@@ -587,6 +590,92 @@ def test_star_graded_never_composes_diffeos(monkeypatch):
         ref = compose(FormalOperator(a.value((g1,)), action.diffeo(g1)),
                       FormalOperator(b.value((g2,)), action.diffeo(g2))).symbol
         assert v == ref
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+@pytest.mark.parametrize("name", ["rotations_c2", "rotations_c4", "translations_2d"])
+def test_star_graded_matches_a_fresh_star_on_every_tuple(name):
+    # star_graded keeps one carrier table per right tuple for the life of the
+    # product; every value must be the star of a call with a table of its own.
+    # A parameter action is drawn on the tuples of two sampled elements
+    action = BUILTIN_ACTIONS[name]()
+    elements = (action.group.elements() if action.is_finite
+                else action.sample_elements(random.Random(2), 2))
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.data(), st.integers(0, 2), st.integers(0, 2),
+                      st.integers(0, 2))
+    def check(data, k, l, order):
+        hypothesis.assume(len(elements) ** (k + l) <= 16)
+        a, b = (_drawn_cochain(data.draw, action, deg, order, elements)
+                for deg in (k, l))
+        prod = star_graded(a, b)
+        for gs in itertools.product(elements, repeat=k + l):
+            left, right = gs[:k], gs[k:]
+            fresh = star(a.value(left), action.product_diffeo(left),
+                         b.value(right), action.product_diffeo(right))
+            assert prod.value(gs) == fresh, gs
+
+    check()
+
+
+def _record_carrier_tables(monkeypatch):
+    """Wrap ``opcalc._product`` to record (carrier table, right operand k,
+    phi2) of each call."""
+    tables = []
+    real = opcalc._product
+
+    def recording(p, phi1, k, phi2, carriers=None):
+        tables.append((carriers, k, phi2))
+        return real(p, phi1, k, phi2, carriers)
+
+    monkeypatch.setattr(opcalc, "_product", recording)
+    return tables
+
+
+def test_star_graded_builds_carriers_once_per_right_tuple(monkeypatch):
+    # a1 * a2 on C4 at order 3: 16 pairs (g1, g2), and a2(g2) over phi_g2 is
+    # the right operand of four of them, so carriers for 4 right tuples
+    rng = random.Random(5)
+    action = cyclic_rotations(4)
+    a1, a2 = (random_cochain(rng, action, 1, order=3) for _ in range(2))
+    pairs = list(itertools.product(action.group.elements(), repeat=2))
+    steps = _count_calls(monkeypatch, opcalc, "_carrier_step")
+    for g1, g2 in pairs:
+        star(a1.value((g1,)), action.diffeo(g1), a2.value((g2,)), action.diffeo(g2))
+    fresh_steps = len(steps)
+    del steps[:]
+    tables = _record_carrier_tables(monkeypatch)
+    prod = star_graded(a1, a2)
+    for gs in pairs:
+        prod.value(gs)
+    assert len(tables) == 16
+    shared = {id(t): t for t, _, _ in tables}
+    assert len(shared) == 4
+    # a table serves one right operand: a2(g2) over phi_g2
+    assert len({(id(t), id(k), id(phi2)) for t, k, phi2 in tables}) == 4
+    # each carrier is one step from the one below it, made once per table
+    assert len(steps) == sum(1 for t in shared.values() for _, _, alpha in t
+                             if any(alpha))
+    assert 0 < len(steps) < fresh_steps
+
+
+def test_gauge_residual_shares_the_carriers_of_u(monkeypatch):
+    # u over the identity is the right operand of the left star at every g;
+    # the right stars, u * b(g) over phi_g, each have their own operand
+    rng = random.Random(9)
+    action = cyclic_rotations(4)
+    a, b = (random_cochain(rng, action, 1, order=2) for _ in range(2))
+    u = random_symbol(rng, action.dim, 2, action.coords)
+    tables = _record_carrier_tables(monkeypatch)
+    res = gauge_residual(a, b, u)
+    for g in action.group.elements():
+        res.value((g,))
+    assert len(tables) == 8
+    assert [t for t, _, _ in tables].count(None) == 4
+    assert len({(id(t), id(k), id(phi2)) for t, k, phi2 in tables
+                if t is not None}) == 1
 
 
 def _decompose_by_solve(basis, e):

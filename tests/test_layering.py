@@ -18,6 +18,9 @@ left inverse and ``dga`` makes no matrix-vector product.
 
 Only ``numfio.pullback_plan`` classifies a pullback: the lattice test and
 the shear detection have no other caller.
+
+``opcalc`` keeps no table between calls: a carrier table lives for one
+product cochain, so every run starts cold.
 """
 
 import ast
@@ -241,3 +244,72 @@ def test_one_classifier_for_pullback_paths():
         calls = [(owner, "%s:%d" % (os.path.basename(m), line))
                  for m in modules for owner, line in callers(m, name)]
         assert [owner for owner, _ in calls] == ["pullback_plan"], (name, calls)
+
+
+# carrier tables live for one product cochain (dga.star_graded) and reach the
+# kernel as an argument: opcalc holds no dict at module or class level and
+# memoizes nothing with functools
+MEMOIZERS = ("lru_cache", "cache")
+DICT_FACTORIES = ("dict", "defaultdict", "OrderedDict")
+
+
+def _callee(node):
+    """The name a call or decorator refers to: f, mod.f, f(...) -> 'f'."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def long_lived_tables(path):
+    """(line, what) for each dict bound at module or class level and each
+    import, call or decorator of ``functools.lru_cache`` / ``cache``."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+    scopes = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    for body in scopes:
+        for node in body:
+            value = getattr(node, "value", None) if isinstance(
+                node, (ast.Assign, ast.AnnAssign)) else None
+            if isinstance(value, (ast.Dict, ast.DictComp)) or (
+                    isinstance(value, ast.Call) and _callee(value) in DICT_FACTORIES):
+                found.append((node.lineno, "dict"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in MEMOIZERS]
+        elif isinstance(node, ast.Call) and _callee(node) in MEMOIZERS:
+            found.append((node.lineno, _callee(node)))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found += [(d.lineno, _callee(d)) for d in node.decorator_list
+                      if not isinstance(d, ast.Call) and _callee(d) in MEMOIZERS]
+    return found
+
+
+def test_opcalc_keeps_no_table_between_calls():
+    path = os.path.join(ROOT, "src", "quantact", "opcalc.py")
+    assert long_lived_tables(path) == []
+
+
+def test_the_table_guard_sees_dicts_and_memoizers(tmp_path):
+    path = tmp_path / "cached.py"
+    path.write_text("import functools\n"
+                    "from functools import lru_cache\n"
+                    "_CARRIERS = {}\n"
+                    "_SEEN: dict = dict()\n"
+                    "class Kernel:\n"
+                    "    tables = {k: None for k in ()}\n"
+                    "    @functools.cache\n"
+                    "    def star(self):\n"
+                    "        local = {}\n"
+                    "        return local\n"
+                    "@lru_cache(maxsize=None)\n"
+                    "def carrier(key):\n"
+                    "    return key\n"
+                    "product = functools.lru_cache()(carrier)\n")
+    assert sorted(long_lived_tables(str(path))) == [
+        (2, "lru_cache"), (3, "dict"), (4, "dict"), (6, "dict"), (7, "cache"),
+        (11, "lru_cache"), (14, "lru_cache")]

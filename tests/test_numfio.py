@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -351,6 +352,25 @@ def test_complex_map_is_refused_by_the_plan():
         pullback_plan(grid, phi)
     with pytest.raises(ValueError, match="map must stay real on the grid"):
         grid_pullback(grid, phi, gaussian(grid))
+
+
+def test_a_map_with_a_pole_on_the_grid_is_refused_by_the_plan():
+    # phi^{-1}(x1) = x1 - 1/x1 is infinite at the grid point x1 = 0 (32
+    # points on [-4, 4)); read as lattice positions, NaN would pass a test
+    # written as "err > tol" and be cast to a gather index.  Only phi^{-1}
+    # enters the plan
+    grid = WaveGrid(1, 32, 4.0, 0.1)
+    assert 0.0 in grid.axis()
+    phi = Diffeo(["x1"], [X1 + Expr.one() / X1], [X1 - Expr.one() / X1])
+    assert phi.inverse_affine is None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(numfio.NonFiniteMapError, match="map is not finite on the grid"):
+            pullback_plan(grid, phi)
+        # the lattice test reads a NaN position as off the lattice
+        nan = np.full(grid.shape, np.nan)
+        assert numfio._permutation_indices(grid, [nan]) is None
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("path", ["identity", "permutation", "shear", "band-limited"])
