@@ -28,7 +28,10 @@ rows is a config error, raised before the basis is built; so is an expand
 order with more multi-indices than that, raised before any derivative.
 A verify-numeric phase whose e^{i S_g} is not finite on the grid (a pole at
 a grid point) is a config error naming [phase], raised when its plan is
-built; so is a map phi_g^{-1} not finite on the grid, naming [action].
+built; so is a map phi_g or phi_g^{-1} not finite and real where it is
+evaluated, naming [action] (the map is checked first).  So is an expression
+that does not parse or raises a power past 2^31 - 1, naming its key; the
+README lists the rest.
 A config-defined action whose forward or inverse map divides by zero at a
 parameter value the task meets (check-action meets the identity parameter
 first) is a config error naming [action] forward or [action] inverse; an
@@ -189,9 +192,17 @@ def _load_action(cfg):
         raise ConfigError("[action]: %s" % exc)
 
 
+def _exprs(section, where, key, binding, parse_text=_split_exprs):
+    """``[where] key`` parsed; a bad expression is a config error naming the key."""
+    try:
+        return parse_text(section[key], binding)
+    except ExprError as exc:
+        raise ConfigError("[%s] %s: %s" % (where, key, exc)) from None
+
+
 def _per_element(action, section, where, key):
     """``[where] key``: one expression per element of the finite group."""
-    exprs = _split_exprs(section[key], action.binding)
+    exprs = _exprs(section, where, key, action.binding)
     if len(exprs) != action.group.size:
         raise ConfigError("[%s] %s: expected %d entries, got %d"
                           % (where, key, action.group.size, len(exprs)))
@@ -209,11 +220,15 @@ def _phase_cochain(cfg, action):
         return PhaseCochain(action, 1, table=table)
     if "expr" not in section:
         raise ConfigError("[phase] needs 'expr' over coords and parameters")
-    expr = parse(section["expr"], action.binding)
+    expr = _exprs(section, "phase", "expr", action.binding, parse)
     names = action.group.param_names
 
     def fn(gs):
-        return expr.substitute(dict(zip(names, gs[0])))
+        try:
+            return expr.substitute(dict(zip(names, gs[0])))
+        except ZeroDivisionError:
+            raise ConfigError("[phase] expr: division by zero at %s"
+                              % _tuple_label(action, gs)) from None
 
     return PhaseCochain(action, 1, fn=fn)
 
@@ -258,7 +273,7 @@ def _basis(cfg, action, row_degree):
         return CoefficientBasis.monomials(action.coords, deg)
     if "exprs" not in section:
         raise ConfigError("[basis] needs 'exprs' or 'monomials'")
-    exprs = _split_exprs(section["exprs"], VarBinding(coordinates=action.coords))
+    exprs = _exprs(section, "basis", "exprs", VarBinding(coordinates=action.coords))
     _check_slot_budget(cfg, action, len(exprs), row_degree)
     try:
         return CoefficientBasis(exprs)
@@ -467,15 +482,18 @@ def task_verify_numeric(cfg, rng):
     plans = {g: plan_for(g) for g in dict.fromkeys(elements)}
     norms, gram = packet_gram(grid, psis)
     unitarity, composition = [], {}
-    for j, g2 in enumerate(elements):
-        images = [plans[g2](p) for p in psis]
-        unitarity.append(unitarity_residual(grid, images, norms, gram))
-        for i, g1 in enumerate(elements[:j + 1]):
-            product = action.mult(g1, g2)
-            composition[i, j] = representation_residual(
-                grid, plans[g1], plans.get(product) or plan_for(product),
-                images, psis, norms)
-        del images
+    try:
+        for j, g2 in enumerate(elements):
+            images = [plans[g2](p) for p in psis]
+            unitarity.append(unitarity_residual(grid, images, norms, gram))
+            for i, g1 in enumerate(elements[:j + 1]):
+                product = action.mult(g1, g2)
+                composition[i, j] = representation_residual(
+                    grid, plans[g1], plans.get(product) or plan_for(product),
+                    images, psis, norms)
+            del images
+    except NonFiniteError as exc:   # a finite e^{i S_g} too large to apply
+        raise ConfigError("[phase]: %s" % exc) from None
     for g, resid in zip(elements, unitarity):
         report.add("unitarity at %s within %.1e" % (_tuple_label(action, (g,)), utol),
                    resid <= utol, "numeric", "residual %.3e" % resid)
@@ -499,7 +517,7 @@ def task_expand(cfg, rng):
     consts = [c.strip() for c in section.get("constants", "").split(",")
               if c.strip()]
     binding = VarBinding(coordinates=coords + xi_names, constants=consts)
-    terms = _split_exprs(section["terms"], binding)
+    terms = _exprs(section, "amplitude", "terms", binding)
     convention = section.get("convention", "multi")
     if convention not in ("multi", "total"):
         raise ConfigError("[amplitude] convention must be 'multi' or 'total', "

@@ -387,7 +387,7 @@ class CoefficientBasis:
         for e in self.exprs:
             if not e.is_canonical:
                 raise ValueError("basis elements must canonicalize")
-        monos = sorted({m for e in self.exprs for m in e.poly.terms})
+        monos = list(dict.fromkeys(m for e in self.exprs for m in e.poly.terms))
         index = {m: i for i, m in enumerate(monos)}
         # Gauss-Jordan on [E | I], one row per basis element, pivots on monomials
         nm = len(monos)
@@ -521,21 +521,24 @@ def _slot_maps(action, p0, n, basis, tuples, normalized=False):
     L[h, g, alpha, j] and R[g, h, alpha, j] are the slot coordinates of
     P0(h) star s and s star P0(h), s the unit symbol of slot (alpha, j), and
     g the product of a tuple (e for the empty one).  The normalized complex
-    takes no h = e: those terms land on rows holding e.
+    takes no h = e: those terms land on rows holding e.  Carriers are built
+    once per right operand: s over phi_g for L, P0(h) over phi_h for R.
     """
     dim, order = action.dim, p0.order
     phis = {g: action.diffeo(g) for g in dict.fromkeys(action.product(t) for t in tuples)}
     units = {(alpha, j): _slot_symbol(dim, order, n, {alpha: e})
              for alpha in multi_indices(dim, n) for j, e in enumerate(basis.exprs)}
-    left, right = {}, {}
+    left, right, unit_carriers = {}, {}, {}
     for (h,) in _tuples(action, 1, normalized):
         p, phi_h = p0.value((h,)), action.diffeo(h)
+        p_carriers = {}
         for g, phi_g in phis.items():
             for (alpha, j), s in units.items():
                 left[h, g, alpha, j] = _decompose_symbol_slot(
-                    star(p, phi_h, s, phi_g), n, basis)
+                    star(p, phi_h, s, phi_g, unit_carriers.setdefault((g, alpha, j), {})),
+                    n, basis)
                 right[g, h, alpha, j] = _decompose_symbol_slot(
-                    star(s, phi_g, p, phi_h), n, basis)
+                    star(s, phi_g, p, phi_h, p_carriers), n, basis)
     return left, right
 
 

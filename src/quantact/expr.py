@@ -25,6 +25,15 @@ randomized evaluation with an explicitly probabilistic certificate.  Every
 check that vanishes on several expressions folds their certificates through
 ``all_zero``: exact only when each one is.
 
+A polynomial is a dict monomial -> nonzero GaussRat.  A monomial is one
+packed int (0 for the constant): each variable owns a 32-bit power field, at
+an offset from an append-only registry of names, filled under a lock on
+first use; the registry keeps names only, never a result.  Powers stop at
+2^31 - 1, so the top bit of each field guards a sum, and an exp-free product
+is one int addition.  A monomial with an exp atom is the pair (int, argument
+Poly).  Walks that fix an order (``key``, ``str``, ``eval``, ``fold``,
+``subs``, ``free_names``) visit the exp atom first, then the names in order.
+
 Sampling (``Expr.eval``), substitution (``substitution``) and grid
 evaluation (``numfio.eval_expr``) are folds: ``Expr.fold`` combines tree nodes
 in a chosen algebra (``cmath``, ``numpy`` or ``Expr``) and hands each canonical
@@ -49,6 +58,7 @@ from __future__ import annotations
 import cmath
 import operator
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -189,52 +199,72 @@ def _gauss_str(c):
 
 
 # ---------------------------------------------------------------------------
-# Canonical polynomials
-#
-# Generators: ("v", name) for variables, ("e", poly) for exp atoms; a Poly
-# sorts by its key, so monomials sort, hash and compare by value.
-# A monomial is a sorted tuple of (generator, power) with power >= 1 and at
-# most one exponential generator (power exactly 1).  A polynomial is a dict
-# monomial -> nonzero GaussRat.
+# Canonical polynomials: packed monomials (module docstring)
+
+_MAX_POWER = (1 << 31) - 1
+_FIELD = (1 << 32) - 1
+_NAMES = []         # field index -> variable name
+_SHIFTS = {}        # variable name -> bit offset of its power field
+_GUARD = 0          # the top bit of every registered field
+_REGISTRY_LOCK = threading.Lock()
 
 
-def _mono_normalize(pairs):
-    """Merge exponential factors of a raw (generator, power) sequence."""
-    varpow = {}
-    exp_arg = None
-    for gen, p in pairs:
-        if p == 0:
-            continue
-        if gen[0] == "v":
-            varpow[gen] = varpow.get(gen, 0) + p
-        else:
-            term = gen[1] if p == 1 else gen[1].scalar_mul(GaussRat(p))
-            exp_arg = term if exp_arg is None else exp_arg.add(term)
-    items = [(g, p) for g, p in varpow.items() if p != 0]
-    for g, p in items:
-        if p < 0:
-            raise ExprError("negative power of variable %s" % g[1])
-    if exp_arg is not None and exp_arg.terms:
-        items.append((("e", exp_arg), 1))
-    return tuple(sorted(items))
+def _shift(name):
+    """Bit offset of the power field of ``name``, registered on first use."""
+    global _GUARD
+    if name not in _SHIFTS:
+        with _REGISTRY_LOCK:
+            if name not in _SHIFTS:
+                _NAMES.append(name)
+                _GUARD |= 1 << (32 * len(_NAMES) - 1)
+                _SHIFTS[name] = 32 * (len(_NAMES) - 1)   # last: readers take no lock
+    return _SHIFTS[name]
+
+
+def _split(mono):
+    """(exp argument or None, [(name, power)] by name) of a monomial."""
+    v, arg = (mono, None) if type(mono) is int else mono
+    fields = range((v.bit_length() + 31) // 32)
+    return arg, sorted((_NAMES[k], p) for k in fields if (p := v >> 32 * k & _FIELD))
 
 
 def _mono_mul(m1, m2):
-    """Product of two normalized monomials, as ``_mono_normalize(m1 + m2)``.
+    """Product of two monomials: powers add, exp arguments add."""
+    v1, a1 = (m1, None) if type(m1) is int else m1
+    v2, a2 = (m2, None) if type(m2) is int else m2
+    v = v1 + v2
+    if v & _GUARD:
+        name, p = max(_split(v)[1], key=lambda item: item[1])
+        raise ExprError("power %d of %s exceeds 2^31 - 1" % (p, name))
+    arg = a2 if a1 is None else a1 if a2 is None else a1.add(a2)
+    return v if arg is None or not arg.terms else (v, arg)
 
-    Exp-free monomials multiply by adding variable powers; an exp generator
-    sorts first, so only index 0 needs a look.
-    """
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if m1[0][0][0] == "e" or m2[0][0][0] == "e":
-        return _mono_normalize(m1 + m2)
-    powers = dict(m1)
-    for gen, p in m2:
-        powers[gen] = powers.get(gen, 0) + p
-    return tuple(sorted(powers.items()))
+
+def _mac(acc, terms1, terms2):
+    """acc += terms1 * terms2 for (monomial, GaussRat) iterables, acc holding
+    monomial -> (re, im); a zero sum leaves acc, as in ``_accumulate``."""
+    guard = _GUARD
+    rows = [(m2, type(m2) is int, c2.re, c2.im) for m2, c2 in terms2]
+    for m1, c1 in terms1:
+        r1, i1 = c1.re, c1.im
+        packed = type(m1) is int
+        for m2, packed2, r2, i2 in rows:
+            if packed and packed2:
+                m = m1 + m2
+                if m & guard:
+                    _mono_mul(m1, m2)   # raises the overflow
+            else:
+                m = _mono_mul(m1, m2)
+            r = r1 * r2 - i1 * i2
+            i = r1 * i2 + i1 * r2
+            old = acc.get(m)
+            if old is not None:
+                r += old[0]
+                i += old[1]
+                if not (r or i):
+                    del acc[m]
+                    continue
+            acc[m] = (r, i)
 
 
 def _accumulate(terms, m, c):
@@ -269,23 +299,23 @@ class Poly:
     @staticmethod
     def const(c):
         c = GaussRat.of(c)
-        return Poly({(): c} if not c.is_zero() else {})
+        return Poly({0: c} if not c.is_zero() else {})
 
     @staticmethod
     def var(name):
-        return Poly({((("v", name), 1),): GR_ONE})
+        return Poly({1 << _shift(name): GR_ONE})
 
     @staticmethod
     def exp_atom(arg):
         if not arg.terms:
             return Poly.const(GR_ONE)
-        return Poly({((("e", arg), 1),): GR_ONE})
+        return Poly({(0, arg): GR_ONE})
 
     # structure ------------------------------------------------------------
 
     def key(self):
         if self._key is None:
-            self._key = tuple(sorted((m, c.key()) for m, c in self.terms.items()))
+            self._key = tuple(sorted((_mono_key(m), c.key()) for m, c in self.terms.items()))
         return self._key
 
     def __hash__(self):
@@ -303,41 +333,41 @@ class Poly:
         return not self.terms
 
     def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self):
         if not self.terms:
             return GR_ZERO
-        return self.terms.get(())
+        return self.terms.get(0)
 
     def free_names(self):
         out = set()
         for mono in self.terms:
-            for gen, _ in mono:
-                if gen[0] == "v":
-                    out.add(gen[1])
-                else:
-                    out |= gen[1].free_names()
+            arg, powers = _split(mono)
+            if arg is not None:
+                out |= arg.free_names()
+            out.update(name for name, _ in powers)
         return out
 
     # arithmetic -----------------------------------------------------------
 
-    def add(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(terms, m, c)
-        return Poly(terms)
-
-    def sub(self, other):
+    def add(self, other, op=operator.add):
+        """self op other, op adding or subtracting the parts inline."""
         terms = dict(self.terms)
         for m, c in other.terms.items():
             old = terms.get(m)
-            s = -c if old is None else old - c
-            if s.is_zero():
-                del terms[m]
+            if old is None:
+                terms[m] = c if op is operator.add else -c
+                continue
+            re, im = op(old.re, c.re), op(old.im, c.im)
+            if re or im:
+                terms[m] = GaussRat(re, im)
             else:
-                terms[m] = s
+                del terms[m]
         return Poly(terms)
+
+    def sub(self, other):
+        return self.add(other, operator.sub)
 
     def neg(self):
         return Poly({m: -c for m, c in self.terms.items()})
@@ -353,19 +383,23 @@ class Poly:
 
     def mul(self, other):
         # a constant factor scales the terms of the other, in their order
-        if len(other.terms) == 1 and () in other.terms:
-            return self.scalar_mul(other.terms[()])
-        if len(self.terms) == 1 and () in self.terms:
-            return other.scalar_mul(self.terms[()])
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _accumulate(out, _mono_mul(m1, m2), c1 * c2)
-        return Poly(out)
+        if len(other.terms) == 1 and 0 in other.terms:
+            return self.scalar_mul(other.terms[0])
+        if len(self.terms) == 1 and 0 in self.terms:
+            return other.scalar_mul(self.terms[0])
+        acc = {}
+        _mac(acc, self.terms.items(), other.terms.items())
+        return Poly({m: GaussRat(r, i) for m, (r, i) in acc.items()})
 
     def pow(self, n):
         if n < 0:
             raise ExprError("negative power at polynomial level")
+        # past 2^31 - 1 a variable overflows its field, and any power but
+        # that of c*exp(A), c in {1, -1, i, -i}, grows without bound
+        if n > _MAX_POWER and self.terms:
+            (mono, c), *rest = self.terms.items()
+            if rest or _split(mono)[1] or c.re * c.im or abs(c.re + c.im) != 1:
+                raise ExprError("power %d exceeds 2^31 - 1" % n)
         if n == 0:
             return Poly.const(GR_ONE)
         result = None
@@ -380,58 +414,49 @@ class Poly:
 
     def invert_monomial(self):
         """Inverse, defined when the polynomial is c*exp(A) with c != 0."""
-        if len(self.terms) != 1:
+        if len(self.terms) != 1 or _split(next(iter(self.terms)))[1]:
             return None
         (mono, c), = self.terms.items()
-        for gen, p in mono:
-            if gen[0] == "v":
-                return None
-        inv = Poly.const(c.inv())
-        for gen, p in mono:
-            arg = gen[1].scalar_mul(GaussRat(-p))
-            inv = inv.mul(Poly.exp_atom(arg))
-        return inv
+        return Poly({mono if type(mono) is int else (0, mono[1].neg()): c.inv()})
 
     # calculus -------------------------------------------------------------
 
     def diff(self, name):
-        gen = ("v", name)
+        shift = _SHIFTS.get(name)
         out = {}
         for mono, c in self.terms.items():
-            for idx, (g, p) in enumerate(mono):
-                if g == gen:
-                    rest = mono[:idx] + ((g, p - 1),) + mono[idx + 1:]
-                    _accumulate(out, _mono_normalize(rest), c * GaussRat(p))
-                elif g[0] == "e":
-                    darg = g[1].diff(name)
-                    for m, dc in darg.mul(Poly({mono: c})).terms.items():
-                        _accumulate(out, m, dc)
+            v, arg = (mono, None) if type(mono) is int else mono
+            if arg is not None:
+                for m, dc in arg.diff(name).mul(Poly({mono: c})).terms.items():
+                    _accumulate(out, m, dc)
+            p = 0 if shift is None else (v >> shift) & _FIELD
+            if p:
+                v -= 1 << shift
+                _accumulate(out, v if arg is None else (v, arg), GaussRat(c.re * p, c.im * p))
         return Poly(out)
 
     def subs(self, mapping, images):
         """Substitute variables by Polys; mapping: name -> Poly.  ``images``
         holds monomial images under this mapping and gains the new ones."""
-        out = {}
+        acc = {}
         powers = {}
         for mono, c in self.terms.items():
             image = images.get(mono)
             if image is None:
+                arg, gens = _split(mono)
                 image = Poly.const(GR_ONE)
-                for gen, p in mono:
-                    if gen[0] == "v":
-                        factor = powers.get((gen[1], p))
-                        if factor is None:
-                            rep = mapping.get(gen[1])
-                            factor = (rep if rep is not None else Poly.var(gen[1])).pow(p)
-                            powers[(gen[1], p)] = factor
-                        image = image.mul(factor)
-                    else:
-                        arg = gen[1].subs(mapping, images)
-                        image = image.mul(Poly.exp_atom(arg))
+                if arg is not None:
+                    image = image.mul(Poly.exp_atom(arg.subs(mapping, images)))
+                for name, p in gens:
+                    factor = powers.get((name, p))
+                    if factor is None:
+                        rep = mapping.get(name)
+                        factor = (rep if rep is not None else Poly.var(name)).pow(p)
+                        powers[(name, p)] = factor
+                    image = image.mul(factor)
                 images[mono] = image
-            for m, tc in image.terms.items():
-                _accumulate(out, m, tc * c)
-        return Poly(out)
+            _mac(acc, image.terms.items(), ((0, c),))
+        return Poly({m: GaussRat(r, i) for m, (r, i) in acc.items()})
 
     def eval(self, values):
         """Evaluate at a point; values: name -> complex/int/Fraction/GaussRat.
@@ -445,20 +470,19 @@ class Poly:
             exact = c
             approx = 1 + 0j
             is_exact = True
-            for gen, p in mono:
-                if gen[0] == "v":
-                    name = gen[1]
-                    if name not in values:
-                        raise ExprError("no value for variable %s" % name)
-                    v = values[name]
-                    if isinstance(v, (int, Fraction, GaussRat)):
-                        exact = exact * _gr_pow(GaussRat.of(v), p)
-                    else:
-                        approx *= complex(v) ** p
-                        is_exact = False
+            arg, gens = _split(mono)
+            if arg is not None:
+                approx *= cmath.exp(arg.eval(values))
+                is_exact = False
+            for name, p in gens:
+                if name not in values:
+                    raise ExprError("no value for variable %s" % name)
+                v = values[name]
+                if isinstance(v, (int, Fraction, GaussRat)):
+                    for _ in range(p):
+                        exact = exact * GaussRat.of(v)
                 else:
-                    arg = gen[1].eval(values)
-                    approx *= cmath.exp(arg) ** p
+                    approx *= complex(v) ** p
                     is_exact = False
             if is_exact:
                 exact_sum = exact_sum + exact
@@ -468,16 +492,15 @@ class Poly:
 
     def fold(self, zero, const, var, exp):
         """Evaluate in another algebra, term by term and left to right: the sum
-        onto ``zero`` of const(c) * var(v)**p * ... * exp(folded argument);
-        exp atoms always have power 1."""
+        onto ``zero`` of const(c) * exp(folded argument) * var(v)**p * ..."""
         total = zero
         for mono, c in self.terms.items():
             term = const(c)
-            for gen, p in mono:
-                if gen[0] == "v":
-                    term = term * var(gen[1]) ** p
-                else:
-                    term = term * exp(gen[1].fold(zero, const, var, exp))
+            arg, gens = _split(mono)
+            if arg is not None:
+                term = term * exp(arg.fold(zero, const, var, exp))
+            for name, p in gens:
+                term = term * var(name) ** p
             total = total + term
         return total
 
@@ -488,13 +511,9 @@ class Poly:
             return "0"
         parts = []
         for mono, c in sorted(self.terms.items(), key=lambda t: _mono_sort_key(t[0])):
-            factors = []
-            for gen, p in mono:
-                if gen[0] == "v":
-                    base = gen[1]
-                else:
-                    base = "exp(%s)" % gen[1]
-                factors.append(base if p == 1 else "%s^%d" % (base, p))
+            arg, gens = _split(mono)
+            factors = [] if arg is None else ["exp(%s)" % arg]
+            factors += [name if p == 1 else "%s^%d" % (name, p) for name, p in gens]
             body = "*".join(factors)
             ctxt = _gauss_str(c)
             if not body:
@@ -517,17 +536,17 @@ class Poly:
         return text
 
 
-def _gr_pow(c, p):
-    out = GR_ONE
-    for _ in range(p):
-        out = out * c
-    return out
+def _mono_key(mono):
+    """The generators in walk order, comparable across monomials: (0, exp
+    argument), then (1, name, power) for each variable."""
+    arg, gens = _split(mono)
+    return (() if arg is None else ((0, arg),)) + tuple((1, n, p) for n, p in gens)
 
 
 def _mono_sort_key(mono):
-    # total degree first, then lexicographic on the generator structure
-    deg = sum(p for _, p in mono)
-    return (deg, mono)
+    # total degree first (an exp atom counts 1), then the generators
+    key = _mono_key(mono)
+    return (sum(g[2] if g[0] else 1 for g in key), key)
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +690,8 @@ class Expr:
         if n >= 0:
             if self.poly is not None:
                 return Expr(poly=self.poly.pow(n))
+            if n > _MAX_POWER:
+                raise ExprError("power %d exceeds 2^31 - 1" % n)
             return Expr(node=("pow", self, n))
         return Expr.one() / (self ** (-n))
 
@@ -887,9 +908,9 @@ def is_zero(e, rng=None):
     the terms it sums at that point (``_Sized``), so large terms that cancel
     pass and a small nonzero function fails; a nonzero function passes all
     samples only with negligible probability, and the certificate is marked
-    probabilistic.  Draws that hit a pole are redrawn, up to 200 draws in
-    all; if too few points could be evaluated the test is undecided and
-    reports not-zero.
+    probabilistic.  Draws that hit a pole, or overflow an exp, are redrawn,
+    up to 200 draws in all; if too few points could be evaluated the test is
+    undecided and reports not-zero.
     """
     points, tol = 20, 1e-9
     e = as_expr(e)
@@ -909,7 +930,7 @@ def is_zero(e, rng=None):
         values = {n: Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for n in names}
         try:
             sample = e.fold(lambda poly: _Sized.leaf(poly.eval(values)), _Sized)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):
             continue
         tried += 1
         v = sample.value
@@ -1076,6 +1097,8 @@ class _Parser:
                 e = e ** n
             except ZeroDivisionError:
                 raise ParseError("zero raised to a negative power", pos, self.text)
+            except ExprError as exc:
+                raise ParseError(str(exc), pos, self.text) from None
 
     def _exponent(self):
         kind, val, pos = self.toks.next()

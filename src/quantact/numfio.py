@@ -52,7 +52,7 @@ class NonFiniteError(ValueError):
 
 
 class NonFiniteMapError(NonFiniteError):
-    """A map's inverse phi^{-1} is infinite or NaN on the grid."""
+    """A map phi or its inverse is infinite, NaN or complex on the grid."""
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def pullback_plan(grid, phi, consts=None):
     affine = phi.inverse_affine
     reals = rows = fracs = None
     if affine is None:
-        reals = _real_targets(grid, phi, env)
+        reals = _real_targets(grid, phi.inverse, env)
         fracs = [(t + grid.length) / grid.delta for t in reals]
     elif all(c.re.denominator == 1 for row in affine[0] for c in row):
         rows = [[int(c.re) for c in row] for row in affine[0]]
@@ -231,7 +231,7 @@ def pullback_plan(grid, phi, consts=None):
     _check_dense(grid, "pullback needs a structured (permutation or shear) map "
                  "at this grid size")
     if reals is None:
-        reals = _real_targets(grid, phi, env)
+        reals = _real_targets(grid, phi.inverse, env)
     return lambda psi: _bandlimited_pullback(grid, reals, psi)
 
 
@@ -241,15 +241,15 @@ def grid_pullback(grid, phi, psi, consts=None):
     return pullback_plan(grid, phi, consts)(psi)
 
 
-def _real_targets(grid, phi, env):
-    """phi^{-1} on the full grid, one real array per axis.  A pole or an
-    overflow raises NonFiniteMapError, with no numpy warning."""
+def _real_targets(grid, components, env):
+    """A map's ``components`` on the full grid, one real array per axis; a pole,
+    an overflow or a complex value raises NonFiniteMapError, with no warning."""
     with np.errstate(all="ignore"):
         targets = [_check_finite(_grid_values(g, env, grid.shape),
                                  "map is not finite on the grid", NonFiniteMapError)
-                   for g in phi.inverse]
+                   for g in components]
     if any(np.max(np.abs(t.imag)) > GRID_TOL for t in targets):
-        raise ValueError("map must stay real on the grid")
+        raise NonFiniteMapError("map must stay real on the grid")
     return [t.real for t in targets]
 
 
@@ -338,8 +338,12 @@ class NumericAmplitude:
         self.consts = dict(consts or {})
 
     def substituted(self, mapping):
-        return NumericAmplitude(self.expr.substitute(mapping), self.coords,
-                                self.xi_names, self.consts)
+        """a o mapping; a composite dividing by a symbolic zero is finite nowhere."""
+        try:
+            expr = self.expr.substitute(mapping)
+        except ZeroDivisionError:
+            raise NonFiniteError("amplitude is not finite on the grid") from None
+        return NumericAmplitude(expr, self.coords, self.xi_names, self.consts)
 
 
 def kn_plan(grid, amp):
@@ -427,9 +431,13 @@ def _check_finite(arr, message="operator application produced non-finite values"
 
 
 def fio_plan(grid, amp, phi):
-    """Op(a, phi) = t_phi o Op(a o (phi x id)): quantize, then pull back."""
-    mapping = dict(zip(amp.coords, phi.forward))
-    quantize = kn_plan(grid, amp.substituted(mapping))
+    """Op(a, phi) = t_phi o Op(a o (phi x id)): quantize, then pull back.  When
+    a o (phi x id) is not finite, the map is checked before a is blamed."""
+    try:
+        quantize = kn_plan(grid, amp.substituted(dict(zip(amp.coords, phi.forward))))
+    except NonFiniteError:
+        _real_targets(grid, phi.forward + phi.inverse, grid.coord_env(phi.coords, amp.consts))
+        raise
     pull = pullback_plan(grid, phi, consts=amp.consts)
     return lambda psi: pull(quantize(psi))
 

@@ -536,6 +536,103 @@ elements = 1
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("forward,inverse,phase,message", [
+    # phi^{-1} leaves the reals: a complex map is no map of the grid
+    ("x1 + v - i*x2, x2", "x1 - v + i*x2, x2", "0", "map must stay real on the grid"),
+    # the pole of phi at x1 = 0 reaches the amplitude exp(i x1) o phi first;
+    # the map is checked before it, so the finite phase is not blamed
+    ("x1 + 1/x1, x2", "x1 - 1/x1, x2", "x1", "map is not finite on the grid"),
+    ("x1 + 1/x1, x2", "x1 - 1, x2", "x1", "map is not finite on the grid"),
+], ids=["complex-inverse", "pole-with-phase", "forward-pole-only"])
+def test_verify_numeric_bad_map_is_a_config_error(tmp_path, forward, inverse, phase,
+                                                  message):
+    cfg = write(tmp_path, """
+[session]
+task = verify-numeric
+seed = 1
+
+[action]
+coords = x1, x2
+params = v
+forward = %s
+inverse = %s
+product = v__1 + v__2
+param_inverse = -v
+param_identity = 0
+
+[phase]
+expr = %s
+
+[grid]
+dim = 2
+points = 32
+length = 4
+hbar = 1/10
+
+[numeric]
+centers = 0,0
+momenta = 0,0
+elements = 1
+""" % (forward, inverse, phase))
+    proc = _run_subprocess(tmp_path, cfg, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: [action] at ((1)): " + message)
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("task,forward,inverse,phase,status,expected", [
+    # maps whose composite divides by a symbolic zero compose to no map
+    ("check-action", "exp(1/x1)", "0", "0", 1, "FAIL     forward/inverse pairs [exact]"),
+    # exp(x1) overflows at some sampled points, which are drawn again
+    ("check-action", "exp(x1)", "exp(x1) + i/x1", "0", 1, "result: FAIL"),
+    # e^{i S} = e^{sinh 7} is finite, but too large to apply to a packet
+    ("verify-numeric", "exp(sin(8))", "5", "sin(7/i)", 2,
+     "config error: [phase]: operator application produced non-finite values"),
+    # phi sends every point to the pole of the phase
+    ("verify-numeric", "exp(x1) - exp(x1)", "x1 - v", "1/x1", 2,
+     "config error: [phase] at ((1)): amplitude is not finite on the grid"),
+    # the product element v = 2 of the composition check is a pole of S
+    ("verify-numeric", "x1 + v", "x1 - v", "1/(v - 2)", 2,
+     "config error: [phase] expr: division by zero at ((2))"),
+], ids=["composite-divides-by-zero", "sample-overflows", "application-overflows",
+        "map-onto-a-pole", "phase-pole-at-an-element"])
+def test_fuzzer_crash_classes_end_cleanly(tmp_path, task, forward, inverse, phase,
+                                          status, expected):
+    cfg = write(tmp_path, """
+[session]
+task = %s
+seed = 1
+
+[action]
+coords = x1
+params = v
+forward = %s
+inverse = %s
+product = v__1 + v__2
+param_inverse = -v
+param_identity = 0
+
+[phase]
+expr = %s
+
+[grid]
+dim = 1
+points = 16
+length = 4
+hbar = 1/10
+
+[numeric]
+centers = 0
+momenta = 0
+elements = 1
+""" % (task, forward, inverse, phase))
+    proc = _run_subprocess(tmp_path, cfg, timeout=60)
+    assert proc.returncode == status, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert expected in (proc.stdout if status == 1 else proc.stderr.splitlines()[-1])
+
+
 @pytest.mark.parametrize("terms", ["x1/(xi1)", "xi1/(xi1)", "x1, 1/(xi1 - xi1*xi1)"])
 def test_expand_term_singular_at_xi_zero_is_a_config_error(tmp_path, terms):
     # the series is expanded at xi = 0, where each of these divides by zero
@@ -705,6 +802,65 @@ expr = m*v*x - m*v*v*t/2 + v*t/(1+t*t)
 """)
     assert status == 0
     assert "FAIL" not in io.out and "result: PASS" in io.out
+
+
+# ---------------------------------------------------------------------------
+# monomials are packed ints, paired with an exp argument when they hold one
+
+
+def test_basis_with_exp_atoms_and_plain_monomials(tmp_path, capsys):
+    # the basis mixes monomials with and without an exp atom, which do not
+    # order against each other; its columns keep their first-seen order
+    status, io, _ = run_cli(tmp_path, capsys, """
+[session]
+task = cohomology
+seed = 1
+
+[action]
+builtin = sign_flip_c2
+
+[basis]
+exprs = exp(x) + exp(-x), x*x, 1
+""", ["--order", "0"])
+    assert status == 0, io.err
+    assert io.out.endswith("pass     coefficient basis closed under the action [exact]\n"
+                           "result: PASS (1 checks)\n"
+                           "order 0: H0=3 H1=0 H2=0\n")
+
+
+def test_expand_keeps_a_large_power(tmp_path, capsys):
+    status, io, _ = run_cli(tmp_path, capsys, """
+[session]
+task = expand
+seed = 1
+
+[amplitude]
+coords = x1
+terms = x1^40000*xi1
+""")
+    assert status == 0, io.err
+    assert io.out == ("quantact expand\nconfig = run.cfg\nseed = 1\n\n"
+                      "== amplitude expansion ==\nconvention = multi\norder = 1\n"
+                      "terms = 1\nresult: PASS (0 checks)\n"
+                      "symbol order=1 dim=1\n1 (1) x1^40000\n")
+
+
+@pytest.mark.parametrize("section,text", [
+    ("amplitude", "[amplitude]\ncoords = x1\nterms = x1^2147483648*xi1"),
+    ("amplitude", "[amplitude]\ncoords = x1\nterms = x1^2147483647*x1"),
+    ("amplitude", "[amplitude]\ncoords = x1\nterms = (1/(1 + x1))^2147483649"),
+    ("amplitude", "[amplitude]\ncoords = x1\nterms = 2^2147483648"),
+    ("phase", "[action]\nbuiltin = galilean\n[phase]\nexpr = (x + v)^2147483648"),
+    ("basis", "[action]\nbuiltin = sign_flip_c2\n[basis]\nexprs = 1, x^2147483648"),
+])
+def test_a_power_past_two_to_the_31_is_a_config_error(tmp_path, capsys, section, text):
+    task = {"amplitude": "expand", "phase": "check-cocycle", "basis": "cohomology"}
+    status, io, out = run_cli(tmp_path, capsys, "[session]\ntask = %s\nseed = 1\n%s\n"
+                              % (task[section], text))
+    assert status == 2
+    key = {"amplitude": "terms", "phase": "expr", "basis": "exprs"}[section]
+    assert io.err.startswith("config error: [%s] %s: power " % (section, key))
+    assert "exceeds 2^31 - 1" in io.err and not os.path.exists(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,140 @@
+"""A seeded fuzzer over the config grammar: every config ends with exit 0, 1
+or 2 and no traceback.
+
+Expressions are drawn from the text grammar of ``quantact.expr``: + - * /,
+^ with exponents up to 2^31 + 1, exp, sin and cos over the task's names and
+small integers.  The draws fill the terms of an ``expand`` config and the
+forward and inverse maps of a config-defined action, which ``check-action``
+and a one-dimensional ``verify-numeric`` run.  Each config runs in process
+through ``cli.main``; an uncaught exception fails the test with its
+traceback.
+
+Exponents of 2^31 and more are refused when they are parsed, whatever their
+base.  2^31 - 1, the largest power a variable holds, is drawn only on a
+name in ``expand`` terms: a map raised to it would be substituted into
+itself, a polynomial of 2^31 terms.
+"""
+
+import contextlib
+import io
+import warnings
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from quantact.cli import main  # noqa: E402
+
+SETTINGS = hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                               database=None)
+EXPONENTS = [-1, 0, 1, 2, 3, 2 ** 31, 2 ** 31 + 1]
+TOP_POWER = 2 ** 31 - 1
+
+
+def expressions(names, top_power=False):
+    """Grammar text over ``names``; ``top_power`` adds name^(2^31 - 1) atoms."""
+    atoms = [st.sampled_from(names), st.integers(0, 9).map(str), st.just("i")]
+    if top_power:
+        atoms.append(st.sampled_from(names).map(lambda n: "%s^%d" % (n, TOP_POWER)))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: "(%s %s %s)" % t),
+            st.tuples(inner, st.sampled_from(EXPONENTS)).map(lambda t: "(%s)^%d" % t),
+            st.tuples(st.sampled_from(["exp", "sin", "cos"]), inner).map(
+                lambda t: "%s(%s)" % t))
+
+    return st.recursive(st.one_of(*atoms), extend, max_leaves=5)
+
+
+def run_config(tmp_path, text):
+    """Exit status and stderr of one in-process CLI run of ``text``."""
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_text(text)
+    err = io.StringIO()
+    # a RuntimeWarning of numpy is printed by the CLI, not raised
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        status = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+    return status, err.getvalue()
+
+
+def assert_clean_exit(status, err):
+    assert status in (0, 1, 2), status
+    assert "Traceback" not in err
+    if status == 2:
+        assert err.startswith("config error: ")
+
+
+def test_expand_terms(tmp_path):
+    @SETTINGS
+    @hypothesis.given(st.lists(expressions(["x1", "xi1"], top_power=True),
+                               min_size=1, max_size=2))
+    def check(terms):
+        assert_clean_exit(*run_config(tmp_path, """
+[session]
+task = expand
+order = 2
+seed = 1
+
+[amplitude]
+coords = x1
+terms = %s
+""" % ", ".join(terms)))
+
+    check()
+
+
+ACTION = """
+[action]
+coords = x1
+params = v
+forward = %s
+inverse = %s
+product = v__1 + v__2
+param_inverse = -v
+param_identity = 0
+"""
+
+
+def test_check_action_maps(tmp_path):
+    @SETTINGS
+    @hypothesis.given(expressions(["x1", "v"]), expressions(["x1", "v"]))
+    def check(forward, inverse):
+        assert_clean_exit(*run_config(tmp_path, """
+[session]
+task = check-action
+seed = 1
+""" + ACTION % (forward, inverse)))
+
+    check()
+
+
+def test_verify_numeric_maps(tmp_path):
+    @SETTINGS
+    @hypothesis.given(expressions(["x1", "v"]), expressions(["x1", "v"]),
+                      expressions(["x1", "v"]))
+    def check(forward, inverse, phase):
+        assert_clean_exit(*run_config(tmp_path, """
+[session]
+task = verify-numeric
+seed = 1
+""" + ACTION % (forward, inverse) + """
+[phase]
+expr = %s
+
+[grid]
+dim = 1
+points = 16
+length = 4
+hbar = 1/10
+
+[numeric]
+centers = 0
+momenta = 0
+elements = 1
+""" % phase))
+
+    check()

@@ -678,6 +678,52 @@ def test_gauge_residual_shares_the_carriers_of_u(monkeypatch):
                 if t is not None}) == 1
 
 
+def test_slot_maps_build_carriers_once_per_right_operand(monkeypatch):
+    # L = P0(h) star s over (phi_h, phi_g): s over phi_g is the right operand
+    # for every h.  R = s star P0(h): P0(h) over phi_h is it for every g and slot
+    action = cyclic_rotations(4)
+    p0 = _character_twist(action, 1)
+    basis = CoefficientBasis.monomials(action.coords, 1)
+    tuples = [()] + [(g,) for g in action.group.elements()]
+    monkeypatch.setattr(dga, "star", lambda p, phi1, k, phi2, carriers=None:
+                        star(p, phi1, k, phi2))
+    fresh_steps = _count_calls(monkeypatch, opcalc, "_carrier_step")
+    fresh = _slot_maps(action, p0, 1, basis, tuples)
+    monkeypatch.undo()
+    steps = _count_calls(monkeypatch, opcalc, "_carrier_step")
+    tables = _record_carrier_tables(monkeypatch)
+    assert _slot_maps(action, p0, 1, basis, tuples) == fresh
+    gs, slots = 4, len(multi_indices(2, 1)) * len(basis)
+    assert len(tables) == 2 * gs * gs * slots
+    shared = {id(t): t for t, _, _ in tables}
+    assert len(shared) == gs + gs * slots
+    # a table serves one right operand, and each carrier is one step, made once
+    assert len({(id(t), id(k), id(phi2)) for t, k, phi2 in tables}) == len(shared)
+    assert len(steps) == sum(1 for t in shared.values() for _, _, alpha in t
+                             if any(alpha))
+    assert 0 < len(steps) < len(fresh_steps)
+
+
+def test_identical_products_make_equal_kernel_work(monkeypatch):
+    # the name registry of expr keeps no result: two identical products, one
+    # after the other, make the same Poly.mul calls and GaussRat constructions.
+    # Each has its own action, since a Diffeo keeps its pullback images
+    counts = []
+    for _ in range(2):
+        rng = random.Random(5)
+        action = cyclic_rotations(4)
+        a1, a2 = (random_cochain(rng, action, 1, order=2) for _ in range(2))
+        muls = _count_calls(monkeypatch, Poly, "mul")
+        news = _count_calls(monkeypatch, GaussRat, "__init__")
+        prod = star_graded(a1, a2)
+        for gs in itertools.product(action.group.elements(), repeat=2):
+            prod.value(gs)
+        counts.append((len(muls), len(news)))
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
+    assert counts[0][0] > 0 and counts[0][1] > 0
+
+
 def _decompose_by_solve(basis, e):
     monos = sorted({m for b in basis.exprs for m in b.poly.terms})
     index = {m: i for i, m in enumerate(monos)}

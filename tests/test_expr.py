@@ -2,13 +2,17 @@
 
 import cmath
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from quantact import expr
 from quantact.expr import (
     Expr,
     GaussRat,
+    Poly,
     ParseError,
     VarBinding,
     ZeroCheck,
@@ -433,3 +437,33 @@ def test_operators_defer_to_the_other_operand():
                lambda a: 1.5 / a):
         with pytest.raises(TypeError):
             op(x)
+
+
+def test_the_name_registry_is_safe_under_threads():
+    # eight threads register each fresh name at once; a lost update would
+    # give two names one field, or a field no guard bit
+    names = ["registry_thread_%d" % k for k in range(50)]
+    start = threading.Barrier(8, timeout=30)
+
+    def register():
+        for n in names:
+            start.wait()
+            Poly.var(n)
+
+    threads = [threading.Thread(target=register) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(set(expr._NAMES)) == len(expr._NAMES) and set(names) <= set(expr._NAMES)
+    assert all(expr._SHIFTS[n] == 32 * k for k, n in enumerate(expr._NAMES))
+    assert expr._GUARD == sum(1 << (32 * k + 31) for k in range(len(expr._NAMES)))
+    for n in names:
+        (mono, _), = Poly.var(n).terms.items()
+        assert mono == 1 << expr._SHIFTS[n]

@@ -7,6 +7,13 @@ expressions through ``Expr``'s methods (``Expr.fold`` among them) and
 ``substitution``.  An exp atom holds its argument, so no key decoder
 (``_from_key``) exists, and only expr.py keeps monomial images.
 
+A monomial is one packed int with a 32-bit power field per variable name,
+paired with its exp argument as (int, Poly) when it holds an exp atom.  The
+field offsets come from an append-only registry of names in expr.py, which
+holds names only, never a computed result, so every run starts cold.  Other
+modules hold monomial keys as opaque dict keys: ``dga.CoefficientBasis``
+orders them as first seen, since an int and a pair do not compare.
+
 The command line interface applies grid plans (``numfio.phase_system_plan``)
 and never the per-call grid operators, which classify their map anew on
 every call.
@@ -313,3 +320,15 @@ def test_the_table_guard_sees_dicts_and_memoizers(tmp_path):
     assert sorted(long_lived_tables(str(path))) == [
         (2, "lru_cache"), (3, "dict"), (4, "dict"), (6, "dict"), (7, "cache"),
         (11, "lru_cache"), (14, "lru_cache")]
+
+
+def test_expr_keeps_names_only_between_calls():
+    # the registry's name -> field offset table and two constant tables of
+    # functions are expr's only module-level dicts, and nothing is memoized
+    path = os.path.join(ROOT, "src", "quantact", "expr.py")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    found = long_lived_tables(path)
+    assert all(what == "dict" for _, what in found)
+    assert sorted(lines[line - 1].split("=")[0].strip() for line, _ in found) == [
+        "_FUNCS", "_SHIFTS", "_TREE_OPS"]
