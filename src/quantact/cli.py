@@ -48,6 +48,8 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .actions import (SingularMapError, action_from_config, check_action,
                       _split_exprs)
 from .dga import (Cochain, CoefficientBasis, PhaseCochain, _tuple_label,
@@ -483,15 +485,16 @@ def task_verify_numeric(cfg, rng):
     norms, gram = packet_gram(grid, psis)
     unitarity, composition = [], {}
     try:
-        for j, g2 in enumerate(elements):
-            images = [plans[g2](p) for p in psis]
-            unitarity.append(unitarity_residual(grid, images, norms, gram))
-            for i, g1 in enumerate(elements[:j + 1]):
-                product = action.mult(g1, g2)
-                composition[i, j] = representation_residual(
-                    grid, plans[g1], plans.get(product) or plan_for(product),
-                    images, psis, norms)
-            del images
+        with np.errstate(all="ignore"):   # overflow is checked, not warned of
+            for j, g2 in enumerate(elements):
+                images = [plans[g2](p) for p in psis]
+                unitarity.append(unitarity_residual(grid, images, norms, gram))
+                for i, g1 in enumerate(elements[:j + 1]):
+                    product = action.mult(g1, g2)
+                    composition[i, j] = representation_residual(
+                        grid, plans[g1], plans.get(product) or plan_for(product),
+                        images, psis, norms)
+                del images
     except NonFiniteError as exc:   # a finite e^{i S_g} too large to apply
         raise ConfigError("[phase]: %s" % exc) from None
     for g, resid in zip(elements, unitarity):

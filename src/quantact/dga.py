@@ -59,7 +59,7 @@ import random
 from .actions import Diffeo
 from .expr import (GR_ONE, Expr, GaussRat, _accumulate, all_zero,
                    as_expr, is_zero)
-from .linalg import SparseMatrix, _eliminate, rank, solve
+from .linalg import SparseMatrix, _reduced_echelon, rank, solve
 from .opcalc import FormalFunction, FormalOperator, apply, star
 from .report import Report
 from .symbols import FormalSymbol, PolyXi, monomial, multi_indices
@@ -394,14 +394,14 @@ class CoefficientBasis:
         rows = [{index[m]: c for m, c in e.poly.terms.items()} for e in self.exprs]
         for j, row in enumerate(rows):
             row[nm + j] = GR_ONE
-        pivots = _eliminate(rows, nm)
-        if len(pivots) != len(self.exprs):
+        echelon = _reduced_echelon(rows, nm)
+        if len(echelon) != len(self.exprs):
             raise ValueError("basis expressions are linearly dependent")
         self._monomials = set(monos)
         self._echelon = {}
-        for col, i in pivots.items():
-            others = {monos[k]: c for k, c in rows[i].items() if k < nm and k != col}
-            back = {k - nm: c for k, c in rows[i].items() if k >= nm}
+        for col, row in echelon.items():
+            others = {monos[k]: c for k, c in row.items() if k < nm and k != col}
+            back = {k - nm: c for k, c in row.items() if k >= nm}
             self._echelon[monos[col]] = (others, back)
 
     def __len__(self):

@@ -2,13 +2,15 @@
 
 Matrices arising from cochain differentials are large but very sparse, so
 rows are kept as dicts column -> coefficient and elimination pivots on
-sparse rows first.  All arithmetic is exact field arithmetic in Q(i); ranks,
-solutions and nullspaces carry no floating error.
+sparse rows first.  Elimination is fraction-free over the Gaussian integers
+(Bareiss, Math. Comp. 22, 1968) on rows cleared of denominators, held as
+(re, im) int pairs: ``rank`` never divides, ``solve`` once per pivot row.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from math import gcd, lcm
 
 from .expr import GaussRat, GR_ONE
 
@@ -52,18 +54,40 @@ class SparseMatrix:
         return out
 
 
-def _eliminate(rows, ncols, back=True):
-    """Row reduce in place, pivoting on columns < ncols only.
+def _cleared(row):
+    """{j: GaussRat} as {j: (re, im)} ints, times the least positive integer
+    that clears its denominators."""
+    row = {j: (v.re, v.im) for j, v in row.items()}
+    den = lcm(*[p.denominator for e in row.values() for p in e])
+    return row if den == 1 else {j: (x.numerator * (den // x.denominator),
+                                     y.numerator * (den // y.denominator))
+                                 for j, (x, y) in row.items()}
 
-    Returns pivots with pivots[col] = row index.  Entries at columns >= ncols
-    (a right-hand side or an identity block) ride along with the row
-    operations.  Columns are taken in order; the pivot is the sparsest
-    unused row holding the column, the lowest index on a tie.  A column ->
-    rows index keeps the pivot search and the clearing to the rows that
-    hold the column.  With ``back`` false only the unused rows are cleared
-    (forward elimination), which leaves the pivots unchanged: they depend on
-    the unused rows alone; it clears each row with the one factor
-    row[col] / pivot and leaves the pivot row unscaled.
+
+def _make_primitive(row):
+    """Scale a nonempty row in place to its canonical primitive form: times
+    the conjugate of its first entry if that is not real, then divided by
+    the gcd of all parts (the gcd alone lets the entries blow up)."""
+    a, b = row[min(row)]
+    if b:
+        row.update({j: (x * a + y * b, y * a - x * b) for j, (x, y) in row.items()})
+    g = gcd(*[t for e in row.values() for t in e])
+    if g > 1:
+        row.update({j: (x // g, y // g) for j, (x, y) in row.items()})
+
+
+def _eliminate(rows, ncols, back=True):
+    """Row reduce Gaussian integer rows {j: (re, im)} in place, pivoting on
+    columns < ncols only; returns pivots with pivots[col] = row index.
+
+    Entries at columns >= ncols (a right-hand side or an identity block)
+    ride along.  Columns are taken in order; the pivot is the sparsest
+    unused row holding the column, the lowest index on a tie, and a column
+    -> rows index keeps the search and the clearing to the rows holding it.
+    A row with entry c at the pivot p's column becomes p row - c pivot_row,
+    made primitive, or row - (c conj p) pivot_row when p is a unit: a
+    multiple of the field arithmetic's row, with its zeros.  With ``back``
+    false only unused rows are cleared (forward elimination).
     """
     holders = defaultdict(set)
     for i, row in enumerate(rows):
@@ -77,10 +101,8 @@ def _eliminate(rows, ncols, back=True):
             continue
         best = min(candidates, key=lambda i: (len(rows[i]), i))
         piv_row = rows[best]
-        inv = piv_row[col].inv()
-        if back:
-            for j, v in piv_row.items():
-                piv_row[j] = v * inv
+        pa, pb = piv_row[col]
+        unit = pa * pa + pb * pb == 1
         row_used[best] = True
         pivots[col] = best
         for i in (list(holders[col]) if back else candidates):
@@ -88,35 +110,53 @@ def _eliminate(rows, ncols, back=True):
                 continue
             row = rows[i]
             # the column itself cancels exactly; its holders are never read again
-            c = row.pop(col)
-            if not back:
-                c = c * inv
-            for j, pv in piv_row.items():
+            ca, cb = row.pop(col)
+            if unit:
+                ca, cb = ca * pa + cb * pb, cb * pa - ca * pb
+            else:
+                row.update({j: (pa * x - pb * y, pa * y + pb * x) for j, (x, y) in row.items()})
+            for j, (x, y) in piv_row.items():
                 if j == col:
                     continue
+                u, v = ca * x - cb * y, ca * y + cb * x
                 cur = row.get(j)
                 if cur is None:
-                    row[j] = -(c * pv)
+                    row[j] = (-u, -v)
                     holders[j].add(i)
-                    continue
-                nv = cur - c * pv
-                if nv.is_zero():
+                elif cur[0] == u and cur[1] == v:
                     del row[j]
                     holders[j].discard(i)
                 else:
-                    row[j] = nv
+                    row[j] = (cur[0] - u, cur[1] - v)
+            if row and not unit:
+                _make_primitive(row)
     return pivots
 
 
+def _reduced_echelon(rows, ncols):
+    """{pivot column: its row {j: GaussRat} of the unique reduced echelon form}
+    by Gauss-Jordan on rows {j: GaussRat}, pivoting on columns < ncols."""
+    rows = [_cleared(r) for r in rows]
+    echelon = {}
+    for col, i in _eliminate(rows, ncols).items():
+        inv = GaussRat(*rows[i][col]).inv()
+        a, b = inv.re, inv.im
+        echelon[col] = {j: GaussRat(x * a - y * b, x * b + y * a)
+                        for j, (x, y) in rows[i].items()}
+    return echelon
+
+
 def rank(matrix):
-    """Rank by forward elimination on the side with fewer rows: rank A = rank A^T."""
-    if matrix.nrows <= matrix.ncols:
-        return len(_eliminate([dict(r) for r in matrix.rows], matrix.ncols, back=False))
-    cols = [dict() for _ in range(matrix.ncols)]
-    for i, row in enumerate(matrix.rows):
-        for j, v in row.items():
-            cols[j][i] = v
-    return len(_eliminate(cols, matrix.nrows, back=False))
+    """Rank by forward elimination on the side with fewer rows: rank A = rank A^T,
+    and clearing the denominators of A's rows leaves it unchanged."""
+    rows = [_cleared(r) for r in matrix.rows]
+    if matrix.nrows > matrix.ncols:
+        cols = [dict() for _ in range(matrix.ncols)]
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        rows = cols
+    return len(_eliminate(rows, max(matrix.nrows, matrix.ncols), back=False))
 
 
 def solve(matrix, b):
@@ -133,20 +173,17 @@ def solve(matrix, b):
         v = GaussRat.of(v)
         if not v.is_zero():
             row[n] = v
-    pivots = _eliminate(rows, n)
+    echelon = _reduced_echelon(rows, n)
     x = [GaussRat(0)] * n
-    for col, i in pivots.items():
-        x[col] = rows[i].get(n, GaussRat(0))
+    for col, row in echelon.items():
+        x[col] = row.get(n, GaussRat(0))
     kernel = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
+    for fc in (j for j in range(n) if j not in echelon):
         vec = [GaussRat(0)] * n
         vec[fc] = GR_ONE
-        for col, i in pivots.items():
-            c = rows[i].get(fc)
-            if c is not None:
-                vec[col] = -c
+        for col, row in echelon.items():
+            if fc in row:
+                vec[col] = -row[fc]
         kernel.append(vec)
     residual = [bv - av for bv, av in zip(b, matrix.mul_vector(x))]
     if all(v.is_zero() for v in residual):

@@ -629,7 +629,7 @@ elements = 1
 """ % (task, forward, inverse, phase))
     proc = _run_subprocess(tmp_path, cfg, timeout=60)
     assert proc.returncode == status, proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert expected in (proc.stdout if status == 1 else proc.stderr.splitlines()[-1])
 
 

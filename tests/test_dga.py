@@ -379,6 +379,27 @@ def test_basis_decompose_and_escape():
         basis.decompose(Expr.exp(Expr.var("x")))
 
 
+def test_basis_decomposes_over_non_unit_complex_pivots():
+    # cleared of denominators, the first element pivots at x on 5 + 10i; no
+    # pivot of this elimination is a unit, yet the coordinates are exact
+    basis = CoefficientBasis([parse("(1 + 2*i)*x - y/5"), parse("x/3 + i*y"),
+                              parse("(2 - i)*x*y + y/2 + x^2/3")])
+    rng = random.Random(3)
+    for _ in range(10):
+        coords = {j: GaussRat(Fraction(rng.randint(-6, 6), rng.randint(1, 7)),
+                              Fraction(rng.randint(-6, 6), rng.randint(1, 7)))
+                  for j in range(3)}
+        coords = {j: c for j, c in coords.items() if not c.is_zero()}
+        e = basis.combine(coords)
+        assert basis.decompose(e) == coords
+        assert is_zero(basis.combine(basis.decompose(e)) - e).ok
+    # x*y lies in the monomials of the basis, but not in its span
+    with pytest.raises(BasisEscapeError):
+        basis.decompose(parse("x*y"))
+    with pytest.raises(BasisEscapeError):
+        basis.decompose(parse("x/3 + i*y + x^2"))
+
+
 def test_basis_rejects_dependent_exprs():
     with pytest.raises(ValueError):
         CoefficientBasis([parse("x"), parse("2*x")])

@@ -28,6 +28,9 @@ the shear detection have no other caller.
 
 ``opcalc`` keeps no table between calls: a carrier table lives for one
 product cochain, so every run starts cold.
+
+``linalg`` eliminates over the Gaussian integers only: it imports no
+``fractions``, and ``_eliminate`` never names ``GaussRat``.
 """
 
 import ast
@@ -332,3 +335,44 @@ def test_expr_keeps_names_only_between_calls():
     assert all(what == "dict" for _, what in found)
     assert sorted(lines[line - 1].split("=")[0].strip() for line, _ in found) == [
         "_FUNCS", "_SHIFTS", "_TREE_OPS"]
+
+
+# linalg eliminates over the Gaussian integers only: no Fraction path sits
+# beside it, and the kernel never touches a Gaussian rational
+def field_arithmetic_uses(path, kernel="_eliminate"):
+    """(line, what) for each import of ``fractions`` and each use of the
+    name GaussRat inside the function ``kernel``."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "import fractions") for a in node.names
+                      if a.name.split(".")[0] == "fractions"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions":
+            found.append((node.lineno, "import fractions"))
+        elif isinstance(node, ast.FunctionDef) and node.name == kernel:
+            found += [(sub.lineno, "GaussRat") for sub in ast.walk(node)
+                      if isinstance(sub, ast.Name) and sub.id == "GaussRat"
+                      or isinstance(sub, ast.Attribute) and sub.attr == "GaussRat"]
+    return found
+
+
+def test_linalg_has_no_fraction_path():
+    path = os.path.join(ROOT, "src", "quantact", "linalg.py")
+    uses = field_arithmetic_uses(path)
+    assert not uses, "field arithmetic in linalg: %s" % ", ".join(
+        "line %d %s" % use for use in uses)
+
+
+def test_the_fraction_guard_sees_imports_and_the_kernel(tmp_path):
+    path = tmp_path / "fractional.py"
+    path.write_text("import fractions\n"
+                    "from fractions import Fraction\n"
+                    "from . import expr\n"
+                    "def _eliminate(rows):\n"
+                    "    return GaussRat(1), expr.GaussRat\n"
+                    "def solve(rows):\n"
+                    "    return GaussRat(1)\n")
+    assert sorted(field_arithmetic_uses(str(path))) == [
+        (1, "import fractions"), (2, "import fractions"), (5, "GaussRat"), (5, "GaussRat")]

@@ -1,18 +1,31 @@
 """Tests for exact sparse linear algebra."""
 
+import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from quantact import dga
+from quantact.cli import SessionConfig, run
 from quantact.expr import GaussRat
-from quantact.linalg import SparseMatrix, nullspace, rank, solve
+from quantact.linalg import SparseMatrix, _eliminate, nullspace, rank, solve
 
 try:
     import hypothesis
     from hypothesis import strategies as st
 except ImportError:
     hypothesis = None
+
+try:
+    from sympy import QQ
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+except ImportError:
+    DomainMatrix = None
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _dense_rank_oracle(rows, ncols):
@@ -242,21 +255,147 @@ def test_elimination_matches_the_row_scan_reference_on_drawn_shapes():
     check()
 
 
-def test_rank_leaves_pivot_rows_unscaled(monkeypatch):
-    # forward elimination clears each row with one factor row[col] / pivot and
-    # never scales a pivot row: on this 12 x 14 matrix (35 nonzeros, rank 8)
-    # rank makes 17 products, where scaling every pivot row made 38
+def _counting(monkeypatch, cls, name, calls, active=None):
+    """Wrap cls.name to append its class name to ``calls`` on each call,
+    or only while the list ``active`` is nonempty."""
+    real = getattr(cls, name)
+
+    def counting(*args, **kwargs):
+        if active is None or active:
+            calls.append(cls.__name__)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+
+
+def test_rank_makes_no_gauss_rationals_and_solve_one_inverse_per_pivot(monkeypatch):
+    # elimination runs on Gaussian integers: on this 12 x 14 matrix (35
+    # nonzeros, rank 8) rank builds no GaussRat and inverts nothing, and
+    # solve inverts each pivot once, to divide its row at the end
     m = _block_matrix(random.Random(7), 3, 6, 1, 1)
     assert (m.nrows, m.ncols, m.nnz()) == (12, 14, 35)
-    calls = []
-    real = GaussRat.__mul__
-
-    def counting(a, b):
-        calls.append(None)
-        return real(a, b)
-
-    monkeypatch.setattr(GaussRat, "__mul__", counting)
+    b = [GaussRat(i, 1) for i in range(m.nrows)]
+    made, inverted = [], []
+    _counting(monkeypatch, GaussRat, "__init__", made)
+    _counting(monkeypatch, GaussRat, "inv", inverted)
     assert rank(m) == 8
+    assert (made, inverted) == ([], [])
+    solve(m, b)
     monkeypatch.undo()
-    assert len(calls) == 17
+    assert 0 < len(inverted) <= 8
     assert rank(m) == _dense_rank_oracle(m.rows, m.ncols)
+
+
+def test_cohomology_ranks_make_no_gauss_rationals_or_fractions(monkeypatch, tmp_path):
+    # the differentials of the cohomology config have small integer entries,
+    # so their ranks need no field arithmetic at all
+    cfg = SessionConfig.load(os.path.join(ROOT, "configs", "cohomology_c4.cfg"),
+                             out=str(tmp_path))
+    ranks, made, in_rank = [], [], []
+    real_rank = dga.rank
+
+    def counted_rank(matrix):
+        in_rank.append(matrix)
+        try:
+            ranks.append(real_rank(matrix))
+        finally:
+            in_rank.pop()
+        return ranks[-1]
+
+    _counting(monkeypatch, GaussRat, "__init__", made, in_rank)
+    _counting(monkeypatch, Fraction, "__new__", made, in_rank)
+    monkeypatch.setattr(dga, "rank", counted_rank)
+    assert run(cfg)[0] == 0
+    monkeypatch.undo()
+    assert len(ranks) >= 3 and made == []
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination: entry growth, and an independent oracle
+
+
+def test_dense_elimination_stays_within_the_hadamard_bound():
+    # every minor of an integer matrix is at most its Hadamard bound
+    # prod_i |row_i|; primitive rows keep entries near that size, where
+    # dividing by the integer gcd alone reaches thousands of bits here
+    rng = random.Random(12)
+    n = 12
+    rows = [{j: (rng.randint(-3, 3), rng.randint(-3, 3)) for j in range(n)} for _ in range(n)]
+    rows = [{j: e for j, e in row.items() if e != (0, 0)} for row in rows]
+    norms = [sum(x * x + y * y for x, y in row.values()) for row in rows]
+    hadamard = math.isqrt(math.prod(norms)) + 1
+    assert len(_eliminate(rows, n, back=False)) == n
+    bits = max(abs(p).bit_length() for row in rows for e in row.values() for p in e)
+    assert bits < 2 * hadamard.bit_length()
+
+
+def _sympy_matrix(rows, ncols):
+    """The rows {j: GaussRat} as a dense sympy DomainMatrix over QQ<I>."""
+    zero = GaussRat(0)
+
+    def element(c):
+        return QQ_I(QQ(c.re.numerator, c.re.denominator),
+                    QQ(c.im.numerator, c.im.denominator))
+
+    return DomainMatrix([[element(row.get(j, zero)) for j in range(ncols)] for row in rows],
+                        (len(rows), ncols), QQ_I)
+
+
+def _gauss(e):
+    return GaussRat(Fraction(int(e.x.numerator), int(e.x.denominator)),
+                    Fraction(int(e.y.numerator), int(e.y.denominator)))
+
+
+@pytest.mark.skipif(hypothesis is None or DomainMatrix is None,
+                    reason="needs hypothesis and sympy")
+def test_rank_and_solve_match_sympy_over_gaussian_rationals():
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(0, 2 ** 32 - 1), st.integers(1, 16),
+                      st.integers(1, 16), st.sampled_from([0.2, 0.5, 1.0]),
+                      st.sampled_from([1, 7]), st.booleans())
+    def check(seed, nrows, ncols, density, max_den, in_image):
+        # integer entries make unit pivots (1, -1, i, -i) common
+        rng = random.Random(seed)
+        m = SparseMatrix(nrows, ncols)
+        for i in range(nrows):
+            for j in range(ncols):
+                if rng.random() < density:
+                    m.set(i, j, GaussRat(Fraction(rng.randint(-2, 2), rng.randint(1, max_den)),
+                                         Fraction(rng.randint(-2, 2), rng.randint(1, max_den))))
+        if in_image:
+            b = m.mul_vector([GaussRat(rng.randint(-3, 3), rng.randint(-3, 3))
+                              for _ in range(ncols)])
+        else:
+            b = [GaussRat(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(nrows)]
+        assert rank(m) == _sympy_matrix(m.rows, ncols).rank()
+        # the reduced echelon form of [A | b] is unique: its pivots in A give
+        # x and the kernel, and a pivot in b means there is no solution
+        aug = [dict(row) for row in m.rows]
+        for row, v in zip(aug, b):
+            if not v.is_zero():
+                row[ncols] = v
+        ref, pivots = _sympy_matrix(aug, ncols + 1).rref()
+        ref = [[_gauss(e) for e in row] for row in ref.to_list()]
+        x, residual, kernel = solve(m, b)
+        consistent.add(residual is None)
+        assert (residual is None) == (ncols not in pivots)
+        if residual is None:
+            expected = [GaussRat(0)] * ncols
+            for r, col in enumerate(pivots):
+                expected[col] = ref[r][ncols]
+            assert x == expected
+        free = [j for j in range(ncols) if j not in pivots]
+        expected_kernel = []
+        for fc in free:
+            vec = [GaussRat(0)] * ncols
+            vec[fc] = GaussRat(1)
+            for r, col in enumerate(pivots):
+                if col < ncols:
+                    vec[col] = -ref[r][fc]
+            expected_kernel.append(vec)
+        assert kernel == expected_kernel
+
+    consistent = set()
+    check()
+    assert consistent == {True, False}
