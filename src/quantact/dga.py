@@ -30,21 +30,25 @@ system over a declared coefficient basis.  ``solve_order`` assembles and
 solves it, reporting either the canonical solution or the obstruction class.
 
 Both ``solve_order`` and ``cohomology_dims`` take d_{P0} on order-n slots
-s = (alpha, j), the symbol xi^alpha times basis element j, from one builder,
-as the bar-complex differential of C^k(G, M), M the slot space.  With g the
-product of t, the column for s at the k-tuple t is, for every h,
+s = (alpha, j), the symbol xi^alpha times basis element e_j, from one
+builder, as the bar-complex differential of C^k(G, M), M the slot space.
+With g the product of t, the column for s at the k-tuple t is, for every h,
 
-    L[h, g, s] = P0(h) star s over (phi_h, phi_g)   on the row (h,)+t,
-    -(-1)^k R[g, h, s], R = s star P0(h) over (phi_g, phi_h)   on t+(h,),
+    P0(h) star s over (phi_h, phi_g)   on the row (h,)+t,
+    -(-1)^k s star P0(h) over (phi_g, phi_h)   on t+(h,),
     (-1)^(i+1) s   on each split row t[:i] + (h, h^-1 t_i) + t[i+1:].
 
 This is exact, not a heuristic: P0*a reads a on the last k entries, a*P0
 on the first k, and the i-th interior face of d a on the tuple with entries
 i and i+1 merged, so on any other tuple every term evaluates a off t, where
-it is the zero symbol.  L and R depend on t only through g, so each is one
-star product per (h, g, s).  The basis escape check runs on each star term,
-not on each row sum; both callers build P0 at truncation order n, so every
-term lies in slot n and the two checks agree.
+it is the zero symbol.  The two stars, the left and right module structures
+of M (Weibel, An Introduction to Homological Algebra, 1994, ch. 9), factor:
+both callers build P0 at order n, so a star with s, in slot n, meets only
+slot 0 of P0(h), a function f_h.  So P0(h) star s = L[h, j] xi^alpha for
+every g, L[h, j] = f_h (e_j o phi_h^{-1}), and s star P0(h) = R[g, h, alpha, j]
+= e_j (u_alpha star P0(h)), u_alpha = xi^alpha with coefficient 1 in slot n.
+L takes no star product and R one per (g, h, alpha), over the carriers of
+P0(h); decomposing R checks that no slot of P0 above 0 reaches past slot n.
 
 When P0(e) = 1 and phi_e = id hold exactly, the builder works on the
 normalized complex: tuples over G minus e, h != e and no split row holding
@@ -516,29 +520,23 @@ def _is_unital(action, p0):
 
 
 def _slot_maps(action, p0, n, basis, tuples, normalized=False):
-    """Star terms L and R of d_{P0} on order-n slots, for the products of ``tuples``.
-
-    L[h, g, alpha, j] and R[g, h, alpha, j] are the slot coordinates of
-    P0(h) star s and s star P0(h), s the unit symbol of slot (alpha, j), and
-    g the product of a tuple (e for the empty one).  The normalized complex
-    takes no h = e: those terms land on rows holding e.  Carriers are built
-    once per right operand: s over phi_g for L, P0(h) over phi_h for R.
-    """
+    """Slot coordinates of the factors L[h, j] and R[g, h, alpha, j] (module
+    docstring), g over the products of ``tuples``; no h = e when ``normalized``."""
     dim, order = action.dim, p0.order
     phis = {g: action.diffeo(g) for g in dict.fromkeys(action.product(t) for t in tuples)}
-    units = {(alpha, j): _slot_symbol(dim, order, n, {alpha: e})
-             for alpha in multi_indices(dim, n) for j, e in enumerate(basis.exprs)}
-    left, right, unit_carriers = {}, {}, {}
+    units = {a: _slot_symbol(dim, order, n, {a: Expr.one()}) for a in multi_indices(dim, n)}
+    left, right = {}, {}
     for (h,) in _tuples(action, 1, normalized):
         p, phi_h = p0.value((h,)), action.diffeo(h)
-        p_carriers = {}
+        f_h = p.comps[0].coefficient((0,) * dim)
+        for j, e in enumerate(basis.exprs):
+            left[h, j] = basis.decompose(f_h * phi_h.pullback(e))
+        carriers = {}   # of P0(h) over phi_h, the right operand of every star below
         for g, phi_g in phis.items():
-            for (alpha, j), s in units.items():
-                left[h, g, alpha, j] = _decompose_symbol_slot(
-                    star(p, phi_h, s, phi_g, unit_carriers.setdefault((g, alpha, j), {})),
-                    n, basis)
-                right[g, h, alpha, j] = _decompose_symbol_slot(
-                    star(s, phi_g, p, phi_h, p_carriers), n, basis)
+            for alpha, u in units.items():
+                v = star(u, phi_g, p, phi_h, carriers)
+                for j, e in enumerate(basis.exprs):
+                    right[g, h, alpha, j] = _decompose_symbol_slot(v.scale(e), n, basis)
     return left, right
 
 
@@ -557,8 +555,8 @@ def _matrix_of_twisted_d(action, maps, cols, row_index, normalized=False):
     for col, (t, alpha, j) in enumerate(cols):
         g = action.product(t)
         for h, h_inv in splits:
-            for (alpha2, j2), c in left[h, g, alpha, j].items():
-                m.add(row_index[((h,) + t, alpha2, j2)], col, c)
+            for j2, c in left[h, j].items():
+                m.add(row_index[((h,) + t, alpha, j2)], col, c)
             r = right[g, h, alpha, j]
             if not len(t) % 2:
                 if (g, h, alpha, j) not in minus_right:

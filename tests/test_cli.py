@@ -684,6 +684,29 @@ param_identity = 0
     assert not os.path.exists(tmp_path / "out")
 
 
+CUSTOM_ACTION = {"coords": "t, x", "params": "v", "forward": "t + v, x",
+                 "inverse": "t - v, x", "product": "v__1 + v__2",
+                 "param_inverse": "-v", "param_identity": "0"}
+
+
+@pytest.mark.parametrize("key", ["coords", "forward", "inverse", "product",
+                                 "param_inverse", "param_identity"])
+def test_custom_action_missing_a_key_is_a_config_error(tmp_path, capsys, key):
+    body = "".join("%s = %s\n" % kv for kv in CUSTOM_ACTION.items() if kv[0] != key)
+    status, io, out = run_cli(tmp_path, capsys,
+                              "[session]\ntask = check-action\n\n[action]\n" + body)
+    assert status == 2
+    assert io.err == "config error: [action] is missing the %r key\n" % key
+    assert not os.path.exists(out)
+
+
+def test_custom_action_with_every_key_passes(tmp_path, capsys):
+    body = "".join("%s = %s\n" % kv for kv in CUSTOM_ACTION.items())
+    status, io, _ = run_cli(tmp_path, capsys,
+                            "[session]\ntask = check-action\n\n[action]\n" + body)
+    assert status == 0, io.out
+
+
 def _run_subprocess(tmp_path, cfg, timeout):
     src = os.path.dirname(os.path.dirname(quantact.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -699,9 +700,9 @@ def test_gauge_residual_shares_the_carriers_of_u(monkeypatch):
                 if t is not None}) == 1
 
 
-def test_slot_maps_build_carriers_once_per_right_operand(monkeypatch):
-    # L = P0(h) star s over (phi_h, phi_g): s over phi_g is the right operand
-    # for every h.  R = s star P0(h): P0(h) over phi_h is it for every g and slot
+def test_slot_maps_share_one_carrier_table_per_h(monkeypatch):
+    # R = u_alpha star P0(h) over (phi_g, phi_h): P0(h) over phi_h is the
+    # right operand for every g and alpha.  L makes no star product
     action = cyclic_rotations(4)
     p0 = _character_twist(action, 1)
     basis = CoefficientBasis.monomials(action.coords, 1)
@@ -714,12 +715,12 @@ def test_slot_maps_build_carriers_once_per_right_operand(monkeypatch):
     steps = _count_calls(monkeypatch, opcalc, "_carrier_step")
     tables = _record_carrier_tables(monkeypatch)
     assert _slot_maps(action, p0, 1, basis, tuples) == fresh
-    gs, slots = 4, len(multi_indices(2, 1)) * len(basis)
-    assert len(tables) == 2 * gs * gs * slots
+    gs, alphas = 4, len(multi_indices(2, 1))
+    assert len(tables) == gs * gs * alphas
     shared = {id(t): t for t, _, _ in tables}
-    assert len(shared) == gs + gs * slots
+    assert len(shared) == gs
     # a table serves one right operand, and each carrier is one step, made once
-    assert len({(id(t), id(k), id(phi2)) for t, k, phi2 in tables}) == len(shared)
+    assert len({(id(t), id(k), id(phi2)) for t, k, phi2 in tables}) == gs
     assert len(steps) == sum(1 for t in shared.values() for _, _, alpha in t
                              if any(alpha))
     assert 0 < len(steps) < len(fresh_steps)
@@ -931,6 +932,62 @@ def test_normalized_columns_match_twisted_d_on_e_free_rows(action, n, twist):
             assert got == {r: c for r, c in want.items() if e not in r[0]}, (t, alpha, j)
 
 
+def _star_slot_maps(action, p0, n, basis, tuples, normalized=False):
+    """Reference slot maps, one star product per entry: L[h, g, alpha, j] and
+    R[g, h, alpha, j] are the slot coordinates of P0(h) star s and s star
+    P0(h), s the unit symbol of slot (alpha, j), and g the product of a tuple."""
+    dim, order = action.dim, p0.order
+    phis = {g: action.diffeo(g) for g in dict.fromkeys(action.product(t) for t in tuples)}
+    left, right = {}, {}
+    for (h,) in dga._tuples(action, 1, normalized):
+        p, phi_h = p0.value((h,)), action.diffeo(h)
+        for g, phi_g in phis.items():
+            for alpha in multi_indices(dim, n):
+                for j, e in enumerate(basis.exprs):
+                    s = dga._slot_symbol(dim, order, n, {alpha: e})
+                    left[h, g, alpha, j] = _decompose_symbol_slot(
+                        star(p, phi_h, s, phi_g), n, basis)
+                    right[g, h, alpha, j] = _decompose_symbol_slot(
+                        star(s, phi_g, p, phi_h), n, basis)
+    return left, right
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_slot_maps_match_one_star_product_per_entry():
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.sampled_from(sorted(NORMALIZED_ACTIONS)),
+                      st.sampled_from(["trivial", "character"]),
+                      st.integers(0, 2), st.integers(0, 2), st.booleans())
+    def check(name, twist, degree, n, normalized):
+        action = NORMALIZED_ACTIONS[name]()
+        basis = CoefficientBasis.monomials(action.coords, degree)
+        # a character w^g with w in Q(i) needs |G| to divide 4, so C3 stays trivial
+        p0 = (_character_twist(action, n)
+              if twist == "character" and 4 % action.group.size == 0
+              else trivial_system(action, n))
+        tuples = [t for k in range(3) for t in dga._tuples(action, k, normalized)]
+        left, right = _slot_maps(action, p0, n, basis, tuples, normalized)
+        star_left, star_right = _star_slot_maps(action, p0, n, basis, tuples, normalized)
+        assert right == star_right
+        assert set(left) == {(h, j) for h, _, _, j in star_left}
+        for (h, g, alpha, j), want in star_left.items():
+            assert {(alpha, j2): c for j2, c in left[h, j].items()} == want, (h, g, alpha, j)
+
+    check()
+
+
+def test_slot_maps_raise_when_a_twist_slot_reaches_past_n():
+    # a C4 twist at order n + 1 = 1 with xi_1 in slot 1: u_alpha star P0(h)
+    # has a slot-1 part, outside the solved order n = 0
+    action = cyclic_rotations(4)
+    comps = [PolyXi.constant(2, Expr.one()), PolyXi(2, {(1, 0): Expr.one()})]
+    p0 = Cochain(action, 1, 1, fn=lambda gs: FormalSymbol(2, 1, comps))
+    basis = CoefficientBasis.monomials(action.coords, 1)
+    with pytest.raises(BasisEscapeError, match="outside the solved order"):
+        _slot_maps(action, p0, 0, basis, [()])
+
+
 def _count_calls(monkeypatch, owner, name):
     """Replace ``owner.name`` by a wrapper that records each call."""
     calls = []
@@ -958,14 +1015,33 @@ def _record_matrices(monkeypatch, name):
     return seen
 
 
-def test_cohomology_makes_one_star_product_per_map_entry(monkeypatch):
-    # normalized complex (P0 = 1): 2 maps x (|G| - 1) elements h != e
-    # x |G| products g of the e-free tuples of degree 0..2 x 3 slots = 2 * 3 * 4 * 3
+def _count_decompositions(monkeypatch):
+    """Record the basis decompositions ``_slot_maps`` makes itself (L) and
+    the calls of ``_decompose_symbol_slot`` (R and any right-hand side)."""
+    own = []
+    real = CoefficientBasis.decompose
+
+    def recording(basis, e):
+        if sys._getframe(1).f_code.co_name == "_slot_maps":
+            own.append(None)
+        return real(basis, e)
+
+    monkeypatch.setattr(CoefficientBasis, "decompose", recording)
+    return own, _count_calls(monkeypatch, dga, "_decompose_symbol_slot")
+
+
+def test_cohomology_slot_maps_work_per_factor(monkeypatch):
+    # normalized complex (P0 = 1) at order 0: 1 multi-index, 3 basis elements,
+    # h over the 3 elements != e, g over the 4 products of the e-free tuples
+    # of degree 0..2.  L: one decomposition per (h, j) and no star product;
+    # R: one star product per (g, h, alpha), one decomposition per (g, h, alpha, j)
     action = cyclic_rotations(4)
     basis = CoefficientBasis.monomials(action.coords, 1)
     calls = _count_calls(monkeypatch, dga, "star")
+    left, right = _count_decompositions(monkeypatch)
     dims = cohomology_dims(action, basis, n_max=0)
-    assert len(calls) == 2 * 3 * 4 * 3
+    assert len(calls) == 3 * 4 * 1
+    assert (len(left), len(right)) == (3 * 3, 4 * 3 * 1 * 3)
     assert dims[0] == {"H0": 1, "H1": 0, "H2": 0}
 
 
@@ -978,24 +1054,27 @@ def test_cohomology_ranks_matrices_on_e_free_rows(monkeypatch):
     assert [m.nrows for m, _ in ranked] == [9, 27, 81]
 
 
-def test_solve_order_makes_one_star_product_per_map_entry(monkeypatch):
-    # maps: 2 x (|G| - 1) elements h != e x 3 non-identity products g
-    # x 36 order-2 slots = 2 * 3 * 3 * 36; the closedness check of the (zero)
-    # right-hand side stars P0 against it on both sides of each of the |G|^3
-    # triples, 2 * 4^3
+def test_solve_order_slot_maps_work_per_factor(monkeypatch):
+    # order 2: 6 multi-indices, 6 basis elements, h over the 3 elements != e,
+    # g over the 3 non-identity products.  L: 3 * 6 decompositions; R: 3 * 3 * 6
+    # star products and 6 decompositions each.  The closedness check of the
+    # (zero) right-hand side stars P0 against it on both sides of each of the
+    # |G|^3 triples, 2 * 4^3, and the right-hand side is decomposed on the 4^2 pairs
     action = cyclic_rotations(4)
     basis = CoefficientBasis.monomials(action.coords, 2)
     p0 = trivial_system(action, 2)
     calls = _count_calls(monkeypatch, dga, "star")
+    left, right = _count_decompositions(monkeypatch)
     diffs = _count_calls(monkeypatch, Poly, "diff")
     solved = _record_matrices(monkeypatch, "solve")
     res = solve_order(action, p0, {}, 2, basis)
-    assert len(calls) == 2 * 3 * 3 * 36 + 2 * 4 ** 3
+    assert len(calls) == 3 * 3 * 6 + 2 * 4 ** 3
+    assert (len(left), len(right)) == (3 * 6, 3 * 3 * 6 * 6 + 4 ** 2)
     assert res.solved and res.rhs_closed
     # the 2 x 2 inverse Jacobian once for each of the 3 rotations h != e (the
     # identity now meets only the zero right-hand side, which skips the
-    # kernel); the chain rule of s star P0(h) never differentiates, since
-    # P0 = 1 is constant
+    # kernel); the chain rule of u_alpha star P0(h) never differentiates,
+    # since P0 = 1 is constant
     assert len(diffs) == 3 * 4
     # rows: 36 slots on the (|G| - 1)^2 e-free pairs
     assert [(m.nrows, m.ncols) for m, _ in solved] == [(9 * 36, 3 * 36)]
