@@ -30,8 +30,9 @@ A verify-numeric phase whose e^{i S_g} is not finite on the grid (a pole at
 a grid point) is a config error naming [phase], raised when its plan is
 built; so is a map phi_g or phi_g^{-1} not finite and real where it is
 evaluated, naming [action] (the map is checked first).  So is an expression
-that does not parse or raises a power past 2^31 - 1, naming its key; the
-README lists the rest.
+that does not parse, raises a power past 2^31 - 1 or may expand past
+``expr.TERM_BUDGET`` terms, naming its key (forward and inverse for their
+composites in check-action); the README lists the rest.
 A config-defined action whose forward or inverse map divides by zero at a
 parameter value the task meets (check-action meets the identity parameter
 first) is a config error naming [action] forward or [action] inverse; an
@@ -52,7 +53,7 @@ import numpy as np
 
 from .actions import (SingularMapError, action_from_config, check_action,
                       _split_exprs)
-from .dga import (Cochain, CoefficientBasis, PhaseCochain, _tuple_label,
+from .dga import (Cochain, CoefficientBasis, PhaseCochain, _is_unital, _tuple_label,
                   cochain_zero_report, delta_phase, exp_system, mc_residual,
                   solve_order, trivial_system, cohomology_dims)
 from .expr import ExprError, VarBinding, parse
@@ -255,13 +256,13 @@ def _system_cochain(cfg, action):
                       % cfg.task)
 
 
-# Slots |multi-indices(dim, n)| x |basis| x |G|^(k+1) that mc-solve and
-# cohomology may assemble at order n as the rows of d_{P0} on degree k, an
-# upper bound on the normalized complex's (|G| - 1)^(k+1) tuples.  On a
-# 2-CPU Xeon with Python 3.11, ``run`` of cohomology on C4 at basis degree 3
-# and orders 0..3 (6,400 slots) takes 0.13-0.19 s; degree 4 and orders 0..4
-# (14,400 slots) is refused, though its cohomology_dims takes 0.32-0.50 s.
-SLOT_BUDGET = 10_000
+# Slots |multi-indices(dim, n)| x |basis| x m^(k+1) that mc-solve and
+# cohomology may assemble at order n as the rows of d_{P0} on degree k, m =
+# |G| - 1 on the normalized complex, taken when P0 = 1 is unital, else |G|.
+# On a 2-CPU Xeon with Python 3.11, ``run`` of cohomology on C4 at basis
+# degree 5, orders 0..5 (11,907 slots) takes 0.5-0.7 s; the refused configs
+# nearest the budget take 0.4-2.1 s, degree 3, orders 0..8 (12,150) 0.9-1.1 s.
+SLOT_BUDGET = 12_000
 
 
 def _basis(cfg, action, row_degree):
@@ -287,12 +288,13 @@ def _basis(cfg, action, row_degree):
 def _check_slot_budget(cfg, action, basis_size, row_degree):
     n = cfg.order
     alphas = math.comb(action.dim + n, n)
-    slots = alphas * basis_size * action.group.size ** row_degree
+    m = action.group.size - _is_unital(action, trivial_system(action, 0))   # 1 less if normalized
+    slots = alphas * basis_size * m ** row_degree
     if slots > SLOT_BUDGET:
         raise ConfigError("%s at order %d over a basis of %d elements needs "
                           "%d x %d x %d^%d = %d slots, more than the budget of %d"
                           % (cfg.task, n, basis_size, alphas, basis_size,
-                             action.group.size, row_degree, slots, SLOT_BUDGET))
+                             m, row_degree, slots, SLOT_BUDGET))
 
 
 def _elements(action, section, where):
@@ -322,7 +324,10 @@ def _elements(action, section, where):
 
 def task_check_action(cfg, rng):
     action = _load_action(cfg)
-    report = check_action(action, rng=rng)
+    try:
+        report = check_action(action, rng=rng)
+    except ExprError as exc:   # each map parsed: their composites outgrew the term budget
+        raise ConfigError("[action] forward and inverse: composing the maps: %s" % exc) from None
     report.params["action"] = action.name
     return report, []
 

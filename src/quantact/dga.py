@@ -47,8 +47,11 @@ both callers build P0 at order n, so a star with s, in slot n, meets only
 slot 0 of P0(h), a function f_h.  So P0(h) star s = L[h, j] xi^alpha for
 every g, L[h, j] = f_h (e_j o phi_h^{-1}), and s star P0(h) = R[g, h, alpha, j]
 = e_j (u_alpha star P0(h)), u_alpha = xi^alpha with coefficient 1 in slot n.
-L takes no star product and R one per (g, h, alpha), over the carriers of
-P0(h); decomposing R checks that no slot of P0 above 0 reaches past slot n.
+L takes no star product.  phi_g enters R only by pulling back the carriers
+of P0(h), so R takes one star per (h, alpha) when each carrier is an exact
+constant, as on every rotation config, and one per (g, h, alpha) otherwise;
+decomposing it checks that no slot of P0 above 0 reaches past slot n.  The
+maps hold (re, im) pairs, so the matrix is over Z[i] once ``linalg`` clears it.
 
 When P0(e) = 1 and phi_e = id hold exactly, the builder works on the
 normalized complex: tuples over G minus e, h != e and no split row holding
@@ -61,8 +64,7 @@ import itertools
 import random
 
 from .actions import Diffeo
-from .expr import (GR_ONE, Expr, GaussRat, _accumulate, all_zero,
-                   as_expr, is_zero)
+from .expr import Expr, GaussRat, _accumulate, all_zero, as_expr, is_zero
 from .linalg import SparseMatrix, _reduced_echelon, rank, solve
 from .opcalc import FormalFunction, FormalOperator, apply, star
 from .report import Report
@@ -395,17 +397,17 @@ class CoefficientBasis:
         index = {m: i for i, m in enumerate(monos)}
         # Gauss-Jordan on [E | I], one row per basis element, pivots on monomials
         nm = len(monos)
-        rows = [{index[m]: c for m, c in e.poly.terms.items()} for e in self.exprs]
+        rows = [{index[m]: (c.re, c.im) for m, c in e.poly.terms.items()} for e in self.exprs]
         for j, row in enumerate(rows):
-            row[nm + j] = GR_ONE
+            row[nm + j] = (1, 0)
         echelon = _reduced_echelon(rows, nm)
         if len(echelon) != len(self.exprs):
             raise ValueError("basis expressions are linearly dependent")
         self._monomials = set(monos)
         self._echelon = {}
         for col, row in echelon.items():
-            others = {monos[k]: c for k, c in row.items() if k < nm and k != col}
-            back = {k - nm: c for k, c in row.items() if k >= nm}
+            others = {monos[k]: GaussRat(*c) for k, c in row.items() if k < nm and k != col}
+            back = {k - nm: GaussRat(*c) for k, c in row.items() if k >= nm}
             self._echelon[monos[col]] = (others, back)
 
     def __len__(self):
@@ -486,11 +488,11 @@ class SolveResult:
 
 
 def _decompose_symbol_slot(v, n, basis):
-    """Coordinates of the order-n slot of a symbol in (alpha, basis) blocks."""
+    """(re, im) coordinates of the order-n slot of a symbol in (alpha, basis) blocks."""
     out = {}
     for alpha, coeff in v.comps[n].coeffs.items():
         for j, c in basis.decompose(coeff).items():
-            out[(alpha, j)] = c
+            out[(alpha, j)] = (c.re, c.im)
     for n2, comp2 in enumerate(v.comps):
         if n2 != n and not comp2.is_zero():
             raise BasisEscapeError("value has support outside the solved order")
@@ -520,8 +522,9 @@ def _is_unital(action, p0):
 
 
 def _slot_maps(action, p0, n, basis, tuples, normalized=False):
-    """Slot coordinates of the factors L[h, j] and R[g, h, alpha, j] (module
-    docstring), g over the products of ``tuples``; no h = e when ``normalized``."""
+    """(re, im) slot coordinates of the factors L[h, j] and R[g, h, alpha, j]
+    (module docstring), g over the products of ``tuples``; no h = e when
+    ``normalized``.  Constant carriers share R[g, h] among all g."""
     dim, order = action.dim, p0.order
     phis = {g: action.diffeo(g) for g in dict.fromkeys(action.product(t) for t in tuples)}
     units = {a: _slot_symbol(dim, order, n, {a: Expr.one()}) for a in multi_indices(dim, n)}
@@ -530,46 +533,53 @@ def _slot_maps(action, p0, n, basis, tuples, normalized=False):
         p, phi_h = p0.value((h,)), action.diffeo(h)
         f_h = p.comps[0].coefficient((0,) * dim)
         for j, e in enumerate(basis.exprs):
-            left[h, j] = basis.decompose(f_h * phi_h.pullback(e))
+            left[h, j] = {j2: (c.re, c.im)
+                          for j2, c in basis.decompose(f_h * phi_h.pullback(e)).items()}
         carriers = {}   # of P0(h) over phi_h, the right operand of every star below
         for g, phi_g in phis.items():
             for alpha, u in units.items():
                 v = star(u, phi_g, p, phi_h, carriers)
                 for j, e in enumerate(basis.exprs):
                     right[g, h, alpha, j] = _decompose_symbol_slot(v.scale(e), n, basis)
+            if all(c.is_const() for k in carriers.values() for c in k.values()):
+                right.update({(g2, h, alpha, j): right[g, h, alpha, j] for g2 in phis
+                              for alpha in units for j in range(len(basis))})
+                break
     return left, right
 
 
 def _matrix_of_twisted_d(action, maps, cols, row_index, normalized=False):
-    """Matrix of d_{P0} from columns (t, alpha, j) to rows, read off ``maps``.
+    """Matrix of d_{P0} from columns (t, alpha, j) to rows, read off ``maps``,
+    each column one dict row -> (re, im) summed part by part.
 
     On the normalized complex every tuple is e-free: h runs over G minus e,
     and the split row of t_i = h, which holds e, is skipped.
     """
     left, right = maps
-    # an even-length t takes R with a minus sign: each entry is negated once
-    minus_right = {}
-    face_signs = (-GR_ONE, GR_ONE)   # (-1)^(i+1) by the parity of i
     splits = [(h, action.inverse(h)) for (h,) in _tuples(action, 1, normalized)]
-    m = SparseMatrix(len(row_index), len(cols))
-    for col, (t, alpha, j) in enumerate(cols):
-        g = action.product(t)
+    columns = []
+    for t, slots in itertools.groupby(cols, lambda c: c[0]):
+        g, sign = action.product(t), 1 if len(t) % 2 else -1   # R enters as -(-1)^k R
+        faces = []   # per h: the rows (h,)+t and t+(h,), and the split rows, (-1)^(i+1) each
         for h, h_inv in splits:
-            for j2, c in left[h, j].items():
-                m.add(row_index[((h,) + t, alpha, j2)], col, c)
-            r = right[g, h, alpha, j]
-            if not len(t) % 2:
-                if (g, h, alpha, j) not in minus_right:
-                    minus_right[g, h, alpha, j] = {s: -c for s, c in r.items()}
-                r = minus_right[g, h, alpha, j]
-            for (alpha2, j2), c in r.items():
-                m.add(row_index[(t + (h,), alpha2, j2)], col, c)
-            for i, gi in enumerate(t):
-                if normalized and gi == h:
-                    continue
-                split = t[:i] + (h, action.mult(h_inv, gi)) + t[i + 1:]
-                m.add(row_index[(split, alpha, j)], col, face_signs[i % 2])
-    return m
+            faces.append((h, (h,) + t, t + (h,), [
+                (t[:i] + (h, action.mult(h_inv, gi)) + t[i + 1:], 1 if i % 2 else -1)
+                for i, gi in enumerate(t) if not (normalized and gi == h)]))
+        for _, alpha, j in slots:
+            entries = [(row_index[ht, alpha, j2], e) for h, ht, _, _ in faces
+                       for j2, e in left[h, j].items()]
+            entries += [(row_index[th, alpha2, j2], (sign * x, sign * y)) for h, _, th, _ in faces
+                        for (alpha2, j2), (x, y) in right[g, h, alpha, j].items()]
+            entries += [(row_index[split, alpha, j], (s, 0)) for *_, split_rows in faces
+                        for split, s in split_rows]
+            col = {}
+            for r, (x, y) in entries:
+                cur = col.get(r)
+                col[r] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
+            # only a sum of colliding entries can vanish
+            columns.append(col if len(col) == len(entries) else
+                           {r: e for r, e in col.items() if e[0] or e[1]})
+    return SparseMatrix(len(row_index), columns)
 
 
 def _twisted_d_matrices(action, p0, n, basis, tuples, normalized):
@@ -634,7 +644,7 @@ def solve_order(action, p0, below, n, basis, rhs_cochain=None, rng=None):
     (cols, rows), (m,) = _twisted_d_matrices(
         action, p0, n, basis, [_tuples(action, 1, True), _tuples(action, 2, normalized)],
         normalized)
-    b = [rhs_coords[t].get((alpha, j), GaussRat(0)) for t, alpha, j in rows]
+    b = [GaussRat(*rhs_coords[t].get((alpha, j), (0, 0))) for t, alpha, j in rows]
 
     x, residual, kernel = solve(m, b)
 

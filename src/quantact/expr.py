@@ -202,6 +202,7 @@ def _gauss_str(c):
 # Canonical polynomials: packed monomials (module docstring)
 
 _MAX_POWER = (1 << 31) - 1
+TERM_BUDGET = 1000  # most terms a power or a substituted monomial may reach
 _FIELD = (1 << 32) - 1
 _NAMES = []         # field index -> variable name
 _SHIFTS = {}        # variable name -> bit offset of its power field
@@ -400,6 +401,11 @@ class Poly:
             (mono, c), *rest = self.terms.items()
             if rest or _split(mono)[1] or c.re * c.im or abs(c.re + c.im) != 1:
                 raise ExprError("power %d exceeds 2^31 - 1" % n)
+        bound = 1   # C(n + k, k), k < t: a t-term power n has at most C(n + t - 1, t - 1) terms
+        for k in range(1, len(self.terms) if n > 1 else 1):
+            if (bound := bound * (n + k) // k) > TERM_BUDGET:
+                raise ExprError("power %d of a %d-term polynomial may have more than %d terms"
+                                % (n, len(self.terms), TERM_BUDGET))
         if n == 0:
             return Poly.const(GR_ONE)
         result = None
@@ -444,16 +450,17 @@ class Poly:
             image = images.get(mono)
             if image is None:
                 arg, gens = _split(mono)
-                image = Poly.const(GR_ONE)
-                if arg is not None:
-                    image = image.mul(Poly.exp_atom(arg.subs(mapping, images)))
+                image = Poly.const(GR_ONE) if arg is None else Poly.exp_atom(
+                    arg.subs(mapping, images))
                 for name, p in gens:
-                    factor = powers.get((name, p))
-                    if factor is None:
+                    if (name, p) not in powers:
                         rep = mapping.get(name)
-                        factor = (rep if rep is not None else Poly.var(name)).pow(p)
-                        powers[(name, p)] = factor
-                    image = image.mul(factor)
+                        powers[name, p] = (rep if rep is not None else Poly.var(name)).pow(p)
+                    # a product has at most the product of the two term counts
+                    if (size := len(image.terms) * len(powers[name, p].terms)) > TERM_BUDGET:
+                        raise ExprError("the image of a monomial may have %d terms, more than %d"
+                                        % (size, TERM_BUDGET))
+                    image = image.mul(powers[name, p])
                 images[mono] = image
             _mac(acc, image.terms.items(), ((0, c),))
         return Poly({m: GaussRat(r, i) for m, (r, i) in acc.items()})

@@ -1,10 +1,11 @@
-"""Exact sparse linear algebra over the Gaussian rationals.
+"""Exact sparse linear algebra over the Gaussian rationals, held in Z[i].
 
-Matrices arising from cochain differentials are large but very sparse, so
-rows are kept as dicts column -> coefficient and elimination pivots on
-sparse rows first.  Elimination is fraction-free over the Gaussian integers
-(Bareiss, Math. Comp. 22, 1968) on rows cleared of denominators, held as
-(re, im) int pairs: ``rank`` never divides, ``solve`` once per pivot row.
+Matrices arising from cochain differentials are large but very sparse.  A
+``SparseMatrix`` keeps each column as a dict row -> (re, im) int pair,
+cleared once by the lcm of its own denominators, so ``rank`` and ``solve``
+eliminate Gaussian integers from the start.  Elimination is fraction-free
+(Bareiss, Math. Comp. 22, 1968) and pivots on sparse rows first: ``rank``
+never divides nor builds a GaussRat, ``solve`` divides once per pivot row.
 """
 
 from __future__ import annotations
@@ -16,52 +17,25 @@ from .expr import GaussRat, GR_ONE
 
 
 class SparseMatrix:
-    """Rows as dicts column -> nonzero coefficient; ``set`` and ``add`` drop zeros."""
+    """nrows x len(cols) matrix from columns {row: (re, im)} of nonzero rational
+    pairs, kept as the Gaussian integer columns ``cols[j]`` = ``scales[j]`` times column j."""
 
-    def __init__(self, nrows, ncols):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = [dict() for _ in range(nrows)]
-
-    def set(self, i, j, value):
-        value = GaussRat.of(value)
-        if value.is_zero():
-            self.rows[i].pop(j, None)
-        else:
-            self.rows[i][j] = value
-
-    def add(self, i, j, value):
-        value = GaussRat.of(value)
-        cur = self.rows[i].get(j)
-        s = value if cur is None else cur + value
-        if s.is_zero():
-            self.rows[i].pop(j, None)
-        else:
-            self.rows[i][j] = s
+    def __init__(self, nrows, cols):
+        self.nrows, self.ncols = nrows, len(cols)
+        cleared = [_cleared(c) for c in cols]
+        self.scales, self.cols = [den for den, _ in cleared], [c for _, c in cleared]
 
     def nnz(self):
-        return sum(len(r) for r in self.rows)
-
-    def mul_vector(self, vec):
-        out = []
-        for row in self.rows:
-            acc = GaussRat(0)
-            for j, c in row.items():
-                v = vec[j]
-                if not v.is_zero():
-                    acc = acc + c * v
-            out.append(acc)
-        return out
+        return sum(len(c) for c in self.cols)
 
 
-def _cleared(row):
-    """{j: GaussRat} as {j: (re, im)} ints, times the least positive integer
-    that clears its denominators."""
-    row = {j: (v.re, v.im) for j, v in row.items()}
-    den = lcm(*[p.denominator for e in row.values() for p in e])
-    return row if den == 1 else {j: (x.numerator * (den // x.denominator),
-                                     y.numerator * (den // y.denominator))
-                                 for j, (x, y) in row.items()}
+def _cleared(entries):
+    """(den, entries times den) for {k: (re, im)} rational pairs, den the least
+    positive integer that makes every part an int; den = 1 returns ``entries``."""
+    den = lcm(*[p.denominator for e in entries.values() for p in e])
+    return den, entries if den == 1 else {
+        k: (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+        for k, (x, y) in entries.items()}
 
 
 def _make_primitive(row):
@@ -81,13 +55,13 @@ def _eliminate(rows, ncols, back=True):
     columns < ncols only; returns pivots with pivots[col] = row index.
 
     Entries at columns >= ncols (a right-hand side or an identity block)
-    ride along.  Columns are taken in order; the pivot is the sparsest
-    unused row holding the column, the lowest index on a tie, and a column
-    -> rows index keeps the search and the clearing to the rows holding it.
-    A row with entry c at the pivot p's column becomes p row - c pivot_row,
-    made primitive, or row - (c conj p) pivot_row when p is a unit: a
-    multiple of the field arithmetic's row, with its zeros.  With ``back``
-    false only unused rows are cleared (forward elimination).
+    ride along.  Columns go in order, or fewest holders first when ``back``
+    is false (forward elimination of the unused rows: no order changes the
+    rank); the pivot is the sparsest unused row holding the column, lowest
+    index first, and a column -> rows index keeps the search and clearing to
+    the rows holding it.  A row with entry c at the pivot p's column becomes
+    p row - c pivot_row, made primitive, or row - (c conj p) pivot_row when
+    p is a unit: a multiple of the field arithmetic's row, with its zeros.
     """
     holders = defaultdict(set)
     for i, row in enumerate(rows):
@@ -95,7 +69,7 @@ def _eliminate(rows, ncols, back=True):
             holders[j].add(i)
     pivots = {}
     row_used = [False] * len(rows)
-    for col in range(ncols):
+    for col in range(ncols) if back else sorted(range(ncols), key=lambda c: len(holders[c])):
         candidates = [i for i in holders[col] if not row_used[i]]
         if not candidates:
             continue
@@ -134,29 +108,22 @@ def _eliminate(rows, ncols, back=True):
 
 
 def _reduced_echelon(rows, ncols):
-    """{pivot column: its row {j: GaussRat} of the unique reduced echelon form}
-    by Gauss-Jordan on rows {j: GaussRat}, pivoting on columns < ncols."""
-    rows = [_cleared(r) for r in rows]
+    """{pivot column: its row {j: (re, im)} of the unique reduced echelon form}
+    by Gauss-Jordan on rows {j: (re, im)} of rational pairs, pivoting on
+    columns < ncols; the parts are ints or Fractions."""
+    rows = [_cleared(r)[1] for r in rows]
     echelon = {}
     for col, i in _eliminate(rows, ncols).items():
         inv = GaussRat(*rows[i][col]).inv()
         a, b = inv.re, inv.im
-        echelon[col] = {j: GaussRat(x * a - y * b, x * b + y * a)
-                        for j, (x, y) in rows[i].items()}
+        echelon[col] = {j: (x * a - y * b, x * b + y * a) for j, (x, y) in rows[i].items()}
     return echelon
 
 
 def rank(matrix):
-    """Rank by forward elimination on the side with fewer rows: rank A = rank A^T,
-    and clearing the denominators of A's rows leaves it unchanged."""
-    rows = [_cleared(r) for r in matrix.rows]
-    if matrix.nrows > matrix.ncols:
-        cols = [dict() for _ in range(matrix.ncols)]
-        for i, row in enumerate(rows):
-            for j, v in row.items():
-                cols[j][i] = v
-        rows = cols
-    return len(_eliminate(rows, max(matrix.nrows, matrix.ncols), back=False))
+    """Rank by forward elimination of the integer columns as the rows of A^T:
+    rank A = rank A^T, and scaling a column by a nonzero number keeps it."""
+    return len(_eliminate([dict(c) for c in matrix.cols], matrix.nrows, back=False))
 
 
 def solve(matrix, b):
@@ -166,26 +133,38 @@ def solve(matrix, b):
     is None when the system is consistent, else the nonzero vector b - A x
     exposing the failure.  The reduced rows do not depend on b, so the kernel
     basis, one vector per free column, is read off the same elimination.
+    It eliminates [S A | b], S the lcm of the column scales, so S A is in
+    Z[i]: its reduced echelon form is that of [A | b] with the last column
+    divided by S, and A x is summed over the integer columns.
     """
-    n = matrix.ncols
-    rows = [dict(r) for r in matrix.rows]
+    n, big = matrix.ncols, lcm(*matrix.scales)
+    rows = [{} for _ in range(matrix.nrows)]
+    for j, (col, den) in enumerate(zip(matrix.cols, matrix.scales)):
+        for i, (x, y) in col.items():
+            rows[i][j] = (x * (big // den), y * (big // den))
     for row, v in zip(rows, b):
-        v = GaussRat.of(v)
         if not v.is_zero():
-            row[n] = v
+            row[n] = (v.re, v.im)
     echelon = _reduced_echelon(rows, n)
     x = [GaussRat(0)] * n
+    ax = [(0, 0)] * matrix.nrows
     for col, row in echelon.items():
-        x[col] = row.get(n, GaussRat(0))
+        if n in row:
+            p, q = row[n]
+            x[col] = GaussRat(p * big, q * big)
+            k = big // matrix.scales[col]   # column col of A x, times S
+            for i, (re, im) in matrix.cols[col].items():
+                u, v = ax[i]
+                ax[i] = (u + k * (re * p - im * q), v + k * (re * q + im * p))
     kernel = []
     for fc in (j for j in range(n) if j not in echelon):
         vec = [GaussRat(0)] * n
         vec[fc] = GR_ONE
         for col, row in echelon.items():
             if fc in row:
-                vec[col] = -row[fc]
+                vec[col] = GaussRat(-row[fc][0], -row[fc][1])
         kernel.append(vec)
-    residual = [bv - av for bv, av in zip(b, matrix.mul_vector(x))]
+    residual = [GaussRat(v.re - re, v.im - im) for v, (re, im) in zip(b, ax)]
     if all(v.is_zero() for v in residual):
         residual = None
     return x, residual, kernel
@@ -194,4 +173,3 @@ def solve(matrix, b):
 def nullspace(matrix):
     """Basis of the exact kernel, one vector per free column: ``solve`` at b = 0."""
     return solve(matrix, [GaussRat(0)] * matrix.nrows)[2]
-

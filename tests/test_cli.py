@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 import quantact
-from quantact import cli
+from quantact import cli, expr
 from quantact.cli import ConfigError, SessionConfig, main, parse_config
 from quantact.expr import Expr, is_zero
 from quantact.symbols import load_symbol
@@ -719,10 +719,10 @@ def _run_subprocess(tmp_path, cfg, timeout):
 @pytest.mark.parametrize("task,order,degree,slots", [
     # the monomial list alone would not fit in memory
     ("cohomology", 1, 100000000, None),
-    # 15 monomials x 15 basis elements on |G|^3 = 64 triples
-    ("cohomology", 4, 4, 14400),
+    # 45 monomials x 10 basis elements on the (|G| - 1)^3 = 27 e-free triples
+    ("cohomology", 8, 3, 12150),
     ("mc-solve", 100000000, 1, None),
-], ids=["huge_basis", "order4_degree4", "huge_order"])
+], ids=["huge_basis", "order8_degree3", "huge_order"])
 def test_slot_budget_refuses_before_assembly(tmp_path, task, order, degree, slots):
     cfg = write(tmp_path, """
 [session]
@@ -744,6 +744,31 @@ monomials = %d
     assert not os.path.exists(tmp_path / "out")
 
 
+def test_composing_maps_past_the_term_budget_is_a_config_error(tmp_path):
+    # each map parses to at most 42 terms; check-action composes them, which
+    # would raise the 41 terms of a sampled inverse to the 40th power
+    cfg = write(tmp_path, """
+[session]
+task = check-action
+seed = 1
+
+[action]
+coords = x1
+params = v
+forward = x1 + v*(x1 + 1)^40
+inverse = x1 - v*(x1 + 1)^40
+product = v__1 + v__2
+param_inverse = -v
+param_identity = 0
+""")
+    proc = _run_subprocess(tmp_path, cfg, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == ("config error: [action] forward and inverse: composing the maps: "
+                           "power 40 of a 41-term polynomial may have more than %d terms\n"
+                           % expr.TERM_BUDGET)
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_expand_refuses_a_huge_order_before_any_derivative(tmp_path):
     cfg = write(tmp_path, """
 [session]
@@ -762,12 +787,12 @@ terms = x1*xi2 + x2*x2, xi1*xi2
 
 
 def test_expand_at_the_budget_edge_finishes(tmp_path):
-    # C(1 + 9999, 9999) = 10000 multi-indices is admitted; only the two
+    # C(1 + 11999, 11999) = 12000 multi-indices is admitted; only the two
     # nonzero terms of the series are differentiated
     cfg = write(tmp_path, """
 [session]
 task = expand
-order = 9999
+order = 11999
 
 [amplitude]
 coords = x1
@@ -775,7 +800,7 @@ terms = x1*xi1 + xi1^2, x1
 """)
     proc = _run_subprocess(tmp_path, cfg, timeout=60)
     assert proc.returncode == 0
-    assert proc.stdout.endswith("symbol order=9999 dim=1\n1 (0) x1\n1 (1) x1\n2 (2) 1\n")
+    assert proc.stdout.endswith("symbol order=11999 dim=1\n1 (0) x1\n1 (1) x1\n2 (2) 1\n")
 
 
 def test_expand_of_a_quotient_amplitude_stays_small(tmp_path):
@@ -798,14 +823,25 @@ terms = 1/(1 + x1*xi1)
         assert is_zero(sym.comps[n].coeffs[(n,)] - (-x1) ** n).ok
 
 
-def test_slot_budget_admits_the_worked_example():
-    # configs/cohomology_c4.cfg: 6 alphas x 6 basis elements x 4^3 = 2304
-    # slots; at order 6 there are 28 alphas, 10752 slots
+def test_slot_budget_admits_the_worked_example(monkeypatch):
+    # configs/cohomology_c4.cfg on the 3^3 e-free triples of the normalized
+    # complex: 6 alphas x 6 basis elements x 27 = 972 slots; at order 10 there
+    # are 66 alphas, 10692 slots, and at order 11, 78 alphas, 12636 slots
     cfg = SessionConfig.load(os.path.join(CONFIGS, "cohomology_c4.cfg"))
     action = cli._load_action(cfg)
     assert len(cli._basis(cfg, action, 3)) == 6
+    cfg.order = 10
+    assert len(cli._basis(cfg, action, 3)) == 6
+    cfg.order = 11
+    with pytest.raises(ConfigError, match=r"78 x 6 x 3\^3 = 12636 slots, more than the "
+                                          r"budget of 12000"):
+        cli._basis(cfg, action, 3)
+    # a twist that is not unital keeps the full complex, all 4^3 triples
+    monkeypatch.setattr(cli, "_is_unital", lambda action, p0: False)
     cfg.order = 6
-    with pytest.raises(ConfigError, match="= 10752 slots"):
+    assert len(cli._basis(cfg, action, 3)) == 6
+    cfg.order = 7
+    with pytest.raises(ConfigError, match=r"36 x 6 x 4\^3 = 13824 slots"):
         cli._basis(cfg, action, 3)
 
 

@@ -10,9 +10,13 @@ through ``cli.main``; an uncaught exception fails the test with its
 traceback.
 
 Exponents of 2^31 and more are refused when they are parsed, whatever their
-base.  2^31 - 1, the largest power a variable holds, is drawn only on a
-name in ``expand`` terms: a map raised to it would be substituted into
-itself, a polynomial of 2^31 terms.
+base.  40 is drawn on any subexpression, and a map may be the 40th power of
+a sum of polynomials: ``expr.TERM_BUDGET`` refuses, as a config error, a
+power or a substituted monomial that may outgrow it.  A power of a sum of
+exp atoms within the budget can still take minutes to compose, since the
+budget does not count exp arguments, so such sums are not raised to 40.  2^31 - 1, the largest power a variable
+holds, is drawn only on a name in ``expand`` terms: a map raised to it takes
+a parameter sample to that power.
 """
 
 import contextlib
@@ -28,7 +32,7 @@ from quantact.cli import main  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
                                database=None)
-EXPONENTS = [-1, 0, 1, 2, 3, 2 ** 31, 2 ** 31 + 1]
+EXPONENTS = [-1, 0, 1, 2, 3, 40, 2 ** 31, 2 ** 31 + 1]
 TOP_POWER = 2 ** 31 - 1
 
 
@@ -46,6 +50,15 @@ def expressions(names, top_power=False):
                 lambda t: "%s(%s)" % t))
 
     return st.recursive(st.one_of(*atoms), extend, max_leaves=5)
+
+
+def maps(names):
+    """Map components: grammar text, or the 40th power of a sum of two
+    polynomials in ``names`` and small integers."""
+    poly = st.recursive(st.one_of(st.sampled_from(names), st.integers(0, 9).map(str)),
+                        lambda inner: st.tuples(inner, st.sampled_from("+-*"), inner).map(
+                            lambda t: "(%s %s %s)" % t), max_leaves=3)
+    return st.one_of(expressions(names), st.tuples(poly, poly).map(lambda t: "(%s + %s)^40" % t))
 
 
 def run_config(tmp_path, text):
@@ -101,7 +114,7 @@ param_identity = 0
 
 def test_check_action_maps(tmp_path):
     @SETTINGS
-    @hypothesis.given(expressions(["x1", "v"]), expressions(["x1", "v"]))
+    @hypothesis.given(maps(["x1", "v"]), maps(["x1", "v"]))
     def check(forward, inverse):
         assert_clean_exit(*run_config(tmp_path, """
 [session]
@@ -114,8 +127,7 @@ seed = 1
 
 def test_verify_numeric_maps(tmp_path):
     @SETTINGS
-    @hypothesis.given(expressions(["x1", "v"]), expressions(["x1", "v"]),
-                      expressions(["x1", "v"]))
+    @hypothesis.given(maps(["x1", "v"]), maps(["x1", "v"]), expressions(["x1", "v"]))
     def check(forward, inverse, phase):
         assert_clean_exit(*run_config(tmp_path, """
 [session]

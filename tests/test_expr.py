@@ -467,3 +467,34 @@ def test_the_name_registry_is_safe_under_threads():
     for n in names:
         (mono, _), = Poly.var(n).terms.items()
         assert mono == 1 << expr._SHIFTS[n]
+
+
+def test_powers_and_substitutions_stop_at_the_term_budget(monkeypatch):
+    # a t-term power n has at most C(n + t - 1, t - 1) terms: (x + 1)^n up
+    # to n + 1 = TERM_BUDGET; the check comes before any product is made
+    x, y, one = Poly.var("x"), Poly.var("y"), Poly.const(1)
+    budget = expr.TERM_BUDGET
+    assert len(x.add(one).pow(budget - 1).terms) == budget
+    # C(2 + 2, 2) = 6 terms at t = 3, and C(n + 2, 2) > budget from n = 44
+    assert len(x.add(y).add(one).pow(2).terms) == 6
+    products, real_mul = [], Poly.mul
+
+    def counting_mul(p, q):
+        if len(p.terms) > 1 and len(q.terms) > 1:   # a product to expand, not a scaling
+            products.append((len(p.terms), len(q.terms)))
+        return real_mul(p, q)
+
+    monkeypatch.setattr(Poly, "mul", counting_mul)
+    for base, n in ((x.add(one), budget), (x.add(y).add(one), 44)):
+        with pytest.raises(expr.ExprError, match="may have more than %d terms" % budget):
+            base.pow(n)
+    assert products == []
+    # the image of x^2 y^2 under x -> (x + 1)^20, y -> (y + 1)^20: 41 x 41 terms
+    mapping = {"x": x.add(one).pow(20), "y": y.add(one).pow(20)}
+    monomial = x.pow(2).mul(y.pow(2))
+    products.clear()
+    with pytest.raises(expr.ExprError, match="may have 1681 terms, more than %d" % budget):
+        monomial.subs(mapping, {})
+    # the two squares are made; their product, which the budget refuses, is not
+    assert products == [(21, 21), (21, 21)]
+    assert len(x.pow(2).mul(y).subs(mapping, {}).terms) == 41 * 21

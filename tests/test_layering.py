@@ -30,7 +30,10 @@ the shear detection have no other caller.
 product cochain, so every run starts cold.
 
 ``linalg`` eliminates over the Gaussian integers only: it imports no
-``fractions``, and ``_eliminate`` never names ``GaussRat``.
+``fractions``, and ``_eliminate`` never names ``GaussRat``.  The matrix of
+d_{P0} is assembled in Z[i] too: a ``SparseMatrix`` is built from whole
+columns, with no per-entry ``add``, and ``dga._matrix_of_twisted_d`` never
+names a Gaussian rational.
 """
 
 import ast
@@ -376,3 +379,47 @@ def test_the_fraction_guard_sees_imports_and_the_kernel(tmp_path):
                     "    return GaussRat(1)\n")
     assert sorted(field_arithmetic_uses(str(path))) == [
         (1, "import fractions"), (2, "import fractions"), (5, "GaussRat"), (5, "GaussRat")]
+
+
+# the matrix of d_{P0} is built in Z[i]: a SparseMatrix takes whole columns
+# of (re, im) pairs, with no per-entry add or set, and the assembler never
+# names a Gaussian rational
+def entry_arithmetic_uses(path):
+    """(line, what) for each method ``add`` or ``set`` of a class SparseMatrix
+    and each use of GaussRat or a GR_ constant inside _matrix_of_twisted_d."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "SparseMatrix":
+            found += [(f.lineno, "SparseMatrix.%s" % f.name) for f in node.body
+                      if isinstance(f, ast.FunctionDef) and f.name in ("add", "set")]
+        elif isinstance(node, ast.FunctionDef) and node.name == "_matrix_of_twisted_d":
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else \
+                    sub.attr if isinstance(sub, ast.Attribute) else ""
+                if name == "GaussRat" or name.startswith("GR_"):
+                    found.append((sub.lineno, name))
+    return found
+
+
+def test_the_twisted_differential_is_assembled_in_gaussian_integers():
+    uses = ["%s:%d %s" % (name, line, what) for name in ("linalg.py", "dga.py")
+            for line, what in entry_arithmetic_uses(os.path.join(ROOT, "src", "quantact", name))]
+    assert not uses, "per-entry rational arithmetic in the assembler: %s" % ", ".join(uses)
+
+
+def test_the_entry_guard_sees_methods_and_names(tmp_path):
+    path = tmp_path / "entrywise.py"
+    path.write_text("class SparseMatrix:\n"
+                    "    def add(self, i, j, v):\n"
+                    "        pass\n"
+                    "    def set(self, i, j, v):\n"
+                    "        pass\n"
+                    "def _matrix_of_twisted_d(m):\n"
+                    "    return GaussRat(1), expr.GR_ONE, GR_I\n"
+                    "def rank(m):\n"
+                    "    return GaussRat(1)\n")
+    assert sorted(entry_arithmetic_uses(str(path))) == [
+        (2, "SparseMatrix.add"), (4, "SparseMatrix.set"), (7, "GR_I"), (7, "GR_ONE"),
+        (7, "GaussRat")]
