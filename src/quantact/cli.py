@@ -24,7 +24,8 @@ Flags ``--order``, ``--seed`` and ``--out`` override the [session] values.
 With a fixed seed every report is byte-identical across runs.  Exit status:
 0 when every checked identity holds, 1 when any fails, 2 on config errors.
 A config whose mc-solve or cohomology matrices would exceed ``SLOT_BUDGET``
-rows is a config error, raised before the basis is built; so is an expand
+rows, or whose slot maps would build more than ``SYMBOL_BUDGET`` symbol
+slots, is a config error, raised before the basis is built; so is an expand
 order with more multi-indices than that, raised before any derivative.
 A verify-numeric phase whose e^{i S_g} is not finite on the grid (a pole at
 a grid point) is a config error naming [phase], raised when its plan is
@@ -117,12 +118,8 @@ class SessionConfig:
         if task not in TASKS:
             raise ConfigError("unknown task %r (have: %s)"
                               % (task, ", ".join(sorted(TASKS))))
-        self.path = path
-        self.sections = sections
-        self.task = task
-        self.order = order
-        self.seed = seed
-        self.out = out
+        self.path, self.sections, self.task = path, sections, task
+        self.order, self.seed, self.out = order, seed, out
 
     @classmethod
     def load(cls, path, task=None, order=None, seed=None, out=None):
@@ -264,6 +261,13 @@ def _system_cochain(cfg, action):
 # nearest the budget take 0.4-2.1 s, degree 3, orders 0..8 (12,150) 0.9-1.1 s.
 SLOT_BUDGET = 12_000
 
+# Symbol slots in the slot maps: m x |multi-indices(dim, n)| stars of n + 1
+# slots at each order n the task runs.  On the same machine, cohomology at
+# basis degree 0 on C4, orders 0..20 (85,008), takes 1.2 s, on sign_flip_c2,
+# orders 0..80 (180,441), 0.8 s, and mc-solve there at order 300 (90,601)
+# 0.8 s; runs near 12,000 take 0.06-0.3 s, so this count has its own budget.
+SYMBOL_BUDGET = 100_000
+
 
 def _basis(cfg, action, row_degree):
     """The [basis] span, refused before it is built when the slots at
@@ -295,6 +299,12 @@ def _check_slot_budget(cfg, action, basis_size, row_degree):
                           "%d x %d x %d^%d = %d slots, more than the budget of %d"
                           % (cfg.task, n, basis_size, alphas, basis_size,
                              m, row_degree, slots, SLOT_BUDGET))
+    orders = range(n + 1) if cfg.task == "cohomology" else [n]   # n < alphas <= slots
+    per_h = sum(math.comb(action.dim + k, k) * (k + 1) for k in orders)
+    if m * per_h > SYMBOL_BUDGET:
+        raise ConfigError("%s at order %d needs %d x %d = %d symbol slots in its slot "
+                          "maps, more than the budget of %d"
+                          % (cfg.task, n, m, per_h, m * per_h, SYMBOL_BUDGET))
 
 
 def _elements(action, section, where):
@@ -416,12 +426,8 @@ def task_cohomology(cfg, rng):
         return report, ["cohomology not computed: the basis is not closed "
                         "under the action"]
     dims = cohomology_dims(action, basis, n_max=cfg.order)
-    lines = []
-    for n in sorted(dims):
-        row = dims[n]
-        lines.append("order %d: H0=%d H1=%d H2=%d"
-                     % (n, row["H0"], row["H1"], row["H2"]))
-    return report, lines
+    return report, ["order %d: H0=%d H1=%d H2=%d" % (n, row["H0"], row["H1"], row["H2"])
+                    for n, row in sorted(dims.items())]
 
 
 def task_verify_numeric(cfg, rng):
@@ -574,12 +580,9 @@ def run(cfg):
         raise ConfigError("[action] %s" % exc) from None
     text = "quantact %s\nconfig = %s\nseed = %d\n\n" % (
         cfg.task, os.path.basename(cfg.path), cfg.seed)
-    text += report.render()
-    if lines:
-        text += "\n".join(lines) + "\n"
+    text += report.render() + "".join(line + "\n" for line in lines)
     os.makedirs(cfg.out, exist_ok=True)
-    out_path = os.path.join(cfg.out, cfg.task + ".txt")
-    with open(out_path, "w") as fh:
+    with open(os.path.join(cfg.out, cfg.task + ".txt"), "w") as fh:
         fh.write(text)
     return (0 if report.all_ok else 1), text
 

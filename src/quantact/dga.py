@@ -45,13 +45,15 @@ it is the zero symbol.  The two stars, the left and right module structures
 of M (Weibel, An Introduction to Homological Algebra, 1994, ch. 9), factor:
 both callers build P0 at order n, so a star with s, in slot n, meets only
 slot 0 of P0(h), a function f_h.  So P0(h) star s = L[h, j] xi^alpha for
-every g, L[h, j] = f_h (e_j o phi_h^{-1}), and s star P0(h) = R[g, h, alpha, j]
-= e_j (u_alpha star P0(h)), u_alpha = xi^alpha with coefficient 1 in slot n.
-L takes no star product.  phi_g enters R only by pulling back the carriers
-of P0(h), so R takes one star per (h, alpha) when each carrier is an exact
-constant, as on every rotation config, and one per (g, h, alpha) otherwise;
-decomposing it checks that no slot of P0 above 0 reaches past slot n.  The
-maps hold (re, im) pairs, so the matrix is over Z[i] once ``linalg`` clears it.
+every g, L[h, j] = f_h (e_j o phi_h^{-1}), and s star P0(h) = e_j (u_alpha
+star P0(h)), u_alpha = xi^alpha with coefficient 1 in slot n; phi_g only
+pulls its coefficients c back.  e_j c lies in a nonempty span for every j
+only if c is a constant, which pulls back to itself: c s = lambda s, for an
+eigenvector s of c on the span, forces c = lambda in the integral domain of
+canonical exp-polynomials.  So R[h, alpha] = {gamma: c} from one star per
+(h, alpha) over (id, phi_h), and e_j c has coordinates {j: c}; any other c,
+or a slot of P0 above 0 past slot n, raises ``BasisEscapeError``.  The maps
+hold (re, im) pairs, so the matrix is over Z[i] once ``linalg`` clears it.
 
 When P0(e) = 1 and phi_e = id hold exactly, the builder works on the
 normalized complex: tuples over G minus e, h != e and no split row holding
@@ -182,13 +184,8 @@ def cochain_zero_report(c, title="cochain vanishes", rng=None):
 
 
 def _tuple_label(action, gs):
-    names = []
-    for g in gs:
-        if action.is_finite:
-            names.append(action.group.labels[g])
-        else:
-            names.append("(" + ",".join(str(p) for p in g) + ")")
-    return "(" + ", ".join(names) + ")" if names else "()"
+    return "(" + ", ".join([action.group.labels[g] if action.is_finite else
+                            "(" + ",".join(str(p) for p in g) + ")" for g in gs]) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +484,17 @@ class SolveResult:
         return self.solution is not None
 
 
+def _slot_coeffs(v, n):
+    """{alpha: coefficient} of the order-n slot of a symbol, every other slot zero."""
+    if any(not comp.is_zero() for n2, comp in enumerate(v.comps) if n2 != n):
+        raise BasisEscapeError("value has support outside the solved order")
+    return v.comps[n].coeffs
+
+
 def _decompose_symbol_slot(v, n, basis):
     """(re, im) coordinates of the order-n slot of a symbol in (alpha, basis) blocks."""
-    out = {}
-    for alpha, coeff in v.comps[n].coeffs.items():
-        for j, c in basis.decompose(coeff).items():
-            out[(alpha, j)] = (c.re, c.im)
-    for n2, comp2 in enumerate(v.comps):
-        if n2 != n and not comp2.is_zero():
-            raise BasisEscapeError("value has support outside the solved order")
-    return out
+    return {(alpha, j): (c.re, c.im) for alpha, coeff in _slot_coeffs(v, n).items()
+            for j, c in basis.decompose(coeff).items()}
 
 
 def _slot_symbol(dim, order, n, coeffs):
@@ -521,30 +519,28 @@ def _is_unital(action, p0):
     return all(v.is_canonical and is_zero(v).ok for v in gaps)
 
 
-def _slot_maps(action, p0, n, basis, tuples, normalized=False):
-    """(re, im) slot coordinates of the factors L[h, j] and R[g, h, alpha, j]
-    (module docstring), g over the products of ``tuples``; no h = e when
-    ``normalized``.  Constant carriers share R[g, h] among all g."""
+def _slot_maps(action, p0, n, basis, normalized=False):
+    """(re, im) slot coordinates of the factors L[h, j] and R[h, alpha]
+    (module docstring); no h = e when ``normalized``, and no R over no basis."""
     dim, order = action.dim, p0.order
-    phis = {g: action.diffeo(g) for g in dict.fromkeys(action.product(t) for t in tuples)}
+    ident = Diffeo.identity(action.coords)
     units = {a: _slot_symbol(dim, order, n, {a: Expr.one()}) for a in multi_indices(dim, n)}
     left, right = {}, {}
     for (h,) in _tuples(action, 1, normalized):
         p, phi_h = p0.value((h,)), action.diffeo(h)
         f_h = p.comps[0].coefficient((0,) * dim)
         for j, e in enumerate(basis.exprs):
-            left[h, j] = {j2: (c.re, c.im)
-                          for j2, c in basis.decompose(f_h * phi_h.pullback(e)).items()}
+            left[h, j] = {k: c.key() for k, c in basis.decompose(f_h * phi_h.pullback(e)).items()}
         carriers = {}   # of P0(h) over phi_h, the right operand of every star below
-        for g, phi_g in phis.items():
-            for alpha, u in units.items():
-                v = star(u, phi_g, p, phi_h, carriers)
-                for j, e in enumerate(basis.exprs):
-                    right[g, h, alpha, j] = _decompose_symbol_slot(v.scale(e), n, basis)
-            if all(c.is_const() for k in carriers.values() for c in k.values()):
-                right.update({(g2, h, alpha, j): right[g, h, alpha, j] for g2 in phis
-                              for alpha in units for j in range(len(basis))})
-                break
+        for alpha, u in units.items():
+            v = star(u, ident, p, phi_h, carriers)
+            if not basis.exprs:
+                continue   # no coordinate is read, so none escapes
+            coeffs = _slot_coeffs(v, n)
+            for c in coeffs.values():
+                if not c.is_const():
+                    raise BasisEscapeError("right factor coefficient %s is not a constant" % c)
+            right[h, alpha] = {gamma: c.const_value().key() for gamma, c in coeffs.items()}
     return left, right
 
 
@@ -559,17 +555,16 @@ def _matrix_of_twisted_d(action, maps, cols, row_index, normalized=False):
     splits = [(h, action.inverse(h)) for (h,) in _tuples(action, 1, normalized)]
     columns = []
     for t, slots in itertools.groupby(cols, lambda c: c[0]):
-        g, sign = action.product(t), 1 if len(t) % 2 else -1   # R enters as -(-1)^k R
-        faces = []   # per h: the rows (h,)+t and t+(h,), and the split rows, (-1)^(i+1) each
-        for h, h_inv in splits:
-            faces.append((h, (h,) + t, t + (h,), [
-                (t[:i] + (h, action.mult(h_inv, gi)) + t[i + 1:], 1 if i % 2 else -1)
-                for i, gi in enumerate(t) if not (normalized and gi == h)]))
+        sign = 1 if len(t) % 2 else -1   # R enters as -(-1)^k R
+        # per h: the rows (h,)+t and t+(h,), and the split rows, (-1)^(i+1) each
+        faces = [(h, (h,) + t, t + (h,), [
+            (t[:i] + (h, action.mult(h_inv, gi)) + t[i + 1:], 1 if i % 2 else -1)
+            for i, gi in enumerate(t) if not (normalized and gi == h)]) for h, h_inv in splits]
         for _, alpha, j in slots:
             entries = [(row_index[ht, alpha, j2], e) for h, ht, _, _ in faces
                        for j2, e in left[h, j].items()]
-            entries += [(row_index[th, alpha2, j2], (sign * x, sign * y)) for h, _, th, _ in faces
-                        for (alpha2, j2), (x, y) in right[g, h, alpha, j].items()]
+            entries += [(row_index[th, gamma, j], (sign * x, sign * y)) for h, _, th, _ in faces
+                        for gamma, (x, y) in right[h, alpha].items()]
             entries += [(row_index[split, alpha, j], (s, 0)) for *_, split_rows in faces
                         for split, s in split_rows]
             col = {}
@@ -591,8 +586,7 @@ def _twisted_d_matrices(action, p0, n, basis, tuples, normalized):
     """
     slots = [(alpha, j) for alpha in multi_indices(action.dim, n) for j in range(len(basis))]
     coords = [[(t, alpha, j) for t in ts for alpha, j in slots] for ts in tuples]
-    maps = _slot_maps(action, p0, n, basis, [t for ts in tuples[:-1] for t in ts],
-                      normalized)
+    maps = _slot_maps(action, p0, n, basis, normalized)
     mats = [_matrix_of_twisted_d(action, maps, coords[k],
                                  {c: i for i, c in enumerate(coords[k + 1])}, normalized)
             for k in range(len(tuples) - 1)]

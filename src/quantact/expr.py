@@ -203,6 +203,7 @@ def _gauss_str(c):
 
 _MAX_POWER = (1 << 31) - 1
 TERM_BUDGET = 1000  # most terms a power or a substituted monomial may reach
+BIT_BUDGET = 14_000  # most bits a power's coefficient may reach: < 4,300 digits
 _FIELD = (1 << 32) - 1
 _NAMES = []         # field index -> variable name
 _SHIFTS = {}        # variable name -> bit offset of its power field
@@ -396,11 +397,17 @@ class Poly:
         if n < 0:
             raise ExprError("negative power at polynomial level")
         # past 2^31 - 1 a variable overflows its field, and any power but
-        # that of c*exp(A), c in {1, -1, i, -i}, grows without bound
-        if n > _MAX_POWER and self.terms:
+        # that of c*exp(A), c in {1, -1, i, -i}, grows without bound; a
+        # one-term power's coefficient is (p1 q2 + i p2 q1)^n / (q1 q2)^n
+        if n > 1 and self.terms:
             (mono, c), *rest = self.terms.items()
-            if rest or _split(mono)[1] or c.re * c.im or abs(c.re + c.im) != 1:
+            grows = rest or c.re * c.im or abs(c.re + c.im) != 1
+            if n > _MAX_POWER and (grows or _split(mono)[1]):
                 raise ExprError("power %d exceeds 2^31 - 1" % n)
+            bits = max(v.bit_length() for q in (c.re, c.im) for v in (q.numerator, q.denominator))
+            if grows and not rest and n * (2 * bits + 1 if c.re and c.im else bits) > BIT_BUDGET:
+                raise ExprError("power %d of a %d-bit coefficient may pass %d bits"
+                                % (n, bits, BIT_BUDGET))
         bound = 1   # C(n + k, k), k < t: a t-term power n has at most C(n + t - 1, t - 1) terms
         for k in range(1, len(self.terms) if n > 1 else 1):
             if (bound := bound * (n + k) // k) > TERM_BUDGET:

@@ -103,9 +103,9 @@ class WaveGrid:
     def axis(self):
         return -self.length + self.delta * np.arange(self.npoints)
 
-    def mesh(self):
-        axes = [self.axis()] * self.dim
-        return list(np.meshgrid(*axes, indexing="ij"))
+    def mesh(self, sparse=False):
+        """Coordinate arrays on the grid; an open mesh when ``sparse``."""
+        return list(np.meshgrid(*[self.axis()] * self.dim, indexing="ij", sparse=sparse))
 
     def k_axis(self):
         return np.fft.fftfreq(self.npoints, 1.0 / self.npoints)
@@ -115,14 +115,12 @@ class WaveGrid:
         return (math.pi * self.hbar / self.length) * self.k_axis()
 
     def xi_mesh(self):
-        axes = [self.xi_axis()] * self.dim
-        return list(np.meshgrid(*axes, indexing="ij"))
+        return list(np.meshgrid(*[self.xi_axis()] * self.dim, indexing="ij"))
 
     def coord_env(self, coords, consts=None):
         """Coordinate arrays as an open mesh (each varies along its own axis
         only), so a term in one coordinate costs O(M), not O(M^d)."""
-        axes = [self.axis()] * self.dim
-        env = dict(zip(coords, np.meshgrid(*axes, indexing="ij", sparse=True)))
+        env = dict(zip(coords, self.mesh(sparse=True)))
         env[HBAR_NAME] = self.hbar
         if consts:
             env.update(consts)
@@ -156,15 +154,16 @@ def inner(grid, f, g):
 
 
 def gaussian(grid, centers=None, sigma=1.0, momenta=None):
-    """Normalized Gaussian test function, decayed at the box boundary."""
+    """Normalized Gaussian test function, decayed at the box boundary; the
+    open mesh adds into the grid arrays in place, bit for bit the dense sums."""
     centers = centers or [0.0] * grid.dim
     momenta = momenta or [0.0] * grid.dim
-    mesh = grid.mesh()
+    mesh = grid.mesh(sparse=True)
     arg = np.zeros(grid.shape)
     phase = np.zeros(grid.shape)
     for x, c, p in zip(mesh, centers, momenta):
-        arg = arg + (x - c) ** 2
-        phase = phase + p * x
+        arg += (x - c) ** 2
+        phase += p * x
     psi = np.exp(-arg / (2.0 * sigma ** 2)) * np.exp(1j * phase / grid.hbar)
     return psi / grid.norm(psi)
 

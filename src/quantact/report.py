@@ -42,10 +42,8 @@ class Report:
 
     def render(self):
         lines = ["== %s ==" % self.title]
-        for key in sorted(self.params):
-            lines.append("%s = %s" % (key, self.params[key]))
-        for item in self.items:
-            lines.append(item.render())
+        lines += ["%s = %s" % (key, self.params[key]) for key in sorted(self.params)]
+        lines += [item.render() for item in self.items]
         lines.append("result: %s (%d checks)" %
                      ("PASS" if self.all_ok else "FAIL", len(self.items)))
         return "\n".join(lines) + "\n"

@@ -234,10 +234,8 @@ class FormalSymbol:
         return self.sub(other).is_zero()
 
     def __repr__(self):
-        rows = []
-        for n, comp in enumerate(self.comps):
-            for alpha, c in sorted(comp.coeffs.items()):
-                rows.append("%d %s %s" % (n, alpha, c))
+        rows = ["%d %s %s" % (n, alpha, c) for n, comp in enumerate(self.comps)
+                for alpha, c in sorted(comp.coeffs.items())]
         return "FormalSymbol(dim=%d, order=%d)[%s]" % (self.dim, self.order, "; ".join(rows))
 
 
@@ -247,9 +245,8 @@ class FormalSymbol:
 def dump_symbol(sym):
     """Serialize as text lines: header plus (n, alpha, coefficient) triples."""
     lines = ["symbol order=%d dim=%d" % (sym.order, sym.dim)]
-    for n, comp in enumerate(sym.comps):
-        for alpha, c in sorted(comp.coeffs.items()):
-            lines.append("%d (%s) %s" % (n, ",".join(str(a) for a in alpha), c))
+    lines += ["%d (%s) %s" % (n, ",".join(str(a) for a in alpha), c)
+              for n, comp in enumerate(sym.comps) for alpha, c in sorted(comp.coeffs.items())]
     return "\n".join(lines) + "\n"
 
 

@@ -716,6 +716,16 @@ def _run_subprocess(tmp_path, cfg, timeout):
         env=env, capture_output=True, text=True, timeout=timeout)
 
 
+ACTION_AT_TOP_POWER = """coords = x1
+params = v
+forward = v^2147483647
+inverse = x1
+product = v__1 + v__2
+param_inverse = -v
+param_identity = 0
+"""
+
+
 @pytest.mark.parametrize("task,order,degree,slots", [
     # the monomial list alone would not fit in memory
     ("cohomology", 1, 100000000, None),
@@ -741,6 +751,71 @@ monomials = %d
     assert "more than the budget of %d" % cli.SLOT_BUDGET in proc.stderr
     if slots is not None:
         assert "= %d slots" % slots in proc.stderr
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("order,per_h", [(200, 2727101), (2000, 2672671001)])
+def test_symbol_budget_refuses_high_orders_before_assembly(tmp_path, order, per_h):
+    # one slot, on 1 e-free triple, at every order, but the slot maps build
+    # (k + 1) stars of k + 1 slots at each order k <= n: sum (k + 1)^2 slots
+    cfg = write(tmp_path, """
+[session]
+task = cohomology
+order = %d
+seed = 1
+
+[action]
+builtin = sign_flip_c2
+
+[basis]
+monomials = 0
+""" % order)
+    proc = _run_subprocess(tmp_path, cfg, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == ("config error: cohomology at order %d needs 1 x %d = %d symbol "
+                           "slots in its slot maps, more than the budget of %d\n"
+                           % (order, per_h, per_h, cli.SYMBOL_BUDGET))
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_symbol_budget_edges(tmp_path):
+    # cohomology runs orders 0..n: sum (k + 1)^2 is 98021 at n = 65 and
+    # 102510 at n = 66; mc-solve runs order n alone: (n + 1)^2
+    cfg = SessionConfig.load(write(tmp_path, """
+[session]
+task = cohomology
+
+[action]
+builtin = sign_flip_c2
+
+[basis]
+monomials = 0
+"""))
+    action = cli._load_action(cfg)
+    for task, order, row_degree in (("cohomology", 65, 3), ("mc-solve", 315, 2)):
+        cfg.task, cfg.order = task, order
+        assert len(cli._basis(cfg, action, row_degree)) == 1
+        cfg.order += 1
+        with pytest.raises(ConfigError, match="%s at order %d needs 1 x" % (task, order + 1)):
+            cli._basis(cfg, action, row_degree)
+
+
+@pytest.mark.parametrize("section,body,stderr", [
+    ("action", ACTION_AT_TOP_POWER,
+     "[action] forward and inverse: composing the maps: power 2147483647 of a 2-bit "
+     "coefficient may pass %d bits\n"),
+    ("amplitude", "coords = x1\nterms = 3^20000*xi1\n",
+     "[amplitude] terms: power 20000 of a 2-bit coefficient may pass %d bits (at position 1)\n"
+     "  3^20000*xi1\n   ^\n"),
+], ids=["parameter_sample", "expand_term"])
+def test_a_power_past_the_bit_budget_is_a_config_error(tmp_path, section, body, stderr):
+    # a sampled parameter raised to 2^31 - 1 ran for minutes, and 3^20000
+    # was computed and then failed to render in the report
+    task = "check-action" if section == "action" else "expand"
+    cfg = write(tmp_path, "[session]\ntask = %s\nseed = 1\n\n[%s]\n%s" % (task, section, body))
+    proc = _run_subprocess(tmp_path, cfg, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: " + stderr % expr.BIT_BUDGET
     assert not os.path.exists(tmp_path / "out")
 
 

@@ -14,9 +14,11 @@ base.  40 is drawn on any subexpression, and a map may be the 40th power of
 a sum of polynomials: ``expr.TERM_BUDGET`` refuses, as a config error, a
 power or a substituted monomial that may outgrow it.  A power of a sum of
 exp atoms within the budget can still take minutes to compose, since the
-budget does not count exp arguments, so such sums are not raised to 40.  2^31 - 1, the largest power a variable
-holds, is drawn only on a name in ``expand`` terms: a map raised to it takes
-a parameter sample to that power.
+budget does not count exp arguments, so such sums are not raised to 40.
+2^31 - 1, the largest power a variable holds, is drawn on any name in
+``expand`` terms and on the parameter of the maps, which takes a sampled
+rational to that power: ``expr.BIT_BUDGET`` refuses, as a config error, a
+power whose coefficient may outgrow it.
 """
 
 import contextlib
@@ -36,11 +38,11 @@ EXPONENTS = [-1, 0, 1, 2, 3, 40, 2 ** 31, 2 ** 31 + 1]
 TOP_POWER = 2 ** 31 - 1
 
 
-def expressions(names, top_power=False):
-    """Grammar text over ``names``; ``top_power`` adds name^(2^31 - 1) atoms."""
+def expressions(names, top_names=()):
+    """Grammar text over ``names``, with name^(2^31 - 1) atoms over ``top_names``."""
     atoms = [st.sampled_from(names), st.integers(0, 9).map(str), st.just("i")]
-    if top_power:
-        atoms.append(st.sampled_from(names).map(lambda n: "%s^%d" % (n, TOP_POWER)))
+    if top_names:
+        atoms.append(st.sampled_from(top_names).map(lambda n: "%s^%d" % (n, TOP_POWER)))
 
     def extend(inner):
         return st.one_of(
@@ -53,12 +55,13 @@ def expressions(names, top_power=False):
 
 
 def maps(names):
-    """Map components: grammar text, or the 40th power of a sum of two
-    polynomials in ``names`` and small integers."""
+    """Map components: grammar text with the parameter v raised to 2^31 - 1,
+    or the 40th power of a sum of two polynomials in ``names`` and small
+    integers."""
     poly = st.recursive(st.one_of(st.sampled_from(names), st.integers(0, 9).map(str)),
                         lambda inner: st.tuples(inner, st.sampled_from("+-*"), inner).map(
                             lambda t: "(%s %s %s)" % t), max_leaves=3)
-    return st.one_of(expressions(names), st.tuples(poly, poly).map(lambda t: "(%s + %s)^40" % t))
+    return st.one_of(expressions(names, ["v"]), st.tuples(poly, poly).map(lambda t: "(%s + %s)^40" % t))
 
 
 def run_config(tmp_path, text):
@@ -83,7 +86,7 @@ def assert_clean_exit(status, err):
 
 def test_expand_terms(tmp_path):
     @SETTINGS
-    @hypothesis.given(st.lists(expressions(["x1", "xi1"], top_power=True),
+    @hypothesis.given(st.lists(expressions(["x1", "xi1"], ["x1", "xi1"]),
                                min_size=1, max_size=2))
     def check(terms):
         assert_clean_exit(*run_config(tmp_path, """

@@ -702,22 +702,19 @@ def test_gauge_residual_shares_the_carriers_of_u(monkeypatch):
 
 
 def test_slot_maps_share_one_carrier_table_per_h(monkeypatch):
-    # R = u_alpha star P0(h) over (phi_g, phi_h): P0(h) over phi_h is the
-    # right operand for every alpha.  The carriers of a character twist over
-    # rotations are constants, so the stars of the first g serve every g.
-    # L makes no star product
+    # R = u_alpha star P0(h) over (id, phi_h): P0(h) over phi_h is the
+    # right operand for every alpha.  L makes no star product
     action = cyclic_rotations(4)
     p0 = _character_twist(action, 2)
     basis = CoefficientBasis.monomials(action.coords, 1)
-    tuples = [()] + [(g,) for g in action.group.elements()]
     monkeypatch.setattr(dga, "star", lambda p, phi1, k, phi2, carriers=None:
                         star(p, phi1, k, phi2))
     fresh_steps = _count_calls(monkeypatch, opcalc, "_carrier_step")
-    fresh = _slot_maps(action, p0, 2, basis, tuples)
+    fresh = _slot_maps(action, p0, 2, basis)
     monkeypatch.undo()
     steps = _count_calls(monkeypatch, opcalc, "_carrier_step")
     tables = _record_carrier_tables(monkeypatch)
-    assert _slot_maps(action, p0, 2, basis, tuples) == fresh
+    assert _slot_maps(action, p0, 2, basis) == fresh
     hs, alphas = 4, len(multi_indices(2, 2))
     assert len(tables) == hs * alphas
     shared = {id(t): t for t, _, _ in tables}
@@ -854,8 +851,7 @@ def test_twisted_d_matrices_square_to_zero(twist, n):
     coords = [[(t, alpha, j) for t in itertools.product(elems, repeat=k)
                for alpha in multi_indices(action.dim, n)
                for j in range(len(basis))] for k in range(4)]
-    tuples = [t for k in range(3) for t in itertools.product(elems, repeat=k)]
-    maps = _slot_maps(action, p0, n, basis, tuples)
+    maps = _slot_maps(action, p0, n, basis)
     mats = [_matrix_of_twisted_d(action, maps, coords[k],
                                  {c: r for r, c in enumerate(coords[k + 1])})
             for k in range(3)]
@@ -910,7 +906,7 @@ def test_every_column_matches_twisted_d_of_a_unit_cochain(action, n, twist):
     for col_tuples, row_tuples in cases:
         cols = [(t, alpha, j) for t in col_tuples for alpha, j in slots]
         rows = [(t, alpha, j) for t in row_tuples for alpha, j in slots]
-        maps = _slot_maps(action, p0, n, basis, col_tuples)
+        maps = _slot_maps(action, p0, n, basis)
         m = _matrix_of_twisted_d(action, maps, cols, {c: r for r, c in enumerate(rows)})
         for (t, alpha, j), got in zip(cols, _matrix_columns(m, rows)):
             assert got == _oracle_column(action, p0, n, basis, t, alpha, j), (t, alpha, j)
@@ -984,10 +980,11 @@ def _constant_carriers(action, p0, n, h):
 
 @pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
 def test_slot_maps_match_one_star_product_per_entry():
-    # the involution's inverse Jacobian holds 2x, so at n >= 1 its carriers
-    # are not constant and R depends on g.  Multiplying by a non-constant
-    # function preserves no finite span, so R escapes {1, x, y, x^2} there:
-    # both builders raise the same error
+    # every reference entry R[g, h, alpha, j] is e_j times the constants of
+    # R[h, alpha].  The involution's inverse Jacobian holds 2x, so at n >= 1
+    # its carriers are not constant.  Multiplying by a non-constant function
+    # preserves no finite span, so R escapes {1, x, y, x^2} there: both
+    # builders raise a BasisEscapeError
     actions = dict(NORMALIZED_ACTIONS, involution_c2=det_one_involution)
 
     @hypothesis.settings(max_examples=80, deadline=None, derandomize=True,
@@ -1004,26 +1001,22 @@ def test_slot_maps_match_one_star_product_per_entry():
               if twist == "character" and 4 % action.group.size == 0
               else trivial_system(action, n))
         tuples = [t for k in range(3) for t in dga._tuples(action, k, normalized)]
-        constant = {h: _constant_carriers(action, p0, n, h)
-                    for (h,) in dga._tuples(action, 1, normalized)}
         try:
             star_left, star_right = _star_slot_maps(action, p0, n, basis, tuples, normalized)
-        except BasisEscapeError as exc:
-            with pytest.raises(BasisEscapeError) as got:
-                _slot_maps(action, p0, n, basis, tuples, normalized)
-            assert str(got.value) == str(exc)
-            assert not all(constant.values())
+        except BasisEscapeError:
+            with pytest.raises(BasisEscapeError):
+                _slot_maps(action, p0, n, basis, normalized)
+            assert not all(_constant_carriers(action, p0, n, h)
+                           for (h,) in dga._tuples(action, 1, normalized))
             drawn.add((name, "escapes"))
             return
-        left, right = _slot_maps(action, p0, n, basis, tuples, normalized)
-        assert right == star_right
+        left, right = _slot_maps(action, p0, n, basis, normalized)
+        assert set(right) == {(h, alpha) for _, h, alpha, _ in star_right}
+        for (g, h, alpha, j), want in star_right.items():
+            assert {(gamma, j): c for gamma, c in right[h, alpha].items()} == want, (g, h, alpha, j)
         assert set(left) == {(h, j) for h, _, _, j in star_left}
         for (h, g, alpha, j), want in star_left.items():
             assert {(alpha, j2): c for j2, c in left[h, j].items()} == want, (h, g, alpha, j)
-        # the shared branch: one R entry for every g exactly when the carriers are constant
-        for (g, h, alpha, j), r in right.items():
-            first = right[action.product(tuples[0]), h, alpha, j]
-            assert (r is first) == (constant[h] or g == action.product(tuples[0]))
         drawn.add((name, "maps"))
 
     drawn = set()
@@ -1031,21 +1024,19 @@ def test_slot_maps_match_one_star_product_per_entry():
     assert {("involution_c2", "maps"), ("involution_c2", "escapes")} <= drawn
 
 
-def test_slot_maps_star_per_g_when_a_carrier_is_not_constant(monkeypatch):
-    # over an empty basis no coordinate can escape, so the branch shows in the
-    # star products.  At n = 1 the carriers of P0 = 1 over the identity are
-    # constants: one star per alpha serves both products g of the tuples.
-    # Over the involution they hold 2x: one star per (g, alpha)
+def test_slot_maps_over_an_empty_basis_are_empty(monkeypatch):
+    # over an empty basis no coordinate can escape, so the involution's
+    # non-constant carriers at n = 1 raise nothing.  R takes one star per
+    # (h, alpha), 2 x 3, each over the identity and phi_h
     action = det_one_involution()
     seen = []
     monkeypatch.setattr(dga, "star", lambda p, phi1, k, phi2, carriers=None:
                         seen.append((phi1, phi2)) or star(p, phi1, k, phi2, carriers))
-    left, right = _slot_maps(action, trivial_system(action, 1), 1, CoefficientBasis([]),
-                             [(), (1,)])
+    left, right = _slot_maps(action, trivial_system(action, 1), 1, CoefficientBasis([]))
     assert left == right == {}
-    s = action.diffeo(1)
-    assert [(phi1 is s, phi2 is s) for phi1, phi2 in seen] == (
-        [(False, False)] * 3 + [(False, True)] * 3 + [(True, True)] * 3)
+    assert [phi2 for _, phi2 in seen] == [action.diffeo(0)] * 3 + [action.diffeo(1)] * 3
+    for phi1, _ in seen:
+        assert phi1.forward == phi1.inverse == [Expr.var(x) for x in action.coords]
 
 
 def test_slot_maps_raise_when_a_twist_slot_reaches_past_n():
@@ -1056,7 +1047,7 @@ def test_slot_maps_raise_when_a_twist_slot_reaches_past_n():
     p0 = Cochain(action, 1, 1, fn=lambda gs: FormalSymbol(2, 1, comps))
     basis = CoefficientBasis.monomials(action.coords, 1)
     with pytest.raises(BasisEscapeError, match="outside the solved order"):
-        _slot_maps(action, p0, 0, basis, [()])
+        _slot_maps(action, p0, 0, basis)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -1088,7 +1079,7 @@ def _record_matrices(monkeypatch, name):
 
 def _count_decompositions(monkeypatch):
     """Record the basis decompositions ``_slot_maps`` makes itself (L) and
-    the calls of ``_decompose_symbol_slot`` (R and any right-hand side)."""
+    the calls of ``_decompose_symbol_slot`` (a right-hand side; R makes none)."""
     own = []
     real = CoefficientBasis.decompose
 
@@ -1104,16 +1095,15 @@ def _count_decompositions(monkeypatch):
 def test_cohomology_slot_maps_work_per_factor(monkeypatch):
     # normalized complex (P0 = 1) at order 0: 1 multi-index, 3 basis elements,
     # h over the 3 elements != e.  L: one decomposition per (h, j) and no star
-    # product; R: the carriers of P0 = 1 over a rotation are constants, so one
-    # star product per (h, alpha) and one decomposition per (h, alpha, j) serve
-    # the 4 products g of the e-free tuples of degree 0..2
+    # product; R: one star product per (h, alpha), read off as constants with
+    # no decomposition, serves every product g and every j
     action = cyclic_rotations(4)
     basis = CoefficientBasis.monomials(action.coords, 1)
     calls = _count_calls(monkeypatch, dga, "star")
     left, right = _count_decompositions(monkeypatch)
     dims = cohomology_dims(action, basis, n_max=0)
     assert len(calls) == 3 * 1
-    assert (len(left), len(right)) == (3 * 3, 3 * 1 * 3)
+    assert (len(left), len(right)) == (3 * 3, 0)
     assert dims[0] == {"H0": 1, "H1": 0, "H2": 0}
 
 
@@ -1164,10 +1154,9 @@ def test_cohomology_ranks_matrices_on_e_free_rows(monkeypatch):
 
 
 def test_solve_order_slot_maps_work_per_factor(monkeypatch):
-    # order 2: 6 multi-indices, 6 basis elements, h over the 3 elements != e,
-    # g over the 3 non-identity products.  L: 3 * 6 decompositions; R: the
-    # carriers are constants, so 3 * 6 star products, of the first g only, and
-    # 6 decompositions each serve all 3 g.  The closedness check of the
+    # order 2: 6 multi-indices, 6 basis elements, h over the 3 elements != e.
+    # L: 3 * 6 decompositions; R: 3 * 6 star products, read off as constants
+    # with no decomposition.  The closedness check of the
     # (zero) right-hand side stars P0 against it on both sides of each of the
     # |G|^3 triples, 2 * 4^3, and the right-hand side is decomposed on the 4^2 pairs
     action = cyclic_rotations(4)
@@ -1179,7 +1168,7 @@ def test_solve_order_slot_maps_work_per_factor(monkeypatch):
     solved = _record_matrices(monkeypatch, "solve")
     res = solve_order(action, p0, {}, 2, basis)
     assert len(calls) == 3 * 6 + 2 * 4 ** 3
-    assert (len(left), len(right)) == (3 * 6, 3 * 6 * 6 + 4 ** 2)
+    assert (len(left), len(right)) == (3 * 6, 4 ** 2)
     assert res.solved and res.rhs_closed
     # the 2 x 2 inverse Jacobian once for each of the 3 rotations h != e (the
     # identity now meets only the zero right-hand side, which skips the
@@ -1222,7 +1211,7 @@ def _full_cohomology_at_order(action, basis, p0, n):
     tuples = [list(itertools.product(elems, repeat=k)) for k in range(4)]
     coords = [[(t, alpha, j) for t in ts for alpha in multi_indices(action.dim, n)
                for j in range(len(basis))] for ts in tuples]
-    maps = _slot_maps(action, p0, n, basis, tuples[0] + tuples[1] + tuples[2])
+    maps = _slot_maps(action, p0, n, basis)
     ranks = []
     for k in range(3):
         row_index = {c: i for i, c in enumerate(coords[k + 1])}

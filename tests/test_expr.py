@@ -498,3 +498,26 @@ def test_powers_and_substitutions_stop_at_the_term_budget(monkeypatch):
     # the two squares are made; their product, which the budget refuses, is not
     assert products == [(21, 21), (21, 21)]
     assert len(x.pow(2).mul(y).subs(mapping, {}).terms) == 41 * 21
+
+
+def test_one_term_powers_stop_at_the_bit_budget(monkeypatch):
+    # the parts of the coefficient of (c m)^n have at most n b bits, b the
+    # widest part of c, n (2 b + 1) when c is complex; the budget bounds that
+    # before any product is made, so the largest admitted power renders.  A
+    # unit c never grows
+    budget = expr.BIT_BUDGET
+    x, three, one_i = Poly.var("x"), Poly.const(3), Poly.const(GaussRat(1, 1))
+    edge = three.pow(budget // 2).mul(x)   # 3 has 2 bits
+    assert len(str(Expr(poly=edge))) < 4300
+    assert one_i.pow(budget // 3) == Poly.const(GaussRat(0, 2 ** 2333))   # (2i)^2333
+    calls, real_mul = [], Poly.mul
+    bases = ((three.mul(x), budget // 2 + 1), (one_i, budget // 3 + 1),
+             (Poly.const(Fraction(1, 3)), 2 ** 31 - 1))
+    monkeypatch.setattr(Poly, "mul", lambda p, q: calls.append(None) or real_mul(p, q))
+    for base, n in bases:
+        with pytest.raises(expr.ExprError, match="may pass %d bits" % budget):
+            base.pow(n)
+    assert calls == []
+    # units: i^(2^31 - 1) = -i, and x^(2^31 - 1) keeps its coefficient 1
+    assert Poly.const(GaussRat(0, 1)).pow(2 ** 31 - 1) == Poly.const(GaussRat(0, -1))
+    assert x.pow(2 ** 31 - 1).terms == {(2 ** 31 - 1) << expr._SHIFTS["x"]: GaussRat(1)}

@@ -34,6 +34,10 @@ product cochain, so every run starts cold.
 d_{P0} is assembled in Z[i] too: a ``SparseMatrix`` is built from whole
 columns, with no per-entry ``add``, and ``dga._matrix_of_twisted_d`` never
 names a Gaussian rational.
+
+The right factor of d_{P0} is one constant table per (h, alpha):
+``dga._slot_maps`` takes no tuples and decomposes no symbol slot, and
+``dga._matrix_of_twisted_d`` takes no product of a tuple.
 """
 
 import ast
@@ -423,3 +427,48 @@ def test_the_entry_guard_sees_methods_and_names(tmp_path):
     assert sorted(entry_arithmetic_uses(str(path))) == [
         (2, "SparseMatrix.add"), (4, "SparseMatrix.set"), (7, "GR_I"), (7, "GR_ONE"),
         (7, "GaussRat")]
+
+
+# R[h, alpha] depends on neither g nor j: the slot maps see no tuple and
+# decompose no symbol slot, and the assembler never multiplies a tuple out
+def per_g_uses(path):
+    """(line, what) for a ``tuples`` parameter of _slot_maps, each call of
+    _decompose_symbol_slot inside it and each call of ``product`` inside
+    _matrix_of_twisted_d."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    banned = {"_slot_maps": "_decompose_symbol_slot", "_matrix_of_twisted_d": "product"}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef) or node.name not in banned:
+            continue
+        args = node.args
+        found += [(a.lineno, "tuples") for a in args.posonlyargs + args.args + args.kwonlyargs
+                  if node.name == "_slot_maps" and a.arg == "tuples"]
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                f = sub.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else ""
+                if name == banned[node.name]:
+                    found.append((sub.lineno, name))
+    return found
+
+
+def test_the_right_factor_is_free_of_g_and_j():
+    uses = per_g_uses(os.path.join(ROOT, "src", "quantact", "dga.py"))
+    assert not uses, "per-g or per-j right factor: %s" % ", ".join(
+        "line %d %s" % use for use in uses)
+
+
+def test_the_right_factor_guard_sees_parameters_and_calls(tmp_path):
+    path = tmp_path / "per_g.py"
+    path.write_text("def _slot_maps(action, p0, n, basis, tuples, normalized=False):\n"
+                    "    return dga._decompose_symbol_slot(p0, n, basis), _decompose_symbol_slot()\n"
+                    "def _matrix_of_twisted_d(action, maps, cols):\n"
+                    "    return action.product(cols), product(cols)\n"
+                    "def solve_order(action, basis):\n"
+                    "    return _decompose_symbol_slot(basis), action.product(())\n")
+    assert sorted(per_g_uses(str(path))) == [
+        (1, "tuples"), (2, "_decompose_symbol_slot"), (2, "_decompose_symbol_slot"),
+        (4, "product"), (4, "product")]

@@ -103,6 +103,26 @@ def test_open_mesh_values_equal_dense_mesh_values():
     assert np.array_equal(got, _grid_values(e, dense, grid.shape))
 
 
+@pytest.mark.parametrize("dim,points,centers,momenta", [
+    (1, 64, [0.5], [0.2]),
+    (2, 256, [0.5, -0.3], [0.2, -1.5]),
+    (2, 32, None, None),
+])
+def test_gaussian_on_the_open_mesh_equals_the_dense_formula(dim, points, centers, momenta):
+    # each grid value is the same sum of the same per-axis terms, so the
+    # packet is bit-identical to the one built on the dense mesh
+    grid, sigma = WaveGrid(dim, points, 6.0, 0.1), 0.8
+    arg, phase = np.zeros(grid.shape), np.zeros(grid.shape)
+    for x, c, p in zip(grid.mesh(), centers or [0.0] * dim, momenta or [0.0] * dim):
+        arg = arg + (x - c) ** 2
+        phase = phase + p * x
+    psi = np.exp(-arg / (2.0 * sigma ** 2)) * np.exp(1j * phase / grid.hbar)
+    want = psi / grid.norm(psi)
+    got = gaussian(grid, centers, sigma, momenta)
+    assert got.shape == want.shape == grid.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # grid and transform basics
 
