@@ -44,6 +44,7 @@ error naming [amplitude] terms.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import random
@@ -58,7 +59,7 @@ from .dga import (Cochain, CoefficientBasis, PhaseCochain, _is_unital, _tuple_la
                   cochain_zero_report, delta_phase, exp_system, mc_residual,
                   solve_order, trivial_system, cohomology_dims)
 from .expr import ExprError, VarBinding, parse
-from .numfio import (NonFiniteError, NonFiniteMapError, WaveGrid, gaussian,
+from .numfio import (NonFiniteError, NonFiniteMapError, WaveGrid, gaussian, overlap,
                      packet_gram, phase_system_plan, representation_residual,
                      spectral_tail_fraction, unitarity_residual)
 from .report import Report
@@ -467,8 +468,14 @@ def task_verify_numeric(cfg, rng):
     rtol = _get_number(nsec, "representation_tol", 1e-7, "numeric", float)
     ttol = _get_number(nsec, "tail_tol", 1e-8, "numeric", float)
 
-    psis = [gaussian(grid, centers=c, sigma=sigma, momenta=m)
-            for c, m in zip(centers, momenta)]
+    def packet(center, momentum):
+        psi = gaussian(grid, centers=center, sigma=sigma, momenta=momentum)
+        return psi, spectral_tail_fraction(grid, psi)
+
+    # the grid work runs beside the caller (numfio.overlap), each result in
+    # its place, so the report does not depend on where it was computed
+    psis, tails = zip(*overlap([functools.partial(packet, c, m)
+                                for c, m in zip(centers, momenta)]))
 
     def plan_for(g):
         try:
@@ -485,7 +492,7 @@ def task_verify_numeric(cfg, rng):
                                        grid.hbar),
                             "xi_window": "%.6g" % float(max(abs(grid.xi_axis()))),
                             "packets": len(psis)})
-    tail = max(spectral_tail_fraction(grid, p) for p in psis)
+    tail = max(tails)
     report.add("packet spectral tail below %.1e" % ttol, tail < ttol,
                "numeric", "max %.3e" % tail)
     # one plan per element for the whole task, and each element g2 applied
@@ -493,13 +500,14 @@ def task_verify_numeric(cfg, rng):
     # the inner factor of every pair (g1, g2), g1 at or before g2.  A
     # product's plan lives for its pair only, so at most |elements| + 1 plans
     # and one element's images are alive at once
-    plans = {g: plan_for(g) for g in dict.fromkeys(elements)}
+    distinct = list(dict.fromkeys(elements))
+    plans = dict(zip(distinct, overlap([functools.partial(plan_for, g) for g in distinct])))
     norms, gram = packet_gram(grid, psis)
     unitarity, composition = [], {}
     try:
         with np.errstate(all="ignore"):   # overflow is checked, not warned of
             for j, g2 in enumerate(elements):
-                images = [plans[g2](p) for p in psis]
+                images = overlap([functools.partial(plans[g2], p) for p in psis])
                 unitarity.append(unitarity_residual(grid, images, norms, gram))
                 for i, g1 in enumerate(elements[:j + 1]):
                     product = action.mult(g1, g2)

@@ -269,6 +269,22 @@ def _mac(acc, terms1, terms2):
             acc[m] = (r, i)
 
 
+def _arg_sizes(poly):
+    """The size of each exp argument of ``poly``: its terms, the terms of
+    their own exp arguments counted in."""
+    return [len(m[1].terms) + sum(_arg_sizes(m[1])) for m in poly.terms if type(m) is not int]
+
+
+def _bits(poly):
+    """Bits of the widest numerator or denominator among the coefficients'
+    parts: the top bit of their bitwise or."""
+    top = 0
+    for c in poly.terms.values():
+        for q in (c.re, c.im):
+            top |= abs(q) if type(q) is int else abs(q.numerator) | q.denominator
+    return top.bit_length()
+
+
 def _accumulate(terms, m, c):
     """Add the nonzero term c*m into ``terms`` in place, dropping a zero sum."""
     old = terms.get(m)
@@ -384,6 +400,13 @@ class Poly:
         return Poly({m: v * c for m, v in self.terms.items()})
 
     def mul(self, other):
+        # as for a one-term power, a product of one-term factors (a product of
+        # powers) is one term whose coefficient parts have at most b1 + b2 bits
+        if len(self.terms) == 1 == len(other.terms):
+            b1, b2 = _bits(self), _bits(other)
+            if b1 + b2 > BIT_BUDGET:
+                raise ExprError("a product of coefficients of %d and %d bits may pass %d bits"
+                                % (b1, b2, BIT_BUDGET))
         # a constant factor scales the terms of the other, in their order
         if len(other.terms) == 1 and 0 in other.terms:
             return self.scalar_mul(other.terms[0])
@@ -408,11 +431,16 @@ class Poly:
             if grows and not rest and n * (2 * bits + 1 if c.re and c.im else bits) > BIT_BUDGET:
                 raise ExprError("power %d of a %d-bit coefficient may pass %d bits"
                                 % (n, bits, BIT_BUDGET))
-        bound = 1   # C(n + k, k), k < t: a t-term power n has at most C(n + t - 1, t - 1) terms
+        # C(n + k, k), k < t: a t-term power n has at most C(n + t - 1, t - 1)
+        # terms, each with an exp argument of at most the terms of all the
+        # base's arguments together
+        bound = 1
+        args = sum(_arg_sizes(self)) if n > 1 else 0
         for k in range(1, len(self.terms) if n > 1 else 1):
-            if (bound := bound * (n + k) // k) > TERM_BUDGET:
-                raise ExprError("power %d of a %d-term polynomial may have more than %d terms"
-                                % (n, len(self.terms), TERM_BUDGET))
+            if (bound := bound * (n + k) // k) * (1 + args) > TERM_BUDGET:
+                raise ExprError("power %d of a %d-term polynomial%s may have more than %d terms"
+                                % (n, len(self.terms), " with %d terms in exp arguments" % args
+                                   if args else "", TERM_BUDGET))
         if n == 0:
             return Poly.const(GR_ONE)
         result = None
@@ -463,11 +491,15 @@ class Poly:
                     if (name, p) not in powers:
                         rep = mapping.get(name)
                         powers[name, p] = (rep if rep is not None else Poly.var(name)).pow(p)
-                    # a product has at most the product of the two term counts
-                    if (size := len(image.terms) * len(powers[name, p].terms)) > TERM_BUDGET:
+                    # a product has at most the product of the two term counts,
+                    # each term with an exp argument of at most the widest
+                    # arguments of the two factors together
+                    power = powers[name, p]
+                    args = max(_arg_sizes(image), default=0) + max(_arg_sizes(power), default=0)
+                    if (size := len(image.terms) * len(power.terms) * (1 + args)) > TERM_BUDGET:
                         raise ExprError("the image of a monomial may have %d terms, more than %d"
                                         % (size, TERM_BUDGET))
-                    image = image.mul(powers[name, p])
+                    image = image.mul(power)
                 images[mono] = image
             _mac(acc, image.terms.items(), ((0, c),))
         return Poly({m: GaussRat(r, i) for m, (r, i) in acc.items()})
@@ -1079,7 +1111,11 @@ class _Parser:
             kind, _, pos = self.toks.peek()
             if kind == "*":
                 self.toks.next()
-                e = e * self._factor()
+                factor = self._factor()
+                try:
+                    e = e * factor
+                except ExprError as exc:
+                    raise ParseError(str(exc), pos, self.text) from None
             elif kind == "/":
                 self.toks.next()
                 try:

@@ -22,7 +22,20 @@ FFTs and pointwise products only.  ``pullback_plan``, ``kn_plan``,
 ``fio_plan`` and ``phase_system_plan`` build plans; ``grid_pullback``,
 ``kn_apply``, ``fio_apply`` and ``phase_system_apply`` build one and apply it once.
 Plans hold arrays of the grid's shape only: the dense mode matrices of the
-band-limited paths are rebuilt on every application.
+band-limited paths are rebuilt on every application.  ``fio_plan`` pulls
+back in place on the array its quantization returns, and a residual
+subtracts and squares in place.
+
+``overlap`` runs independent grid work beside the caller on one worker
+thread, none when CPU affinity allows one CPU, with no option; each result
+lands in its place, so reports do not depend on the thread.  ``fio_plan``
+classifies the pullback beside the amplitude's evaluation,
+``representation_residual`` applies T_{g1 g2} beside T_{g1}, and
+verify-numeric overlaps packets, element plans and images.  A plan built on
+the worker may fill caches the caller reads too: a ``Diffeo``'s monomial
+images and cached properties, a ``Poly``'s key and hash, and ``expr``'s name
+registry (under its lock).  Each entry is computed from the same exact
+input, so concurrent stores are of equal values and idempotent.
 
 Test functions are Gaussians decayed below 1e-14 at the box boundary, so
 periodization error sits at roundoff level; ``spectral_tail_fraction``
@@ -31,7 +44,12 @@ reports the high-frequency energy share as an aliasing diagnostic.
 
 from __future__ import annotations
 
+import _queue
+import contextvars
+import functools
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -53,6 +71,63 @@ class NonFiniteError(ValueError):
 
 class NonFiniteMapError(NonFiniteError):
     """A map phi or its inverse is infinite, NaN or complex on the grid."""
+
+
+# ---------------------------------------------------------------------------
+# one worker thread beside the caller
+
+# one worker, none on one CPU: every allocating thread keeps its own malloc
+# arena, and the grid work here comes in independent pairs
+WORKERS = min(1, len(os.sched_getaffinity(0)) - 1)
+_JOBS = _queue.SimpleQueue()       # the worker's queue, drained by callers too
+_START = threading.Lock()
+_worker = None
+
+
+def _run(job):
+    context, call, done = job
+    try:
+        done.put((True, context.run(call)))
+    except BaseException as exc:   # raised again in the thread that waits for it
+        done.put((False, exc))
+
+
+def _serve():
+    while True:
+        _run(_JOBS.get())
+
+
+def overlap(calls):
+    """The results of the zero-argument ``calls``, in order, computed beside
+    the caller: the caller runs the first call and every call the worker has
+    not yet taken.  Each call runs in a copy of the caller's context, so an
+    ``np.errstate`` reaches it.  Every call ends before the first error in
+    call order is raised.  With no worker, or from the worker itself, all run
+    here in order, so a call may overlap calls of its own."""
+    global _worker
+    here = WORKERS == 0 or threading.current_thread() is _worker
+    if not here and _worker is None:
+        with _START:
+            if _worker is None:
+                _worker = threading.Thread(target=_serve, name="numfio", daemon=True)
+                _worker.start()
+    jobs = [(contextvars.copy_context(), call, _queue.SimpleQueue()) for call in calls]
+    queue = _queue.SimpleQueue() if here else _JOBS
+    for job in jobs[1:]:
+        queue.put(job)
+    for job in jobs[:1]:        # the first call here, then those not yet taken
+        _run(job)
+    while True:
+        try:
+            job = queue.get_nowait()
+        except _queue.Empty:
+            break
+        _run(job)
+    results = [done.get() for _, _, done in jobs]
+    for ok, value in results:
+        if not ok:
+            raise value
+    return [value for _, value in results]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +220,9 @@ class WaveGrid:
         return np.fft.ifftn(np.asarray(c, dtype=complex) * self._mode_signs()) * c.size
 
     def norm(self, psi):
-        return float(np.sqrt(np.sum(np.abs(psi) ** 2) * self.delta ** self.dim))
+        power = np.abs(psi)
+        power *= power       # |psi|^2 in place, bit for bit ** 2
+        return float(np.sqrt(np.sum(power) * self.delta ** self.dim))
 
 
 def inner(grid, f, g):
@@ -195,9 +272,13 @@ def pullback_plan(grid, phi, consts=None):
     (A, b) of phi^{-1} (``Diffeo.inverse_affine``) is real, and only an
     integral A can permute the lattice, with one offset per axis to test;
     any other map must stay real on the grid and is tested at every point.
+
+    The applier leaves psi as it is.  Its ``in_place`` attribute is the same
+    map on a complex array of the grid's shape that the caller gives up: it
+    may overwrite that array and return it.
     """
     if phi.is_identity():
-        return lambda psi: np.array(psi, dtype=complex)
+        return _on_a_copy(lambda psi: psi)
     env = grid.coord_env(phi.coords, consts)
     affine = phi.inverse_affine
     reals = rows = fracs = None
@@ -210,7 +291,7 @@ def pullback_plan(grid, phi, consts=None):
                  for row, s in zip(rows, affine[1])]
     perm = None if fracs is None else _permutation_indices(grid, fracs, rows)
     if perm is not None:
-        return lambda psi: np.array(psi, dtype=complex)[perm]
+        return _on_a_copy(lambda psi: psi[perm])
 
     shear = _shear_data(grid, phi, env)
     if shear is not None:
@@ -218,20 +299,30 @@ def pullback_plan(grid, phi, consts=None):
         xi = grid.xi_axis()
         shape = [1] * grid.dim
         shape[axis] = grid.npoints
-        phase = np.exp(-1j / grid.hbar * xi.reshape(shape) * shift)
+        phase = -1j / grid.hbar * xi.reshape(shape) * shift
+        np.exp(phase, out=phase)
 
         def sheared(psi):
-            # one spectral buffer: ifft's out= needs numpy >= 2.0
-            modes = np.fft.fft(np.asarray(psi, dtype=complex), axis=axis)
-            modes *= phase
-            return np.fft.ifft(modes, axis=axis, out=modes)
-        return sheared
+            # in place, no second buffer: fft's out= needs numpy >= 2.0
+            np.fft.fft(psi, axis=axis, out=psi)
+            psi *= phase
+            return np.fft.ifft(psi, axis=axis, out=psi)
+        return _on_a_copy(sheared)
 
     _check_dense(grid, "pullback needs a structured (permutation or shear) map "
                  "at this grid size")
     if reals is None:
         reals = _real_targets(grid, phi.inverse, env)
-    return lambda psi: _bandlimited_pullback(grid, reals, psi)
+    return _on_a_copy(lambda psi: _bandlimited_pullback(grid, reals, psi))
+
+
+def _on_a_copy(pull):
+    """A ``pullback_plan`` applier: ``pull`` on a complex copy of psi, and
+    ``pull`` itself as its ``in_place`` attribute."""
+    def apply(psi):
+        return pull(np.array(psi, dtype=complex))
+    apply.in_place = pull
+    return apply
 
 
 def grid_pullback(grid, phi, psi, consts=None):
@@ -430,14 +521,20 @@ def _check_finite(arr, message="operator application produced non-finite values"
 
 
 def fio_plan(grid, amp, phi):
-    """Op(a, phi) = t_phi o Op(a o (phi x id)): quantize, then pull back.  When
-    a o (phi x id) is not finite, the map is checked before a is blamed."""
-    try:
-        quantize = kn_plan(grid, amp.substituted(dict(zip(amp.coords, phi.forward))))
-    except NonFiniteError:
-        _real_targets(grid, phi.forward + phi.inverse, grid.coord_env(phi.coords, amp.consts))
-        raise
-    pull = pullback_plan(grid, phi, consts=amp.consts)
+    """Op(a, phi) = t_phi o Op(a o (phi x id)): quantize, then pull back in
+    place on the fresh array the quantization returns.  The pullback is
+    classified beside the amplitude's evaluation; when a o (phi x id) is not
+    finite, the map is checked before a is blamed."""
+    def quantize_plan():
+        try:
+            return kn_plan(grid, amp.substituted(dict(zip(amp.coords, phi.forward))))
+        except NonFiniteError:
+            _real_targets(grid, phi.forward + phi.inverse,
+                          grid.coord_env(phi.coords, amp.consts))
+            raise
+
+    quantize, pull = overlap([quantize_plan,
+                              lambda: pullback_plan(grid, phi, consts=amp.consts).in_place])
     return lambda psi: pull(quantize(psi))
 
 
@@ -541,10 +638,17 @@ def unitarity_residual(grid, images, norms, gram):
 def representation_residual(grid, outer, product, images, psis, norms):
     """max relative L^2 error of T_{g1} T_{g2} psi - T_{g1 g2} psi over the
     packets psi, from the images T_{g2} psi, the operators ``outer`` = T_{g1}
-    and ``product`` = T_{g1 g2}, and the packet norms; a NaN is kept."""
+    and ``product`` = T_{g1 g2}, and the packet norms; a NaN is kept.  Both
+    operators return fresh arrays, as plans do: T_{g1 g2} psi is computed
+    beside T_{g1} T_{g2} psi and then overwritten by the difference."""
+    def difference(image, psi):
+        diff, moved = overlap([functools.partial(product, psi),
+                               functools.partial(outer, image)])
+        return np.subtract(moved, diff, out=diff)
+
     worst = 0.0
     for image, psi, norm in zip(images, psis, norms):
-        worst = np.maximum(worst, grid.norm(outer(image) - product(psi)) / norm)
+        worst = np.maximum(worst, grid.norm(difference(image, psi)) / norm)
     return float(worst)
 
 

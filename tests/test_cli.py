@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 import quantact
-from quantact import cli, expr
+from quantact import cli, expr, numfio
 from quantact.cli import ConfigError, SessionConfig, main, parse_config
 from quantact.expr import Expr, is_zero
 from quantact.symbols import load_symbol
@@ -807,15 +807,35 @@ monomials = 0
     ("amplitude", "coords = x1\nterms = 3^20000*xi1\n",
      "[amplitude] terms: power 20000 of a 2-bit coefficient may pass %d bits (at position 1)\n"
      "  3^20000*xi1\n   ^\n"),
-], ids=["parameter_sample", "expand_term"])
+    ("amplitude", "coords = x1\nterms = 3^4600*3^4600*xi1\n",
+     "[amplitude] terms: a product of coefficients of 7291 and 7291 bits may pass %d bits "
+     "(at position 6)\n  3^4600*3^4600*xi1\n        ^\n"),
+], ids=["parameter_sample", "expand_term", "product_of_powers"])
 def test_a_power_past_the_bit_budget_is_a_config_error(tmp_path, section, body, stderr):
     # a sampled parameter raised to 2^31 - 1 ran for minutes, and 3^20000
-    # was computed and then failed to render in the report
+    # was computed and then failed to render in the report, as did 3^9200,
+    # the product of two admitted powers
     task = "check-action" if section == "action" else "expand"
     cfg = write(tmp_path, "[session]\ntask = %s\nseed = 1\n\n[%s]\n%s" % (task, section, body))
     proc = _run_subprocess(tmp_path, cfg, timeout=20)
     assert proc.returncode == 2
     assert proc.stderr == "config error: " + stderr % expr.BIT_BUDGET
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_a_power_of_exp_atoms_past_the_term_budget_is_a_config_error(tmp_path):
+    # 861 terms, admitted while exp arguments did not count, each with an
+    # exp argument that composing the maps made an 861-term sum: check-action
+    # ran for minutes.  The 3 argument terms of the base count now
+    cfg = write(tmp_path, "[session]\ntask = check-action\nseed = 1\n\n[action]\n"
+                          "coords = x1\nparams = v\nforward = (cos(x1) + exp(i))^40\n"
+                          "inverse = cos(v)\nproduct = v__1 + v__2\nparam_inverse = -v\n"
+                          "param_identity = 0\n")
+    proc = _run_subprocess(tmp_path, cfg, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == ("config error: [action]: power 40 of a 3-term polynomial with 3 "
+                           "terms in exp arguments may have more than %d terms (at position 18)\n"
+                           "  (cos(x1) + exp(i))^40\n                    ^\n" % expr.TERM_BUDGET)
     assert not os.path.exists(tmp_path / "out")
 
 
@@ -1070,6 +1090,46 @@ def test_verify_numeric_applies_each_element_once_per_packet(monkeypatch, tmp_pa
         "momenta = 0,0 ; 1/10,-1/20\n", "momenta = 0,0\n")
     assert one != text
     assert count_applications(monkeypatch, tmp_path, one) == 3 * 1 + 2 * 6 * 1
+
+
+def test_verify_numeric_reports_do_not_depend_on_the_worker(monkeypatch, tmp_path):
+    # every result lands in its place wherever it was computed: the reports
+    # with the default worker and with none are the same bytes, for the
+    # config and for a 3-packet, 3-element variant of it
+    default = numfio.WORKERS
+    assert default == min(1, len(os.sched_getaffinity(0)) - 1)
+    text = read(os.path.join(CONFIGS, "galilean_numeric.cfg"))
+    three = text.replace("centers = 0,0 ; 0,0\n", "centers = 0,0 ; 0,0 ; 1,-1\n").replace(
+        "momenta = 0,0 ; 1/10,-1/20\n", "momenta = 0,0 ; 1/10,-1/20 ; 0,1/20\n")
+    assert three != text and "elements = 1/5 ; 1/10 ; -3/20" in three
+    for variant in (text, three):
+        reports = []
+        for workers in (default, 0):
+            monkeypatch.setattr(numfio, "WORKERS", workers)
+            out = tmp_path / ("out%d" % workers)
+            status, report = cli.run(SessionConfig.load(write(tmp_path, variant), out=str(out)))
+            assert status == 0, report
+            reports.append((report, read(out / "verify-numeric.txt", "rb")))
+        assert reports[0] == reports[1]
+    if default:
+        assert numfio._worker is not None and numfio._worker.is_alive()
+
+
+def test_verify_numeric_names_the_first_element_whose_plan_fails(monkeypatch, tmp_path):
+    # boosts leave t alone, so the pole t = 50 v is the grid point t = 5 for
+    # v = 1/10 and t = -7.5 for v = -3/20, and is off the grid for v = 1/5:
+    # two element plans fail, and the error names the first in element
+    # order, with the worker as without it
+    text = read(os.path.join(CONFIGS, "galilean_numeric.cfg"))
+    line = "expr = m*v*x - m*v*v*t/2\n"
+    cfg = write(tmp_path, text.replace(line, "expr = m*v*x - m*v*v*t/2 + 1/(t - 50*v)\n"))
+    errors = []
+    for workers in (numfio.WORKERS, 0):
+        monkeypatch.setattr(numfio, "WORKERS", workers)
+        with pytest.raises(ConfigError) as info:
+            cli.run(SessionConfig.load(cfg, out=str(tmp_path / "out")))
+        errors.append(str(info.value))
+    assert errors == ["[phase] at ((1/10)): amplitude is not finite on the grid"] * 2
 
 
 @pytest.mark.parametrize("task,line", [

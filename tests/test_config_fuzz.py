@@ -11,10 +11,9 @@ traceback.
 
 Exponents of 2^31 and more are refused when they are parsed, whatever their
 base.  40 is drawn on any subexpression, and a map may be the 40th power of
-a sum of polynomials: ``expr.TERM_BUDGET`` refuses, as a config error, a
-power or a substituted monomial that may outgrow it.  A power of a sum of
-exp atoms within the budget can still take minutes to compose, since the
-budget does not count exp arguments, so such sums are not raised to 40.
+a sum of two polynomials or exp atoms: ``expr.TERM_BUDGET`` refuses, as a
+config error, a power or a substituted monomial that may outgrow it, the
+terms of exp arguments counted in.
 2^31 - 1, the largest power a variable holds, is drawn on any name in
 ``expand`` terms and on the parameter of the maps, which takes a sampled
 rational to that power: ``expr.BIT_BUDGET`` refuses, as a config error, a
@@ -56,12 +55,14 @@ def expressions(names, top_names=()):
 
 def maps(names):
     """Map components: grammar text with the parameter v raised to 2^31 - 1,
-    or the 40th power of a sum of two polynomials in ``names`` and small
-    integers."""
+    or the 40th power of a sum of two parts, each a polynomial in ``names``
+    and small integers or exp, sin or cos of one."""
     poly = st.recursive(st.one_of(st.sampled_from(names), st.integers(0, 9).map(str)),
                         lambda inner: st.tuples(inner, st.sampled_from("+-*"), inner).map(
                             lambda t: "(%s %s %s)" % t), max_leaves=3)
-    return st.one_of(expressions(names, ["v"]), st.tuples(poly, poly).map(lambda t: "(%s + %s)^40" % t))
+    part = st.one_of(poly, st.tuples(st.sampled_from(["exp", "sin", "cos"]), poly).map(
+        lambda t: "%s(%s)" % t))
+    return st.one_of(expressions(names, ["v"]), st.tuples(part, part).map(lambda t: "(%s + %s)^40" % t))
 
 
 def run_config(tmp_path, text):

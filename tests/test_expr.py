@@ -500,6 +500,46 @@ def test_powers_and_substitutions_stop_at_the_term_budget(monkeypatch):
     assert len(x.pow(2).mul(y).subs(mapping, {}).terms) == 41 * 21
 
 
+def test_products_of_one_term_factors_stop_at_the_bit_budget():
+    # a product of one-term factors has one coefficient, whose parts have at
+    # most b1 + b2 bits: constants and monomials alike stop past the budget,
+    # and the largest admitted product renders
+    budget = expr.BIT_BUDGET
+    x, y = Poly.var("x"), Poly.var("y")
+    wide, wider = Poly.const(3 ** 4416), Poly.const(3 ** 4417)   # 7000 and 7001 bits
+    assert expr._bits(wide) + expr._bits(wider) == budget + 1
+    edge = wide.mul(wide).mul(x)
+    assert len(str(Expr(poly=edge))) < 4300
+    message = "a product of coefficients of 7000 and 7001 bits may pass %d bits" % budget
+    for p, q in ((wide, wider), (wide.mul(x), wider), (wide.mul(x), wider.mul(y))):
+        with pytest.raises(expr.ExprError, match=message):
+            p.mul(q)
+    # a Fraction's numerator and denominator count alike
+    assert expr._bits(Poly.const(GaussRat(Fraction(1, 3 ** 4417), 1))) == 7001
+
+
+def test_exp_arguments_count_toward_the_term_budget():
+    # (e^x + e^{-x} + e^i)^n has at most C(n + 2, 2) terms, each with an exp
+    # argument of at most the 3 argument terms of the base: 231 * 4 <= 1000 at
+    # n = 20, 253 * 4 > 1000 at n = 21
+    assert expr.TERM_BUDGET == 1000
+    x, y, z = Poly.var("x"), Poly.var("y"), Poly.var("z")
+    base = Poly.exp_atom(x).add(Poly.exp_atom(x.neg())).add(Poly.exp_atom(Poly.const(GaussRat(0, 1))))
+    base.pow(20)
+    with pytest.raises(expr.ExprError, match="power 21 of a 3-term polynomial with 3 terms in "
+                                             "exp arguments may have more than 1000 terms"):
+        base.pow(21)
+    # e^z x under x -> sum of k e^{j y}: k terms, each with a 2-term argument
+    def image(k):
+        total = Poly.zero()
+        for j in range(1, k + 1):
+            total = total.add(Poly.exp_atom(y.scalar_mul(j)))
+        return Poly.exp_atom(z).mul(x).subs({"x": total}, {})
+    assert len(image(333).terms) == 333
+    with pytest.raises(expr.ExprError, match="may have 1002 terms, more than 1000"):
+        image(334)
+
+
 def test_one_term_powers_stop_at_the_bit_budget(monkeypatch):
     # the parts of the coefficient of (c m)^n have at most n b bits, b the
     # widest part of c, n (2 b + 1) when c is complex; the budget bounds that

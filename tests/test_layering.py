@@ -38,11 +38,16 @@ names a Gaussian rational.
 The right factor of d_{P0} is one constant table per (h, alpha):
 ``dga._slot_maps`` takes no tuples and decomposes no symbol slot, and
 ``dga._matrix_of_twisted_d`` takes no product of a tuple.
+
+``import quantact`` loads neither ``concurrent.futures`` nor ``logging``:
+``numfio``'s worker thread is built on ``threading`` and ``_queue`` alone.
 """
 
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -472,3 +477,27 @@ def test_the_right_factor_guard_sees_parameters_and_calls(tmp_path):
     assert sorted(per_g_uses(str(path))) == [
         (1, "tuples"), (2, "_decompose_symbol_slot"), (2, "_decompose_symbol_slot"),
         (4, "product"), (4, "product")]
+
+
+# the worker beside the caller needs no executor: concurrent.futures would
+# load logging with it, which costs set-up time and memory on every import
+HEAVY_MODULES = ("concurrent.futures", "logging")
+
+
+def heavy_modules_loaded(module, path):
+    """The ``HEAVY_MODULES`` a fresh interpreter holds after ``import module``
+    with ``path`` first on its path."""
+    code = ("import sys, %s\nprint(' '.join(m for m in %r if m in sys.modules))"
+            % (module, HEAVY_MODULES))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout.split()
+
+
+def test_importing_quantact_loads_no_executor_and_no_logging():
+    assert heavy_modules_loaded("quantact", os.path.join(ROOT, "src")) == []
+
+
+def test_the_import_guard_sees_an_executor(tmp_path):
+    (tmp_path / "pooled.py").write_text("from concurrent.futures import ThreadPoolExecutor\n")
+    assert heavy_modules_loaded("pooled", str(tmp_path)) == list(HEAVY_MODULES)

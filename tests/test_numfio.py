@@ -10,6 +10,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from fractions import Fraction
 
@@ -794,3 +796,127 @@ def test_taylor_weight_conventions_differ_on_mixed_indices():
     assert off.status == "fitted"
     assert max(off.errors) > 1e-6
     assert off.slope <= 2.5
+
+
+# ---------------------------------------------------------------------------
+# the worker beside the caller
+
+
+def _on_the_worker(call, threads):
+    """``call()`` on the worker thread: the caller's own first call of
+    ``numfio.overlap`` waits until the worker has taken the second.  The
+    thread that ran ``call`` is appended to ``threads``."""
+    started = threading.Event()
+
+    def marked():
+        threads.append(threading.current_thread())
+        started.set()
+        return call()
+
+    def wait():
+        assert started.wait(timeout=10), "the worker took no call"
+
+    return numfio.overlap([wait, marked])[1]
+
+
+def test_overlap_keeps_call_order_and_raises_the_first_error():
+    ran = []
+
+    def call(k, fails=False):
+        ran.append(k)
+        if fails:
+            raise ValueError(k)
+        return k * k
+
+    assert numfio.overlap([lambda k=k: call(k) for k in range(5)]) == [0, 1, 4, 9, 16]
+    assert numfio.overlap([]) == []
+    ran.clear()
+    with pytest.raises(ValueError, match="^2$"):
+        numfio.overlap([lambda k=k: call(k, fails=k in (2, 3)) for k in range(5)])
+    assert sorted(ran) == [0, 1, 2, 3, 4]
+
+
+def test_every_call_ends_before_an_error_is_raised(monkeypatch):
+    # the caller's call fails while the worker's is still running: nothing
+    # of the failed overlap runs on after it
+    monkeypatch.setattr(numfio, "WORKERS", 1)
+    started, finished = threading.Event(), []
+
+    def slow():
+        started.set()
+        time.sleep(0.2)
+        finished.append(True)
+
+    def fails():
+        assert started.wait(timeout=10), "the worker took no call"
+        raise ValueError("first")
+
+    with pytest.raises(ValueError, match="first"):
+        numfio.overlap([fails, slow])
+    assert finished == [True]
+
+
+def test_an_overflow_on_the_worker_is_refused_under_the_callers_errstate(monkeypatch):
+    # np.errstate is a context variable: the worker runs each call in a copy
+    # of the caller's context, so the overflow is checked, not warned of
+    monkeypatch.setattr(numfio, "WORKERS", 1)
+    grid = grid_1d(npoints=64)
+    psi = 4.0 * gaussian(grid, centers=[0.0], sigma=0.5)
+    plan = kn_plan(grid, NumericAmplitude(10 ** 308, ["x1"]))
+    threads = []
+    with pytest.raises(numfio.NonFiniteError):
+        with np.errstate(all="ignore"):
+            _on_the_worker(lambda: plan(psi), threads)
+    assert threads == [numfio._worker]
+
+
+def test_a_call_that_overlaps_calls_of_its_own_finishes(monkeypatch):
+    # the worker runs the calls it makes itself, in order: waiting for its
+    # own queue would never end
+    monkeypatch.setattr(numfio, "WORKERS", 1)
+    threads, results = [], []
+    runner = threading.Thread(target=lambda: results.append(_on_the_worker(
+        lambda: numfio.overlap([lambda: 1, lambda: 2]), threads)), daemon=True)
+    runner.start()
+    runner.join(timeout=10)
+    assert not runner.is_alive()
+    assert results == [[1, 2]]
+    assert threads == [numfio._worker]
+
+
+def test_concurrent_callers_each_get_their_own_results(monkeypatch):
+    # more callers than CPUs share the worker's queue and take each other's
+    # calls while they wait: every call runs once, and every caller gets its
+    # own results in order
+    monkeypatch.setattr(numfio, "WORKERS", 1)
+    ran, wrong = [], []
+
+    def record(*key):
+        ran.append(key)
+        return key
+
+    def caller(c):
+        for r in range(40):
+            got = numfio.overlap([lambda k=k: record(c, r, k) for k in range(4)])
+            if got != [(c, r, k) for k in range(4)]:
+                wrong.append((c, r, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(c,), daemon=True) for c in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert wrong == []
+    assert sorted(ran) == [(c, r, k) for c in range(6) for r in range(40) for k in range(4)]
+
+
+def test_no_worker_runs_every_call_on_the_caller(monkeypatch):
+    monkeypatch.setattr(numfio, "WORKERS", 0)
+    caller = threading.current_thread()
+    assert numfio.overlap([threading.current_thread] * 3) == [caller] * 3
