@@ -264,9 +264,9 @@ SLOT_BUDGET = 12_000
 
 # Symbol slots in the slot maps: m x |multi-indices(dim, n)| stars of n + 1
 # slots at each order n the task runs.  On the same machine, cohomology at
-# basis degree 0 on C4, orders 0..20 (85,008), takes 1.2 s, on sign_flip_c2,
-# orders 0..80 (180,441), 0.8 s, and mc-solve there at order 300 (90,601)
-# 0.8 s; runs near 12,000 take 0.06-0.3 s, so this count has its own budget.
+# basis degree 0 on C4, orders 0..20 (85,008), takes 1.0-1.4 s, on sign_flip_c2,
+# orders 0..80 (180,441), 0.3-0.45 s, and mc-solve there at order 300 (90,601)
+# 0.15-0.2 s; runs near 12,000 take 0.06-0.3 s, so this count has its own budget.
 SYMBOL_BUDGET = 100_000
 
 

@@ -16,12 +16,18 @@ quantizations compose like the group, T_{g1} T_{g2} = T_{g1 g2}.
 Scalar phase cochains form the companion complex with the left action
 (g.S)(x) = S(phi_g^{-1}(x)) included as the outer face maps; a real 1-cocycle
 S there exponentiates to a Maurer-Cartan element g -> e^{i S_g}.  A
-PhaseCochain is a Cochain whose values are scalar Exprs.  Symbols and Exprs
-share the operators +, -, unary - and scalar *, so one Cochain algebra
-(``add``, ``sub``, ``scale``), one interior-face sum (used by ``d`` and by
-``delta_phase``) and one ``cochain_zero_report`` serve both kinds.  The
-report folds the checks on each tuple through ``expr.all_zero``, so a line
-is exact only when every check behind it is.
+PhaseCochain is a Cochain whose values are scalar Exprs.  One interior-face
+sum serves ``d`` and ``delta_phase``, and one ``cochain_zero_report`` both
+kinds; the report folds the checks on each tuple through ``expr.all_zero``,
+so a line is exact only when every check behind it is.
+
+Every sum adds into one ``expr.Accumulator`` per output coefficient, a
+symbol's through ``symbols.symbol_sum``.  ``add``, ``sub`` and ``scale``
+return one lazy combination: nested combinations flatten into its terms
+s * leaf, a leaf being any other cochain, so d and star_graded stay cached
+and are read once per tuple (flattening through d would read its argument
+on every face path).  A coefficient with a tree term, and a phase value,
+takes the nested Expr arithmetic the calls built instead.
 
 The twisted differential d_{P0} a = da + P0*a - (-1)^k a*P0 governs the
 order-by-order correction problem: with P^1..P^{n-1} known, the order-n
@@ -66,11 +72,11 @@ import itertools
 import random
 
 from .actions import Diffeo
-from .expr import Expr, GaussRat, _accumulate, all_zero, as_expr, is_zero
+from .expr import Accumulator, Expr, GaussRat, _add_scaled, all_zero, as_expr, is_zero
 from .linalg import SparseMatrix, _reduced_echelon, rank, solve
 from .opcalc import FormalFunction, FormalOperator, apply, star
 from .report import Report
-from .symbols import FormalSymbol, PolyXi, monomial, multi_indices
+from .symbols import FormalSymbol, PolyXi, monomial, multi_indices, symbol_sum
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +126,13 @@ class Cochain:
         return v
 
     def add(self, other):
-        self._check(other)
-        return Cochain(self.action, self.degree, self.order,
-                       fn=lambda gs: self.value(gs) + other.value(gs))
+        return _combination(self, "+", other)
 
     def sub(self, other):
-        self._check(other)
-        return Cochain(self.action, self.degree, self.order,
-                       fn=lambda gs: self.value(gs) - other.value(gs))
+        return _combination(self, "-", other)
 
     def scale(self, c):
-        return Cochain(self.action, self.degree, self.order,
-                       fn=lambda gs: self.value(gs) * c)
+        return _combination(self, "*", as_expr(c))
 
     def _check(self, other):
         if self.degree != other.degree or self.order != other.order:
@@ -142,6 +143,51 @@ class Cochain:
         if not self.action.is_finite:
             raise ValueError("enumeration needs a finite group")
         return _tuples(self.action, self.degree)
+
+
+def _combination(a, op, y):
+    """a op y as one lazy linear combination (module docstring): per tuple,
+    each leaf once, then one Accumulator per output coefficient over the flat
+    terms s*leaf.  Phase values, and symbols with a tree term, take the plan's
+    own arithmetic instead."""
+    if op != "*":
+        a._check(y)
+        y = getattr(y, "plan", y)
+    plan = (op, getattr(a, "plan", a), y)   # any cochain but a combination is a leaf
+    terms = _flat(plan)
+    leaves = list(dict.fromkeys(leaf for leaf, _ in terms))
+
+    def val(gs):
+        vals = {leaf: leaf.value(gs) for leaf in leaves}
+        out = None if isinstance(vals[leaves[0]], Expr) else symbol_sum(
+            a.dim, a.order, [(vals[leaf], s) for leaf, s in terms], strict=True)
+        return _nested(plan, vals) if out is None else out
+
+    out = Cochain(a.action, a.degree, a.order, fn=val)
+    out.plan = plan
+    return out
+
+
+def _flat(plan, s=1):
+    """The (leaf, s) terms of a plan, s the product of the scales and signs
+    above the leaf: 1 or -1 when it is one, which adds without a product."""
+    if isinstance(plan, Cochain):
+        return [(plan, s)]
+    op, x, y = plan
+    if op == "*":
+        s = y * s
+        return _flat(x, s.const_value().re if s.is_const() and s.const_value() in (1, -1)
+                     else s)
+    return _flat(x, s) + _flat(y, -s if op == "-" else s)
+
+
+def _nested(plan, vals):
+    """The value of a plan in symbol (or Expr) arithmetic, nested as it was built."""
+    if isinstance(plan, Cochain):
+        return vals[plan]
+    op, x, y = plan
+    u = _nested(x, vals)
+    return u * y if op == "*" else u + _nested(y, vals) if op == "+" else u - _nested(y, vals)
 
 
 def _tuples(action, k, normalized=False):
@@ -192,20 +238,17 @@ def _tuple_label(action, gs):
 # differential and product
 
 
-def _interior_faces(a, gs, total):
-    """total + sum_{i=1..k} (-1)^i a(g_1, .., g_i g_{i+1}, .., g_{k+1}), k = deg a."""
-    for i in range(1, a.degree + 1):
-        merged = gs[:i - 1] + (a.action.mult(gs[i - 1], gs[i]),) + gs[i + 1:]
-        face = a.value(merged)
-        total = total - face if i % 2 else total + face
-    return total
+def _faces(a, gs):
+    """The pairs (a(g_1, .., g_i g_{i+1}, .., g_{k+1}), (-1)^i), i = 1..k = deg a."""
+    return [(a.value(gs[:i - 1] + (a.action.mult(gs[i - 1], gs[i]),) + gs[i + 1:]),
+             -1 if i % 2 else 1) for i in range(1, a.degree + 1)]
 
 
 def d(a):
     """Interior-face differential; zero map on degree 0."""
     dim, order = a.action.dim, a.order
     return Cochain(a.action, a.degree + 1, order,
-                   fn=lambda gs: _interior_faces(a, gs, FormalSymbol.zero(dim, order)))
+                   fn=lambda gs: symbol_sum(dim, order, _faces(a, gs)))
 
 
 def star_graded(a, b):
@@ -274,10 +317,10 @@ def delta_phase(c):
     k = c.degree
 
     def val(gs):
-        total = c.action.diffeo(gs[0]).pullback(c.value(gs[1:]))
-        total = _interior_faces(c, gs, total)
-        last = c.value(gs[:k])
-        return total + last if k % 2 else total - last
+        acc = Accumulator(c.action.diffeo(gs[0]).pullback(c.value(gs[1:])))
+        for v, s in _faces(c, gs) + [(c.value(gs[:k]), 1 if k % 2 else -1)]:
+            acc.add(v, s)
+        return acc.expr()
 
     return PhaseCochain(c.action, k + 1, fn=val)
 
@@ -431,16 +474,14 @@ class CoefficientBasis:
             if row is None:
                 if mono not in self._monomials:
                     raise BasisEscapeError("coefficient %s escapes the basis span" % e)
-                _accumulate(rest, mono, c)
+                _add_scaled(rest, ((mono, c),), 1, 0)
                 continue
             others, back = row
-            for m, v in others.items():
-                _accumulate(rest, m, -(c * v))
-            for j, v in back.items():
-                _accumulate(out, j, c * v)
+            _add_scaled(rest, others.items(), -c.re, -c.im)
+            _add_scaled(out, back.items(), c.re, c.im)
         if rest:
             raise BasisEscapeError("coefficient %s escapes the basis span" % e)
-        return out
+        return {j: GaussRat(*parts) for j, parts in out.items()}
 
     def closure_report(self, action, rng=None):
         """Check the span is preserved by all (sampled) pullbacks."""
@@ -485,8 +526,9 @@ class SolveResult:
 
 
 def _slot_coeffs(v, n):
-    """{alpha: coefficient} of the order-n slot of a symbol, every other slot zero."""
-    if any(not comp.is_zero() for n2, comp in enumerate(v.comps) if n2 != n):
+    """{alpha: coefficient} of the order-n slot of a symbol, every other slot
+    zero; an empty slot is zero without a check."""
+    if any(comp.coeffs and not comp.is_zero() for n2, comp in enumerate(v.comps) if n2 != n):
         raise BasisEscapeError("value has support outside the solved order")
     return v.comps[n].coeffs
 
@@ -499,7 +541,7 @@ def _decompose_symbol_slot(v, n, basis):
 
 def _slot_symbol(dim, order, n, coeffs):
     """Symbol of truncation ``order`` with the {alpha: coefficient} ``coeffs`` in slot n."""
-    comps = [PolyXi.zero(dim) for _ in range(order + 1)]
+    comps = [PolyXi.zero(dim)] * (order + 1)   # one shared empty slot
     comps[n] = PolyXi(dim, coeffs)
     return FormalSymbol(dim, order, comps)
 

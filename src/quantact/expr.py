@@ -33,6 +33,10 @@ first use; the registry keeps names only, never a result.  Powers stop at
 is one int addition.  A monomial with an exp atom is the pair (int, argument
 Poly).  Walks that fix an order (``key``, ``str``, ``eval``, ``fold``,
 ``subs``, ``free_names``) visit the exp atom first, then the names in order.
+Sums and products add in place into a dict monomial -> (re, im) (``_mac``),
+which becomes a Poly once: ``Accumulator`` sums a_1*b_1 + a_2*b_2 + ... so for
+each coefficient of a cochain sum, a star product or a face sum, and falls
+back to Expr arithmetic, in order, from its first tree term on.
 
 Sampling (``Expr.eval``), substitution (``substitution``) and grid
 evaluation (``numfio.eval_expr``) are folds: ``Expr.fold`` combines tree nodes
@@ -178,6 +182,11 @@ GR_I = GaussRat(0, 1)
 
 
 def _frac_str(f):
+    # the budgets bound powers and one-term products before they are made;
+    # any other coefficient past BIT_BUDGET bits stops here, where it renders
+    if (bits := (abs(f.numerator) | f.denominator).bit_length()) > BIT_BUDGET:
+        raise ExprError("a coefficient part of %d bits is too wide to render (more than %d)"
+                        % (bits, BIT_BUDGET))
     return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
 
 
@@ -244,7 +253,7 @@ def _mono_mul(m1, m2):
 
 def _mac(acc, terms1, terms2):
     """acc += terms1 * terms2 for (monomial, GaussRat) iterables, acc holding
-    monomial -> (re, im); a zero sum leaves acc, as in ``_accumulate``."""
+    monomial -> (re, im); a zero sum leaves acc."""
     guard = _GUARD
     rows = [(m2, type(m2) is int, c2.re, c2.im) for m2, c2 in terms2]
     for m1, c1 in terms1:
@@ -269,6 +278,36 @@ def _mac(acc, terms1, terms2):
             acc[m] = (r, i)
 
 
+def _add_scaled(acc, terms, r2, i2):
+    """acc += (r2 + i2*i) * terms, as ``_mac`` by a constant would add them."""
+    for m, c in terms:
+        r, i = c.re * r2 - c.im * i2, c.re * i2 + c.im * r2
+        old = acc.get(m)
+        if old is not None:
+            r += old[0]
+            i += old[1]
+            if not (r or i):
+                del acc[m]
+                continue
+        acc[m] = (r, i)
+
+
+def _check_product(p1, p2):
+    """As for a one-term power, a product of one-term factors (a product of
+    powers) has one coefficient, of parts of at most b1 + b2 bits: refused past
+    BIT_BUDGET before ``Poly.mul`` or ``Accumulator`` forms it."""
+    if len(p1.terms) == 1 == len(p2.terms):
+        b1, b2 = _bits(p1), _bits(p2)
+        if b1 + b2 > BIT_BUDGET:
+            raise ExprError("a product of coefficients of %d and %d bits may pass %d bits"
+                            % (b1, b2, BIT_BUDGET))
+
+
+def _poly_of(acc):
+    """The Poly of a ``_mac`` accumulator, monomial -> (re, im)."""
+    return Poly({m: GaussRat(r, i) for m, (r, i) in acc.items()})
+
+
 def _arg_sizes(poly):
     """The size of each exp argument of ``poly``: its terms, the terms of
     their own exp arguments counted in."""
@@ -283,19 +322,6 @@ def _bits(poly):
         for q in (c.re, c.im):
             top |= abs(q) if type(q) is int else abs(q.numerator) | q.denominator
     return top.bit_length()
-
-
-def _accumulate(terms, m, c):
-    """Add the nonzero term c*m into ``terms`` in place, dropping a zero sum."""
-    old = terms.get(m)
-    if old is None:
-        terms[m] = c
-        return
-    s = old + c
-    if s.is_zero():
-        del terms[m]
-    else:
-        terms[m] = s
 
 
 class Poly:
@@ -369,23 +395,14 @@ class Poly:
 
     # arithmetic -----------------------------------------------------------
 
-    def add(self, other, op=operator.add):
-        """self op other, op adding or subtracting the parts inline."""
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            old = terms.get(m)
-            if old is None:
-                terms[m] = c if op is operator.add else -c
-                continue
-            re, im = op(old.re, c.re), op(old.im, c.im)
-            if re or im:
-                terms[m] = GaussRat(re, im)
-            else:
-                del terms[m]
-        return Poly(terms)
+    def add(self, other, sign=1):
+        """self + sign * other, sign 1 or -1."""
+        acc = {m: (c.re, c.im) for m, c in self.terms.items()}
+        _add_scaled(acc, other.terms.items(), sign, 0)
+        return _poly_of(acc)
 
     def sub(self, other):
-        return self.add(other, operator.sub)
+        return self.add(other, -1)
 
     def neg(self):
         return Poly({m: -c for m, c in self.terms.items()})
@@ -400,13 +417,7 @@ class Poly:
         return Poly({m: v * c for m, v in self.terms.items()})
 
     def mul(self, other):
-        # as for a one-term power, a product of one-term factors (a product of
-        # powers) is one term whose coefficient parts have at most b1 + b2 bits
-        if len(self.terms) == 1 == len(other.terms):
-            b1, b2 = _bits(self), _bits(other)
-            if b1 + b2 > BIT_BUDGET:
-                raise ExprError("a product of coefficients of %d and %d bits may pass %d bits"
-                                % (b1, b2, BIT_BUDGET))
+        _check_product(self, other)
         # a constant factor scales the terms of the other, in their order
         if len(other.terms) == 1 and 0 in other.terms:
             return self.scalar_mul(other.terms[0])
@@ -414,23 +425,26 @@ class Poly:
             return other.scalar_mul(self.terms[0])
         acc = {}
         _mac(acc, self.terms.items(), other.terms.items())
-        return Poly({m: GaussRat(r, i) for m, (r, i) in acc.items()})
+        return _poly_of(acc)
 
     def pow(self, n):
         if n < 0:
             raise ExprError("negative power at polynomial level")
         # past 2^31 - 1 a variable overflows its field, and any power but
         # that of c*exp(A), c in {1, -1, i, -i}, grows without bound; a
-        # one-term power's coefficient is (p1 q2 + i p2 q1)^n / (q1 q2)^n
+        # one-term power's coefficient is (p1 q2 + i p2 q1)^n / (q1 q2)^n, and
+        # a t-term power's sum up to t^n such products, log2 t more bits each
         if n > 1 and self.terms:
             (mono, c), *rest = self.terms.items()
             grows = rest or c.re * c.im or abs(c.re + c.im) != 1
             if n > _MAX_POWER and (grows or _split(mono)[1]):
                 raise ExprError("power %d exceeds 2^31 - 1" % n)
-            bits = max(v.bit_length() for q in (c.re, c.im) for v in (q.numerator, q.denominator))
-            if grows and not rest and n * (2 * bits + 1 if c.re and c.im else bits) > BIT_BUDGET:
-                raise ExprError("power %d of a %d-bit coefficient may pass %d bits"
-                                % (n, bits, BIT_BUDGET))
+            bits, log_t = _bits(self), len(rest).bit_length()
+            width = 2 * bits + 1 if any(v.re and v.im for v in self.terms.values()) else bits
+            if grows and n * (width + log_t) > BIT_BUDGET:
+                raise ExprError("power %d of a %s%d-bit coefficient%s may pass %d bits"
+                                % (n, "%d-term polynomial with " % len(self.terms) if rest
+                                   else "", bits, "s" if rest else "", BIT_BUDGET))
         # C(n + k, k), k < t: a t-term power n has at most C(n + t - 1, t - 1)
         # terms, each with an exp argument of at most the terms of all the
         # base's arguments together
@@ -464,17 +478,16 @@ class Poly:
 
     def diff(self, name):
         shift = _SHIFTS.get(name)
-        out = {}
+        acc = {}
         for mono, c in self.terms.items():
             v, arg = (mono, None) if type(mono) is int else mono
             if arg is not None:
-                for m, dc in arg.diff(name).mul(Poly({mono: c})).terms.items():
-                    _accumulate(out, m, dc)
+                _add_scaled(acc, arg.diff(name).mul(Poly({mono: c})).terms.items(), 1, 0)
             p = 0 if shift is None else (v >> shift) & _FIELD
             if p:
                 v -= 1 << shift
-                _accumulate(out, v if arg is None else (v, arg), GaussRat(c.re * p, c.im * p))
-        return Poly(out)
+                _add_scaled(acc, ((v if arg is None else (v, arg), c),), p, 0)
+        return _poly_of(acc)
 
     def subs(self, mapping, images):
         """Substitute variables by Polys; mapping: name -> Poly.  ``images``
@@ -501,8 +514,8 @@ class Poly:
                                         % (size, TERM_BUDGET))
                     image = image.mul(power)
                 images[mono] = image
-            _mac(acc, image.terms.items(), ((0, c),))
-        return Poly({m: GaussRat(r, i) for m, (r, i) in acc.items()})
+            _add_scaled(acc, image.terms.items(), c.re, c.im)
+        return _poly_of(acc)
 
     def eval(self, values):
         """Evaluate at a point; values: name -> complex/int/Fraction/GaussRat.
@@ -857,6 +870,54 @@ def as_expr(v):
     raise TypeError("cannot coerce %r to Expr" % (v,))
 
 
+class Accumulator:
+    """start + a_1*b_1 + a_2*b_2 + ... for one coefficient, b an Expr or 1 or -1.
+
+    While the terms are canonical, their products go through ``_mac`` into
+    one dict monomial -> (re, im), and ``expr`` builds one Poly at the end.
+    From the first tree term on, the sum goes on in Expr arithmetic, term by
+    term, so it has the tree shape and certificate that ``+`` and ``-``
+    build.  Without a start the first term stands alone; with ``drop`` a
+    canonical sum that has reached zero counts as none, as a symbol drops it.
+    """
+
+    __slots__ = ("acc", "tree", "empty", "drop")
+
+    def __init__(self, start=None, drop=False):
+        self.acc, self.tree, self.empty, self.drop = {}, None, True, drop
+        if start is not None:
+            self.add(start)
+
+    def add(self, a, b=1):
+        """The sum plus a*b (b = -1 subtracts a); True while it is canonical."""
+        if self.tree is None and a.poly is not None and (type(b) is int or b.poly is not None):
+            if type(b) is int:
+                _add_scaled(self.acc, a.poly.terms.items(), b, 0)
+            else:
+                _check_product(a.poly, b.poly)
+                c = b.poly.terms.get(0) if len(b.poly.terms) == 1 else None
+                if c is None:
+                    _mac(self.acc, a.poly.terms.items(), b.poly.terms.items())
+                else:   # a constant b scales the terms of a in place
+                    _add_scaled(self.acc, a.poly.terms.items(), c.re, c.im)
+            self.empty = False
+            return True
+        term = a * b if type(b) is not int else a if b > 0 else -a
+        if self.tree is not None:
+            self.tree = self.tree + term
+        else:
+            self.tree = term if self.empty or self.drop and not self.acc else self.expr() + term
+        return False
+
+    def expr(self):
+        if self.tree is not None:
+            return self.tree
+        return Expr(poly=_poly_of(self.acc)) if self.acc else _ZERO   # a zero sum
+
+
+_ZERO = Expr.zero()
+
+
 def substitution(mapping):
     """The map e -> e o mapping, for mapping: name -> Expr (or int/Fraction).
 
@@ -871,7 +932,11 @@ def substitution(mapping):
             lambda poly: poly.fold(Expr.zero(), as_expr, var, Expr.exp), Expr)
     polys = {k: v.poly for k, v in mapping.items()}
     images = {}
-    return lambda e: as_expr(e).fold(lambda poly: Expr(poly=poly.subs(polys, images)), Expr)
+
+    def apply(e):   # a canonical e is its own one leaf: no fold to dispatch
+        return Expr(poly=e.poly.subs(polys, images)) if type(e) is Expr and e.poly is not None \
+            else as_expr(e).fold(lambda poly: Expr(poly=poly.subs(polys, images)), Expr)
+    return apply
 
 
 # tree node kind -> operator on the children's values; exp comes from the

@@ -25,16 +25,19 @@ cochain, in a table keyed by (n2, beta, alpha), from the carrier of
 alpha - e_j: ``dga.star_graded`` hands ``star`` one table per right tuple,
 and a call without a table fills a fresh one.  Pullbacks by phi1^{-1} go
 through ``Diffeo.pullback``: each map keeps one substitution of its inverse,
-which keeps the images of the monomials it meets.
+which keeps the images of the monomials it meets.  Each output coefficient
+sums its terms f * phi1^*(c) in one ``expr.Accumulator``, and only nonempty
+components are walked, so empty slots cost a star nothing.
 """
 
 from __future__ import annotations
 
 from .actions import Diffeo, compose_diffeo
-from .expr import Expr, as_expr, is_zero
+from .expr import Accumulator, Expr, as_expr, is_zero
 from .symbols import FormalSymbol, PolyXi, lower_last
 
 _MINUS_I = Expr.gauss(0, -1)
+_ZERO = Expr.zero()
 
 
 class FormalFunction:
@@ -105,7 +108,7 @@ def apply(op, fn):
         fn = FormalFunction.from_expr(as_expr(fn), op.order)
     if fn.order != op.order:
         raise ValueError("operator and function truncations must match")
-    out = [Expr.zero() for _ in range(op.order + 1)]
+    out = [Accumulator(_ZERO) for _ in range(op.order + 1)]
     for n, table in enumerate(op.terms):
         for alpha, f in table.items():
             for j, psi in enumerate(fn.terms):
@@ -114,37 +117,25 @@ def apply(op, fn):
                     break
                 if psi.is_exact_zero():
                     continue
-                deriv = op.phi.pullback(_d_alpha(psi, op.coords, alpha))
-                out[m] = out[m] + f * deriv
-    return FormalFunction(op.order, out)
-
-
-def _add_into(table, key, value):
-    """table[key] += value, a missing key counting as Expr.zero()."""
-    old = table.get(key)
-    if old is None:
-        # a tree keeps the 0 + value node that a sum from zero builds
-        table[key] = value if value.is_canonical else Expr.zero() + value
-    else:
-        table[key] = old + value
+                out[m].add(f, op.phi.pullback(_d_alpha(psi, op.coords, alpha)))
+    return FormalFunction(op.order, [s.expr() for s in out])
 
 
 def _carrier_step(carrier, coords, j, jac):
-    """D_j of sum_gamma c_gamma (D^gamma psi) o phi2^{-1}; a constant c_gamma
-    is not differentiated."""
+    """D_j of sum_gamma c_gamma (D^gamma psi) o phi2^{-1}, each coefficient a
+    sum from zero; a constant c_gamma is not differentiated."""
     nxt = {}
     for gamma, c in carrier.items():
         if not c.is_const():
-            dc = c.diff(coords[j]) * _MINUS_I
+            dc = c.diff(coords[j])
             if not dc.is_exact_zero():
-                _add_into(nxt, gamma, dc)
+                (nxt.get(gamma) or nxt.setdefault(gamma, Accumulator(_ZERO))).add(dc, _MINUS_I)
         for i, row in enumerate(jac):
             ji = row[j]
-            if ji.is_exact_zero():
-                continue
-            gi = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1:]
-            _add_into(nxt, gi, c * ji)
-    return nxt
+            if not ji.is_exact_zero():
+                gi = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1:]
+                (nxt.get(gi) or nxt.setdefault(gi, Accumulator(_ZERO))).add(c, ji)
+    return {gamma: acc.expr() for gamma, acc in nxt.items()}
 
 
 def _product(p, phi1, k, phi2, carriers=None):
@@ -171,21 +162,26 @@ def _product(p, phi1, k, phi2, carriers=None):
                 carrier(n2, beta, g, step[1]), coords, step[0], jac)
         return carriers[key]
 
-    out = [dict() for _ in range(order + 1)]
+    # only nonempty components are walked; out[n][gamma] sums f * phi1^*(c)
+    right = [(n2, comp.coeffs) for n2, comp in enumerate(k.comps) if comp.coeffs]
+    out = {}
     for n1, comp1 in enumerate(p.comps):
         for alpha, f in comp1.coeffs.items():
-            for n2, comp2 in enumerate(k.comps):
+            for n2, coeffs2 in right:
                 if n1 + n2 > order:
                     break
-                table = out[n1 + n2]
-                for beta, g in comp2.coeffs.items():
+                table = out.setdefault(n1 + n2, {})
+                for beta, g in coeffs2.items():
                     for gamma, c in carrier(n2, beta, g, alpha).items():
-                        coeff = f * phi1.pullback(c)
-                        old = table.get(gamma)
-                        table[gamma] = coeff if old is None else old + coeff
+                        acc = table.get(gamma) or table.setdefault(gamma, Accumulator())
+                        acc.add(f, phi1.pullback(c))
 
-    # the sums may hold exact zeros, which PolyXi.unchecked drops
-    return FormalSymbol.unchecked(dim, order, [PolyXi.unchecked(dim, t) for t in out])
+    # the sums may be exact zeros, which PolyXi.unchecked drops; an empty
+    # component is one shared empty PolyXi
+    empty = PolyXi.unchecked(dim, {})
+    return FormalSymbol.unchecked(dim, order, [
+        PolyXi.unchecked(dim, {gamma: acc.expr() for gamma, acc in out[n].items()})
+        if n in out else empty for n in range(order + 1)])
 
 
 def compose(op1, op2):

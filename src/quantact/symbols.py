@@ -15,6 +15,10 @@ into this space by Taylor expanding each a^k at xi = 0,
 with c_alpha = 1/alpha! (the per-component factorial).  The alternative
 normalization c_alpha = 1/|alpha|! is selectable for numerical cross-checks;
 the two agree in one dimension and differ for mixed multi-indices.
+
+``symbol_sum`` forms every sum of symbols, ``add``, ``sub``, ``neg`` and
+``scale`` included, with one ``expr.Accumulator`` per coefficient (n, alpha).
+An empty slot is skipped, and may be one shared empty PolyXi.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .expr import Expr, ExprError, as_expr, is_zero, parse, substitution
+from .expr import Accumulator, Expr, ExprError, as_expr, is_zero, parse, substitution
 
 
 def multi_indices(dim, max_total):
@@ -108,34 +112,11 @@ class PolyXi:
     def coefficient(self, alpha):
         return self.coeffs.get(tuple(alpha), Expr.zero())
 
-    def add(self, other):
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out[a] + c if a in out else c
-        return PolyXi.unchecked(self.dim, out)
-
-    def neg(self):
-        return PolyXi.unchecked(self.dim, {a: -c for a, c in self.coeffs.items()})
-
-    def sub(self, other):
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out[a] - c if a in out else -c
-        return PolyXi.unchecked(self.dim, out)
-
-    def scale(self, e):
-        e = as_expr(e)
-        return PolyXi.unchecked(self.dim, {a: c * e for a, c in self.coeffs.items()})
-
     def to_expr(self, xi_names):
         out = Expr.zero()
         for alpha, c in self.coeffs.items():
             out = out + c * monomial(xi_names, alpha)
         return out
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyXi) and self.dim == other.dim
-                and self.sub(other).is_zero())
 
     def __repr__(self):
         return "PolyXi(%d, %r)" % (self.dim, {a: str(c) for a, c in self.coeffs.items()})
@@ -150,14 +131,14 @@ class FormalSymbol:
         self.dim = dim
         self.order = order
         if comps is None:
-            comps = [PolyXi.zero(dim) for _ in range(order + 1)]
+            comps = [PolyXi.zero(dim)] * (order + 1)   # one shared empty slot
         comps = list(comps)
         if len(comps) != order + 1:
             raise ValueError("expected %d components" % (order + 1))
         for n, comp in enumerate(comps):
             if comp.dim != dim:
                 raise ValueError("component dimension mismatch")
-            if comp.xi_degree() > n:
+            if comp.coeffs and comp.xi_degree() > n:   # an empty slot passes
                 raise ValueError(
                     "order-%d component has frequency degree %d > %d"
                     % (n, comp.xi_degree(), n))
@@ -176,32 +157,30 @@ class FormalSymbol:
 
     @staticmethod
     def one(dim, order):
-        comps = [PolyXi.zero(dim) for _ in range(order + 1)]
+        comps = [PolyXi.zero(dim)] * (order + 1)
         comps[0] = PolyXi.constant(dim, Expr.one())
         return FormalSymbol(dim, order, comps)
 
     @staticmethod
     def from_scalar(dim, order, e):
         """Frequency-independent order-0 symbol with value e."""
-        comps = [PolyXi.zero(dim) for _ in range(order + 1)]
+        comps = [PolyXi.zero(dim)] * (order + 1)
         comps[0] = PolyXi.constant(dim, as_expr(e))
         return FormalSymbol(dim, order, comps)
 
     def add(self, other):
         self._check_compatible(other)
-        return FormalSymbol.unchecked(self.dim, self.order,
-                                      [a.add(b) for a, b in zip(self.comps, other.comps)])
+        return symbol_sum(self.dim, self.order, [(self, 1), (other, 1)])
 
     def sub(self, other):
         self._check_compatible(other)
-        return FormalSymbol.unchecked(self.dim, self.order,
-                                      [a.sub(b) for a, b in zip(self.comps, other.comps)])
+        return symbol_sum(self.dim, self.order, [(self, 1), (other, -1)])
 
     def neg(self):
-        return FormalSymbol.unchecked(self.dim, self.order, [c.neg() for c in self.comps])
+        return symbol_sum(self.dim, self.order, [(self, -1)])
 
     def scale(self, e):
-        return FormalSymbol.unchecked(self.dim, self.order, [c.scale(e) for c in self.comps])
+        return symbol_sum(self.dim, self.order, [(self, as_expr(e))])
 
     # the operators call the named methods, so wrapping a method wraps its operator
     def __add__(self, other):
@@ -237,6 +216,25 @@ class FormalSymbol:
         rows = ["%d %s %s" % (n, alpha, c) for n, comp in enumerate(self.comps)
                 for alpha, c in sorted(comp.coeffs.items())]
         return "FormalSymbol(dim=%d, order=%d)[%s]" % (self.dim, self.order, "; ".join(rows))
+
+
+def symbol_sum(dim, order, pairs, strict=False):
+    """The sum of s*v over (symbol v, s) pairs, s 1, -1 or an Expr, as it
+    sums from zero: one Accumulator per output coefficient (n, alpha), and a
+    coefficient that cancels is dropped.  With ``strict``, None at the first
+    tree term instead."""
+    empty = PolyXi.unchecked(dim, {})
+    comps = []
+    for n in range(order + 1):
+        sums = {}
+        for v, s in pairs:
+            for alpha, c in v.comps[n].coeffs.items():
+                acc = sums.get(alpha) or sums.setdefault(alpha, Accumulator(drop=True))
+                if not acc.add(c, s) and strict:
+                    return None
+        comps.append(PolyXi.unchecked(dim, {a: acc.expr() for a, acc in sums.items()})
+                     if sums else empty)
+    return FormalSymbol.unchecked(dim, order, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -810,11 +810,18 @@ monomials = 0
     ("amplitude", "coords = x1\nterms = 3^4600*3^4600*xi1\n",
      "[amplitude] terms: a product of coefficients of 7291 and 7291 bits may pass %d bits "
      "(at position 6)\n  3^4600*3^4600*xi1\n        ^\n"),
-], ids=["parameter_sample", "expand_term", "product_of_powers"])
+    ("amplitude", "coords = x1\nterms = (3^4600*x1 + 1)^2\n",
+     "[amplitude] terms: power 2 of a 2-term polynomial with 7291-bit coefficients may pass "
+     "%d bits (at position 15)\n  (3^4600*x1 + 1)^2\n                 ^\n"),
+    ("amplitude", "coords = x1\nterms = (3^4600*x1 + 1)*(3^4600*x1 + 1)\n",
+     "a coefficient part of 14582 bits is too wide to render (more than %d)\n"),
+], ids=["parameter_sample", "expand_term", "product_of_powers", "multi_term_power",
+        "multi_term_product"])
 def test_a_power_past_the_bit_budget_is_a_config_error(tmp_path, section, body, stderr):
     # a sampled parameter raised to 2^31 - 1 ran for minutes, and 3^20000
     # was computed and then failed to render in the report, as did 3^9200,
-    # the product of two admitted powers
+    # the product of two admitted powers, and the square of 3^4600 x1 + 1;
+    # a product of two-term factors is refused where 3^9200 would render
     task = "check-action" if section == "action" else "expand"
     cfg = write(tmp_path, "[session]\ntask = %s\nseed = 1\n\n[%s]\n%s" % (task, section, body))
     proc = _run_subprocess(tmp_path, cfg, timeout=20)

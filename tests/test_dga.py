@@ -747,6 +747,79 @@ def test_identical_products_make_equal_kernel_work(monkeypatch):
     assert counts[0][0] > 0 and counts[0][1] > 0
 
 
+def test_cochain_sums_make_no_poly_sums_and_read_each_leaf_once(monkeypatch):
+    # every sum in the cochain algebra adds into one accumulator per output
+    # coefficient: the star products, the faces of d and the flattened
+    # Leibniz difference make no Poly.add or Poly.sub call.  Flattening stops
+    # at d and star_graded: the difference reads each of its three leaves
+    # once per tuple, never the combinations nested in it, and the stars are
+    # those of the cached products, 16 for d(a1*a2) and 64 for each other
+    rng = random.Random(3)
+    action = cyclic_rotations(4)
+    a1, a2 = (random_cochain(rng, action, 1, order=2) for _ in range(2))
+
+    def leibniz():
+        left = d(star_graded(a1, a2))
+        first, second = star_graded(d(a1), a2), star_graded(a1, d(a2))
+        inner = [second.scale(-1)]
+        inner.append(first.add(inner[0]))
+        return left.sub(inner[1]), (left, first, second), inner
+
+    tuples = list(itertools.product(action.group.elements(), repeat=3))
+    warm, _, _ = leibniz()
+    for gs in tuples:   # the maps keep the pullback images they meet
+        warm.value(gs)
+    adds, subs = _count_calls(monkeypatch, Poly, "add"), _count_calls(monkeypatch, Poly, "sub")
+    stars = _count_calls(monkeypatch, dga, "star")
+    reads, real_value = [], Cochain.value
+    monkeypatch.setattr(Cochain, "value",
+                        lambda self, gs=(): reads.append(id(self)) or real_value(self, gs))
+    product = star_graded(a1, a2)
+    for gs in itertools.product(action.group.elements(), repeat=2):
+        product.value(gs)
+    assert len(stars) == 16
+    diff, leaves, inner = leibniz()
+    stars.clear()
+    for gs in tuples:
+        diff.value(gs)
+    assert adds == subs == [] and len(stars) == 144
+    assert [reads.count(id(c)) for c in leaves + tuple(inner)] == [64, 64, 64, 0, 0]
+    assert_cochain_zero(diff)
+
+
+def test_a_combination_with_a_tree_term_keeps_the_nested_arithmetic():
+    # a coefficient with a quotient tree is computed as add, sub and scale
+    # nested it, by the symbol operators: the same tree and text, so the same
+    # sampled certificate; the canonical slot sums in one accumulator
+    action, x = sign_flip(), Expr.var("x")
+
+    def cochain(c):
+        return Cochain(action, 1, 1, table={(g,): FormalSymbol(1, 1, [
+            PolyXi(1, {(0,): c * (g + 2)}), PolyXi(1, {(1,): x * (g + 1)})]) for g in (0, 1)})
+
+    a, b, c = cochain(x), cochain(Expr.one() / (x * x + 1)), cochain(x + 2)
+    third = Fraction(1, 3)
+    for combo, nested in ((a.sub(b.add(c.scale(-1))), lambda u, v, w: u - (v + w * -1)),
+                          (a.add(b).scale(third), lambda u, v, w: (u + v) * third)):
+        for gs in ((0,), (1,)):
+            got, want = combo.value(gs), nested(a.value(gs), b.value(gs), c.value(gs))
+            assert repr(got) == repr(want) and not got.comps[0].coefficient((0,)).is_canonical
+            assert cochain_zero_report(combo.sub(combo)).items[0].kind == "probabilistic"
+
+
+def test_slot_maps_at_high_order_skip_empty_slots(monkeypatch):
+    # a unit symbol holds one nonempty slot of order + 1, and a star walks
+    # only nonempty components: at order 40 on sign_flip each of the 41
+    # stars builds one shared empty PolyXi and one with its product, each
+    # unit symbol one shared empty slot, and no empty slot is zero-tested
+    action, n = sign_flip(), 40
+    basis = CoefficientBasis.monomials(action.coords, 0)
+    p0 = trivial_system(action, n)
+    counts = [_count_calls(monkeypatch, PolyXi, name) for name in ("zero", "unchecked", "is_zero")]
+    _slot_maps(action, p0, n, basis, True)
+    assert [len(c) for c in counts] == [n + 1, 2 * (n + 1), 0]
+
+
 def _decompose_by_solve(basis, e):
     monos = sorted({m for b in basis.exprs for m in b.poly.terms})
     index = {m: i for i, m in enumerate(monos)}

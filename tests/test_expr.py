@@ -518,6 +518,33 @@ def test_products_of_one_term_factors_stop_at_the_bit_budget():
     assert expr._bits(Poly.const(GaussRat(Fraction(1, 3 ** 4417), 1))) == 7001
 
 
+def test_multi_term_powers_and_wide_coefficients_stop_at_the_bit_budget():
+    # a t-term power n sums up to t^n products of n coefficients, so its parts
+    # may have n (w + log2 t) bits, w the one-term width; any other
+    # coefficient past the budget, as from a product of two-term factors,
+    # stops where it renders, short of Python's 4,300-digit limit
+    budget = expr.BIT_BUDGET
+    x, one = Poly.var("x"), Poly.const(1)
+    base = Poly.const(3 ** 100).mul(x).add(one)   # 159 bits, 2 terms
+    edge = base.pow(budget // 160)
+    assert expr._bits(edge) <= budget and str(Expr(poly=edge))   # it renders
+    message = "power %d of a 2-term polynomial with 159-bit coefficients may pass %d bits"
+    with pytest.raises(expr.ExprError, match=message % (budget // 160 + 1, budget)):
+        base.pow(budget // 160 + 1)
+    skew = Poly.const(GaussRat(3 ** 100, 3 ** 100)).mul(x).add(one)   # complex: 319 bits
+    skew.pow(budget // 320)
+    with pytest.raises(expr.ExprError, match="power %d of a 2-term" % (budget // 320 + 1)):
+        skew.pow(budget // 320 + 1)
+    wide = Poly.const(3 ** 4600).mul(x).add(one)
+    square = wide.mul(wide)   # a product of two-term factors is not bounded
+    with pytest.raises(expr.ExprError, match="a coefficient part of 14582 bits is too wide "
+                                             "to render \\(more than %d\\)" % budget):
+        str(Expr(poly=square))
+    with pytest.raises(expr.ExprError, match="too wide to render"):
+        str(Expr(poly=Poly.const(GaussRat(Fraction(1, 3 ** 8834)))))   # 14002 bits
+    assert str(Expr(poly=Poly.const(3 ** 8833))) == str(3 ** 8833)   # 14000 bits
+
+
 def test_exp_arguments_count_toward_the_term_budget():
     # (e^x + e^{-x} + e^i)^n has at most C(n + 2, 2) terms, each with an exp
     # argument of at most the 3 argument terms of the base: 231 * 4 <= 1000 at

@@ -19,7 +19,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from quantact import expr  # noqa: E402
-from quantact.expr import ExprError, GaussRat, Poly, _mono_mul  # noqa: E402
+from quantact.expr import (Accumulator, Expr, ExprError, GaussRat, Poly,  # noqa: E402
+                           _mono_mul, is_zero)
 
 SETTINGS = hypothesis.settings(max_examples=300, deadline=None,
                                derandomize=True, database=None)
@@ -501,3 +502,86 @@ def test_the_registry_holds_names_only():
     assert all(type(n) is str for n in expr._NAMES)
     assert len(set(expr._NAMES)) == len(expr._NAMES)
     assert {expr._SHIFTS[n] for n in expr._NAMES} == set(range(0, 32 * len(expr._NAMES), 32))
+
+
+# ---------------------------------------------------------------------------
+# the accumulator against sequential Expr arithmetic
+
+
+def _as_expr_terms(draw, trees):
+    """Exprs from polys(); with ``trees``, some are quotient trees."""
+    e = Expr(poly=draw(polys()))
+    if trees and draw(st.booleans()):
+        e = e / (Expr.var("zq") ** 2 + 1)   # not a monomial: a quotient tree
+    return e
+
+
+@st.composite
+def sums(draw, trees):
+    """(start, [(a, b)], drop): b is 1, -1 or an Expr."""
+    start = _as_expr_terms(draw, trees) if draw(st.booleans()) else None
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        b = draw(st.sampled_from([1, -1, None]))
+        terms.append((_as_expr_terms(draw, trees),
+                      _as_expr_terms(draw, trees) if b is None else b))
+    return start, terms, draw(st.booleans())
+
+
+def sequential(start, terms, drop):
+    """The same sum by + and -, term by term; with ``drop`` an exact zero
+    counts as no sum, as a symbol drops the coefficient."""
+    total = start
+    for a, b in terms:
+        if drop and total is not None and total.is_exact_zero():
+            total = None
+        if total is None:
+            total = a * b if type(b) is not int else a if b > 0 else -a
+        else:
+            total = total + a * b if type(b) is not int else total + a if b > 0 else total - a
+    return Expr.zero() if total is None else total
+
+
+def accumulated(start, terms, drop):
+    acc = Accumulator(start, drop=drop)
+    for a, b in terms:
+        acc.add(a, b)
+    return acc.expr()
+
+
+@hypothesis.settings(SETTINGS, max_examples=100)
+@hypothesis.given(sums(trees=False))
+def test_the_accumulator_sums_canonical_terms_to_the_same_key(case):
+    want = sequential(*case)
+    got = accumulated(*case)
+    assert got.is_canonical
+    assert got.poly.key() == want.poly.key()
+
+
+@hypothesis.settings(SETTINGS, max_examples=80)
+@hypothesis.given(sums(trees=True))
+def test_a_tree_term_continues_in_expr_arithmetic(case):
+    # from the first tree term on, the sum has the tree that + and - build
+    want = sequential(*case)
+    got = accumulated(*case)
+    assert str(got) == str(want)
+    assert got.is_canonical == want.is_canonical
+    assert is_zero(got).kind == is_zero(want).kind
+
+
+@hypothesis.settings(SETTINGS, max_examples=100)
+@hypothesis.given(st.integers(4300, 4500), st.integers(4300, 4500),
+                  monomials(), monomials(), st.sampled_from([1, -1, 2]))
+def test_a_wide_one_term_product_fails_alike_through_the_accumulator(k1, k2, m1, m2, sign):
+    # 3^k has 2 bits per factor of 3 in (1.58 k, 1.59 k): the two sides of
+    # BIT_BUDGET are both drawn
+    a = Expr(poly=Poly({m1: GaussRat(sign * 3 ** k1)}))
+    b = Expr(poly=Poly({m2: GaussRat(3 ** k2)}))
+    outcomes = []
+    for product in (lambda: a * b, lambda: accumulated(None, [(a, b)], False)):
+        try:
+            outcomes.append(product().poly.key())
+        except ExprError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert type(outcomes[0]) is str or len(outcomes[0]) == 1

@@ -41,10 +41,16 @@ The right factor of d_{P0} is one constant table per (h, alpha):
 
 ``import quantact`` loads neither ``concurrent.futures`` nor ``logging``:
 ``numfio``'s worker thread is built on ``threading`` and ``_queue`` alone.
+
+Every (module, attribute) in the ``TARGETS`` of ``perfbench/tracer.py``,
+read from its source without running it, still names a quantact function
+or an attribute of a class's own ``__dict__``, where the tracer rebinds it;
+a refactor that moves one breaks ``perfbench/run.py --trace 1``.
 """
 
 import ast
 import glob
+import importlib
 import os
 import subprocess
 import sys
@@ -501,3 +507,57 @@ def test_importing_quantact_loads_no_executor_and_no_logging():
 def test_the_import_guard_sees_an_executor(tmp_path):
     (tmp_path / "pooled.py").write_text("from concurrent.futures import ThreadPoolExecutor\n")
     assert heavy_modules_loaded("pooled", str(tmp_path)) == list(HEAVY_MODULES)
+
+
+def tracer_targets(path):
+    """The (module, attribute path) of each entry of the ``TARGETS`` list
+    assigned at the top level of ``path``, read with ``ast``."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    return []
+
+
+def unresolved_targets(targets):
+    """The targets quantact does not define as the tracer looks them up: a
+    module-level callable, or an attribute in a class's own ``__dict__``."""
+    missing = []
+    for layer, path in targets:
+        try:
+            module = importlib.import_module("quantact." + layer)
+        except ImportError:
+            module = None
+        owner_name, _, attr = path.rpartition(".")
+        owner = getattr(module, owner_name, None) if owner_name else None
+        if not (isinstance(owner, type) and attr in owner.__dict__ if owner_name
+                else callable(getattr(module, attr, None))):
+            missing.append("%s.%s" % (layer, path))
+    return missing
+
+
+def test_every_tracer_target_resolves_on_quantact():
+    targets = tracer_targets(os.path.join(ROOT, "perfbench", "tracer.py"))
+    assert ("symbols", "FormalSymbol.add") in targets and ("dga", "star_graded") in targets
+    assert unresolved_targets(targets) == []
+
+
+def test_the_tracer_guard_sees_each_kind_of_miss(tmp_path):
+    path = tmp_path / "tracer.py"
+    path.write_text("LAYERS = ('dga',)\n"
+                    "TARGETS = [\n"
+                    "    ('dga', 'd', 'dga.d', True),\n"
+                    "    ('symbols', 'FormalSymbol.add', 'symbols.arith', False),\n"
+                    "    ('symbols', 'FormalSymbol.dim', 'symbols.dim', False),\n"
+                    "    ('symbols', 'PolyXi.add', 'symbols.arith', False),\n"
+                    "    ('opcalc', '_add_into', 'opcalc.add', True),\n"
+                    "    ('expr', 'Nothing.mul', 'expr.mul', False),\n"
+                    "    ('nosuch', 'run', 'nosuch.run', True),\n"
+                    "]\n")
+    targets = tracer_targets(str(path))
+    assert targets[:2] == [("dga", "d"), ("symbols", "FormalSymbol.add")] and len(targets) == 7
+    # a slot of __slots__ sits in the class __dict__ too, as the tracer sees it
+    assert unresolved_targets(targets) == ["symbols.PolyXi.add", "opcalc._add_into",
+                                           "expr.Nothing.mul", "nosuch.run"]
