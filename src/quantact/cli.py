@@ -23,10 +23,16 @@ Tasks (``--task`` or ``task =`` under ``[session]``):
 Flags ``--order``, ``--seed`` and ``--out`` override the [session] values.
 With a fixed seed every report is byte-identical across runs.  Exit status:
 0 when every checked identity holds, 1 when any fails, 2 on config errors.
-A config whose mc-solve or cohomology matrices would exceed ``SLOT_BUDGET``
-rows, or whose slot maps would build more than ``SYMBOL_BUDGET`` symbol
-slots, is a config error, raised before the basis is built; so is an expand
-order with more multi-indices than that, raised before any derivative.
+Each task counts its work from the config alone, and a count past its
+budget is a config error naming the section, raised before any basis, slot
+map or grid array is built (``_admit``):
+
+    SLOT_BUDGET     rows of d_{P0} in mc-solve and cohomology    [basis]
+                    multi-indices C(dim + n, n) in expand        [amplitude]
+    SYMBOL_BUDGET   symbol slots of the slot maps                [basis]
+    CELL_BUDGET     grid cells x arrays alive at once            [grid]
+    APPLY_BUDGET    grid cells x plan applications               [numeric]
+
 A verify-numeric phase whose e^{i S_g} is not finite on the grid (a pole at
 a grid point) is a config error naming [phase], raised when its plan is
 built; so is a map phi_g or phi_g^{-1} not finite and real where it is
@@ -59,8 +65,8 @@ from .dga import (Cochain, CoefficientBasis, PhaseCochain, _is_unital, _tuple_la
                   cochain_zero_report, delta_phase, exp_system, mc_residual,
                   solve_order, trivial_system, cohomology_dims)
 from .expr import ExprError, VarBinding, parse
-from .numfio import (NonFiniteError, NonFiniteMapError, WaveGrid, gaussian, overlap,
-                     packet_gram, phase_system_plan, representation_residual,
+from .numfio import (DenseGridError, NonFiniteError, NonFiniteMapError, WaveGrid,
+                     gaussian, overlap, packet_gram, phase_system_plan, representation_residual,
                      spectral_tail_fraction, unitarity_residual)
 from .report import Report
 from .symbols import (AmplitudeSeries, FormalSymbol, default_xi_names,
@@ -85,18 +91,15 @@ def parse_config(text):
             continue
         if line.startswith("["):
             if not line.endswith("]") or len(line) < 3:
-                raise ConfigError("line %d: malformed section header %r"
-                                  % (lineno, raw.strip()))
+                raise ConfigError("line %d: malformed section header %r" % (lineno, raw.strip()))
             name = line[1:-1].strip()
             if name in sections:
-                raise ConfigError("line %d: duplicate section [%s]"
-                                  % (lineno, name))
+                raise ConfigError("line %d: duplicate section [%s]" % (lineno, name))
             sections[name] = {}
             current = name
             continue
         if "=" not in line:
-            raise ConfigError("line %d: expected 'key = value', got %r"
-                              % (lineno, raw.strip()))
+            raise ConfigError("line %d: expected 'key = value', got %r" % (lineno, raw.strip()))
         if current is None:
             raise ConfigError("line %d: key outside any [section]" % lineno)
         key, value = line.split("=", 1)
@@ -104,8 +107,7 @@ def parse_config(text):
         if not key:
             raise ConfigError("line %d: empty key" % lineno)
         if key in sections[current]:
-            raise ConfigError("line %d: duplicate key %r in [%s]"
-                              % (lineno, key, current))
+            raise ConfigError("line %d: duplicate key %r in [%s]" % (lineno, key, current))
         sections[current][key] = value.strip()
     return sections
 
@@ -132,10 +134,8 @@ class SessionConfig:
         task = task if task is not None else session.get("task")
         if task is None:
             raise ConfigError("no task given (use --task or [session] task)")
-        if order is None:
-            order = _get_number(session, "order", 1, "session", int)
-        if seed is None:
-            seed = _get_number(session, "seed", 0, "session", int)
+        order = order if order is not None else _get_number(session, "order", 1, "session", int)
+        seed = seed if seed is not None else _get_number(session, "seed", 0, "session", int)
         out = out if out is not None else session.get("out", ".")
         return cls(path, sections, task, order, seed, out)
 
@@ -215,11 +215,9 @@ def _phase_cochain(cfg, action):
     section = cfg.section("phase")
     if action.is_finite:
         if "exprs" not in section:
-            raise ConfigError("[phase] needs 'exprs' (one per group element) "
-                              "for finite groups")
+            raise ConfigError("[phase] needs 'exprs' (one per group element) for finite groups")
         exprs = _per_element(action, section, "phase", "exprs")
-        table = {(g,): exprs[g] for g in action.group.elements()}
-        return PhaseCochain(action, 1, table=table)
+        return PhaseCochain(action, 1, table={(g,): exprs[g] for g in action.group.elements()})
     if "expr" not in section:
         raise ConfigError("[phase] needs 'expr' over coords and parameters")
     expr = _exprs(section, "phase", "expr", action.binding, parse)
@@ -242,70 +240,87 @@ def _system_cochain(cfg, action):
         if "values" not in section:
             raise ConfigError("[system] needs 'values' (one per group element)")
         if not action.is_finite:
-            raise ConfigError("[system] values need a finite group; use "
-                              "[phase] for parametric groups")
+            raise ConfigError("[system] values need a finite group; use [phase] for "
+                              "parametric groups")
         values = _per_element(action, section, "system", "values")
         table = {(g,): FormalSymbol.from_scalar(action.dim, cfg.order, values[g])
                  for g in action.group.elements()}
         return Cochain(action, 1, cfg.order, table=table)
     if "phase" in cfg.sections:
         return exp_system(_phase_cochain(cfg, action), order=cfg.order)
-    raise ConfigError("task %s requires a [system] or [phase] section"
-                      % cfg.task)
+    raise ConfigError("task %s requires a [system] or [phase] section" % cfg.task)
 
 
-# Slots |multi-indices(dim, n)| x |basis| x m^(k+1) that mc-solve and
-# cohomology may assemble at order n as the rows of d_{P0} on degree k, m =
-# |G| - 1 on the normalized complex, taken when P0 = 1 is unital, else |G|.
-# On a 2-CPU Xeon with Python 3.11, ``run`` of cohomology on C4 at basis
-# degree 5, orders 0..5 (11,907 slots) takes 0.5-0.7 s; the refused configs
-# nearest the budget take 0.4-2.1 s, degree 3, orders 0..8 (12,150) 0.9-1.1 s.
+# ---------------------------------------------------------------------------
+# admission.  Times and peak RSS are of ``run`` in process on a 2-CPU Xeon
+# with Python 3.11, at the largest admitted count quoted.
+
+# Rows |multi-indices(dim, n)| x |basis| x m^(k+1) of d_{P0} on degree k at
+# order n in mc-solve and cohomology, m = |G| - 1 on the normalized complex
+# (P0 = 1 unital), else |G|; and expand's multi-indices C(dim + n, n).
+# Cohomology on C4 at basis degree 5, orders 0..5 (11,907): 0.37-0.50 s, 47 MB.
 SLOT_BUDGET = 12_000
-
-# Symbol slots in the slot maps: m x |multi-indices(dim, n)| stars of n + 1
-# slots at each order n the task runs.  On the same machine, cohomology at
-# basis degree 0 on C4, orders 0..20 (85,008), takes 1.0-1.4 s, on sign_flip_c2,
-# orders 0..80 (180,441), 0.3-0.45 s, and mc-solve there at order 300 (90,601)
-# 0.15-0.2 s; runs near 12,000 take 0.06-0.3 s, so this count has its own budget.
+# Symbol slots of the slot maps: m x |multi-indices(dim, n)| stars of n + 1
+# slots at each order n the task runs.  Cohomology on C4 at basis degree 0,
+# orders 0..20 (85,008): 0.68 s, 39 MB.
 SYMBOL_BUDGET = 100_000
+# Grid cells x the arrays verify-numeric keeps alive at once: packets, one plan
+# per distinct element and one product's plan.  1024^2 x (6 + 1 + 1): 1.6 s, 344 MB.
+CELL_BUDGET = 2 ** 23
+# Grid cells x plan applications, (pairs + elements) x packets, each counted as
+# at least PLAN_CELLS cells: building a product's plan costs about as much as
+# applying one to that many, so a tiny grid cannot hide its pairs.
+# 1024^2 x (10 + 4) x 2: 1.9 s, 292 MB; 62 elements on a 1-cell grid: 2.0 s.
+APPLY_BUDGET = 2 ** 25
+PLAN_CELLS = 2 ** 14
+BUDGETS = {"slots": SLOT_BUDGET, "symbol slots in its slot maps": SYMBOL_BUDGET,
+           "multi-indices": SLOT_BUDGET, "cells alive at once": CELL_BUDGET,
+           "cells of plan applications": APPLY_BUDGET}
 
 
-def _basis(cfg, action, row_degree):
-    """The [basis] span, refused before it is built when the slots at
-    cfg.order on ``row_degree``-tuples exceed SLOT_BUDGET."""
+def _admit(estimates):
+    """Refuse the run at the first (section, subject, formula, count, unit)
+    estimate whose count passes BUDGETS[unit]; later ones are not computed."""
+    for section, subject, formula, count, unit in estimates:
+        if count > BUDGETS[unit]:
+            raise ConfigError("[%s] %s needs %s = %d %s, more than the budget of %d"
+                              % (section, subject, formula, count, unit, BUDGETS[unit]))
+
+
+def _slot_estimates(cfg, action, size, row_degree, orders):
+    """Rows of d_{P0}, then symbol slots, counted once the rows are admitted."""
+    n = cfg.order
+    alphas = math.comb(action.dim + n, n)
+    m = action.group.size - _is_unital(action, trivial_system(action, 0))   # 1 less if normalized
+    yield ("basis", "%s at order %d over a basis of %d elements" % (cfg.task, n, size),
+           "%d x %d x %d^%d" % (alphas, size, m, row_degree), alphas * size * m ** row_degree,
+           "slots")
+    per_h = sum(math.comb(action.dim + k, k) * (k + 1) for k in orders)   # n < alphas <= slots
+    yield ("basis", "%s at order %d" % (cfg.task, n), "%d x %d" % (m, per_h), m * per_h,
+           "symbol slots in its slot maps")
+
+
+def _basis(cfg, action, row_degree, orders):
+    """The [basis] span, admitted before it is built: d_{P0} on
+    ``row_degree``-tuples at cfg.order, and the slot maps at ``orders``."""
     section = cfg.section("basis")
     if "monomials" in section:
         deg = _get_number(section, "monomials", None, "basis", int)
         if deg < 0:
             raise ConfigError("[basis] monomials must be >= 0, got %d" % deg)
-        _check_slot_budget(cfg, action, math.comb(action.dim + deg, deg), row_degree)
-        return CoefficientBasis.monomials(action.coords, deg)
-    if "exprs" not in section:
+        exprs, size = None, math.comb(action.dim + deg, deg)
+    elif "exprs" in section:
+        exprs = _exprs(section, "basis", "exprs", VarBinding(coordinates=action.coords))
+        size = len(exprs)
+    else:
         raise ConfigError("[basis] needs 'exprs' or 'monomials'")
-    exprs = _exprs(section, "basis", "exprs", VarBinding(coordinates=action.coords))
-    _check_slot_budget(cfg, action, len(exprs), row_degree)
+    _admit(_slot_estimates(cfg, action, size, row_degree, orders))
+    if exprs is None:
+        return CoefficientBasis.monomials(action.coords, deg)
     try:
         return CoefficientBasis(exprs)
     except ValueError as exc:
         raise ConfigError("[basis] exprs: %s" % exc)
-
-
-def _check_slot_budget(cfg, action, basis_size, row_degree):
-    n = cfg.order
-    alphas = math.comb(action.dim + n, n)
-    m = action.group.size - _is_unital(action, trivial_system(action, 0))   # 1 less if normalized
-    slots = alphas * basis_size * m ** row_degree
-    if slots > SLOT_BUDGET:
-        raise ConfigError("%s at order %d over a basis of %d elements needs "
-                          "%d x %d x %d^%d = %d slots, more than the budget of %d"
-                          % (cfg.task, n, basis_size, alphas, basis_size,
-                             m, row_degree, slots, SLOT_BUDGET))
-    orders = range(n + 1) if cfg.task == "cohomology" else [n]   # n < alphas <= slots
-    per_h = sum(math.comb(action.dim + k, k) * (k + 1) for k in orders)
-    if m * per_h > SYMBOL_BUDGET:
-        raise ConfigError("%s at order %d needs %d x %d = %d symbol slots in its slot "
-                          "maps, more than the budget of %d"
-                          % (cfg.task, n, m, per_h, m * per_h, SYMBOL_BUDGET))
 
 
 def _elements(action, section, where):
@@ -346,8 +361,7 @@ def task_check_action(cfg, rng):
 def task_check_cocycle(cfg, rng):
     action = _load_action(cfg)
     phase = _phase_cochain(cfg, action)
-    report = cochain_zero_report(delta_phase(phase),
-                                 title="phase cocycle condition", rng=rng)
+    report = cochain_zero_report(delta_phase(phase), title="phase cocycle condition", rng=rng)
     report.params["action"] = action.name
     return report, []
 
@@ -355,8 +369,7 @@ def task_check_cocycle(cfg, rng):
 def task_mc_check(cfg, rng):
     action = _load_action(cfg)
     system = _system_cochain(cfg, action)
-    report = cochain_zero_report(mc_residual(system),
-                                 title="maurer-cartan residual", rng=rng)
+    report = cochain_zero_report(mc_residual(system), title="maurer-cartan residual", rng=rng)
     report.params["action"] = action.name
     report.params["order"] = system.order
     return report, []
@@ -366,19 +379,16 @@ def task_mc_solve(cfg, rng):
     action = _load_action(cfg)
     if not action.is_finite:
         raise ConfigError("mc-solve works on finite group actions")
-    basis = _basis(cfg, action, 2)
     n = cfg.order
+    basis = _basis(cfg, action, 2, [n])
     if n < 1:
         raise ConfigError("mc-solve needs --order >= 1")
     p0 = trivial_system(action, n)
-    report = Report("order-%d correction" % n,
-                    params={"action": action.name, "basis": len(basis)})
+    report = Report("order-%d correction" % n, params={"action": action.name, "basis": len(basis)})
     if not _closure_checked(report, basis, action, rng):
-        return report, ["correction not computed: the basis is not closed "
-                        "under the action"]
+        return report, ["correction not computed: the basis is not closed under the action"]
     res = solve_order(action, p0, {}, n, basis, rng=rng)
-    report.add("right-hand side is twisted-closed", bool(res.rhs_closed),
-               "exact")
+    report.add("right-hand side is twisted-closed", bool(res.rhs_closed), "exact")
     report.add("correction equation solvable", res.solved, "exact",
                "" if res.solved else "obstruction found")
     lines = ["kernel dimension = %d" % res.kernel_dim]
@@ -392,11 +402,8 @@ def task_mc_solve(cfg, rng):
 
 
 def _closure_checked(report, basis, action, rng):
-    """Add the basis closure check to ``report``; True when it holds.
-
-    The solvers decompose pulled-back coefficients in the basis, so they
-    only run on a closed basis.
-    """
+    """Add the basis closure check to ``report``; True when it holds.  The
+    solvers decompose pulled-back coefficients in the basis, so need it closed."""
     closed = basis.closure_report(action, rng=rng).all_ok
     report.add("coefficient basis closed under the action", closed, "exact")
     return closed
@@ -410,22 +417,19 @@ def _dump_degree1(action, cochain):
             continue
         lines.append("at %s:" % _tuple_label(action, (g,)))
         lines.extend("  " + ln for ln in dump_symbol(v).splitlines())
-    if not lines:
-        lines.append("(zero cochain)")
-    return lines
+    return lines or ["(zero cochain)"]
 
 
 def task_cohomology(cfg, rng):
     action = _load_action(cfg)
     if not action.is_finite:
         raise ConfigError("cohomology tables work on finite group actions")
-    basis = _basis(cfg, action, 3)
+    basis = _basis(cfg, action, 3, range(cfg.order + 1))
     report = Report("twisted cohomology dimensions",
                     params={"action": action.name, "basis": len(basis),
                             "orders": "0..%d" % cfg.order})
     if not _closure_checked(report, basis, action, rng):
-        return report, ["cohomology not computed: the basis is not closed "
-                        "under the action"]
+        return report, ["cohomology not computed: the basis is not closed under the action"]
     dims = cohomology_dims(action, basis, n_max=cfg.order)
     return report, ["order %d: H0=%d H1=%d H2=%d" % (n, row["H0"], row["H1"], row["H2"])
                     for n, row in sorted(dims.items())]
@@ -434,8 +438,7 @@ def task_cohomology(cfg, rng):
 def task_verify_numeric(cfg, rng):
     action = _load_action(cfg)
     phase = _phase_cochain(cfg, action)
-    gsec = cfg.section("grid")
-    nsec = cfg.section("numeric")
+    gsec, nsec = cfg.section("grid"), cfg.section("numeric")
     args = (_get_number(gsec, "dim", 2, "grid", int),
             _get_number(gsec, "points", None, "grid", int),
             _get_number(gsec, "length", None, "grid", float),
@@ -445,28 +448,34 @@ def task_verify_numeric(cfg, rng):
     except ValueError as exc:
         raise ConfigError("[grid]: %s" % exc)
     if grid.dim != action.dim:
-        raise ConfigError("[grid] dim %d does not match the %d-dimensional "
-                          "action" % (grid.dim, action.dim))
+        raise ConfigError("[grid] dim %d does not match the %d-dimensional action"
+                          % (grid.dim, action.dim))
     sigma = _get_number(nsec, "sigma", 1.0, "numeric", float)
     if sigma <= 0:
         raise ConfigError("[numeric] sigma must be positive, got %r" % nsec["sigma"].strip())
     centers = _packets(nsec, "centers", grid.dim)
     momenta = _packets(nsec, "momenta", grid.dim)
     if len(centers) != len(momenta):
-        raise ConfigError("[numeric] centers and momenta list different "
-                          "packet counts")
+        raise ConfigError("[numeric] centers and momenta list different packet counts")
     consts = {}
     if "constants" in nsec:
         for pair in nsec["constants"].split(","):
             if ":" not in pair:
-                raise ConfigError("[numeric] constants must be 'name:value' "
-                                  "pairs")
+                raise ConfigError("[numeric] constants must be 'name:value' pairs")
             name, value = pair.split(":", 1)
             consts[name.strip()] = _number(value, "numeric", "constants", float)
     elements = _elements(action, nsec, "numeric")
     utol = _get_number(nsec, "unitarity_tol", 1e-8, "numeric", float)
     rtol = _get_number(nsec, "representation_tol", 1e-7, "numeric", float)
     ttol = _get_number(nsec, "tail_tol", 1e-8, "numeric", float)
+    distinct = list(dict.fromkeys(elements))
+    n, d, p, cells = len(elements), len(distinct), len(centers), grid.npoints ** grid.dim
+    pairs, run_on = n * (n + 1) // 2, "verify-numeric on %d^%d points" % (grid.npoints, grid.dim)
+    _admit([("grid", "%s with %d packets and %d distinct elements" % (run_on, p, d),
+             "%d x (%d + %d + 1)" % (cells, p, d), cells * (p + d + 1), "cells alive at once"),
+            ("numeric", "%s with %d elements and %d packets" % (run_on, n, p),
+             "max(%d, %d) x (%d + %d) x %d" % (cells, PLAN_CELLS, pairs, n, p),
+             max(cells, PLAN_CELLS) * (pairs + n) * p, "cells of plan applications")])
 
     def packet(center, momentum):
         psi = gaussian(grid, centers=center, sigma=sigma, momenta=momentum)
@@ -480,27 +489,24 @@ def task_verify_numeric(cfg, rng):
     def plan_for(g):
         try:
             return phase_system_plan(grid, action, phase, g, consts=consts)
-        except NonFiniteError as exc:
-            where = "action" if isinstance(exc, NonFiniteMapError) else "phase"
-            raise ConfigError("[%s] at %s: %s"
-                              % (where, _tuple_label(action, (g,)), exc))
+        except (NonFiniteError, DenseGridError) as exc:
+            where = ("grid" if isinstance(exc, DenseGridError) else
+                     "action" if isinstance(exc, NonFiniteMapError) else "phase")
+            raise ConfigError("[%s] at %s: %s" % (where, _tuple_label(action, (g,)), exc))
 
     report = Report("numeric unitarity and representation",
                     params={"action": action.name,
                             "grid": "dim=%d M=%d L=%g hbar=%g"
-                                    % (grid.dim, grid.npoints, grid.length,
-                                       grid.hbar),
+                                    % (grid.dim, grid.npoints, grid.length, grid.hbar),
                             "xi_window": "%.6g" % float(max(abs(grid.xi_axis()))),
                             "packets": len(psis)})
     tail = max(tails)
-    report.add("packet spectral tail below %.1e" % ttol, tail < ttol,
-               "numeric", "max %.3e" % tail)
+    report.add("packet spectral tail below %.1e" % ttol, tail < ttol, "numeric", "max %.3e" % tail)
     # one plan per element for the whole task, and each element g2 applied
     # to each packet once: the images give g2's unitarity residual and are
     # the inner factor of every pair (g1, g2), g1 at or before g2.  A
     # product's plan lives for its pair only, so at most |elements| + 1 plans
     # and one element's images are alive at once
-    distinct = list(dict.fromkeys(elements))
     plans = dict(zip(distinct, overlap([functools.partial(plan_for, g) for g in distinct])))
     norms, gram = packet_gram(grid, psis)
     unitarity, composition = [], {}
@@ -537,29 +543,23 @@ def task_expand(cfg, rng):
     if len(xi_names) != len(coords):
         raise ConfigError("[amplitude] xi_names: expected %d names, got %d"
                           % (len(coords), len(xi_names)))
-    consts = [c.strip() for c in section.get("constants", "").split(",")
-              if c.strip()]
+    consts = [c.strip() for c in section.get("constants", "").split(",") if c.strip()]
     binding = VarBinding(coordinates=coords + xi_names, constants=consts)
     terms = _exprs(section, "amplitude", "terms", binding)
     convention = section.get("convention", "multi")
     if convention not in ("multi", "total"):
-        raise ConfigError("[amplitude] convention must be 'multi' or 'total', "
-                          "got %r" % convention)
-    alphas = math.comb(len(coords) + cfg.order, cfg.order)
-    if alphas > SLOT_BUDGET:
-        raise ConfigError("expand at order %d in %d coordinates needs %d "
-                          "multi-indices, more than the budget of %d"
-                          % (cfg.order, len(coords), alphas, SLOT_BUDGET))
-    series = AmplitudeSeries(len(coords), terms, xi_names)
+        raise ConfigError("[amplitude] convention must be 'multi' or 'total', got %r" % convention)
+    n, dim = cfg.order, len(coords)
+    _admit([("amplitude", "expand at order %d in %d coordinates" % (n, dim),
+             "C(%d + %d, %d)" % (dim, n, n), math.comb(dim + n, n), "multi-indices")])
+    series = AmplitudeSeries(dim, terms, xi_names)
     try:
-        sym = taylor_from_amplitude(series, cfg.order, convention)
+        sym = taylor_from_amplitude(series, n, convention)
     except ZeroDivisionError:
-        raise ConfigError("[amplitude] terms: a term or one of its xi-derivatives "
-                          "divides by zero at xi = 0, where the series is "
-                          "expanded") from None
+        raise ConfigError("[amplitude] terms: a term or one of its xi-derivatives divides "
+                          "by zero at xi = 0, where the series is expanded") from None
     report = Report("amplitude expansion",
-                    params={"convention": convention, "order": cfg.order,
-                            "terms": len(terms)})
+                    params={"convention": convention, "order": cfg.order, "terms": len(terms)})
     return report, dump_symbol(sym).splitlines()
 
 

@@ -73,6 +73,10 @@ class NonFiniteMapError(NonFiniteError):
     """A map phi or its inverse is infinite, NaN or complex on the grid."""
 
 
+class DenseGridError(ValueError):
+    """A path that needs a dense mode matrix on a grid past DENSE_GUARD."""
+
+
 # ---------------------------------------------------------------------------
 # one worker thread beside the caller
 
@@ -393,10 +397,10 @@ def _bandlimited_pullback(grid, reals, psi):
 
 
 def _check_dense(grid, message):
-    """ValueError(message) when a dense mode matrix would pass DENSE_GUARD entries."""
+    """DenseGridError(message) when a dense mode matrix would pass DENSE_GUARD entries."""
     npts = grid.npoints ** grid.dim
     if npts * npts > DENSE_GUARD:
-        raise ValueError(message)
+        raise DenseGridError(message)
 
 
 def _dense_modes(grid, points):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 import weakref
 
 import pytest
@@ -748,7 +749,9 @@ monomials = %d
 """ % (task, order, degree))
     proc = _run_subprocess(tmp_path, cfg, timeout=20)
     assert proc.returncode == 2
-    assert "more than the budget of %d" % cli.SLOT_BUDGET in proc.stderr
+    assert proc.stderr.startswith("config error: [basis] %s at order %d over a basis of "
+                                  % (task, order))
+    assert proc.stderr.endswith("slots, more than the budget of %d\n" % cli.SLOT_BUDGET)
     if slots is not None:
         assert "= %d slots" % slots in proc.stderr
     assert not os.path.exists(tmp_path / "out")
@@ -772,8 +775,8 @@ monomials = 0
 """ % order)
     proc = _run_subprocess(tmp_path, cfg, timeout=20)
     assert proc.returncode == 2
-    assert proc.stderr == ("config error: cohomology at order %d needs 1 x %d = %d symbol "
-                           "slots in its slot maps, more than the budget of %d\n"
+    assert proc.stderr == ("config error: [basis] cohomology at order %d needs 1 x %d = %d "
+                           "symbol slots in its slot maps, more than the budget of %d\n"
                            % (order, per_h, per_h, cli.SYMBOL_BUDGET))
     assert not os.path.exists(tmp_path / "out")
 
@@ -792,12 +795,14 @@ builtin = sign_flip_c2
 monomials = 0
 """))
     action = cli._load_action(cfg)
-    for task, order, row_degree in (("cohomology", 65, 3), ("mc-solve", 315, 2)):
+    for task, order, row_degree, orders in (("cohomology", 65, 3, lambda n: range(n + 1)),
+                                            ("mc-solve", 315, 2, lambda n: [n])):
         cfg.task, cfg.order = task, order
-        assert len(cli._basis(cfg, action, row_degree)) == 1
+        assert len(cli._basis(cfg, action, row_degree, orders(order))) == 1
         cfg.order += 1
-        with pytest.raises(ConfigError, match="%s at order %d needs 1 x" % (task, order + 1)):
-            cli._basis(cfg, action, row_degree)
+        with pytest.raises(ConfigError, match=r"\[basis\] %s at order %d needs 1 x"
+                                              % (task, order + 1)):
+            cli._basis(cfg, action, row_degree, orders(order + 1))
 
 
 @pytest.mark.parametrize("section,body,stderr", [
@@ -883,8 +888,9 @@ terms = x1*xi2 + x2*x2, xi1*xi2
 """)
     proc = _run_subprocess(tmp_path, cfg, timeout=20)
     assert proc.returncode == 2
-    assert ("expand at order 100000000 in 2 coordinates needs 5000000150000001 "
-            "multi-indices, more than the budget of %d" % cli.SLOT_BUDGET) in proc.stderr
+    assert proc.stderr == ("config error: [amplitude] expand at order 100000000 in 2 "
+                           "coordinates needs C(2 + 100000000, 100000000) = 5000000150000001 "
+                           "multi-indices, more than the budget of %d\n" % cli.SLOT_BUDGET)
     assert not os.path.exists(tmp_path / "out")
 
 
@@ -931,21 +937,130 @@ def test_slot_budget_admits_the_worked_example(monkeypatch):
     # are 66 alphas, 10692 slots, and at order 11, 78 alphas, 12636 slots
     cfg = SessionConfig.load(os.path.join(CONFIGS, "cohomology_c4.cfg"))
     action = cli._load_action(cfg)
-    assert len(cli._basis(cfg, action, 3)) == 6
+    assert len(cli._basis(cfg, action, 3, range(cfg.order + 1))) == 6
     cfg.order = 10
-    assert len(cli._basis(cfg, action, 3)) == 6
+    assert len(cli._basis(cfg, action, 3, range(cfg.order + 1))) == 6
     cfg.order = 11
-    with pytest.raises(ConfigError, match=r"78 x 6 x 3\^3 = 12636 slots, more than the "
-                                          r"budget of 12000"):
-        cli._basis(cfg, action, 3)
+    with pytest.raises(ConfigError, match=r"\[basis\] cohomology at order 11 over a "
+                                          r"basis of 6 elements needs 78 x 6 x 3\^3 = "
+                                          r"12636 slots, more than the budget of 12000"):
+        cli._basis(cfg, action, 3, range(cfg.order + 1))
     # a twist that is not unital keeps the full complex, all 4^3 triples
     monkeypatch.setattr(cli, "_is_unital", lambda action, p0: False)
     cfg.order = 6
-    assert len(cli._basis(cfg, action, 3)) == 6
+    assert len(cli._basis(cfg, action, 3, range(cfg.order + 1))) == 6
     cfg.order = 7
     with pytest.raises(ConfigError, match=r"36 x 6 x 4\^3 = 13824 slots"):
-        cli._basis(cfg, action, 3)
+        cli._basis(cfg, action, 3, range(cfg.order + 1))
 
+
+
+def galilean_numeric(points=64, packets=2, elements="1/5 ; 1/10 ; -3/20"):
+    """configs/galilean_numeric.cfg on ``points`` per axis with ``packets``
+    packets at the origin and the given elements."""
+    text = read(os.path.join(CONFIGS, "galilean_numeric.cfg"))
+    for old, new in (("points = 64\n", "points = %d\n" % points),
+                     ("centers = 0,0 ; 0,0\n", "centers = %s\n" % " ; ".join(["0,0"] * packets)),
+                     ("momenta = 0,0 ; 1/10,-1/20\n",
+                      "momenta = %s\n" % " ; ".join(["0,0"] * packets)),
+                     ("elements = 1/5 ; 1/10 ; -3/20\n", "elements = %s\n" % elements)):
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+class GridArrayBuilt(Exception):
+    """Raised in place of the first packet a verify-numeric run builds."""
+
+
+def no_grid_arrays(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise GridArrayBuilt()
+
+    monkeypatch.setattr(cli, "gaussian", refuse)
+    monkeypatch.setattr(cli, "phase_system_plan", refuse)
+
+
+@pytest.mark.parametrize("points,elements,stderr", [
+    # a 65536^2 float array of 32 GiB for each packet's exponent
+    (65536, "1/5 ; 1/10 ; -3/20",
+     "[grid] verify-numeric on 65536^2 points with 2 packets and 3 distinct elements needs "
+     "4294967296 x (2 + 3 + 1) = 25769803776 cells alive at once, more than the budget of "
+     "8388608"),
+    # 80200 pairs, each a product's plan and two applications per packet
+    (64, " ; ".join("%d/%d" % (1 + k % 7, 20 + k) for k in range(400)),
+     "[numeric] verify-numeric on 64^2 points with 400 elements and 2 packets needs "
+     "max(4096, 16384) x (80200 + 400) x 2 = 2641100800 cells of plan applications, more "
+     "than the budget of 33554432"),
+], ids=["points_65536", "elements_400"])
+def test_verify_numeric_budgets_refuse_before_any_grid_array(monkeypatch, tmp_path, capsys,
+                                                             points, elements, stderr):
+    no_grid_arrays(monkeypatch)
+    start = time.perf_counter()
+    status, io, out = run_cli(tmp_path, capsys, galilean_numeric(points, 2, elements))
+    assert time.perf_counter() - start < 1
+    assert status == 2
+    assert io.err == "config error: %s\n" % stderr
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("points,packets,elements,refused", [
+    # cells x (packets + distinct elements + 1) <= 2^23 = 1024^2 x 8
+    (1024, 6, "1/5", None),
+    (1024, 7, "1/5", "[grid]"),
+    # repeated elements count once in the cells and every time in the pairs:
+    # (3 pairs + 2 elements) x 6 packets x 1024^2 <= 2^25
+    (1024, 6, "1/5 ; 1/5", None),
+    # max(cells, 2^14) x (pairs + elements) x packets <= 2^25
+    (1024, 2, "1/5 ; 1/10 ; -3/20 ; 1/20", None),
+    (1024, 2, "1/5 ; 1/10 ; -3/20 ; 1/20 ; -1/20", "[numeric]"),
+    (1, 1, " ; ".join("1/%d" % k for k in range(1, 63)), None),
+    (1, 1, " ; ".join("1/%d" % k for k in range(1, 64)), "[numeric]"),
+], ids=["cells_edge", "cells_past", "distinct", "apply_edge", "apply_past",
+        "one_cell_edge", "one_cell_past"])
+def test_verify_numeric_budget_edges(monkeypatch, tmp_path, points, packets, elements,
+                                     refused):
+    # the admitted edge reaches its first packet; one more is refused before it
+    no_grid_arrays(monkeypatch)
+    cfg = SessionConfig.load(write(tmp_path, galilean_numeric(points, packets, elements)),
+                             out=str(tmp_path / "out"))
+    if refused is None:
+        with pytest.raises(GridArrayBuilt):
+            cli.run(cfg)
+    else:
+        with pytest.raises(ConfigError, match=r"^\%s verify-numeric on %d\^2 points" % (
+                refused, points)):
+            cli.run(cfg)
+
+
+def test_a_dense_pullback_past_the_guard_is_a_config_error(tmp_path, capsys):
+    # an off-lattice translation on both axes takes the band-limited path,
+    # whose (64^2)^2 mode matrix passes numfio.DENSE_GUARD: a traceback with
+    # exit 1 before the guard had its own error class
+    status, io, out = run_cli(tmp_path, capsys, """
+[session]
+task = verify-numeric
+seed = 1
+
+[action]
+builtin = translations_2d
+
+[phase]
+expr = 0
+
+[grid]
+dim = 2
+points = 64
+length = 10
+hbar = 1/10
+
+[numeric]
+elements = 1/3,1/7
+""")
+    assert status == 2
+    assert io.err == ("config error: [grid] at ((1/3,1/7)): pullback needs a structured "
+                      "(permutation or shear) map at this grid size\n")
+    assert not os.path.exists(out)
 
 def test_closed_tree_phase_with_large_terms_passes(tmp_path, capsys):
     # the polynomial terms are large at the sample points and cancel; the

@@ -14,6 +14,9 @@ base.  40 is drawn on any subexpression, and a map may be the 40th power of
 a sum of two polynomials or exp atoms: ``expr.TERM_BUDGET`` refuses, as a
 config error, a power or a substituted monomial that may outgrow it, the
 terms of exp arguments counted in.
+Grid sizes 2^k per axis, k up to 40, and packet and element counts are
+drawn on both sides of ``cli.CELL_BUDGET`` and ``cli.APPLY_BUDGET``: a draw
+past either is refused as a config error before any packet or plan is built.
 2^31 - 1, the largest power a variable holds, is drawn on any name in
 ``expand`` terms and on the parameter of the maps, which takes a sampled
 rational to that power: ``expr.BIT_BUDGET`` refuses, as a config error, a
@@ -29,6 +32,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from quantact import cli  # noqa: E402
 from quantact.cli import main  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
@@ -152,5 +156,75 @@ centers = 0
 momenta = 0
 elements = 1
 """ % phase))
+
+    check()
+
+
+def test_verify_numeric_grid_and_pair_budgets(tmp_path, monkeypatch):
+    # T_v multiplies by e^{i v x1} and moves nothing, so an admitted run is
+    # cheap; repeated elements count once in the arrays alive at once and
+    # every time in the pairs
+    built = []
+
+    def recording(real):
+        def call(*args, **kwargs):
+            built.append(real.__name__)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("gaussian", "phase_system_plan"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+
+    @SETTINGS
+    @hypothesis.given(st.integers(0, 40), st.integers(1, 8),
+                      st.lists(st.integers(-3, 3), min_size=1, max_size=80))
+    # 2^21 cells x (1 + 2 + 1) arrays and 2^21 x (10 + 4) x 1 applications are
+    # at the budgets (tests/test_cli.py admits them); a third distinct element
+    # or a fifth element passes one
+    @hypothesis.example(21, 1, [1, 2, 3])
+    @hypothesis.example(21, 1, [1, 2, 1, 2, 1])
+    @hypothesis.example(14, 2, [1, 2, 1])
+    def check(k, packets, elements):
+        cells, n = 2 ** k, len(elements)
+        past = (cells * (packets + len(set(elements)) + 1) > cli.CELL_BUDGET
+                or max(cells, cli.PLAN_CELLS) * (n * (n + 1) // 2 + n) * packets
+                > cli.APPLY_BUDGET)
+        del built[:]
+        status, err = run_config(tmp_path, """
+[session]
+task = verify-numeric
+seed = 1
+
+[action]
+coords = x1
+params = v
+forward = x1
+inverse = x1
+product = v__1 + v__2
+param_inverse = -v
+param_identity = 0
+
+[phase]
+expr = v*x1
+
+[grid]
+dim = 1
+points = %d
+length = 4
+hbar = 1/10
+
+[numeric]
+centers = %s
+momenta = %s
+elements = %s
+""" % (cells, " ; ".join(["0"] * packets), " ; ".join(["0"] * packets),
+       " ; ".join(map(str, elements))))
+        assert_clean_exit(status, err)
+        if past:
+            assert status == 2 and built == [], (err, built)
+            assert err.startswith(tuple("config error: [%s] verify-numeric on %d^1 points"
+                                        % (section, cells) for section in ("grid", "numeric")))
+        else:
+            assert "gaussian" in built
 
     check()

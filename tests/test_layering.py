@@ -42,6 +42,10 @@ The right factor of d_{P0} is one constant table per (h, alpha):
 ``import quantact`` loads neither ``concurrent.futures`` nor ``logging``:
 ``numfio``'s worker thread is built on ``threading`` and ``_queue`` alone.
 
+``cli`` compares a config's work with its budgets in one function,
+``_admit``: no other function compares a ``*_BUDGET`` value or the
+``BUDGETS`` table, and ``_check_slot_budget`` stays gone.
+
 Every (module, attribute) in the ``TARGETS`` of ``perfbench/tracer.py``,
 read from its source without running it, still names a quantact function
 or an attribute of a class's own ``__dict__``, where the tracer rebinds it;
@@ -483,6 +487,60 @@ def test_the_right_factor_guard_sees_parameters_and_calls(tmp_path):
     assert sorted(per_g_uses(str(path))) == [
         (1, "tuples"), (2, "_decompose_symbol_slot"), (2, "_decompose_symbol_slot"),
         (4, "product"), (4, "product")]
+
+
+# one admission step: each task hands its work estimates to cli._admit, the
+# one loop that compares them with the budgets
+def budget_comparisons(path):
+    """(innermost enclosing function, line) of each comparison that reads a
+    name or attribute ending in _BUDGET, or the BUDGETS table."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+
+    def is_budget(name):
+        return name.endswith("_BUDGET") or name == "BUDGETS"
+
+    def reads_budget(node):
+        return any(isinstance(sub, ast.Name) and is_budget(sub.id)
+                   or isinstance(sub, ast.Attribute) and is_budget(sub.attr)
+                   for sub in ast.walk(node))
+
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Compare) and reads_budget(child):
+                found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_cli_compares_budgets_in_one_function():
+    path = os.path.join(ROOT, "src", "quantact", "cli.py")
+    assert [owner for owner, _ in budget_comparisons(path)] == ["_admit"]
+    assert name_uses(path, ("_check_slot_budget",)) == []
+
+
+def test_the_budget_guard_sees_names_attributes_and_the_table(tmp_path):
+    path = tmp_path / "budgets.py"
+    path.write_text("from . import expr\n"
+                    "SLOT_BUDGET = 1\n"
+                    "def _admit(count, unit):\n"
+                    "    return count > BUDGETS[unit]\n"
+                    "def task_expand(alphas):\n"
+                    "    if alphas > SLOT_BUDGET:\n"
+                    "        pass\n"
+                    "    def inner(terms):\n"
+                    "        return terms <= expr.TERM_BUDGET\n"
+                    "    return inner\n"
+                    "assert SLOT_BUDGET == 1 and 1 < 2\n")
+    assert sorted(budget_comparisons(str(path))) == [
+        ("<module>", 11), ("_admit", 4), ("inner", 9), ("task_expand", 6)]
 
 
 # the worker beside the caller needs no executor: concurrent.futures would
