@@ -5,7 +5,8 @@ spaces and amplitude expansions (``symbols``), group actions by diffeomorphisms
 (``actions``), the associated operator calculus and noncommutative product
 (``opcalc``), the cochain differential graded algebra with Maurer-Cartan
 solvers (``dga``), FFT-grid numerical checks (``numfio``) and a config-driven
-command line interface (``cli``).
+command line interface (``cli``).  ``import quantact`` loads neither numpy
+nor ``numfio``: the grid names live in ``quantact.numfio`` alone.
 """
 
 from .expr import Expr, VarBinding, parse, is_zero, GaussRat, ExprError, ParseError
@@ -22,13 +23,6 @@ from .dga import (Cochain, CoefficientBasis, PhaseCochain, character_phase,
                   cochain_zero_report, cohomology_dims, d, delta_phase,
                   exp_system, gauge_report, mc_residual, representation_report,
                   solve_order, star_graded, trivial_system, twisted_d)
-from .numfio import (NumericAmplitude, WaveGrid, asymptotic_consistency,
-                     fio_apply, fio_plan, gaussian, grid_pullback, kn_apply,
-                     kn_plan, packet_gram, phase_system_apply, phase_system_plan,
-                     pullback_plan, representation_residual,
-                     spectral_tail_fraction, standard_product_residual,
-                     symbol_amplitude, symbol_from_polynomial,
-                     unitarity_residual)
 
 __all__ = [
     "Expr", "VarBinding", "parse", "is_zero", "GaussRat", "ExprError",
@@ -45,10 +39,4 @@ __all__ = [
     "cochain_zero_report", "cohomology_dims", "d", "delta_phase",
     "exp_system", "gauge_report", "mc_residual", "representation_report",
     "solve_order", "star_graded", "trivial_system", "twisted_d",
-    "NumericAmplitude", "WaveGrid", "asymptotic_consistency", "fio_apply",
-    "fio_plan", "gaussian", "grid_pullback", "kn_apply", "kn_plan", "packet_gram",
-    "phase_system_apply", "phase_system_plan", "pullback_plan",
-    "representation_residual", "spectral_tail_fraction",
-    "standard_product_residual", "symbol_amplitude", "symbol_from_polynomial",
-    "unitarity_residual",
 ]

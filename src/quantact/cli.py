@@ -22,7 +22,9 @@ Tasks (``--task`` or ``task =`` under ``[session]``):
 
 Flags ``--order``, ``--seed`` and ``--out`` override the [session] values.
 With a fixed seed every report is byte-identical across runs.  Exit status:
-0 when every checked identity holds, 1 when any fails, 2 on config errors.
+0 when every checked identity holds, 1 when any fails, 2 on config errors
+(an unreadable config file or report path included).  Only verify-numeric
+imports numpy and ``numfio``, when it runs: the exact tasks load neither.
 Each task counts its work from the config alone, and a count past its
 budget is a config error naming the section, raised before any basis, slot
 map or grid array is built (``_admit``):
@@ -57,17 +59,12 @@ import random
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .actions import (SingularMapError, action_from_config, check_action,
                       _split_exprs)
 from .dga import (Cochain, CoefficientBasis, PhaseCochain, _is_unital, _tuple_label,
                   cochain_zero_report, delta_phase, exp_system, mc_residual,
                   solve_order, trivial_system, cohomology_dims)
 from .expr import ExprError, VarBinding, parse
-from .numfio import (DenseGridError, NonFiniteError, NonFiniteMapError, WaveGrid,
-                     gaussian, overlap, packet_gram, phase_system_plan, representation_residual,
-                     spectral_tail_fraction, unitarity_residual)
 from .report import Report
 from .symbols import (AmplitudeSeries, FormalSymbol, default_xi_names,
                       dump_symbol, taylor_from_amplitude)
@@ -128,8 +125,13 @@ class SessionConfig:
     def load(cls, path, task=None, order=None, seed=None, out=None):
         if not os.path.exists(path):
             raise ConfigError("config file not found: %s" % path)
-        with open(path) as fh:
-            sections = parse_config(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:   # a directory, or not text
+            raise ConfigError("cannot read config file %s: %s"
+                              % (path, getattr(exc, "strerror", exc))) from None
+        sections = parse_config(text)
         session = sections.get("session", {})
         task = task if task is not None else session.get("task")
         if task is None:
@@ -436,6 +438,8 @@ def task_cohomology(cfg, rng):
 
 
 def task_verify_numeric(cfg, rng):
+    import numpy as np   # the one task on the grid loads numpy and numfio itself
+    from . import numfio
     action = _load_action(cfg)
     phase = _phase_cochain(cfg, action)
     gsec, nsec = cfg.section("grid"), cfg.section("numeric")
@@ -444,7 +448,7 @@ def task_verify_numeric(cfg, rng):
             _get_number(gsec, "length", None, "grid", float),
             _get_number(gsec, "hbar", None, "grid", float))
     try:
-        grid = WaveGrid(*args)
+        grid = numfio.WaveGrid(*args)
     except ValueError as exc:
         raise ConfigError("[grid]: %s" % exc)
     if grid.dim != action.dim:
@@ -478,20 +482,20 @@ def task_verify_numeric(cfg, rng):
              max(cells, PLAN_CELLS) * (pairs + n) * p, "cells of plan applications")])
 
     def packet(center, momentum):
-        psi = gaussian(grid, centers=center, sigma=sigma, momenta=momentum)
-        return psi, spectral_tail_fraction(grid, psi)
+        psi = numfio.gaussian(grid, centers=center, sigma=sigma, momenta=momentum)
+        return psi, numfio.spectral_tail_fraction(grid, psi)
 
     # the grid work runs beside the caller (numfio.overlap), each result in
     # its place, so the report does not depend on where it was computed
-    psis, tails = zip(*overlap([functools.partial(packet, c, m)
-                                for c, m in zip(centers, momenta)]))
+    psis, tails = zip(*numfio.overlap([functools.partial(packet, c, m)
+                                       for c, m in zip(centers, momenta)]))
 
     def plan_for(g):
         try:
-            return phase_system_plan(grid, action, phase, g, consts=consts)
-        except (NonFiniteError, DenseGridError) as exc:
-            where = ("grid" if isinstance(exc, DenseGridError) else
-                     "action" if isinstance(exc, NonFiniteMapError) else "phase")
+            return numfio.phase_system_plan(grid, action, phase, g, consts=consts)
+        except (numfio.NonFiniteError, numfio.DenseGridError) as exc:
+            where = ("grid" if isinstance(exc, numfio.DenseGridError) else
+                     "action" if isinstance(exc, numfio.NonFiniteMapError) else "phase")
             raise ConfigError("[%s] at %s: %s" % (where, _tuple_label(action, (g,)), exc))
 
     report = Report("numeric unitarity and representation",
@@ -507,21 +511,22 @@ def task_verify_numeric(cfg, rng):
     # the inner factor of every pair (g1, g2), g1 at or before g2.  A
     # product's plan lives for its pair only, so at most |elements| + 1 plans
     # and one element's images are alive at once
-    plans = dict(zip(distinct, overlap([functools.partial(plan_for, g) for g in distinct])))
-    norms, gram = packet_gram(grid, psis)
+    plans = dict(zip(distinct, numfio.overlap([functools.partial(plan_for, g)
+                                               for g in distinct])))
+    norms, gram = numfio.packet_gram(grid, psis)
     unitarity, composition = [], {}
     try:
         with np.errstate(all="ignore"):   # overflow is checked, not warned of
             for j, g2 in enumerate(elements):
-                images = overlap([functools.partial(plans[g2], p) for p in psis])
-                unitarity.append(unitarity_residual(grid, images, norms, gram))
+                images = numfio.overlap([functools.partial(plans[g2], p) for p in psis])
+                unitarity.append(numfio.unitarity_residual(grid, images, norms, gram))
                 for i, g1 in enumerate(elements[:j + 1]):
                     product = action.mult(g1, g2)
-                    composition[i, j] = representation_residual(
+                    composition[i, j] = numfio.representation_residual(
                         grid, plans[g1], plans.get(product) or plan_for(product),
                         images, psis, norms)
                 del images
-    except NonFiniteError as exc:   # a finite e^{i S_g} too large to apply
+    except numfio.NonFiniteError as exc:   # a finite e^{i S_g} too large to apply
         raise ConfigError("[phase]: %s" % exc) from None
     for g, resid in zip(elements, unitarity):
         report.add("unitarity at %s within %.1e" % (_tuple_label(action, (g,)), utol),
@@ -589,9 +594,13 @@ def run(cfg):
     text = "quantact %s\nconfig = %s\nseed = %d\n\n" % (
         cfg.task, os.path.basename(cfg.path), cfg.seed)
     text += report.render() + "".join(line + "\n" for line in lines)
-    os.makedirs(cfg.out, exist_ok=True)
-    with open(os.path.join(cfg.out, cfg.task + ".txt"), "w") as fh:
-        fh.write(text)
+    path = os.path.join(cfg.out, cfg.task + ".txt")
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write report %s: %s" % (path, exc.strerror)) from None
     return (0 if report.all_ok else 1), text
 
 

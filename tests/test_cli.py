@@ -61,6 +61,36 @@ def test_load_missing_file():
         SessionConfig.load("/nonexistent/quantact.cfg")
 
 
+def config_error(argv, capsys):
+    """The message of a run that exits 2 on a config error, with no traceback."""
+    assert main(argv) == 2
+    io = capsys.readouterr()
+    assert io.out == "" and io.err.startswith("config error: ")
+    return io.err
+
+
+def test_directory_as_config_is_a_config_error(tmp_path, capsys):
+    err = config_error(["--config", str(tmp_path)], capsys)
+    assert err.startswith("config error: cannot read config file %s: " % tmp_path)
+
+
+def test_config_that_is_not_text_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "utf16.cfg"
+    path.write_bytes(b"\xff\xfe[session]\ntask = expand\n")
+    err = config_error(["--config", str(path)], capsys)
+    assert err.startswith("config error: cannot read config file %s: 'utf-8' codec " % path)
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "x")
+    err = config_error(["--config", os.path.join(CONFIGS, "expand_demo.cfg"), "--out", out],
+                       capsys)
+    assert err.startswith("config error: cannot write report %s: "
+                          % os.path.join(out, "expand.txt"))
+
+
 def test_load_requires_task(tmp_path):
     path = write(tmp_path, "[action]\nbuiltin = sign_flip_c2\n")
     with pytest.raises(ConfigError, match="no task"):
@@ -977,8 +1007,8 @@ def no_grid_arrays(monkeypatch):
     def refuse(*args, **kwargs):
         raise GridArrayBuilt()
 
-    monkeypatch.setattr(cli, "gaussian", refuse)
-    monkeypatch.setattr(cli, "phase_system_plan", refuse)
+    monkeypatch.setattr(numfio, "gaussian", refuse)
+    monkeypatch.setattr(numfio, "phase_system_plan", refuse)
 
 
 @pytest.mark.parametrize("points,elements,stderr", [
@@ -1147,7 +1177,7 @@ def count_plans(monkeypatch, tmp_path, text):
     """(plans built, most plans alive at once) in one verify-numeric run."""
     built = []
     alive = []
-    real = cli.phase_system_plan
+    real = numfio.phase_system_plan
 
     def counting(*args, **kwargs):
         plan = real(*args, **kwargs)
@@ -1155,7 +1185,7 @@ def count_plans(monkeypatch, tmp_path, text):
         alive.append(sum(ref() is not None for ref in built))
         return plan
 
-    monkeypatch.setattr(cli, "phase_system_plan", counting)
+    monkeypatch.setattr(numfio, "phase_system_plan", counting)
     cfg = SessionConfig.load(write(tmp_path, text), out=str(tmp_path / "out"))
     status, report = cli.run(cfg)
     assert status == 0, report
@@ -1184,7 +1214,7 @@ def test_verify_numeric_builds_one_plan_per_element(monkeypatch, tmp_path):
 def count_applications(monkeypatch, tmp_path, text):
     """Plan applications, T_g psi, in one verify-numeric run."""
     applied = []
-    real = cli.phase_system_plan
+    real = numfio.phase_system_plan
 
     def counting(*args, **kwargs):
         plan = real(*args, **kwargs)
@@ -1195,7 +1225,7 @@ def count_applications(monkeypatch, tmp_path, text):
 
         return apply
 
-    monkeypatch.setattr(cli, "phase_system_plan", counting)
+    monkeypatch.setattr(numfio, "phase_system_plan", counting)
     cfg = SessionConfig.load(write(tmp_path, text), out=str(tmp_path / "out"))
     status, report = cli.run(cfg)
     assert status == 0, report

@@ -32,7 +32,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from quantact import cli  # noqa: E402
+from quantact import cli, numfio  # noqa: E402
 from quantact.cli import main  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
@@ -173,7 +173,7 @@ def test_verify_numeric_grid_and_pair_budgets(tmp_path, monkeypatch):
         return call
 
     for name in ("gaussian", "phase_system_plan"):
-        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        monkeypatch.setattr(numfio, name, recording(getattr(numfio, name)))
 
     @SETTINGS
     @hypothesis.given(st.integers(0, 40), st.integers(1, 8),

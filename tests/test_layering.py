@@ -42,6 +42,10 @@ The right factor of d_{P0} is one constant table per (h, alpha):
 ``import quantact`` loads neither ``concurrent.futures`` nor ``logging``:
 ``numfio``'s worker thread is built on ``threading`` and ``_queue`` alone.
 
+Only ``numfio`` imports numpy at module level, and only ``verify-numeric``
+imports ``numfio``, in its body: ``import quantact``, ``import quantact.cli``
+and a run of an exact config load neither numpy nor ``numfio``.
+
 ``cli`` compares a config's work with its budgets in one function,
 ``_admit``: no other function compares a ``*_BUDGET`` value or the
 ``BUDGETS`` table, and ``_check_slot_budget`` stays gone.
@@ -58,6 +62,8 @@ import importlib
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -546,13 +552,16 @@ def test_the_budget_guard_sees_names_attributes_and_the_table(tmp_path):
 # the worker beside the caller needs no executor: concurrent.futures would
 # load logging with it, which costs set-up time and memory on every import
 HEAVY_MODULES = ("concurrent.futures", "logging")
+# only verify-numeric works on the grid: the exact tasks load no numpy
+NUMERIC_MODULES = ("numpy", "quantact.numfio")
 
 
-def heavy_modules_loaded(module, path):
-    """The ``HEAVY_MODULES`` a fresh interpreter holds after ``import module``
-    with ``path`` first on its path."""
-    code = ("import sys, %s\nprint(' '.join(m for m in %r if m in sys.modules))"
-            % (module, HEAVY_MODULES))
+def heavy_modules_loaded(module, path, heavy=HEAVY_MODULES, then="", after=""):
+    """The ``heavy`` modules a fresh interpreter holds after ``import module``
+    with ``path`` first on its path and the statements ``then``; the
+    statements ``after`` run next in the same interpreter, and must not raise."""
+    code = ("import sys, %s\n%s\nprint(' '.join(m for m in %r if m in sys.modules))\n%s"
+            % (module, then, heavy, after))
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60, check=True)
     return proc.stdout.split()
@@ -565,6 +574,83 @@ def test_importing_quantact_loads_no_executor_and_no_logging():
 def test_the_import_guard_sees_an_executor(tmp_path):
     (tmp_path / "pooled.py").write_text("from concurrent.futures import ThreadPoolExecutor\n")
     assert heavy_modules_loaded("pooled", str(tmp_path)) == list(HEAVY_MODULES)
+
+
+def test_importing_quantact_or_its_cli_loads_no_numpy():
+    for module in ("quantact", "quantact.cli"):
+        assert heavy_modules_loaded(module, os.path.join(ROOT, "src"), NUMERIC_MODULES) == []
+
+
+def quiet_main(name, out):
+    """A statement that runs ``cli.main`` on ``configs/<name>.cfg``, its
+    report written under ``out`` and its standard output dropped, and
+    asserts that it exits 0."""
+    argv = ["--config", os.path.join(ROOT, "configs", name + ".cfg"), "--out", out]
+    return ("import contextlib, io, quantact.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert quantact.cli.main(%r) == 0\n" % argv)
+
+
+def test_an_exact_config_runs_without_numpy(tmp_path):
+    # the grid task still loads numpy itself, later in the same process
+    out = str(tmp_path / "out")
+    assert heavy_modules_loaded("quantact", os.path.join(ROOT, "src"), NUMERIC_MODULES,
+                                then=quiet_main("cohomology_c4", out),
+                                after=quiet_main("galilean_numeric", out)) == []
+    assert sorted(os.listdir(out)) == ["cohomology.txt", "verify-numeric.txt"]
+
+
+def test_the_numpy_guard_sees_an_import_and_a_failed_run(tmp_path):
+    (tmp_path / "gridded.py").write_text("import numpy.linalg\n")
+    assert heavy_modules_loaded("gridded", str(tmp_path), NUMERIC_MODULES) == ["numpy"]
+    with pytest.raises(subprocess.CalledProcessError):
+        heavy_modules_loaded("gridded", str(tmp_path), NUMERIC_MODULES, after="assert False")
+
+
+def module_level_numpy_imports(path):
+    """Lines of the imports of numpy (or a submodule) that run when ``path``
+    is imported: at module level, in a top-level ``if`` or ``try`` too, but
+    not in a function or class body."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            names = ([a.name for a in child.names] if isinstance(child, ast.Import) else
+                     [child.module or ""] if isinstance(child, ast.ImportFrom)
+                     and not child.level else [])
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_only_numfio_imports_numpy_at_module_level():
+    modules = glob.glob(os.path.join(ROOT, "src", "quantact", "*.py"))
+    importers = [os.path.basename(m) for m in modules if module_level_numpy_imports(m)]
+    assert importers == ["numfio.py"]
+
+
+def test_the_numpy_import_guard_sees_module_level_imports_only(tmp_path):
+    path = tmp_path / "imports.py"
+    path.write_text("import os, numpy.fft\n"
+                    "from numpy import errstate\n"
+                    "try:\n"
+                    "    import numpy as np\n"
+                    "except ImportError:\n"
+                    "    np = None\n"
+                    "from .numpy import shadow\n"
+                    "def task():\n"
+                    "    import numpy as np\n"
+                    "class Grid:\n"
+                    "    import numpy\n"
+                    "import numpyro\n")
+    assert module_level_numpy_imports(str(path)) == [1, 2, 4]
 
 
 def tracer_targets(path):
