@@ -437,7 +437,7 @@ class CoefficientBasis:
         index = {m: i for i, m in enumerate(monos)}
         # Gauss-Jordan on [E | I], one row per basis element, pivots on monomials
         nm = len(monos)
-        rows = [{index[m]: (c.re, c.im) for m, c in e.poly.terms.items()} for e in self.exprs]
+        rows = [{index[m]: c for m, c in e.poly.terms.items()} for e in self.exprs]
         for j, row in enumerate(rows):
             row[nm + j] = (1, 0)
         echelon = _reduced_echelon(rows, nm)
@@ -446,8 +446,8 @@ class CoefficientBasis:
         self._monomials = set(monos)
         self._echelon = {}
         for col, row in echelon.items():
-            others = {monos[k]: GaussRat(*c) for k, c in row.items() if k < nm and k != col}
-            back = {k - nm: GaussRat(*c) for k, c in row.items() if k >= nm}
+            others = {monos[k]: c for k, c in row.items() if k < nm and k != col}
+            back = {k - nm: c for k, c in row.items() if k >= nm}
             self._echelon[monos[col]] = (others, back)
 
     def __len__(self):
@@ -477,8 +477,8 @@ class CoefficientBasis:
                 _add_scaled(rest, ((mono, c),), 1, 0)
                 continue
             others, back = row
-            _add_scaled(rest, others.items(), -c.re, -c.im)
-            _add_scaled(out, back.items(), c.re, c.im)
+            _add_scaled(rest, others.items(), -c[0], -c[1])
+            _add_scaled(out, back.items(), *c)
         if rest:
             raise BasisEscapeError("coefficient %s escapes the basis span" % e)
         return {j: GaussRat(*parts) for j, parts in out.items()}

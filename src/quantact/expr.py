@@ -25,7 +25,8 @@ randomized evaluation with an explicitly probabilistic certificate.  Every
 check that vanishes on several expressions folds their certificates through
 ``all_zero``: exact only when each one is.
 
-A polynomial is a dict monomial -> nonzero GaussRat.  A monomial is one
+A polynomial is a dict monomial -> nonzero (re, im) pair, each part an int
+when integral, else a Fraction with denominator > 1.  A monomial is one
 packed int (0 for the constant): each variable owns a 32-bit power field, at
 an offset from an append-only registry of names, filled under a lock on
 first use; the registry keeps names only, never a result.  Powers stop at
@@ -33,10 +34,11 @@ first use; the registry keeps names only, never a result.  Powers stop at
 is one int addition.  A monomial with an exp atom is the pair (int, argument
 Poly).  Walks that fix an order (``key``, ``str``, ``eval``, ``fold``,
 ``subs``, ``free_names``) visit the exp atom first, then the names in order.
-Sums and products add in place into a dict monomial -> (re, im) (``_mac``),
-which becomes a Poly once: ``Accumulator`` sums a_1*b_1 + a_2*b_2 + ... so for
-each coefficient of a cochain sum, a star product or a face sum, and falls
-back to Expr arithmetic, in order, from its first tree term on.
+Sums and products add in place into such a dict (``_mac``, ``_add_scaled``),
+which is then the Poly itself: ``Accumulator`` sums a_1*b_1 + a_2*b_2 + ... so
+for each coefficient of a cochain sum, a star product or a face sum, hands its
+dict over, and falls back to Expr arithmetic, in order, from its first tree
+term on.
 
 Sampling (``Expr.eval``), substitution (``substitution``) and grid
 evaluation (``numfio.eval_expr``) are folds: ``Expr.fold`` combines tree nodes
@@ -101,7 +103,9 @@ def _int_or_fraction(v):
 
 
 class GaussRat:
-    """Exact complex number a + b*i with rational a, b.
+    """Exact complex number a + b*i with rational a, b: the scalar at the API
+    edges (``const_value``, ``eval`` and ``fold`` leaves, solutions and
+    coordinates); a Poly holds its coefficients as bare (re, im) pairs.
 
     Each part is stored as an ``int`` when it is integral and as a
     ``Fraction`` only when its denominator exceeds 1, so the common integer
@@ -176,7 +180,6 @@ class GaussRat:
         return "GaussRat(%s, %s)" % (self.re, self.im)
 
 
-GR_ZERO = GaussRat(0, 0)
 GR_ONE = GaussRat(1, 0)
 GR_I = GaussRat(0, 1)
 
@@ -191,20 +194,14 @@ def _frac_str(f):
 
 
 def _gauss_str(c):
-    # Grammar-conformant rendering; caller adds parentheses when needed.
-    if c.im == 0:
-        return _frac_str(c.re)
-    if c.re == 0:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return "%s*i" % _frac_str(c.im)
-    im = c.im
-    sign = "+" if im > 0 else "-"
-    imabs = abs(im)
-    imtxt = "i" if imabs == 1 else "%s*i" % _frac_str(imabs)
-    return "%s %s %s" % (_frac_str(c.re), sign, imtxt)
+    # Grammar-conformant rendering of an (re, im) pair; caller adds parentheses when needed.
+    re, im = c
+    if im == 0:
+        return _frac_str(re)
+    imtxt = "i" if abs(im) == 1 else "%s*i" % _frac_str(abs(im))
+    if re == 0:
+        return imtxt if im > 0 else "-" + imtxt
+    return "%s %s %s" % (_frac_str(re), "+" if im > 0 else "-", imtxt)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +249,13 @@ def _mono_mul(m1, m2):
 
 
 def _mac(acc, terms1, terms2):
-    """acc += terms1 * terms2 for (monomial, GaussRat) iterables, acc holding
-    monomial -> (re, im); a zero sum leaves acc."""
+    """acc += terms1 * terms2 for Poly dicts, acc one too; a zero sum leaves
+    acc.  A Fraction part makes both parts of a product Fractions, and an
+    int sum added to an int-first part leaves it int-first: only a sum whose
+    real part is no int is normalized."""
     guard = _GUARD
-    rows = [(m2, type(m2) is int, c2.re, c2.im) for m2, c2 in terms2]
-    for m1, c1 in terms1:
-        r1, i1 = c1.re, c1.im
+    rows = [(m2, type(m2) is int, r2, i2) for m2, (r2, i2) in terms2.items()]
+    for m1, (r1, i1) in terms1.items():
         packed = type(m1) is int
         for m2, packed2, r2, i2 in rows:
             if packed and packed2:
@@ -275,13 +273,14 @@ def _mac(acc, terms1, terms2):
                 if not (r or i):
                     del acc[m]
                     continue
-            acc[m] = (r, i)
+            acc[m] = (r, i) if type(r) is int else (_int_or_fraction(r), _int_or_fraction(i))
 
 
 def _add_scaled(acc, terms, r2, i2):
-    """acc += (r2 + i2*i) * terms, as ``_mac`` by a constant would add them."""
-    for m, c in terms:
-        r, i = c.re * r2 - c.im * i2, c.re * i2 + c.im * r2
+    """acc += (r2 + i2*i) * terms for (monomial, (re, im)) items, as ``_mac``
+    by a constant would add them."""
+    for m, (r1, i1) in terms:
+        r, i = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
         old = acc.get(m)
         if old is not None:
             r += old[0]
@@ -289,7 +288,7 @@ def _add_scaled(acc, terms, r2, i2):
             if not (r or i):
                 del acc[m]
                 continue
-        acc[m] = (r, i)
+        acc[m] = (r, i) if type(r) is int else (_int_or_fraction(r), _int_or_fraction(i))
 
 
 def _check_product(p1, p2):
@@ -303,11 +302,6 @@ def _check_product(p1, p2):
                             % (b1, b2, BIT_BUDGET))
 
 
-def _poly_of(acc):
-    """The Poly of a ``_mac`` accumulator, monomial -> (re, im)."""
-    return Poly({m: GaussRat(r, i) for m, (r, i) in acc.items()})
-
-
 def _arg_sizes(poly):
     """The size of each exp argument of ``poly``: its terms, the terms of
     their own exp arguments counted in."""
@@ -319,7 +313,7 @@ def _bits(poly):
     parts: the top bit of their bitwise or."""
     top = 0
     for c in poly.terms.values():
-        for q in (c.re, c.im):
+        for q in c:
             top |= abs(q) if type(q) is int else abs(q.numerator) | q.denominator
     return top.bit_length()
 
@@ -342,24 +336,22 @@ class Poly:
 
     @staticmethod
     def const(c):
-        c = GaussRat.of(c)
-        return Poly({0: c} if not c.is_zero() else {})
+        c = (c.re, c.im) if type(c) is GaussRat else (_int_or_fraction(c), 0)
+        return Poly({0: c} if c != (0, 0) else {})
 
     @staticmethod
     def var(name):
-        return Poly({1 << _shift(name): GR_ONE})
+        return Poly({1 << _shift(name): (1, 0)})
 
     @staticmethod
     def exp_atom(arg):
-        if not arg.terms:
-            return Poly.const(GR_ONE)
-        return Poly({(0, arg): GR_ONE})
+        return Poly({(0, arg) if arg.terms else 0: (1, 0)})
 
     # structure ------------------------------------------------------------
 
     def key(self):
         if self._key is None:
-            self._key = tuple(sorted((_mono_key(m), c.key()) for m, c in self.terms.items()))
+            self._key = tuple(sorted((_mono_key(m), c) for m, c in self.terms.items()))
         return self._key
 
     def __hash__(self):
@@ -380,9 +372,7 @@ class Poly:
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self):
-        if not self.terms:
-            return GR_ZERO
-        return self.terms.get(0)
+        return GaussRat(*self.terms.get(0, (0, 0)))
 
     def free_names(self):
         out = set()
@@ -397,24 +387,25 @@ class Poly:
 
     def add(self, other, sign=1):
         """self + sign * other, sign 1 or -1."""
-        acc = {m: (c.re, c.im) for m, c in self.terms.items()}
+        acc = dict(self.terms)
         _add_scaled(acc, other.terms.items(), sign, 0)
-        return _poly_of(acc)
+        return Poly(acc)
 
     def sub(self, other):
         return self.add(other, -1)
 
     def neg(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly({m: (-r, -i) for m, (r, i) in self.terms.items()})
 
     def scalar_mul(self, c):
-        """c times the polynomial; 1 returns the operand itself."""
-        c = GaussRat.of(c)
-        if c.is_zero():
-            return Poly.zero()
-        if c == GR_ONE:
+        """c times the polynomial, c a scalar or an (re, im) pair; 1 returns
+        the operand itself."""
+        c, acc = c if type(c) is tuple else GaussRat.of(c).key(), {}
+        if c == (1, 0):
             return self
-        return Poly({m: v * c for m, v in self.terms.items()})
+        if c != (0, 0):
+            _add_scaled(acc, self.terms.items(), *c)
+        return Poly(acc)
 
     def mul(self, other):
         _check_product(self, other)
@@ -424,8 +415,8 @@ class Poly:
         if len(self.terms) == 1 and 0 in self.terms:
             return other.scalar_mul(self.terms[0])
         acc = {}
-        _mac(acc, self.terms.items(), other.terms.items())
-        return _poly_of(acc)
+        _mac(acc, self.terms, other.terms)
+        return Poly(acc)
 
     def pow(self, n):
         if n < 0:
@@ -435,12 +426,12 @@ class Poly:
         # one-term power's coefficient is (p1 q2 + i p2 q1)^n / (q1 q2)^n, and
         # a t-term power's sum up to t^n such products, log2 t more bits each
         if n > 1 and self.terms:
-            (mono, c), *rest = self.terms.items()
-            grows = rest or c.re * c.im or abs(c.re + c.im) != 1
+            (mono, (r, i)), *rest = self.terms.items()
+            grows = rest or r * i or abs(r + i) != 1
             if n > _MAX_POWER and (grows or _split(mono)[1]):
                 raise ExprError("power %d exceeds 2^31 - 1" % n)
             bits, log_t = _bits(self), len(rest).bit_length()
-            width = 2 * bits + 1 if any(v.re and v.im for v in self.terms.values()) else bits
+            width = 2 * bits + 1 if any(r and i for r, i in self.terms.values()) else bits
             if grows and n * (width + log_t) > BIT_BUDGET:
                 raise ExprError("power %d of a %s%d-bit coefficient%s may pass %d bits"
                                 % (n, "%d-term polynomial with " % len(self.terms) if rest
@@ -456,7 +447,7 @@ class Poly:
                                 % (n, len(self.terms), " with %d terms in exp arguments" % args
                                    if args else "", TERM_BUDGET))
         if n == 0:
-            return Poly.const(GR_ONE)
+            return Poly.const(1)
         result = None
         base = self
         while True:
@@ -472,7 +463,7 @@ class Poly:
         if len(self.terms) != 1 or _split(next(iter(self.terms)))[1]:
             return None
         (mono, c), = self.terms.items()
-        return Poly({mono if type(mono) is int else (0, mono[1].neg()): c.inv()})
+        return Poly({mono if type(mono) is int else (0, mono[1].neg()): GaussRat(*c).inv().key()})
 
     # calculus -------------------------------------------------------------
 
@@ -487,7 +478,7 @@ class Poly:
             if p:
                 v -= 1 << shift
                 _add_scaled(acc, ((v if arg is None else (v, arg), c),), p, 0)
-        return _poly_of(acc)
+        return Poly(acc)
 
     def subs(self, mapping, images):
         """Substitute variables by Polys; mapping: name -> Poly.  ``images``
@@ -498,7 +489,7 @@ class Poly:
             image = images.get(mono)
             if image is None:
                 arg, gens = _split(mono)
-                image = Poly.const(GR_ONE) if arg is None else Poly.exp_atom(
+                image = Poly.const(1) if arg is None else Poly.exp_atom(
                     arg.subs(mapping, images))
                 for name, p in gens:
                     if (name, p) not in powers:
@@ -514,8 +505,8 @@ class Poly:
                                         % (size, TERM_BUDGET))
                     image = image.mul(power)
                 images[mono] = image
-            _add_scaled(acc, image.terms.items(), c.re, c.im)
-        return _poly_of(acc)
+            _add_scaled(acc, image.terms.items(), *c)
+        return Poly(acc)
 
     def eval(self, values):
         """Evaluate at a point; values: name -> complex/int/Fraction/GaussRat.
@@ -523,10 +514,10 @@ class Poly:
         Rational arithmetic is kept exact and only converted to floating
         point where an exponential forces it (or at the final boundary).
         """
-        exact_sum = GR_ZERO
+        exact_sum = GaussRat()
         float_sum = 0j
         for mono, c in self.terms.items():
-            exact = c
+            exact = GaussRat(*c)
             approx = 1 + 0j
             is_exact = True
             arg, gens = _split(mono)
@@ -554,7 +545,7 @@ class Poly:
         onto ``zero`` of const(c) * exp(folded argument) * var(v)**p * ..."""
         total = zero
         for mono, c in self.terms.items():
-            term = const(c)
+            term = const(GaussRat(*c))
             arg, gens = _split(mono)
             if arg is not None:
                 term = term * exp(arg.fold(zero, const, var, exp))
@@ -577,14 +568,12 @@ class Poly:
             ctxt = _gauss_str(c)
             if not body:
                 piece = "(%s)" % ctxt if (" " in ctxt) else ctxt
-            elif c == GR_ONE:
+            elif c == (1, 0):
                 piece = body
-            elif c == GaussRat(-1, 0):
+            elif c == (-1, 0):
                 piece = "-%s" % body
             else:
-                if " " in ctxt:
-                    ctxt = "(%s)" % ctxt
-                piece = "%s*%s" % (ctxt, body)
+                piece = "%s*%s" % ("(%s)" % ctxt if " " in ctxt else ctxt, body)
             parts.append(piece)
         text = parts[0]
         for piece in parts[1:]:
@@ -629,15 +618,15 @@ class Expr:
 
     @staticmethod
     def one():
-        return Expr(poly=Poly.const(GR_ONE))
+        return Expr(poly=Poly.const(1))
 
     @staticmethod
     def integer(n):
-        return Expr(poly=Poly.const(GaussRat(n)))
+        return Expr(poly=Poly.const(n))
 
     @staticmethod
     def rational(num, den=1):
-        return Expr(poly=Poly.const(GaussRat(Fraction(num, den))))
+        return Expr(poly=Poly.const(Fraction(num, den)))
 
     @staticmethod
     def gauss(re, im=0):
@@ -686,7 +675,7 @@ class Expr:
     def const_value(self):
         if not self.is_const():
             raise ExprError("not a constant")
-        return self.poly.const_value() or GR_ZERO
+        return self.poly.const_value()
 
     def free_names(self):
         if self.poly is not None:
@@ -874,45 +863,58 @@ class Accumulator:
     """start + a_1*b_1 + a_2*b_2 + ... for one coefficient, b an Expr or 1 or -1.
 
     While the terms are canonical, their products go through ``_mac`` into
-    one dict monomial -> (re, im), and ``expr`` builds one Poly at the end.
-    From the first tree term on, the sum goes on in Expr arithmetic, term by
-    term, so it has the tree shape and certificate that ``+`` and ``-``
-    build.  Without a start the first term stands alone; with ``drop`` a
-    canonical sum that has reached zero counts as none, as a symbol drops it.
+    one dict monomial -> (re, im), which ``expr`` hands over as the Poly; a
+    lone term times 1 is handed back as it is.  What was handed out stays
+    as ``lone``, and a later term copies its dict first.  From the first
+    tree term on, the sum goes on in Expr arithmetic, term by term, so it
+    has the tree shape and certificate that ``+`` and ``-`` build.  Without
+    a start the first term stands alone; with ``drop`` a canonical sum that
+    has reached zero counts as none, as a symbol drops it.
     """
 
-    __slots__ = ("acc", "tree", "empty", "drop")
+    __slots__ = ("acc", "lone", "tree", "empty", "drop")
 
     def __init__(self, start=None, drop=False):
-        self.acc, self.tree, self.empty, self.drop = {}, None, True, drop
+        self.acc, self.lone, self.tree, self.empty, self.drop = {}, None, None, True, drop
         if start is not None:
             self.add(start)
 
     def add(self, a, b=1):
         """The sum plus a*b (b = -1 subtracts a); True while it is canonical."""
-        if self.tree is None and a.poly is not None and (type(b) is int or b.poly is not None):
+        terms = None if a.poly is None else a.poly.terms
+        if self.tree is None and terms is not None and (type(b) is int or b.poly is not None):
+            self.empty = False
             if type(b) is int:
-                _add_scaled(self.acc, a.poly.terms.items(), b, 0)
-            else:
+                c = (b, 0)
+            else:   # a constant b scales the terms of a
                 _check_product(a.poly, b.poly)
                 c = b.poly.terms.get(0) if len(b.poly.terms) == 1 else None
-                if c is None:
-                    _mac(self.acc, a.poly.terms.items(), b.poly.terms.items())
-                else:   # a constant b scales the terms of a in place
-                    _add_scaled(self.acc, a.poly.terms.items(), c.re, c.im)
-            self.empty = False
+            if not terms:
+                return True
+            if self.lone is not None:
+                self.acc, self.lone = dict(self.lone.poly.terms), None
+            elif c == (1, 0) and not self.acc:
+                self.lone = a
+                return True
+            if c is None:
+                _mac(self.acc, terms, b.poly.terms)
+            else:
+                _add_scaled(self.acc, terms.items(), *c)
             return True
         term = a * b if type(b) is not int else a if b > 0 else -a
-        if self.tree is not None:
-            self.tree = self.tree + term
+        if self.tree is None:
+            s = self.expr()
+            self.tree = term if self.empty or self.drop and s is _ZERO else s + term
         else:
-            self.tree = term if self.empty or self.drop and not self.acc else self.expr() + term
+            self.tree = self.tree + term
         return False
 
     def expr(self):
         if self.tree is not None:
             return self.tree
-        return Expr(poly=_poly_of(self.acc)) if self.acc else _ZERO   # a zero sum
+        if self.acc:
+            self.lone, self.acc = Expr(poly=Poly(self.acc)), {}
+        return _ZERO if self.lone is None else self.lone   # None: a zero sum
 
 
 _ZERO = Expr.zero()
@@ -1066,9 +1068,7 @@ class VarBinding:
         self.constants = list(constants)
         seen = set()
         for name in self.names():
-            if not name or not (name[0].isalpha()):
-                raise ExprError("invalid identifier %r" % name)
-            if any(not (ch.isalnum() or ch == "_") for ch in name):
+            if not name[:1].isalpha() or any(not (ch.isalnum() or ch == "_") for ch in name):
                 raise ExprError("invalid identifier %r" % name)
             if name in _RESERVED:
                 raise ExprError("%r is reserved" % name)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from quantact import dga, opcalc
+from quantact import dga, expr, opcalc
 from quantact.actions import (BUILTIN_ACTIONS, ActionSpec, Diffeo, FiniteGroup,
                               check_action, cyclic_rotations,
                               galilean_boosts, heisenberg, sign_flip,
@@ -729,7 +729,7 @@ def test_slot_maps_share_one_carrier_table_per_h(monkeypatch):
 
 def test_identical_products_make_equal_kernel_work(monkeypatch):
     # the name registry of expr keeps no result: two identical products, one
-    # after the other, make the same Poly.mul calls and GaussRat constructions.
+    # after the other, make the same Poly.mul and expr._mac calls.
     # Each has its own action, since a Diffeo keeps its pullback images
     counts = []
     for _ in range(2):
@@ -737,14 +737,34 @@ def test_identical_products_make_equal_kernel_work(monkeypatch):
         action = cyclic_rotations(4)
         a1, a2 = (random_cochain(rng, action, 1, order=2) for _ in range(2))
         muls = _count_calls(monkeypatch, Poly, "mul")
-        news = _count_calls(monkeypatch, GaussRat, "__init__")
+        macs = _count_calls(monkeypatch, expr, "_mac")
         prod = star_graded(a1, a2)
         for gs in itertools.product(action.group.elements(), repeat=2):
             prod.value(gs)
-        counts.append((len(muls), len(news)))
+        counts.append((len(muls), len(macs)))
         monkeypatch.undo()
     assert counts[0] == counts[1]
     assert counts[0][0] > 0 and counts[0][1] > 0
+
+
+def test_cochain_kernels_build_no_gaussrat(monkeypatch):
+    # a Poly holds (re, im) pairs and an Accumulator hands its dict over as
+    # the Poly: one value of star_graded and one of d on C4 cochains, and
+    # Poly.subs, diff and mul on canonical operands with Fraction parts,
+    # construct no GaussRat; const_value, an API edge, builds one
+    rng = random.Random(7)
+    action = cyclic_rotations(4)
+    a1, a2 = (random_cochain(rng, action, 1, order=2) for _ in range(2))
+    g = action.group.elements()[1]
+    p, q = parse("3*x^2*y - 1/2*x + 2*i*exp(x)").poly, parse("x - 2*y + 1/3").poly
+    mapping = {"x": parse("y + 1/2").poly, "y": parse("2*x").poly}
+    made = _count_calls(monkeypatch, GaussRat, "__init__")
+    star_graded(a1, a2).value((g, g))
+    d(a1).value((g, g))
+    p.subs(mapping, {}), p.diff("x"), p.mul(q)
+    by_kernels = len(made)
+    p.const_value()
+    assert (by_kernels, len(made)) == (0, 1)
 
 
 def test_cochain_sums_make_no_poly_sums_and_read_each_leaf_once(monkeypatch):
@@ -823,11 +843,11 @@ def test_slot_maps_at_high_order_skip_empty_slots(monkeypatch):
 def _decompose_by_solve(basis, e):
     monos = sorted({m for b in basis.exprs for m in b.poly.terms})
     index = {m: i for i, m in enumerate(monos)}
-    m = SparseMatrix(len(monos), [{index[mono]: (c.re, c.im) for mono, c in b.poly.terms.items()}
+    m = SparseMatrix(len(monos), [{index[mono]: c for mono, c in b.poly.terms.items()}
                                   for b in basis.exprs])
     vec = [GaussRat(0)] * len(monos)
     for mono, c in e.poly.terms.items():
-        vec[index[mono]] = c
+        vec[index[mono]] = GaussRat(*c)
     x, residual, _ = solve(m, vec)
     assert residual is None
     return {j: c for j, c in enumerate(x) if not c.is_zero()}

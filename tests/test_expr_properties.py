@@ -47,8 +47,9 @@ def ref_inv(a):
 
 
 def assert_int_first(x):
-    """Each part is an int when integral, else a Fraction with denominator > 1."""
-    for part in (x.re, x.im):
+    """Each part is an int when integral, else a Fraction with denominator > 1;
+    x a GaussRat or the (re, im) pair of a Poly coefficient."""
+    for part in (x.key() if isinstance(x, GaussRat) else x):
         if type(part) is not int:
             assert type(part) is Fraction and part.denominator > 1, repr(part)
 
@@ -308,7 +309,7 @@ class Ref:
                 base = gen[1] if gen[0] == "v" else "exp(%s)" % gen[1]
                 factors.append(base if p == 1 else "%s^%d" % (base, p))
             body = "*".join(factors)
-            ctxt = expr._gauss_str(c)
+            ctxt = expr._gauss_str(c.key())
             if not body:
                 piece = "(%s)" % ctxt if (" " in ctxt) else ctxt
             elif c == GaussRat(1):
@@ -338,7 +339,7 @@ def ref_mono(m):
 
 def ref_poly(p):
     """A Poly as a Ref, term for term and in its order."""
-    return Ref({ref_mono(m): c for m, c in p.terms.items()})
+    return Ref({ref_mono(m): GaussRat(*c) for m, c in p.terms.items()})
 
 
 def ref_terms(p):
@@ -385,7 +386,8 @@ nonzero_gauss = st.one_of(
 
 @st.composite
 def polys(draw, with_exp=True):
-    return Poly(draw(st.dictionaries(monomials(with_exp), nonzero_gauss, max_size=4)))
+    return Poly(draw(st.dictionaries(monomials(with_exp), nonzero_gauss.map(GaussRat.key),
+                                     max_size=4)))
 
 
 def snapshot(*ps):
@@ -575,8 +577,8 @@ def test_a_tree_term_continues_in_expr_arithmetic(case):
 def test_a_wide_one_term_product_fails_alike_through_the_accumulator(k1, k2, m1, m2, sign):
     # 3^k has 2 bits per factor of 3 in (1.58 k, 1.59 k): the two sides of
     # BIT_BUDGET are both drawn
-    a = Expr(poly=Poly({m1: GaussRat(sign * 3 ** k1)}))
-    b = Expr(poly=Poly({m2: GaussRat(3 ** k2)}))
+    a = Expr(poly=Poly({m1: (sign * 3 ** k1, 0)}))
+    b = Expr(poly=Poly({m2: (3 ** k2, 0)}))
     outcomes = []
     for product in (lambda: a * b, lambda: accumulated(None, [(a, b)], False)):
         try:
@@ -585,3 +587,49 @@ def test_a_wide_one_term_product_fails_alike_through_the_accumulator(k1, k2, m1,
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
     assert type(outcomes[0]) is str or len(outcomes[0]) == 1
+
+
+@hypothesis.settings(SETTINGS, max_examples=80)
+@hypothesis.given(polys(), polys(), polys(with_exp=False), rationals, gauss, sums(trees=False))
+def test_poly_coefficients_stay_int_first(p, q, rx, r, c, case):
+    # Fraction parts whose products and sums are integral (1/2 * 2, 1/3 + 2/3)
+    # must come out as ints, as GaussRat holds them
+    acc = Accumulator(case[0], drop=case[2])
+    for a, b in case[1] + [(Expr(poly=p), Expr(poly=Poly.const(c))), (Expr(poly=q), -1)]:
+        acc.add(a, b)
+    results = [p.add(q), p.sub(q), p.mul(q), p.subs({"zq": rx, "mq": q}, {}), p.diff("zq"),
+               p.scalar_mul(r), p.scalar_mul(c), acc.expr().poly]
+    for result in results:
+        for pair in result.terms.values():
+            assert type(pair) is tuple and len(pair) == 2
+            assert_int_first(pair)
+
+
+@hypothesis.settings(SETTINGS, max_examples=40)
+@hypothesis.given(sums(trees=False), polys())
+def test_the_accumulator_never_changes_a_poly_it_handed_out(case, p):
+    acc = Accumulator(case[0], drop=case[2])
+    for a, b in case[1]:
+        acc.add(a, b)
+    first = acc.expr()
+    before = list(first.poly.terms.items())
+    acc.add(Expr(poly=p))
+    acc.add(first, Expr(poly=p))
+    assert list(first.poly.terms.items()) == before
+    assert acc.expr().poly.key() == (first + Expr(poly=p) + first * Expr(poly=p)).poly.key()
+
+
+def test_a_lone_term_times_one_comes_back_as_it_is():
+    # the jacobian factor 1 of a carrier step makes no copy of the coefficient
+    x = Expr(poly=Poly.var("zq").add(Poly.const(Fraction(1, 2))))
+    for one in (1, Expr.one()):
+        for start in (None, Expr.zero()):
+            acc = Accumulator(start)
+            acc.add(x, one)
+            assert acc.expr() is x
+    acc = Accumulator()
+    acc.add(x, -1)
+    assert acc.expr() is not x and acc.expr() == -x
+    acc = Accumulator(x)
+    acc.add(x)
+    assert acc.expr() == x * 2 and str(x) == "1/2 + zq"

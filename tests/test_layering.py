@@ -30,7 +30,9 @@ the shear detection have no other caller.
 product cochain, so every run starts cold.
 
 ``linalg`` eliminates over the Gaussian integers only: it imports no
-``fractions``, and ``_eliminate`` never names ``GaussRat``.  The matrix of
+``fractions``, and ``_eliminate`` never names ``GaussRat``.  A ``Poly``
+holds (re, im) pairs: ``expr._mac``, ``expr._add_scaled`` and
+``expr.Accumulator`` never name ``GaussRat`` either.  The matrix of
 d_{P0} is assembled in Z[i] too: a ``SparseMatrix`` is built from whole
 columns, with no per-entry ``add``, and ``dga._matrix_of_twisted_d`` never
 names a Gaussian rational.
@@ -367,9 +369,9 @@ def test_expr_keeps_names_only_between_calls():
 
 # linalg eliminates over the Gaussian integers only: no Fraction path sits
 # beside it, and the kernel never touches a Gaussian rational
-def field_arithmetic_uses(path, kernel="_eliminate"):
+def field_arithmetic_uses(path, kernels=("_eliminate",)):
     """(line, what) for each import of ``fractions`` and each use of the
-    name GaussRat inside the function ``kernel``."""
+    name GaussRat inside the functions and classes named in ``kernels``."""
     with open(path) as fh:
         tree = ast.parse(fh.read(), path)
     found = []
@@ -379,7 +381,7 @@ def field_arithmetic_uses(path, kernel="_eliminate"):
                       if a.name.split(".")[0] == "fractions"]
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions":
             found.append((node.lineno, "import fractions"))
-        elif isinstance(node, ast.FunctionDef) and node.name == kernel:
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in kernels:
             found += [(sub.lineno, "GaussRat") for sub in ast.walk(node)
                       if isinstance(sub, ast.Name) and sub.id == "GaussRat"
                       or isinstance(sub, ast.Attribute) and sub.attr == "GaussRat"]
@@ -404,6 +406,31 @@ def test_the_fraction_guard_sees_imports_and_the_kernel(tmp_path):
                     "    return GaussRat(1)\n")
     assert sorted(field_arithmetic_uses(str(path))) == [
         (1, "import fractions"), (2, "import fractions"), (5, "GaussRat"), (5, "GaussRat")]
+
+
+# a Poly holds (re, im) pairs, so the sums that build one never touch a
+# Gaussian rational
+SUM_KERNELS = ("_mac", "_add_scaled", "Accumulator")
+
+
+def test_the_sum_kernels_of_expr_name_no_gaussrat():
+    path = os.path.join(ROOT, "src", "quantact", "expr.py")
+    uses = [use for use in field_arithmetic_uses(path, SUM_KERNELS) if use[1] == "GaussRat"]
+    assert not uses, "GaussRat in a sum kernel of expr: %s" % ", ".join(
+        "line %d" % line for line, _ in uses)
+
+
+def test_the_fraction_guard_sees_a_kernel_class(tmp_path):
+    path = tmp_path / "kernels.py"
+    path.write_text("def _mac(acc):\n"
+                    "    return GaussRat(1)\n"
+                    "class Accumulator:\n"
+                    "    def expr(self):\n"
+                    "        return expr.GaussRat(0)\n"
+                    "def edge():\n"
+                    "    return GaussRat(2)\n")
+    assert sorted(field_arithmetic_uses(str(path), SUM_KERNELS)) == [
+        (2, "GaussRat"), (5, "GaussRat")]
 
 
 # the matrix of d_{P0} is built in Z[i]: a SparseMatrix takes whole columns
