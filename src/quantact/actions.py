@@ -89,12 +89,12 @@ class Diffeo:
 
     @functools.cached_property
     def inverse_affine(self):
-        """Exact (A, b), GaussRat lists, with phi^{-1}(x) = A x + b, computed on
-        first use and kept; None unless every inverse component has degree <= 1
-        in the coordinates with constant real coefficients (no constant or
-        parameter)."""
+        """Exact (A, b), lists of ints and Fractions, with phi^{-1}(x) = A x + b,
+        computed on first use and kept; None unless every inverse component has
+        degree <= 1 in the coordinates with constant real coefficients (no
+        constant or parameter)."""
         def real(e):
-            return e.const_value() if e.is_const() and e.const_value().im == 0 else None
+            return e.const_value().re if e.is_const() and e.const_value().im == 0 else None
         # constant partial derivatives make each component affine, so b = phi^{-1}(0)
         a = [[real(d) for d in row] for row in self.inverse_jacobian]
         if any(c is None for row in a for c in row):

@@ -72,7 +72,7 @@ import itertools
 import random
 
 from .actions import Diffeo
-from .expr import Accumulator, Expr, GaussRat, _add_scaled, all_zero, as_expr, is_zero
+from .expr import Accumulator, Expr, _add_scaled, all_zero, as_expr, is_zero
 from .linalg import SparseMatrix, _reduced_echelon, rank, solve
 from .opcalc import FormalFunction, FormalOperator, apply, star
 from .report import Report
@@ -459,7 +459,7 @@ class CoefficientBasis:
                                  for alpha in multi_indices(len(coords), max_degree)])
 
     def decompose(self, e):
-        """Nonzero coordinates {j: c} of e; raises BasisEscapeError if outside.
+        """Nonzero coordinates {j: (re, im)} of e; raises BasisEscapeError if outside.
 
         e lies in the span iff it equals the sum of its pivot coefficients
         times the echelon rows, which holds at the pivot monomials by
@@ -481,7 +481,7 @@ class CoefficientBasis:
             _add_scaled(out, back.items(), *c)
         if rest:
             raise BasisEscapeError("coefficient %s escapes the basis span" % e)
-        return {j: GaussRat(*parts) for j, parts in out.items()}
+        return out
 
     def closure_report(self, action, rng=None):
         """Check the span is preserved by all (sampled) pullbacks."""
@@ -498,12 +498,12 @@ class CoefficientBasis:
         return rep
 
     def combine(self, coords):
-        """The expression with coordinates {j: c}; the inverse of ``decompose``."""
-        out = Expr.zero()
+        """The expression with (re, im) coordinates {j: c}; the inverse of ``decompose``."""
+        acc = Accumulator()
         for j, c in coords.items():
-            if not c.is_zero():
-                out = out + as_expr(GaussRat.of(c)) * self.exprs[j]
-        return out
+            if c != (0, 0):
+                acc.add(self.exprs[j], c)
+        return acc.expr()
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +535,7 @@ def _slot_coeffs(v, n):
 
 def _decompose_symbol_slot(v, n, basis):
     """(re, im) coordinates of the order-n slot of a symbol in (alpha, basis) blocks."""
-    return {(alpha, j): (c.re, c.im) for alpha, coeff in _slot_coeffs(v, n).items()
+    return {(alpha, j): c for alpha, coeff in _slot_coeffs(v, n).items()
             for j, c in basis.decompose(coeff).items()}
 
 
@@ -572,7 +572,7 @@ def _slot_maps(action, p0, n, basis, normalized=False):
         p, phi_h = p0.value((h,)), action.diffeo(h)
         f_h = p.comps[0].coefficient((0,) * dim)
         for j, e in enumerate(basis.exprs):
-            left[h, j] = {k: c.key() for k, c in basis.decompose(f_h * phi_h.pullback(e)).items()}
+            left[h, j] = basis.decompose(f_h * phi_h.pullback(e))
         carriers = {}   # of P0(h) over phi_h, the right operand of every star below
         for alpha, u in units.items():
             v = star(u, ident, p, phi_h, carriers)
@@ -636,13 +636,14 @@ def _twisted_d_matrices(action, p0, n, basis, tuples, normalized):
 
 
 def _slot_cochain(action, n, basis, coords, vec, degree):
-    """Order-n cochain of ``degree`` whose slot n has coordinates ``vec`` on ``coords``."""
+    """Order-n cochain of ``degree`` whose slot n has the (re, im) coordinates
+    ``vec`` on ``coords``, summed in one Accumulator per (t, alpha)."""
     slots = {t: {} for t in _tuples(action, degree)}
     for (t, alpha, j), c in zip(coords, vec):
-        if not c.is_zero():
-            coeffs = slots[t]
-            coeffs[alpha] = coeffs.get(alpha, Expr.zero()) + as_expr(c) * basis.exprs[j]
-    table = {t: _slot_symbol(action.dim, n, n, coeffs) for t, coeffs in slots.items()}
+        if c != (0, 0):
+            slots[t].setdefault(alpha, Accumulator()).add(basis.exprs[j], c)
+    table = {t: _slot_symbol(action.dim, n, n, {alpha: acc.expr() for alpha, acc in sums.items()})
+             for t, sums in slots.items()}
     return Cochain(action, degree, n, table=table)
 
 
@@ -680,11 +681,11 @@ def solve_order(action, p0, below, n, basis, rhs_cochain=None, rng=None):
     (cols, rows), (m,) = _twisted_d_matrices(
         action, p0, n, basis, [_tuples(action, 1, True), _tuples(action, 2, normalized)],
         normalized)
-    b = [GaussRat(*rhs_coords[t].get((alpha, j), (0, 0))) for t, alpha, j in rows]
+    b = [rhs_coords[t].get((alpha, j), (0, 0)) for t, alpha, j in rows]
 
     x, residual, kernel = solve(m, b)
 
-    rhs_is_zero = all(v.is_zero() for v in b)
+    rhs_is_zero = all(v == (0, 0) for v in b)
     cocycle_basis = ([_slot_cochain(action, n, basis, cols, v, 1) for v in kernel]
                      if rhs_is_zero else None)
 

@@ -102,10 +102,22 @@ def _int_or_fraction(v):
     raise TypeError("expected int or Fraction, got %r" % (v,))
 
 
+def _pair(re, im):
+    """(re, im), each part an int when integral, else a Fraction (denominator > 1)."""
+    return _int_or_fraction(re), _int_or_fraction(im)
+
+
+def _pair_inv(c):
+    """The inverse of a nonzero (re, im) pair, as ``_pair`` forms it."""
+    n = c[0] * c[0] + c[1] * c[1]
+    # through Fraction, which refuses n = 0: int / int would be a float
+    return _pair(Fraction(c[0], n), Fraction(-c[1], n))
+
+
 class GaussRat:
     """Exact complex number a + b*i with rational a, b: the scalar at the API
-    edges (``const_value``, ``eval`` and ``fold`` leaves, solutions and
-    coordinates); a Poly holds its coefficients as bare (re, im) pairs.
+    edges of ``expr`` (``const_value``, ``Expr`` constructors, ``eval`` and
+    ``fold`` leaves); Polys, basis coordinates and ``linalg`` hold (re, im) pairs.
 
     Each part is stored as an ``int`` when it is integral and as a
     ``Fraction`` only when its denominator exceeds 1, so the common integer
@@ -115,10 +127,8 @@ class GaussRat:
 
     __slots__ = ("re", "im")
 
-    # an int part needs no normalization
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is int else _int_or_fraction(re)
-        self.im = im if type(im) is int else _int_or_fraction(im)
+        self.re, self.im = _pair(re, im)
 
     @staticmethod
     def of(v):
@@ -147,11 +157,7 @@ class GaussRat:
         )
 
     def inv(self):
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        # through Fraction: int / int would be a float
-        return GaussRat(Fraction(self.re) / n, Fraction(-self.im) / n)
+        return GaussRat(*_pair_inv(self.key()))
 
     def conj(self):
         return GaussRat(self.re, -self.im)
@@ -180,7 +186,6 @@ class GaussRat:
         return "GaussRat(%s, %s)" % (self.re, self.im)
 
 
-GR_ONE = GaussRat(1, 0)
 GR_I = GaussRat(0, 1)
 
 
@@ -273,7 +278,7 @@ def _mac(acc, terms1, terms2):
                 if not (r or i):
                     del acc[m]
                     continue
-            acc[m] = (r, i) if type(r) is int else (_int_or_fraction(r), _int_or_fraction(i))
+            acc[m] = (r, i) if type(r) is int else _pair(r, i)
 
 
 def _add_scaled(acc, terms, r2, i2):
@@ -288,7 +293,7 @@ def _add_scaled(acc, terms, r2, i2):
             if not (r or i):
                 del acc[m]
                 continue
-        acc[m] = (r, i) if type(r) is int else (_int_or_fraction(r), _int_or_fraction(i))
+        acc[m] = (r, i) if type(r) is int else _pair(r, i)
 
 
 def _check_product(p1, p2):
@@ -463,7 +468,7 @@ class Poly:
         if len(self.terms) != 1 or _split(next(iter(self.terms)))[1]:
             return None
         (mono, c), = self.terms.items()
-        return Poly({mono if type(mono) is int else (0, mono[1].neg()): GaussRat(*c).inv().key()})
+        return Poly({mono if type(mono) is int else (0, mono[1].neg()): _pair_inv(c)})
 
     # calculus -------------------------------------------------------------
 
@@ -601,6 +606,19 @@ def _mono_sort_key(mono):
 # Expressions: canonical polynomials plus an opaque quotient fallback
 
 
+def _coerced(op):
+    """The binary operator ``op`` with its other operand made an Expr; an
+    operand ``as_expr`` rejects gets NotImplemented, so Python tries its
+    reflected method."""
+    def apply(self, other):
+        try:
+            other = as_expr(other)
+        except TypeError:
+            return NotImplemented
+        return op(self, other)
+    return apply
+
+
 class Expr:
     """Immutable expression; canonical where possible (see module docstring)."""
 
@@ -687,13 +705,9 @@ class Expr:
         return out
 
     # arithmetic ------------------------------------------------------------
-    # an operand as_expr rejects gets NotImplemented: Python tries its reflected method
 
+    @_coerced
     def __add__(self, other):
-        try:
-            other = as_expr(other)
-        except TypeError:
-            return NotImplemented
         if self.poly is not None and other.poly is not None:
             return Expr(poly=self.poly.add(other.poly))
         return Expr(node=("add", self, other))
@@ -705,27 +719,18 @@ class Expr:
             return Expr(poly=self.poly.neg())
         return Expr(node=("neg", self))
 
+    @_coerced
     def __sub__(self, other):
-        try:
-            other = as_expr(other)
-        except TypeError:
-            return NotImplemented
         if self.poly is not None and other.poly is not None:
             return Expr(poly=self.poly.sub(other.poly))
         return self + (-other)
 
+    @_coerced
     def __rsub__(self, other):
-        try:
-            other = as_expr(other)
-        except TypeError:
-            return NotImplemented
         return other + (-self)
 
+    @_coerced
     def __mul__(self, other):
-        try:
-            other = as_expr(other)
-        except TypeError:
-            return NotImplemented
         if self.poly is not None and other.poly is not None:
             return Expr(poly=self.poly.mul(other.poly))
         return Expr(node=("mul", self, other))
@@ -743,11 +748,8 @@ class Expr:
             return Expr(node=("pow", self, n))
         return Expr.one() / (self ** (-n))
 
+    @_coerced
     def __truediv__(self, other):
-        try:
-            other = as_expr(other)
-        except TypeError:
-            return NotImplemented
         if other.is_exact_zero():
             raise ZeroDivisionError("division by symbolic zero")
         if self.poly is not None and other.poly is not None:
@@ -756,11 +758,8 @@ class Expr:
                 return Expr(poly=self.poly.mul(inv))
         return Expr(node=("quot", self, other))
 
+    @_coerced
     def __rtruediv__(self, other):
-        try:
-            other = as_expr(other)
-        except TypeError:
-            return NotImplemented
         return other / self
 
     # calculus ---------------------------------------------------------------
@@ -817,12 +816,8 @@ class Expr:
 
     # comparison ------------------------------------------------------------
 
+    @_coerced
     def __eq__(self, other):
-        if not isinstance(other, Expr):
-            try:
-                other = as_expr(other)
-            except TypeError:
-                return NotImplemented
         if self.poly is not None and other.poly is not None:
             return self.poly == other.poly
         return self is other or self.node == other.node
@@ -860,7 +855,8 @@ def as_expr(v):
 
 
 class Accumulator:
-    """start + a_1*b_1 + a_2*b_2 + ... for one coefficient, b an Expr or 1 or -1.
+    """start + a_1*b_1 + a_2*b_2 + ... for one coefficient, b an Expr, 1, -1
+    or an (re, im) pair.
 
     While the terms are canonical, their products go through ``_mac`` into
     one dict monomial -> (re, im), which ``expr`` hands over as the Poly; a
@@ -880,13 +876,13 @@ class Accumulator:
             self.add(start)
 
     def add(self, a, b=1):
-        """The sum plus a*b (b = -1 subtracts a); True while it is canonical."""
+        """The sum plus a*b, b an Expr, 1, -1 or an (re, im) pair; True while canonical."""
         terms = None if a.poly is None else a.poly.terms
-        if self.tree is None and terms is not None and (type(b) is int or b.poly is not None):
+        pair = b if type(b) is tuple else (b, 0) if type(b) is int else None
+        if self.tree is None and terms is not None and (pair is not None or b.poly is not None):
             self.empty = False
-            if type(b) is int:
-                c = (b, 0)
-            else:   # a constant b scales the terms of a
+            c = pair
+            if c is None:   # a constant b scales the terms of a
                 _check_product(a.poly, b.poly)
                 c = b.poly.terms.get(0) if len(b.poly.terms) == 1 else None
             if not terms:
@@ -901,7 +897,8 @@ class Accumulator:
             else:
                 _add_scaled(self.acc, terms.items(), *c)
             return True
-        term = a * b if type(b) is not int else a if b > 0 else -a
+        term = (a * b if pair is None else a if pair == (1, 0) else -a if pair == (-1, 0)
+                else a * Expr.gauss(*pair))
         if self.tree is None:
             s = self.expr()
             self.tree = term if self.empty or self.drop and s is _ZERO else s + term

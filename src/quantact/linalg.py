@@ -5,7 +5,8 @@ Matrices arising from cochain differentials are large but very sparse.  A
 cleared once by the lcm of its own denominators, so ``rank`` and ``solve``
 eliminate Gaussian integers from the start.  Elimination is fraction-free
 (Bareiss, Math. Comp. 22, 1968) and pivots on sparse rows first: ``rank``
-never divides nor builds a GaussRat, ``solve`` divides once per pivot row.
+never divides, ``solve`` divides once per pivot row.  Its vectors are lists
+of (re, im) pairs, each part an int when integral, else a Fraction.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from math import gcd, lcm
 
-from .expr import GaussRat, GR_ONE
+from .expr import _pair, _pair_inv
 
 
 class SparseMatrix:
@@ -114,8 +115,7 @@ def _reduced_echelon(rows, ncols):
     rows = [_cleared(r)[1] for r in rows]
     echelon = {}
     for col, i in _eliminate(rows, ncols).items():
-        inv = GaussRat(*rows[i][col]).inv()
-        a, b = inv.re, inv.im
+        a, b = _pair_inv(rows[i][col])
         echelon[col] = {j: (x * a - y * b, x * b + y * a) for j, (x, y) in rows[i].items()}
     return echelon
 
@@ -127,7 +127,8 @@ def rank(matrix):
 
 
 def solve(matrix, b):
-    """Solve A x = b exactly; returns (x, residual, kernel) from one elimination.
+    """Solve A x = b exactly for b a list of (re, im) pairs; returns
+    (x, residual, kernel) from one elimination, each vector a list of pairs.
 
     x is the canonical solution with free variables set to zero, and residual
     is None when the system is consistent, else the nonzero vector b - A x
@@ -143,33 +144,33 @@ def solve(matrix, b):
         for i, (x, y) in col.items():
             rows[i][j] = (x * (big // den), y * (big // den))
     for row, v in zip(rows, b):
-        if not v.is_zero():
-            row[n] = (v.re, v.im)
+        if v != (0, 0):
+            row[n] = v
     echelon = _reduced_echelon(rows, n)
-    x = [GaussRat(0)] * n
+    x = [(0, 0)] * n
     ax = [(0, 0)] * matrix.nrows
     for col, row in echelon.items():
         if n in row:
             p, q = row[n]
-            x[col] = GaussRat(p * big, q * big)
+            x[col] = _pair(p * big, q * big)
             k = big // matrix.scales[col]   # column col of A x, times S
             for i, (re, im) in matrix.cols[col].items():
                 u, v = ax[i]
                 ax[i] = (u + k * (re * p - im * q), v + k * (re * q + im * p))
     kernel = []
     for fc in (j for j in range(n) if j not in echelon):
-        vec = [GaussRat(0)] * n
-        vec[fc] = GR_ONE
+        vec = [(0, 0)] * n
+        vec[fc] = (1, 0)
         for col, row in echelon.items():
             if fc in row:
-                vec[col] = GaussRat(-row[fc][0], -row[fc][1])
+                vec[col] = _pair(-row[fc][0], -row[fc][1])
         kernel.append(vec)
-    residual = [GaussRat(v.re - re, v.im - im) for v, (re, im) in zip(b, ax)]
-    if all(v.is_zero() for v in residual):
+    residual = [_pair(re - u, im - v) for (re, im), (u, v) in zip(b, ax)]
+    if all(v == (0, 0) for v in residual):
         residual = None
     return x, residual, kernel
 
 
 def nullspace(matrix):
     """Basis of the exact kernel, one vector per free column: ``solve`` at b = 0."""
-    return solve(matrix, [GaussRat(0)] * matrix.nrows)[2]
+    return solve(matrix, [(0, 0)] * matrix.nrows)[2]

@@ -289,9 +289,9 @@ def pullback_plan(grid, phi, consts=None):
     if affine is None:
         reals = _real_targets(grid, phi.inverse, env)
         fracs = [(t + grid.length) / grid.delta for t in reals]
-    elif all(c.re.denominator == 1 for row in affine[0] for c in row):
-        rows = [[int(c.re) for c in row] for row in affine[0]]
-        fracs = [(float(s.re) + grid.length * (1 - sum(row))) / grid.delta
+    elif all(c.denominator == 1 for row in affine[0] for c in row):
+        rows = [[int(c) for c in row] for row in affine[0]]
+        fracs = [(float(s) + grid.length * (1 - sum(row))) / grid.delta
                  for row, s in zip(rows, affine[1])]
     perm = None if fracs is None else _permutation_indices(grid, fracs, rows)
     if perm is not None:

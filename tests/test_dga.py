@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from int_first import assert_int_first
 
 from quantact import dga, expr, opcalc
 from quantact.actions import (BUILTIN_ACTIONS, ActionSpec, Diffeo, FiniteGroup,
@@ -389,11 +390,12 @@ def test_basis_decomposes_over_non_unit_complex_pivots():
     rng = random.Random(3)
     for _ in range(10):
         coords = {j: GaussRat(Fraction(rng.randint(-6, 6), rng.randint(1, 7)),
-                              Fraction(rng.randint(-6, 6), rng.randint(1, 7)))
+                              Fraction(rng.randint(-6, 6), rng.randint(1, 7))).key()
                   for j in range(3)}
-        coords = {j: c for j, c in coords.items() if not c.is_zero()}
+        coords = {j: c for j, c in coords.items() if c != (0, 0)}
         e = basis.combine(coords)
         assert basis.decompose(e) == coords
+        _assert_int_first_coords(basis.decompose(e))
         assert is_zero(basis.combine(basis.decompose(e)) - e).ok
     # x*y lies in the monomials of the basis, but not in its span
     with pytest.raises(BasisEscapeError):
@@ -845,12 +847,19 @@ def _decompose_by_solve(basis, e):
     index = {m: i for i, m in enumerate(monos)}
     m = SparseMatrix(len(monos), [{index[mono]: c for mono, c in b.poly.terms.items()}
                                   for b in basis.exprs])
-    vec = [GaussRat(0)] * len(monos)
+    vec = [(0, 0)] * len(monos)
     for mono, c in e.poly.terms.items():
-        vec[index[mono]] = GaussRat(*c)
+        vec[index[mono]] = c
     x, residual, _ = solve(m, vec)
     assert residual is None
-    return {j: c for j, c in enumerate(x) if not c.is_zero()}
+    return {j: c for j, c in enumerate(x) if c != (0, 0)}
+
+
+def _assert_int_first_coords(coords):
+    """Each coordinate part is an int when integral, else a Fraction with
+    denominator > 1, as in a Poly coefficient."""
+    for c in coords.values():
+        assert_int_first(c)
 
 
 def test_basis_decompose_matches_solve():
@@ -861,11 +870,12 @@ def test_basis_decompose_matches_solve():
     for basis in (monomial, mixed):
         for _ in range(8):
             draws = [GaussRat(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                              rng.randint(-2, 2)) for _ in basis.exprs]
-            coeffs = {j: c for j, c in enumerate(draws) if not c.is_zero()}
+                              rng.randint(-2, 2)).key() for _ in basis.exprs]
+            coeffs = {j: c for j, c in enumerate(draws) if c != (0, 0)}
             e = basis.combine(coeffs)
             got = basis.decompose(e)
             assert got == coeffs
+            _assert_int_first_coords(got)
             assert got == _decompose_by_solve(basis, e)
 
 
@@ -1287,7 +1297,7 @@ def test_basis_decompose_makes_no_matrix_products(monkeypatch):
                               parse("x^2 + i*y")])
     calls = _count_calls(monkeypatch, SparseMatrix, "__init__")
     for basis in (monomial, mixed):
-        coeffs = {j: GaussRat(j + 1, -j) for j in range(len(basis))}
+        coeffs = {j: (j + 1, -j) for j in range(len(basis))}
         assert basis.decompose(basis.combine(coeffs)) == coeffs
     with pytest.raises(BasisEscapeError):
         mixed.decompose(parse("x^2"))
@@ -1390,6 +1400,26 @@ builtin = rotations_c4
 [basis]
 monomials = 2
 """
+
+
+def test_the_solver_builds_no_gaussrat(monkeypatch, tmp_path):
+    # basis coordinates, the right-hand side, linalg.solve's vectors and the
+    # solution cochain are (re, im) pairs: in whole mc-solve runs, over
+    # sign_flip_c2 and over C4 at basis degree 2, order 2, no frame in
+    # linalg.py or dga.py constructs a GaussRat
+    c4 = tmp_path / "c4.cfg"
+    c4.write_text(C4_SOLVE_CFG)
+    callers, real = [], GaussRat.__init__
+
+    def counting(self, *args, **kwargs):
+        callers.append(os.path.basename(sys._getframe(1).f_code.co_filename))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaussRat, "__init__", counting)
+    for path in (os.path.join(ROOT, "configs", "solve_sign_flip.cfg"), str(c4)):
+        assert run(SessionConfig.load(path, out=str(tmp_path)))[0] == 0
+    monkeypatch.undo()
+    assert callers and not {"linalg.py", "dga.py"} & set(callers), sorted(set(callers))
 
 
 @pytest.mark.parametrize("config, order, slots, size", [

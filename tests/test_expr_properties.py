@@ -18,6 +18,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from int_first import assert_int_first  # noqa: E402
 from quantact import expr  # noqa: E402
 from quantact.expr import (Accumulator, Expr, ExprError, GaussRat, Poly,  # noqa: E402
                            _mono_mul, is_zero)
@@ -44,14 +45,6 @@ def ref_mul(a, b):
 def ref_inv(a):
     n = a[0] * a[0] + a[1] * a[1]
     return (a[0] / n, -a[1] / n)
-
-
-def assert_int_first(x):
-    """Each part is an int when integral, else a Fraction with denominator > 1;
-    x a GaussRat or the (re, im) pair of a Poly coefficient."""
-    for part in (x.key() if isinstance(x, GaussRat) else x):
-        if type(part) is not int:
-            assert type(part) is Fraction and part.denominator > 1, repr(part)
 
 
 @SETTINGS

@@ -167,6 +167,16 @@ def test_dga_makes_no_matrix_vector_products():
     assert name_uses(path, ("mul_vector", "left_inverse")) == []
 
 
+# the solver trades (re, im) pairs from basis coordinates to the solution
+# cochain: GaussRat stays the scalar at expr's edges, and GR_ONE is gone
+def test_the_solver_names_no_gaussrat():
+    src = os.path.join(ROOT, "src", "quantact")
+    uses = ["%s:%d %s" % (name, *use) for name in ("linalg.py", "dga.py")
+            for use in name_uses(os.path.join(src, name), ("GaussRat", "GR_ONE"))]
+    assert not uses, "the solver names GaussRat: %s" % ", ".join(uses)
+    assert name_uses(os.path.join(src, "expr.py"), ("GR_ONE",)) == []
+
+
 # an operator holds its symbol and its map, so no converter between the two
 def test_operator_symbol_converters_stay_gone():
     modules = glob.glob(os.path.join(ROOT, "src", "quantact", "*.py"))
