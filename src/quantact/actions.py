@@ -94,7 +94,7 @@ class Diffeo:
         degree <= 1 in the coordinates with constant real coefficients (no
         constant or parameter)."""
         def real(e):
-            return e.const_value().re if e.is_const() and e.const_value().im == 0 else None
+            return e.const_pair()[0] if e.is_const() and e.const_pair()[1] == 0 else None
         # constant partial derivatives make each component affine, so b = phi^{-1}(0)
         a = [[real(d) for d in row] for row in self.inverse_jacobian]
         if any(c is None for row in a for c in row):
@@ -527,12 +527,10 @@ def integer_quarter_turns():
 
     def diffeo_fn(g):
         (n,) = g
-        if not n.is_const():
+        re, im = n.const_pair() if n.is_const() else (None, None)
+        if im != 0 or re.denominator != 1:
             raise ExprError("quarter-turn action needs concrete integers")
-        val = n.const_value()
-        if val.im != 0 or val.re.denominator != 1:
-            raise ExprError("quarter-turn action needs concrete integers")
-        return rot.diffeos[int(val.re) % 4]
+        return rot.diffeos[re % 4]
 
     binding = VarBinding(coordinates=coords, parameters=["n"])
     return ActionSpec("integer quarter turns", group, coords, diffeo_fn=diffeo_fn,

@@ -21,10 +21,11 @@ Tasks (``--task`` or ``task =`` under ``[session]``):
     expand           amplitude series -> graded symbol        [amplitude]
 
 Flags ``--order``, ``--seed`` and ``--out`` override the [session] values.
-With a fixed seed every report is byte-identical across runs.  Exit status:
-0 when every checked identity holds, 1 when any fails, 2 on config errors
-(an unreadable config file or report path included).  Only verify-numeric
-imports numpy and ``numfio``, when it runs: the exact tasks load neither.
+With a fixed seed every report, rewritten in place in ``<out>/<task>.txt``
+(truncating first costs more; only a regular file is cut at the end), is
+byte-identical across runs.  Exit status: 0 when every identity holds, 1
+when any fails, 2 on config errors (an unreadable config or report path
+included).  Only verify-numeric imports numpy and ``numfio``, when it runs.
 Each task counts its work from the config alone, and a count past its
 budget is a config error naming the section, raised before any basis, slot
 map or grid array is built (``_admit``):
@@ -56,6 +57,7 @@ import functools
 import math
 import os
 import random
+import stat
 import sys
 from fractions import Fraction
 
@@ -266,9 +268,9 @@ SLOT_BUDGET = 12_000
 # slots at each order n the task runs.  Cohomology on C4 at basis degree 0,
 # orders 0..20 (85,008): 0.68 s, 39 MB.
 SYMBOL_BUDGET = 100_000
-# Grid cells x the arrays verify-numeric keeps alive at once: packets, one plan
-# per distinct element and one product's plan.  1024^2 x (6 + 1 + 1): 1.6 s, 344 MB.
-CELL_BUDGET = 2 ** 23
+# Grid cells x the arrays verify-numeric keeps alive at once: packets, their
+# images and two per plan (elements and a product).  1024^2 x 2 x (6 + 1 + 1): 1.7 s, 344 MB.
+CELL_BUDGET = 2 ** 24
 # Grid cells x plan applications, (pairs + elements) x packets, each counted as
 # at least PLAN_CELLS cells: building a product's plan costs about as much as
 # applying one to that many, so a tiny grid cannot hide its pairs.
@@ -476,7 +478,8 @@ def task_verify_numeric(cfg, rng):
     n, d, p, cells = len(elements), len(distinct), len(centers), grid.npoints ** grid.dim
     pairs, run_on = n * (n + 1) // 2, "verify-numeric on %d^%d points" % (grid.npoints, grid.dim)
     _admit([("grid", "%s with %d packets and %d distinct elements" % (run_on, p, d),
-             "%d x (%d + %d + 1)" % (cells, p, d), cells * (p + d + 1), "cells alive at once"),
+             "%d x 2 x (%d + %d + 1)" % (cells, p, d), cells * 2 * (p + d + 1),
+             "cells alive at once"),
             ("numeric", "%s with %d elements and %d packets" % (run_on, n, p),
              "max(%d, %d) x (%d + %d) x %d" % (cells, PLAN_CELLS, pairs, n, p),
              max(cells, PLAN_CELLS) * (pairs + n) * p, "cells of plan applications")])
@@ -597,8 +600,10 @@ def run(cfg):
     path = os.path.join(cfg.out, cfg.task + ".txt")
     try:
         os.makedirs(cfg.out, exist_ok=True)
-        with open(path, "w") as fh:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise ConfigError("cannot write report %s: %s" % (path, exc.strerror)) from None
     return (0 if report.all_ok else 1), text

@@ -176,8 +176,8 @@ def _flat(plan, s=1):
     op, x, y = plan
     if op == "*":
         s = y * s
-        return _flat(x, s.const_value().re if s.is_const() and s.const_value() in (1, -1)
-                     else s)
+        c = s.const_pair() if s.is_const() else None
+        return _flat(x, c[0] if c in ((1, 0), (-1, 0)) else s)
     return _flat(x, s) + _flat(y, -s if op == "-" else s)
 
 
@@ -582,7 +582,7 @@ def _slot_maps(action, p0, n, basis, normalized=False):
             for c in coeffs.values():
                 if not c.is_const():
                     raise BasisEscapeError("right factor coefficient %s is not a constant" % c)
-            right[h, alpha] = {gamma: c.const_value().key() for gamma, c in coeffs.items()}
+            right[h, alpha] = {gamma: c.const_pair() for gamma, c in coeffs.items()}
     return left, right
 
 

@@ -65,7 +65,7 @@ import cmath
 import operator
 import random
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 _RESERVED = {"i", "exp", "sin", "cos"}
@@ -184,9 +184,6 @@ class GaussRat:
 
     def __repr__(self):
         return "GaussRat(%s, %s)" % (self.re, self.im)
-
-
-GR_I = GaussRat(0, 1)
 
 
 def _frac_str(f):
@@ -375,9 +372,6 @@ class Poly:
 
     def is_const(self):
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
-
-    def const_value(self):
-        return GaussRat(*self.terms.get(0, (0, 0)))
 
     def free_names(self):
         out = set()
@@ -652,7 +646,7 @@ class Expr:
 
     @staticmethod
     def imag_unit():
-        return Expr(poly=Poly.const(GR_I))
+        return Expr(poly=Poly({0: (0, 1)}))
 
     @staticmethod
     def var(name):
@@ -690,10 +684,14 @@ class Expr:
         """True for the zero polynomial; never for a tree, which only ``is_zero`` decides."""
         return self.poly is not None and self.poly.is_zero()
 
-    def const_value(self):
+    def const_pair(self):
+        """The constant's (re, im) pair, built into no GaussRat."""
         if not self.is_const():
             raise ExprError("not a constant")
-        return self.poly.const_value()
+        return self.poly.terms.get(0, (0, 0))
+
+    def const_value(self):
+        return GaussRat(*self.const_pair())
 
     def free_names(self):
         if self.poly is not None:
@@ -948,11 +946,8 @@ _TREE_OPS = {"add": operator.add, "neg": operator.neg, "mul": operator.mul,
 # Zero testing
 
 
-@dataclass(frozen=True)
-class ZeroCheck:
-    ok: bool
-    kind: str          # "exact" or "probabilistic"
-    detail: str = ""
+# kind is "exact" or "probabilistic"
+ZeroCheck = namedtuple("ZeroCheck", "ok kind detail", defaults=("",))
 
 
 def all_zero(checks):

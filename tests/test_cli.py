@@ -1,5 +1,6 @@
 """Config parsing and end-to-end runs of the command line tasks."""
 
+import builtins
 import os
 import subprocess
 import sys
@@ -89,6 +90,65 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys):
                        capsys)
     assert err.startswith("config error: cannot write report %s: "
                           % os.path.join(out, "expand.txt"))
+
+
+EXPAND_DEMO = os.path.join(CONFIGS, "expand_demo.cfg")
+
+
+def test_a_rewrite_over_a_longer_report_leaves_the_new_text(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "expand.txt").write_text("stale report line\n" * 1000)
+    assert main(["--config", EXPAND_DEMO, "--out", str(out)]) == 0
+    assert read(str(out / "expand.txt")) == capsys.readouterr().out
+
+
+def test_a_report_path_linked_to_dev_null_is_written(tmp_path, capsys):
+    # a device is written but not truncated
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "expand.txt").symlink_to(os.devnull)
+    assert main(["--config", EXPAND_DEMO, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("quantact expand\n")
+    assert os.path.islink(out / "expand.txt")
+
+
+def test_a_report_path_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    report = tmp_path / "out" / "expand.txt"
+    report.mkdir(parents=True)
+    err = config_error(["--config", EXPAND_DEMO, "--out", str(tmp_path / "out")], capsys)
+    assert err.startswith("config error: cannot write report %s: " % report)
+
+
+def test_run_overwrites_its_report_without_truncating_it(tmp_path, monkeypatch):
+    # truncating a non-empty file before the write can cost more than the
+    # write: no open during run may truncate, by mode "w" on a path or by
+    # O_TRUNC, and the report is still rewritten whole
+    opened, truncating = [], []
+    real_open, real_os_open = builtins.open, os.open
+
+    def watched_open(file, mode="r", *args, **kwargs):
+        opened.append(file)
+        if "w" in mode and not isinstance(file, int):   # an fd is not truncated
+            truncating.append((file, mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    def watched_os_open(path, flags, *args, **kwargs):
+        opened.append(path)
+        if flags & os.O_TRUNC:
+            truncating.append((path, flags))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    cfg = SessionConfig.load(EXPAND_DEMO, out=str(tmp_path))
+    report = str(tmp_path / "expand.txt")
+    with open(report, "w") as fh:
+        fh.write("stale report line\n" * 1000)
+    monkeypatch.setattr(builtins, "open", watched_open)
+    monkeypatch.setattr(os, "open", watched_os_open)
+    status, text = cli.run(cfg)
+    monkeypatch.undo()
+    assert report in opened and truncating == []
+    assert (status, read(report)) == (0, text)
 
 
 def test_load_requires_task(tmp_path):
@@ -1015,8 +1075,8 @@ def no_grid_arrays(monkeypatch):
     # a 65536^2 float array of 32 GiB for each packet's exponent
     (65536, "1/5 ; 1/10 ; -3/20",
      "[grid] verify-numeric on 65536^2 points with 2 packets and 3 distinct elements needs "
-     "4294967296 x (2 + 3 + 1) = 25769803776 cells alive at once, more than the budget of "
-     "8388608"),
+     "4294967296 x 2 x (2 + 3 + 1) = 51539607552 cells alive at once, more than the budget "
+     "of 16777216"),
     # 80200 pairs, each a product's plan and two applications per packet
     (64, " ; ".join("%d/%d" % (1 + k % 7, 20 + k) for k in range(400)),
      "[numeric] verify-numeric on 64^2 points with 400 elements and 2 packets needs "
@@ -1035,7 +1095,7 @@ def test_verify_numeric_budgets_refuse_before_any_grid_array(monkeypatch, tmp_pa
 
 
 @pytest.mark.parametrize("points,packets,elements,refused", [
-    # cells x (packets + distinct elements + 1) <= 2^23 = 1024^2 x 8
+    # cells x 2 x (packets + distinct elements + 1) <= 2^24 = 1024^2 x 2 x 8
     (1024, 6, "1/5", None),
     (1024, 7, "1/5", "[grid]"),
     # repeated elements count once in the cells and every time in the pairs:

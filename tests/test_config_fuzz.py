@@ -178,7 +178,7 @@ def test_verify_numeric_grid_and_pair_budgets(tmp_path, monkeypatch):
     @SETTINGS
     @hypothesis.given(st.integers(0, 40), st.integers(1, 8),
                       st.lists(st.integers(-3, 3), min_size=1, max_size=80))
-    # 2^21 cells x (1 + 2 + 1) arrays and 2^21 x (10 + 4) x 1 applications are
+    # 2^21 cells x 2 x (1 + 2 + 1) arrays and 2^21 x (10 + 4) x 1 applications are
     # at the budgets (tests/test_cli.py admits them); a third distinct element
     # or a fifth element passes one
     @hypothesis.example(21, 1, [1, 2, 3])
@@ -186,7 +186,7 @@ def test_verify_numeric_grid_and_pair_budgets(tmp_path, monkeypatch):
     @hypothesis.example(14, 2, [1, 2, 1])
     def check(k, packets, elements):
         cells, n = 2 ** k, len(elements)
-        past = (cells * (packets + len(set(elements)) + 1) > cli.CELL_BUDGET
+        past = (cells * 2 * (packets + len(set(elements)) + 1) > cli.CELL_BUDGET
                 or max(cells, cli.PLAN_CELLS) * (n * (n + 1) // 2 + n) * packets
                 > cli.APPLY_BUDGET)
         del built[:]

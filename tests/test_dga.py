@@ -760,12 +760,13 @@ def test_cochain_kernels_build_no_gaussrat(monkeypatch):
     g = action.group.elements()[1]
     p, q = parse("3*x^2*y - 1/2*x + 2*i*exp(x)").poly, parse("x - 2*y + 1/3").poly
     mapping = {"x": parse("y + 1/2").poly, "y": parse("2*x").poly}
+    c = parse("1/3 + 2*i")
     made = _count_calls(monkeypatch, GaussRat, "__init__")
     star_graded(a1, a2).value((g, g))
     d(a1).value((g, g))
     p.subs(mapping, {}), p.diff("x"), p.mul(q)
     by_kernels = len(made)
-    p.const_value()
+    c.const_value()
     assert (by_kernels, len(made)) == (0, 1)
 
 
@@ -1418,8 +1419,27 @@ def test_the_solver_builds_no_gaussrat(monkeypatch, tmp_path):
     monkeypatch.setattr(GaussRat, "__init__", counting)
     for path in (os.path.join(ROOT, "configs", "solve_sign_flip.cfg"), str(c4)):
         assert run(SessionConfig.load(path, out=str(tmp_path)))[0] == 0
+    GaussRat(1)   # the runs may build none at all: the counter still sees this one
     monkeypatch.undo()
-    assert callers and not {"linalg.py", "dga.py"} & set(callers), sorted(set(callers))
+    assert "test_dga.py" in callers
+    assert not {"linalg.py", "dga.py"} & set(callers), sorted(set(callers))
+
+
+def test_whole_c4_runs_build_no_gaussrat(monkeypatch, tmp_path):
+    # the slot maps read each right-factor constant as its (re, im) pair and
+    # the plan flattener tests a scale's pair against (+-1, 0): an mc-solve
+    # over C4 at basis degree 2, order 2, and configs/cohomology_c4.cfg
+    # construct no GaussRat from the config to the report
+    c4 = tmp_path / "c4.cfg"
+    c4.write_text(C4_SOLVE_CFG)
+    cfgs = [SessionConfig.load(path, out=str(tmp_path))
+            for path in (str(c4), os.path.join(ROOT, "configs", "cohomology_c4.cfg"))]
+    c = parse("2")
+    made = _count_calls(monkeypatch, GaussRat, "__init__")
+    assert [run(cfg)[0] for cfg in cfgs] == [0, 0]
+    by_runs = len(made)
+    c.const_value()   # an API edge builds one
+    assert (by_runs, len(made)) == (0, 1)
 
 
 @pytest.mark.parametrize("config, order, slots, size", [

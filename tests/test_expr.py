@@ -74,6 +74,16 @@ def test_nonzero_is_detected():
     assert not is_zero(parse("sin(x)^2 - cos(x)^2", B)).ok
 
 
+def test_a_zero_check_is_an_immutable_record():
+    check = ZeroCheck(True, "exact")
+    assert (check.ok, check.kind, check.detail) == (True, "exact", "")
+    assert check == ZeroCheck(ok=True, kind="exact", detail="")
+    assert check != ZeroCheck(True, "probabilistic")
+    assert repr(check) == "ZeroCheck(ok=True, kind='exact', detail='')"
+    with pytest.raises(AttributeError):
+        check.ok = False
+
+
 def test_all_zero_folds_kinds_and_consumes_every_check():
     exact, sampled = ZeroCheck(True, "exact"), ZeroCheck(True, "probabilistic")
     assert all_zero([]) == ZeroCheck(True, "exact")

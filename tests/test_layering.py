@@ -618,6 +618,22 @@ def test_importing_quantact_or_its_cli_loads_no_numpy():
         assert heavy_modules_loaded(module, os.path.join(ROOT, "src"), NUMERIC_MODULES) == []
 
 
+# ZeroCheck is a namedtuple: a dataclass would load inspect, ast, dis and
+# tokenize with it, 10-15 ms of every CLI run
+INTROSPECTION_MODULES = ("dataclasses", "inspect")
+
+
+def test_importing_the_cli_loads_no_dataclasses_and_no_inspect():
+    assert heavy_modules_loaded("quantact.cli", os.path.join(ROOT, "src"),
+                                INTROSPECTION_MODULES) == []
+
+
+def test_the_introspection_guard_sees_a_dataclass(tmp_path):
+    (tmp_path / "record.py").write_text("from dataclasses import dataclass\n")
+    assert heavy_modules_loaded("record", str(tmp_path),
+                                INTROSPECTION_MODULES) == list(INTROSPECTION_MODULES)
+
+
 def quiet_main(name, out):
     """A statement that runs ``cli.main`` on ``configs/<name>.cfg``, its
     report written under ``out`` and its standard output dropped, and
