@@ -27,7 +27,11 @@ return one lazy combination: nested combinations flatten into its terms
 s * leaf, a leaf being any other cochain, so d and star_graded stay cached
 and are read once per tuple (flattening through d would read its argument
 on every face path).  A coefficient with a tree term, and a phase value,
-takes the nested Expr arithmetic the calls built instead.
+takes the nested Expr arithmetic the calls built instead.  ``d`` and
+``star_graded`` compute one value per distinct argument objects: d one sum
+per face values, star_graded one star per (left value, phi1, right value,
+phi2) and one carrier table per right value and map, so a value shared
+between tuples, as (d a)(g, h) = -a(gh) is, costs one sum or star.
 
 The twisted differential d_{P0} a = da + P0*a - (-1)^k a*P0 governs the
 order-by-order correction problem: with P^1..P^{n-1} known, the order-n
@@ -244,11 +248,24 @@ def _faces(a, gs):
              -1 if i % 2 else 1) for i in range(1, a.degree + 1)]
 
 
+def _once(memo, operands, make):
+    """make(), computed once per distinct operand objects: the memo is keyed
+    on their ids and holds the operands, so no id is recycled."""
+    key = tuple(map(id, operands))
+    if key not in memo:
+        memo[key] = operands, make()
+    return memo[key][1]
+
+
 def d(a):
     """Interior-face differential; zero map on degree 0."""
-    dim, order = a.action.dim, a.order
-    return Cochain(a.action, a.degree + 1, order,
-                   fn=lambda gs: symbol_sum(dim, order, _faces(a, gs)))
+    dim, order, memo = a.action.dim, a.order, {}
+
+    def val(gs):   # one sum per face values: their places fix the signs
+        faces = _faces(a, gs)
+        return _once(memo, [v for v, _ in faces], lambda: symbol_sum(dim, order, faces))
+
+    return Cochain(a.action, a.degree + 1, order, fn=val)
 
 
 def star_graded(a, b):
@@ -256,16 +273,15 @@ def star_graded(a, b):
     if a.action is not b.action and a.action.coords != b.action.coords:
         raise ValueError("cochains over different actions")
     k, l = a.degree, b.degree
-    # one carrier table per right tuple for the life of the product: b(right)
-    # over its map is the right operand of every star on that tuple
-    carriers = {}
+    # one star per distinct (left value, phi1, right value, phi2), and one
+    # carrier table per right value over its map, for the life of the product
+    memo, carriers = {}, {}
 
     def val(gs):
         left, right = gs[:k], gs[k:]
-        phi1 = a.action.product_diffeo(left)
-        phi2 = a.action.product_diffeo(right)
-        return star(a.value(left), phi1, b.value(right), phi2,
-                    carriers.setdefault(right, {}))
+        ops = (a.value(left), a.action.product_diffeo(left),
+               b.value(right), a.action.product_diffeo(right))
+        return _once(memo, ops, lambda: star(*ops, _once(carriers, ops[2:], dict)))
 
     return Cochain(a.action, k + l, a.order, fn=val)
 
@@ -719,12 +735,10 @@ def cohomology_dims(action, basis, p0=None, n_max=2):
         raise ValueError("cohomology dimensions need a finite group")
     out = {}
     for n in range(n_max + 1):
-        if p0 is None:
-            p0n = trivial_system(action, n)
-        else:
-            p0n = Cochain(action, 1, n,
-                          fn=lambda gs, k=n: _lift_leading(p0.value(gs), k))
-        normalized = _is_unital(action, p0n)
+        p0n = (trivial_system(action, n) if p0 is None else
+               Cochain(action, 1, n, fn=lambda gs, k=n: _lift_leading(p0.value(gs), k)))
+        if n == 0:   # P0(e) = 1 reads only slot 0 of P0(e), the same at every order
+            normalized = _is_unital(action, p0n)
         (c0, c1, c2, _), mats = _twisted_d_matrices(
             action, p0n, n, basis, [_tuples(action, k, normalized) for k in range(4)],
             normalized)

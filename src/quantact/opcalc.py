@@ -22,8 +22,8 @@ exact at every truncation order (no mixing between orders beyond n1 + n2).
 The carriers D^alpha[g * (D^beta psi) o phi2^{-1}] depend on the right
 operand (k, phi2) only.  Each is built once per right operand of a product
 cochain, in a table keyed by (n2, beta, alpha), from the carrier of
-alpha - e_j: ``dga.star_graded`` hands ``star`` one table per right tuple,
-and a call without a table fills a fresh one.  Pullbacks by phi1^{-1} go
+alpha - e_j: ``dga.star_graded`` hands ``star`` one table per right value
+and map, and a call without a table fills a fresh one.  Pullbacks by phi1^{-1} go
 through ``Diffeo.pullback``: each map keeps one substitution of its inverse,
 which keeps the images of the monomials it meets.  Each output coefficient
 sums its terms f * phi1^*(c) in one ``expr.Accumulator``, and only nonempty

@@ -1,5 +1,6 @@
 """Cochain complex, Maurer-Cartan machinery, and the order-by-order solver."""
 
+import copy
 import itertools
 import os
 import random
@@ -620,8 +621,9 @@ def test_star_graded_never_composes_diffeos(monkeypatch):
 @pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
 @pytest.mark.parametrize("name", ["rotations_c2", "rotations_c4", "translations_2d"])
 def test_star_graded_matches_a_fresh_star_on_every_tuple(name):
-    # star_graded keeps one carrier table per right tuple for the life of the
-    # product; every value must be the star of a call with a table of its own.
+    # star_graded keeps one carrier table per right value over its map for
+    # the life of the product, and one value per distinct operands; every
+    # value must be the star of a call with a table of its own.
     # A parameter action is drawn on the tuples of two sampled elements
     action = BUILTIN_ACTIONS[name]()
     elements = (action.group.elements() if action.is_finite
@@ -661,7 +663,7 @@ def _record_carrier_tables(monkeypatch):
 
 def test_star_graded_builds_carriers_once_per_right_tuple(monkeypatch):
     # a1 * a2 on C4 at order 3: 16 pairs (g1, g2), and a2(g2) over phi_g2 is
-    # the right operand of four of them, so carriers for 4 right tuples
+    # the right operand of four of them, so carriers for 4 right operands
     rng = random.Random(5)
     action = cyclic_rotations(4)
     a1, a2 = (random_cochain(rng, action, 1, order=3) for _ in range(2))
@@ -775,8 +777,10 @@ def test_cochain_sums_make_no_poly_sums_and_read_each_leaf_once(monkeypatch):
     # coefficient: the star products, the faces of d and the flattened
     # Leibniz difference make no Poly.add or Poly.sub call.  Flattening stops
     # at d and star_graded: the difference reads each of its three leaves
-    # once per tuple, never the combinations nested in it, and the stars are
-    # those of the cached products, 16 for d(a1*a2) and 64 for each other
+    # once per tuple, never the combinations nested in it.  The stars are
+    # those of the cached products, one per distinct operands: 16 for
+    # d(a1*a2), and 16 for each other, since (d a)(g, h) = -a(gh) is one
+    # shared value per gh, which meets 4 right values over 4 maps
     rng = random.Random(3)
     action = cyclic_rotations(4)
     a1, a2 = (random_cochain(rng, action, 1, order=2) for _ in range(2))
@@ -805,7 +809,7 @@ def test_cochain_sums_make_no_poly_sums_and_read_each_leaf_once(monkeypatch):
     stars.clear()
     for gs in tuples:
         diff.value(gs)
-    assert adds == subs == [] and len(stars) == 144
+    assert adds == subs == [] and len(stars) == 48
     assert [reads.count(id(c)) for c in leaves + tuple(inner)] == [64, 64, 64, 0, 0]
     assert_cochain_zero(diff)
 
@@ -1260,9 +1264,11 @@ def test_cohomology_ranks_matrices_on_e_free_rows(monkeypatch):
 def test_solve_order_slot_maps_work_per_factor(monkeypatch):
     # order 2: 6 multi-indices, 6 basis elements, h over the 3 elements != e.
     # L: 3 * 6 decompositions; R: 3 * 6 star products, read off as constants
-    # with no decomposition.  The closedness check of the
-    # (zero) right-hand side stars P0 against it on both sides of each of the
-    # |G|^3 triples, 2 * 4^3, and the right-hand side is decomposed on the 4^2 pairs
+    # with no decomposition.  The closedness check of the (zero) right-hand
+    # side stars P0 against it on both sides of the |G|^3 triples, once per
+    # distinct operands: the trivial twist is one symbol and the zero
+    # right-hand side another, so each side meets 4 x 4 pairs of maps, 2 * 4^2.
+    # The right-hand side is decomposed on the 4^2 pairs
     action = cyclic_rotations(4)
     basis = CoefficientBasis.monomials(action.coords, 2)
     p0 = trivial_system(action, 2)
@@ -1271,7 +1277,7 @@ def test_solve_order_slot_maps_work_per_factor(monkeypatch):
     diffs = _count_calls(monkeypatch, Poly, "diff")
     solved = _record_matrices(monkeypatch, "solve")
     res = solve_order(action, p0, {}, 2, basis)
-    assert len(calls) == 3 * 6 + 2 * 4 ** 3
+    assert len(calls) == 3 * 6 + 2 * 4 ** 2
     assert (len(left), len(right)) == (3 * 6, 4 ** 2)
     assert res.solved and res.rhs_closed
     # the 2 x 2 inverse Jacobian once for each of the 3 rotations h != e (the
@@ -1281,6 +1287,81 @@ def test_solve_order_slot_maps_work_per_factor(monkeypatch):
     assert len(diffs) == 3 * 4
     # rows: 36 slots on the (|G| - 1)^2 e-free pairs
     assert [(m.nrows, m.ncols) for m, _ in solved] == [(9 * 36, 3 * 36)]
+
+
+def _copied(c):
+    """c with a distinct deep copy of its value on every tuple, so that
+    d and star_graded of it share no value between tuples."""
+    return Cochain(c.action, c.degree, c.order, fn=lambda gs: copy.deepcopy(c.value(gs)))
+
+
+@pytest.mark.parametrize("case", ["shared_symbol", "trivial_system", "galilean_boosts"])
+def test_shared_values_give_the_values_of_distinct_copies(case):
+    # d and star_graded compute one value per distinct operand objects; a
+    # value shared between tuples whose products differ must still meet the
+    # map of each tuple, as its distinct deep copies do
+    rng = random.Random(13)
+    if case == "galilean_boosts":   # fresh maps on every sampled tuple
+        action = galilean_boosts()
+        s = random_symbol(rng, action.dim, 1, action.coords)
+        a = b = Cochain(action, 1, 1, fn=lambda gs: s)
+    else:
+        action = cyclic_rotations(4)
+        s, t = (random_symbol(rng, action.dim, 2, action.coords) for _ in range(2))
+        a = (trivial_system(action, 2) if case == "trivial_system" else
+             Cochain(action, 1, 2, table={(g,): s for g in action.group.elements()}))
+        b = Cochain(action, 1, 2, table={(g,): t if g % 2 else random_symbol(
+            rng, action.dim, 2, action.coords) for g in action.group.elements()})
+
+    def built(x, y):
+        return [(2, d(x)), (2, star_graded(x, y)), (2, star_graded(y, x)),
+                (3, d(d(x))), (3, d(star_graded(x, y))),
+                (3, star_graded(d(x), y)), (3, star_graded(x, d(y)))]
+
+    for (degree, shared), (_, copied) in zip(built(a, b), built(_copied(a), _copied(b))):
+        for gs in dga.test_tuples(action, degree, rng=random.Random(degree)):
+            assert shared.value(gs) == copied.value(gs), gs
+    # (d a)(g, h) = -a(gh) is one value for every pair, and the copies' d
+    # makes one per product gh
+    pairs = dga.test_tuples(action, 2, rng=random.Random(2))
+    da, dca = d(a), d(_copied(a))
+    assert len({id(da.value(gs)) for gs in pairs}) == 1
+    assert len({id(dca.value(gs)) for gs in pairs}) == len({action.mult(*gs) for gs in pairs}) > 1
+
+
+def test_d_and_star_graded_compute_once_per_distinct_operands(monkeypatch, tmp_path):
+    # d(d(a1)) of a degree-1 a1 on C4: d(a1) sums once per a1(ghk), 4 sums,
+    # and both faces of d(d(a1)) on every triple are that one value, 4 more
+    rng = random.Random(7)
+    action = cyclic_rotations(4)
+    a1 = random_cochain(rng, action, 1, order=2)
+    sums = _count_calls(monkeypatch, dga, "symbol_sum")
+    dd = d(d(a1))
+    assert_cochain_zero(dd)
+    assert len(sums) == 4 + 4
+    # the benchmark's axioms_c4 identities: 16 stars for d(a1*a2), 16 for each
+    # other Leibniz term, and 4 + 16 per side of associativity, 184 when every
+    # tuple made its own star
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import workloads
+    bench = workloads.AxiomsC4()
+    bench.setup(1, str(tmp_path))
+    stars = _count_calls(monkeypatch, dga, "star")
+    output = bench.run_once()
+    assert bench.check(output) == []
+    assert len(stars) == 48 + 40 == 88
+
+
+def test_cohomology_decides_the_normalized_complex_once(monkeypatch):
+    # P0(e) = 1 reads only slot 0 of P0(e), so one decision serves every order
+    action = cyclic_rotations(4)
+    basis = CoefficientBasis.monomials(action.coords, 1)
+    calls = _count_calls(monkeypatch, dga, "_is_unital")
+    dims = cohomology_dims(action, basis, n_max=2)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert [dga._is_unital(action, trivial_system(action, n)) for n in range(3)] == [True] * 3
+    assert all(dims[n]["H1"] == dims[n]["H2"] == 0 for n in range(3))
 
 
 def test_inverse_jacobian_is_computed_once_per_diffeo():
