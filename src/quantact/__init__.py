@@ -6,10 +6,12 @@ spaces and amplitude expansions (``symbols``), group actions by diffeomorphisms
 (``opcalc``), the cochain differential graded algebra with Maurer-Cartan
 solvers (``dga``), FFT-grid numerical checks (``numfio``) and a config-driven
 command line interface (``cli``).  ``import quantact`` loads neither numpy
-nor ``numfio``: the grid names live in ``quantact.numfio`` alone.
+nor ``numfio``: the grid names live in ``quantact.numfio`` alone.  Every
+exact scalar is an (re, im) pair of ints and Fractions; ``Expr.gauss``
+builds a constant from one and ``Expr.const_pair`` reads it back.
 """
 
-from .expr import Expr, VarBinding, parse, is_zero, GaussRat, ExprError, ParseError
+from .expr import Expr, VarBinding, parse, is_zero, ExprError, ParseError
 from .symbols import (AmplitudeSeries, FormalSymbol, PolyXi, dump_symbol,
                       load_symbol, multi_indices, taylor_from_amplitude)
 from .actions import (ActionSpec, BUILTIN_ACTIONS, Diffeo, FiniteGroup,
@@ -25,8 +27,7 @@ from .dga import (Cochain, CoefficientBasis, PhaseCochain, character_phase,
                   solve_order, star_graded, trivial_system, twisted_d)
 
 __all__ = [
-    "Expr", "VarBinding", "parse", "is_zero", "GaussRat", "ExprError",
-    "ParseError",
+    "Expr", "VarBinding", "parse", "is_zero", "ExprError", "ParseError",
     "AmplitudeSeries", "FormalSymbol", "PolyXi", "dump_symbol", "load_symbol",
     "multi_indices", "taylor_from_amplitude",
     "ActionSpec", "BUILTIN_ACTIONS", "Diffeo", "FiniteGroup", "ParamGroup",

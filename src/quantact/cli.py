@@ -33,6 +33,7 @@ map or grid array is built (``_admit``):
     SLOT_BUDGET     rows of d_{P0} in mc-solve and cohomology    [basis]
                     multi-indices C(dim + n, n) in expand        [amplitude]
     SYMBOL_BUDGET   symbol slots of the slot maps                [basis]
+                    (order + 1) x residual test tuples, mc-check [session]
     CELL_BUDGET     grid cells x arrays alive at once            [grid]
     APPLY_BUDGET    grid cells x plan applications               [numeric]
 
@@ -65,7 +66,7 @@ from .actions import (SingularMapError, action_from_config, check_action,
                       _split_exprs)
 from .dga import (Cochain, CoefficientBasis, PhaseCochain, _is_unital, _tuple_label,
                   cochain_zero_report, delta_phase, exp_system, mc_residual,
-                  solve_order, trivial_system, cohomology_dims)
+                  solve_order, test_tuples, trivial_system, cohomology_dims)
 from .expr import ExprError, VarBinding, parse
 from .report import Report
 from .symbols import (AmplitudeSeries, FormalSymbol, default_xi_names,
@@ -266,7 +267,8 @@ def _system_cochain(cfg, action):
 SLOT_BUDGET = 12_000
 # Symbol slots of the slot maps: m x |multi-indices(dim, n)| stars of n + 1
 # slots at each order n the task runs.  Cohomology on C4 at basis degree 0,
-# orders 0..20 (85,008): 0.68 s, 39 MB.
+# orders 0..20 (85,008): 0.68 s, 39 MB.  Symbol slots to check in mc-check:
+# (order + 1) x test tuples; configs/galilean_mc.cfg, order 19,999: 0.13 s, 21 MB.
 SYMBOL_BUDGET = 100_000
 # Grid cells x the arrays verify-numeric keeps alive at once: packets, their
 # images and two per plan (elements and a product).  1024^2 x 2 x (6 + 1 + 1): 1.7 s, 344 MB.
@@ -278,8 +280,8 @@ CELL_BUDGET = 2 ** 24
 APPLY_BUDGET = 2 ** 25
 PLAN_CELLS = 2 ** 14
 BUDGETS = {"slots": SLOT_BUDGET, "symbol slots in its slot maps": SYMBOL_BUDGET,
-           "multi-indices": SLOT_BUDGET, "cells alive at once": CELL_BUDGET,
-           "cells of plan applications": APPLY_BUDGET}
+           "symbol slots to check": SYMBOL_BUDGET, "multi-indices": SLOT_BUDGET,
+           "cells alive at once": CELL_BUDGET, "cells of plan applications": APPLY_BUDGET}
 
 
 def _admit(estimates):
@@ -372,6 +374,11 @@ def task_check_cocycle(cfg, rng):
 
 def task_mc_check(cfg, rng):
     action = _load_action(cfg)
+    # a symbol of order + 1 slots per test tuple of the residual, counted on
+    # a spare rng so that the run's own draws stay as they were
+    tuples = len(test_tuples(action, 2, rng=random.Random(0)))
+    _admit([("session", "mc-check at order %d" % cfg.order, "(%d + 1) x %d" % (cfg.order, tuples),
+             (cfg.order + 1) * tuples, "symbol slots to check")])
     system = _system_cochain(cfg, action)
     report = cochain_zero_report(mc_residual(system), title="maurer-cartan residual", rng=rng)
     report.params["action"] = action.name
@@ -468,8 +475,15 @@ def task_verify_numeric(cfg, rng):
         for pair in nsec["constants"].split(","):
             if ":" not in pair:
                 raise ConfigError("[numeric] constants must be 'name:value' pairs")
-            name, value = pair.split(":", 1)
-            consts[name.strip()] = _number(value, "numeric", "constants", float)
+            name, value = (part.strip() for part in pair.split(":", 1))
+            # a coordinate or a second value would shadow the first unnoticed
+            if name in consts:
+                raise ConfigError("[numeric] constants: %r is given twice" % name)
+            if name not in action.binding.constants:
+                raise ConfigError("[numeric] constants: %r is not a constant of the action "
+                                  "(it declares %s)" % (name, ", ".join(action.binding.constants)
+                                                        or "none"))
+            consts[name] = _number(value, "numeric", "constants", float)
     elements = _elements(action, nsec, "numeric")
     utol = _get_number(nsec, "unitarity_tol", 1e-8, "numeric", float)
     rtol = _get_number(nsec, "representation_tol", 1e-7, "numeric", float)

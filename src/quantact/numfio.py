@@ -53,7 +53,7 @@ import threading
 
 import numpy as np
 
-from .expr import Expr, ExprError, GaussRat, as_expr
+from .expr import Expr, ExprError, as_expr
 from .opcalc import FormalOperator, standard_star
 from .symbols import (FormalSymbol, PolyXi, default_xi_names, monomial,
                       taylor_from_amplitude, xi_decompose)
@@ -144,7 +144,7 @@ def eval_expr(e, env):
         if name not in env:
             raise ExprError("no numeric value bound for %r" % name)
         return np.asarray(env[name])
-    return as_expr(e).fold(lambda poly: poly.fold(0j, GaussRat.to_complex, var, np.exp), np)
+    return as_expr(e).fold(lambda poly: poly.fold(0j, lambda c: complex(*c), var, np.exp), np)
 
 
 def _grid_values(e, env, shape):

@@ -517,6 +517,40 @@ elements = 1/5
     assert "config error:" in io.err and message in io.err
 
 
+@pytest.mark.parametrize("constants,message", [
+    ("m:1, x:0", "[numeric] constants: 'x' is not a constant of the action (it declares m)"),
+    ("m:1, m:2", "[numeric] constants: 'm' is given twice"),
+    ("c:3", "[numeric] constants: 'c' is not a constant of the action (it declares m)"),
+], ids=["coordinate", "twice", "undeclared"])
+def test_numeric_constants_are_the_actions_own_once_each(tmp_path, capsys, constants,
+                                                         message):
+    # x:0 replaced the grid coordinate x in the amplitude's environment and
+    # failed 6 composition checks with status 1; m:1, m:2 ran with m = 2
+    status, io, out = run_cli(tmp_path, capsys, """
+[session]
+task = verify-numeric
+
+[action]
+builtin = galilean
+
+[phase]
+expr = m*v*x - m*v*v*t/2
+
+[grid]
+dim = 2
+points = 32
+length = 8
+hbar = 1/10
+
+[numeric]
+elements = 1/5
+constants = %s
+""" % constants)
+    assert status == 2
+    assert io.err == "config error: %s\n" % message
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("key,value,message", [
     # a third number on the 2-D grid used to be dropped
     ("momenta", "0,0,5 ; 1/10,-1/20",
@@ -966,6 +1000,40 @@ param_identity = 0
     assert not os.path.exists(tmp_path / "out")
 
 
+SUPERSCRIPT_ACTION = """coords = x
+params = v
+forward = x + ²
+inverse = x - v
+product = v__1 + v__2
+param_inverse = -v
+param_identity = 0
+"""
+
+
+@pytest.mark.parametrize("task,section,body,stderr", [
+    ("expand", "amplitude", "coords = x\nterms = x + ²\n",
+     "[amplitude] terms: unexpected character '²' (at position 4)\n  x + ²\n      ^\n"),
+    ("check-cocycle", "phase", "expr = m*v*x + ³\n",
+     "[phase] expr: unexpected character '³' (at position 8)\n  m*v*x + ³\n          ^\n"),
+    ("mc-solve", "basis", "exprs = 1, ²\n",
+     "[basis] exprs: unexpected character '²' (at position 0)\n  ²\n  ^\n"),
+    ("check-action", "action", SUPERSCRIPT_ACTION,
+     "[action]: unexpected character '²' (at position 4)\n  x + ²\n      ^\n"),
+], ids=["amplitude_terms", "phase_expr", "basis_exprs", "action_forward"])
+def test_a_superscript_digit_is_an_unexpected_character(tmp_path, capsys, task, section,
+                                                        body, stderr):
+    # str.isdigit accepts a superscript digit and int() refuses it: the
+    # first three were a ValueError traceback with status 1, the "an
+    # identity failed" status, and [action] forward lost the position
+    action = "" if section == "action" else "[action]\nbuiltin = %s\n\n" % (
+        "sign_flip_c2" if task == "mc-solve" else "galilean")
+    status, io, out = run_cli(tmp_path, capsys, "[session]\ntask = %s\norder = 1\n\n%s[%s]\n%s"
+                              % (task, action, section, body))
+    assert status == 2
+    assert io.err == "config error: " + stderr
+    assert not os.path.exists(out)
+
+
 def test_expand_refuses_a_huge_order_before_any_derivative(tmp_path):
     cfg = write(tmp_path, """
 [session]
@@ -982,6 +1050,23 @@ terms = x1*xi2 + x2*x2, xi1*xi2
                            "coordinates needs C(2 + 100000000, 100000000) = 5000000150000001 "
                            "multi-indices, more than the budget of %d\n" % cli.SLOT_BUDGET)
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_mc_check_admits_its_order_up_to_the_symbol_budget(tmp_path, monkeypatch):
+    # (order + 1) x the residual's 5 test tuples for galilean (one symbolic,
+    # four sampled); the run's time and memory grew linearly in the order
+    # (10^6: 4.6 s, 230 MB).  The count draws on a spare rng, so the shipped
+    # order-3 config reports as before (test_config_reports)
+    path = os.path.join(CONFIGS, "galilean_mc.cfg")
+    edge = cli.SYMBOL_BUDGET // 5 - 1
+    assert cli.run(SessionConfig.load(path, order=edge, out=str(tmp_path)))[0] == 0
+    built = []
+    monkeypatch.setattr(cli, "exp_system", lambda *args, **kw: built.append(args))
+    with pytest.raises(ConfigError, match=r"^\[session\] mc-check at order %d needs "
+                       r"\(%d \+ 1\) x 5 = %d symbol slots to check, more than the budget "
+                       r"of %d$" % (edge + 1, edge + 1, cli.SYMBOL_BUDGET + 5, cli.SYMBOL_BUDGET)):
+        cli.run(SessionConfig.load(path, order=edge + 1, out=str(tmp_path)))
+    assert built == []
 
 
 def test_expand_at_the_budget_edge_finishes(tmp_path):

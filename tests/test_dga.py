@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from gauss_ref import Gauss
 from int_first import assert_int_first
 
 from quantact import dga, expr, opcalc
@@ -23,7 +24,7 @@ from quantact.dga import (BasisEscapeError, Cochain, CoefficientBasis,
                           exp_system, gauge_report, gauge_residual, mc_residual,
                           representation_report, solve_order, star_graded,
                           trivial_system, twisted_d)
-from quantact.expr import Expr, GaussRat, Poly, is_zero, parse
+from quantact.expr import Expr, Poly, is_zero, parse
 from quantact.linalg import SparseMatrix, rank, solve
 from quantact.opcalc import FormalOperator, compose, star
 from quantact.symbols import FormalSymbol, PolyXi, multi_indices
@@ -390,8 +391,8 @@ def test_basis_decomposes_over_non_unit_complex_pivots():
                               parse("(2 - i)*x*y + y/2 + x^2/3")])
     rng = random.Random(3)
     for _ in range(10):
-        coords = {j: GaussRat(Fraction(rng.randint(-6, 6), rng.randint(1, 7)),
-                              Fraction(rng.randint(-6, 6), rng.randint(1, 7))).key()
+        coords = {j: Gauss(Fraction(rng.randint(-6, 6), rng.randint(1, 7)),
+                           Fraction(rng.randint(-6, 6), rng.randint(1, 7))).key()
                   for j in range(3)}
         coords = {j: c for j, c in coords.items() if c != (0, 0)}
         e = basis.combine(coords)
@@ -751,27 +752,6 @@ def test_identical_products_make_equal_kernel_work(monkeypatch):
     assert counts[0][0] > 0 and counts[0][1] > 0
 
 
-def test_cochain_kernels_build_no_gaussrat(monkeypatch):
-    # a Poly holds (re, im) pairs and an Accumulator hands its dict over as
-    # the Poly: one value of star_graded and one of d on C4 cochains, and
-    # Poly.subs, diff and mul on canonical operands with Fraction parts,
-    # construct no GaussRat; const_value, an API edge, builds one
-    rng = random.Random(7)
-    action = cyclic_rotations(4)
-    a1, a2 = (random_cochain(rng, action, 1, order=2) for _ in range(2))
-    g = action.group.elements()[1]
-    p, q = parse("3*x^2*y - 1/2*x + 2*i*exp(x)").poly, parse("x - 2*y + 1/3").poly
-    mapping = {"x": parse("y + 1/2").poly, "y": parse("2*x").poly}
-    c = parse("1/3 + 2*i")
-    made = _count_calls(monkeypatch, GaussRat, "__init__")
-    star_graded(a1, a2).value((g, g))
-    d(a1).value((g, g))
-    p.subs(mapping, {}), p.diff("x"), p.mul(q)
-    by_kernels = len(made)
-    c.const_value()
-    assert (by_kernels, len(made)) == (0, 1)
-
-
 def test_cochain_sums_make_no_poly_sums_and_read_each_leaf_once(monkeypatch):
     # every sum in the cochain algebra adds into one accumulator per output
     # coefficient: the star products, the faces of d and the flattened
@@ -874,8 +854,8 @@ def test_basis_decompose_matches_solve():
                               parse("x^2 + i*y")])
     for basis in (monomial, mixed):
         for _ in range(8):
-            draws = [GaussRat(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                              rng.randint(-2, 2)).key() for _ in basis.exprs]
+            draws = [Gauss(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                           rng.randint(-2, 2)).key() for _ in basis.exprs]
             coeffs = {j: c for j, c in enumerate(draws) if c != (0, 0)}
             e = basis.combine(coeffs)
             got = basis.decompose(e)
@@ -939,8 +919,8 @@ def test_twisted_d_of_a_unit_cochain_vanishes_off_its_support(action):
 
 
 def _columns(m):
-    """The columns {row: GaussRat} of m: each kept column divided by its scale."""
-    return [{i: GaussRat(Fraction(x, den), Fraction(y, den)) for i, (x, y) in col.items()}
+    """The columns {row: Gauss} of m: each kept column divided by its scale."""
+    return [{i: Gauss(Fraction(x, den), Fraction(y, den)) for i, (x, y) in col.items()}
             for col, den in zip(m.cols, m.scales)]
 
 
@@ -970,7 +950,7 @@ def test_twisted_d_matrices_square_to_zero(twist, n):
             image = {}
             for r, c in column.items():
                 for i, v in second[r].items():
-                    image[i] = image.get(i, GaussRat(0)) + c * v
+                    image[i] = image.get(i, Gauss(0)) + c * v
             assert all(v.is_zero() for v in image.values()), (k, coords[k][col])
 
 
@@ -987,7 +967,7 @@ def _oracle_column(action, p0, n, basis, t, alpha, j):
     comps[n] = PolyXi(action.dim, {alpha: basis.exprs[j]})
     x = _unit_cochain(action, t, FormalSymbol(action.dim, p0.order, comps))
     y = twisted_d(p0, x, check=False)
-    return {(tt, alpha2, j2): GaussRat(*c) for tt in _support(action, t)
+    return {(tt, alpha2, j2): Gauss(*c) for tt in _support(action, t)
             for (alpha2, j2), c in _decompose_symbol_slot(y.value(tt), n, basis).items()}
 
 
@@ -1217,7 +1197,8 @@ def test_cohomology_slot_maps_work_per_factor(monkeypatch):
 
 def test_assembler_and_rank_build_no_gauss_rationals(monkeypatch, tmp_path):
     # the slot maps hold (re, im) pairs, so the columns of d_{P0} on the
-    # cohomology config are summed in ints and ranked as they are built
+    # cohomology config are summed in ints, with no Fraction made inside the
+    # assembler or rank, and ranked as they are built
     cfg = SessionConfig.load(os.path.join(ROOT, "configs", "cohomology_c4.cfg"),
                              out=str(tmp_path))
     active, made = [], []
@@ -1236,14 +1217,14 @@ def test_assembler_and_rank_build_no_gauss_rationals(monkeypatch, tmp_path):
 
     inside("_matrix_of_twisted_d")
     inside("rank")
-    real_init = GaussRat.__init__
+    real_new = Fraction.__new__
 
-    def counting(self, *args):
+    def counting(cls, *args, **kwargs):
         if active:
             made.append(active[-1])
-        real_init(self, *args)
+        return real_new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(GaussRat, "__init__", counting)
+    monkeypatch.setattr(Fraction, "__new__", counting)
     ranked = _record_matrices(monkeypatch, "rank")
     assert run(cfg)[0] == 0
     monkeypatch.undo()
@@ -1482,45 +1463,6 @@ builtin = rotations_c4
 [basis]
 monomials = 2
 """
-
-
-def test_the_solver_builds_no_gaussrat(monkeypatch, tmp_path):
-    # basis coordinates, the right-hand side, linalg.solve's vectors and the
-    # solution cochain are (re, im) pairs: in whole mc-solve runs, over
-    # sign_flip_c2 and over C4 at basis degree 2, order 2, no frame in
-    # linalg.py or dga.py constructs a GaussRat
-    c4 = tmp_path / "c4.cfg"
-    c4.write_text(C4_SOLVE_CFG)
-    callers, real = [], GaussRat.__init__
-
-    def counting(self, *args, **kwargs):
-        callers.append(os.path.basename(sys._getframe(1).f_code.co_filename))
-        real(self, *args, **kwargs)
-
-    monkeypatch.setattr(GaussRat, "__init__", counting)
-    for path in (os.path.join(ROOT, "configs", "solve_sign_flip.cfg"), str(c4)):
-        assert run(SessionConfig.load(path, out=str(tmp_path)))[0] == 0
-    GaussRat(1)   # the runs may build none at all: the counter still sees this one
-    monkeypatch.undo()
-    assert "test_dga.py" in callers
-    assert not {"linalg.py", "dga.py"} & set(callers), sorted(set(callers))
-
-
-def test_whole_c4_runs_build_no_gaussrat(monkeypatch, tmp_path):
-    # the slot maps read each right-factor constant as its (re, im) pair and
-    # the plan flattener tests a scale's pair against (+-1, 0): an mc-solve
-    # over C4 at basis degree 2, order 2, and configs/cohomology_c4.cfg
-    # construct no GaussRat from the config to the report
-    c4 = tmp_path / "c4.cfg"
-    c4.write_text(C4_SOLVE_CFG)
-    cfgs = [SessionConfig.load(path, out=str(tmp_path))
-            for path in (str(c4), os.path.join(ROOT, "configs", "cohomology_c4.cfg"))]
-    c = parse("2")
-    made = _count_calls(monkeypatch, GaussRat, "__init__")
-    assert [run(cfg)[0] for cfg in cfgs] == [0, 0]
-    by_runs = len(made)
-    c.const_value()   # an API edge builds one
-    assert (by_runs, len(made)) == (0, 1)
 
 
 @pytest.mark.parametrize("config, order, slots, size", [
